@@ -277,6 +277,11 @@ class PresheafMap:
     def identity(x: Presheaf) -> "PresheafMap":
         return PresheafMap(x, x, {c: {e: e for e in x.at(c)} for c in x.base.objects})
 
+    @staticmethod
+    def entry(x: Presheaf, y: Presheaf, i: int) -> "PresheafMap":
+        """The map sending each tuple element of ``x`` to its entry ``i``."""
+        return PresheafMap(x, y, {c: {e: e[i] for e in x.at(c)} for c in x.base.objects})
+
     def validate(self) -> list[str]:
         out = []
         if self.source.base != self.target.base:
@@ -366,8 +371,7 @@ def product(x: Presheaf, y: Presheaf) -> LimitCone:
                   for (a, b) in carrier[base.tgt[u]]}
               for u in base.arrows}
     apex = Presheaf(base, carrier, action)
-    p1 = PresheafMap(apex, x, {c: {e: e[0] for e in carrier[c]} for c in base.objects})
-    p2 = PresheafMap(apex, y, {c: {e: e[1] for e in carrier[c]} for c in base.objects})
+    p1, p2 = PresheafMap.entry(apex, x, 0), PresheafMap.entry(apex, y, 1)
 
     def mediate(legs):
         f, g = legs
@@ -395,8 +399,7 @@ def pullback(f: PresheafMap, g: PresheafMap) -> LimitCone:
                   for (a, b) in carrier[base.tgt[u]]}
               for u in base.arrows}
     apex = Presheaf(base, carrier, action)
-    p1 = PresheafMap(apex, x, {c: {e: e[0] for e in carrier[c]} for c in base.objects})
-    p2 = PresheafMap(apex, y, {c: {e: e[1] for e in carrier[c]} for c in base.objects})
+    p1, p2 = PresheafMap.entry(apex, x, 0), PresheafMap.entry(apex, y, 1)
 
     def mediate(legs):
         u, v = legs
@@ -481,6 +484,48 @@ def subpresheaf(x: Presheaf, keep: Callable) -> tuple:
 # natural-family enumeration (the engine behind exponentials, points, cones)
 
 
+def _solve(keys: list, edges: dict, candidates: Callable,
+           check: Optional[Callable], emit: Callable) -> None:
+    """Backtracking with constraint propagation: the engine's one solver.
+
+    ``edges[k]`` lists ``(forced key, action table)`` pairs: giving ``k`` the
+    value ``w`` forces ``table[w]`` on the forced key. Keys are decided in
+    list order from ``candidates(*k)``; a key already forced is skipped. Every
+    complete, consistent assignment that passes ``check`` (when given) is
+    handed to ``emit``, which must copy what it keeps.
+    """
+    assignment = {}
+    n = len(keys)
+
+    def rec(i):
+        while i < n and keys[i] in assignment:
+            i += 1
+        if i == n:
+            if check is None or check(assignment):
+                emit(assignment)
+            return
+        key = keys[i]
+        for val in candidates(*key):
+            trail = []
+            todo = [(key, val)]
+            while todo:
+                k, w = todo.pop()
+                if k in assignment:
+                    if assignment[k] != w:
+                        break
+                    continue
+                assignment[k] = w
+                trail.append(k)
+                for forced, table in edges[k]:
+                    todo.append((forced, table[w]))
+            else:
+                rec(i + 1)
+            for k in trail:
+                del assignment[k]
+
+    rec(0)
+
+
 def family_space(base, c, dom: Presheaf, cod: Presheaf,
                  allowed: Optional[Callable] = None,
                  check: Optional[Callable] = None) -> list:
@@ -494,47 +539,18 @@ def family_space(base, c, dom: Presheaf, cod: Presheaf,
     accepts or rejects a completed assignment (for relational laws such as
     composition preservation). Returns family labels in canonical order.
     """
-    keys = [(u, e) for u in base.arrows_into(c) for e in dom.at(base.src[u])]
-    assignment = {}
-
-    def propagate(key, val, trail):
-        todo = [(key, val)]
-        while todo:
-            k, w = todo.pop()
-            if k in assignment:
-                if assignment[k] != w:
-                    return False
-                continue
-            assignment[k] = w
-            trail.append(k)
-            u, e = k
-            a = base.src[u]
-            for v in base.arrows_into(a):
-                if base.is_identity(v):
-                    continue
-                todo.append(((base.comp(u, v), dom.action[v][e]), cod.action[v][w]))
-        return True
-
+    keys, edges = [], {}
+    for u in base.arrows_into(c):
+        a = base.src[u]
+        below = [v for v in base.arrows_into(a) if not base.is_identity(v)]
+        for e in dom.at(a):
+            keys.append((u, e))
+            edges[(u, e)] = [((base.comp(u, v), dom.action[v][e]), cod.action[v])
+                             for v in below] if below else ()
+    candidates = allowed or (lambda u, e: cod.at(base.src[u]))
     results = []
-
-    def rec(i):
-        while i < len(keys) and keys[i] in assignment:
-            i += 1
-        if i == len(keys):
-            if check is None or check(assignment):
-                results.append(fam(assignment.items()))
-            return
-        key = keys[i]
-        u, e = key
-        candidates = cod.at(base.src[u]) if allowed is None else allowed(u, e)
-        for val in candidates:
-            trail = []
-            if propagate(key, val, trail):
-                rec(i + 1)
-            for k in trail:
-                del assignment[k]
-
-    rec(0)
+    _solve(keys, edges, candidates, check,
+           lambda table: results.append(fam(table.items())))
     return sorted(results, key=sort_key)
 
 
@@ -614,47 +630,23 @@ def enumerate_maps(x: Presheaf, y: Presheaf,
     ``e`` further down the base.
     """
     base = x.base
-    keys = [(c, e) for c in base.objects for e in x.at(c)]
-    assignment = {}
-
-    def propagate(key, val, trail):
-        todo = [(key, val)]
-        while todo:
-            k, w = todo.pop()
-            if k in assignment:
-                if assignment[k] != w:
-                    return False
-                continue
-            assignment[k] = w
-            trail.append(k)
-            c, e = k
-            for u in base.arrows_into(c):
-                if base.is_identity(u):
-                    continue
-                todo.append(((base.src[u], x.action[u][e]), y.action[u][w]))
-        return True
-
+    keys, edges = [], {}
+    for c in base.objects:
+        below = [u for u in base.arrows_into(c) if not base.is_identity(u)]
+        for e in x.at(c):
+            keys.append((c, e))
+            edges[(c, e)] = [((base.src[u], x.action[u][e]), y.action[u])
+                             for u in below] if below else ()
+    candidates = allowed or (lambda c, e: y.at(c))
     results = []
 
-    def rec(i):
-        while i < len(keys) and keys[i] in assignment:
-            i += 1
-        if i == len(keys):
-            comps = {c: {} for c in base.objects}
-            for (c, e), w in assignment.items():
-                comps[c][e] = w
-            results.append(PresheafMap(x, y, comps))
-            return
-        c, e = keys[i]
-        candidates = y.at(c) if allowed is None else allowed(c, e)
-        for val in candidates:
-            trail = []
-            if propagate((c, e), val, trail):
-                rec(i + 1)
-            for k in trail:
-                del assignment[k]
+    def emit(assignment):
+        comps = {c: {} for c in base.objects}
+        for (c, e), w in assignment.items():
+            comps[c][e] = w
+        results.append(PresheafMap(x, y, comps))
 
-    rec(0)
+    _solve(keys, edges, candidates, None, emit)
     return results
 
 

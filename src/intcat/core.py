@@ -72,6 +72,31 @@ def make_internal_category(obj: Presheaf, arr: Presheaf, source: PresheafMap,
                             PresheafMap(pairs.apex, arr, comps))
 
 
+def category_from_tables(obj: Presheaf, arr_carrier: dict, shift_parts: Callable,
+                         identity_parts: Callable,
+                         compose_parts: Callable) -> InternalCategory:
+    """Assemble a category object whose stage-c arrows are ``(s, t, *parts)``.
+
+    Source and target are the first two entries and move along base arrows
+    by the action of ``obj``. The callbacks return only the parts:
+    ``shift_parts(w, t)`` those of arrow ``t`` moved along ``w``,
+    ``identity_parts(c, o)`` those of the identity on ``o``, and
+    ``compose_parts(c, g, f)`` those of g after f.
+    """
+    base = obj.base
+    arr_action = {w: {t: (obj.action[w][t[0]], obj.action[w][t[1]])
+                      + shift_parts(w, t)
+                      for t in arr_carrier[base.tgt[w]]}
+                  for w in base.arrows}
+    arr = Presheaf(base, arr_carrier, arr_action)
+    ident = PresheafMap(obj, arr, {c: {o: (o, o) + identity_parts(c, o)
+                                       for o in obj.at(c)}
+                                   for c in base.objects})
+    return make_internal_category(
+        obj, arr, PresheafMap.entry(arr, obj, 0), PresheafMap.entry(arr, obj, 1),
+        ident, lambda c, g, f: (f[0], g[1]) + compose_parts(c, g, f))
+
+
 def validate_internal_category(a: InternalCategory) -> list[str]:
     """All seven category laws as elementwise arrow equalities."""
     out = []

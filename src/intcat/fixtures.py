@@ -27,7 +27,7 @@ def poset_cat(elems, pairs, base: IndexCategory = FIN) -> InternalCategory:
 
 def chain_cat(n: int, base: IndexCategory = FIN) -> InternalCategory:
     elems = tuple(str(i) for i in range(n))
-    return poset_cat(elems, [(str(i), str(i + 1)) for i in range(n - 1)])
+    return poset_cat(elems, [(str(i), str(i + 1)) for i in range(n - 1)], base)
 
 
 def discrete_cat(labels, base: IndexCategory = FIN) -> InternalCategory:

@@ -4,10 +4,12 @@ The mapping space of two category objects is computed stage by stage: an
 element at stage c is a pair ``(phi0, phi1)`` of families giving, for every
 arrow ``u : c' -> c`` of the base at once, an object assignment and an
 arrow assignment subject to the functor laws. Natural-transformation
-elements are triples ``(F, G, alpha)``. Families are enumerated with
-constraint propagation and the laws prune candidates early, so the raw
-function spaces of the underlying carriers are never materialized unless
-the inclusion map is explicitly requested.
+elements are triples ``(F, G, alpha)``. Families are enumerated by the
+engine's one solver (``ambient.family_space``) with constraint propagation
+and the laws prune candidates early, so the raw function spaces of the
+underlying carriers are never materialized unless the inclusion map is
+explicitly requested. The functor category is assembled from its arrow
+triples by ``core.category_from_tables``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .ambient import (
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans,
-    make_internal_category, product_cat, restrict_cat,
+    category_from_tables, product_cat, restrict_cat,
 )
 
 
@@ -236,36 +238,22 @@ def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCate
                     triples.append((f_el, g_el, alpha))
         arr_carrier[c] = tuple(triples)
 
-    arr_action = {w: {(f_el, g_el, alpha):
-                      (space.action[w][f_el], space.action[w][g_el],
-                       _shift(base, w, a.obj, fam_dict(alpha)))
-                      for (f_el, g_el, alpha) in arr_carrier[base.tgt[w]]}
-                  for w in base.arrows}
-    arr = Presheaf(base, arr_carrier, arr_action)
-
-    source = PresheafMap(arr, space, {c: {t: t[0] for t in arr.at(c)}
-                                      for c in base.objects})
-    target = PresheafMap(arr, space, {c: {t: t[1] for t in arr.at(c)}
-                                      for c in base.objects})
-
-    def identity_alpha(c, el):
+    def identity_parts(c, el):
         t0 = fam_dict(el[0])
-        return fam((((u, x), b.id_at(base.src[u], t0[(u, x)]))
-                    for u in base.arrows_into(c)
-                    for x in a.obj.at(base.src[u])))
-
-    ident = PresheafMap(space, arr, {c: {el: (el, el, identity_alpha(c, el))
-                                         for el in space.at(c)}
-                                     for c in base.objects})
-
-    def comp_fn(c, g, f):
-        tg, tf = fam_dict(g[2]), fam_dict(f[2])
-        gamma = fam((((u, x), b.comp_at(base.src[u], tg[(u, x)], tf[(u, x)]))
+        return (fam((((u, x), b.id_at(base.src[u], t0[(u, x)]))
                      for u in base.arrows_into(c)
-                     for x in a.obj.at(base.src[u])))
-        return (f[0], g[1], gamma)
+                     for x in a.obj.at(base.src[u]))),)
 
-    cat = make_internal_category(space, arr, source, target, ident, comp_fn)
+    def compose_parts(c, g, f):
+        tg, tf = fam_dict(g[2]), fam_dict(f[2])
+        return (fam((((u, x), b.comp_at(base.src[u], tg[(u, x)], tf[(u, x)]))
+                     for u in base.arrows_into(c)
+                     for x in a.obj.at(base.src[u]))),)
+
+    cat = category_from_tables(
+        space, arr_carrier,
+        lambda w, t: (_shift(base, w, a.obj, fam_dict(t[2])),),
+        identity_parts, compose_parts)
     return ExponentialCategory(a, b, hom, cat)
 
 
@@ -359,13 +347,8 @@ def diagonal_functor(a: InternalCategory, shape: InternalCategory,
                      expo: Optional[ExponentialCategory] = None) -> InternalFunctor:
     """The constant-diagram functor ``a -> (a ^ shape)``."""
     prod = product_cat(a, shape)
-    base = a.base
-    proj = InternalFunctor(
-        prod, a,
-        PresheafMap(prod.obj, a.obj,
-                    {c: {p: p[0] for p in prod.obj.at(c)} for c in base.objects}),
-        PresheafMap(prod.arr, a.arr,
-                    {c: {p: p[0] for p in prod.arr.at(c)} for c in base.objects}))
+    proj = InternalFunctor(prod, a, PresheafMap.entry(prod.obj, a.obj, 0),
+                           PresheafMap.entry(prod.arr, a.arr, 0))
     e = exponential_cat(shape, a) if expo is None else expo
     return curry_functor(proj, a, shape, expo=e)
 

@@ -8,7 +8,10 @@ family over every arrow into c at once, which is the same data as the
 comma category of the constant-diagram functor against the diagram's name
 but never materializes the full functor category. The generic comma
 category is also provided and the two constructions are cross-checked in
-the tests.
+the tests. Leg families come from the engine's one solver
+(``ambient.family_space``). The cone, comma and parallel-arrows categories
+each choose only their carriers and the arithmetic of their arrow data;
+``core.category_from_tables`` assembles the rest.
 
 Universality is decided internally: a candidate is terminal when the
 object of arrows into it projects isomorphically onto the objects-object.
@@ -31,8 +34,8 @@ from .ambient import (
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
-    compose_functors, from_finite_category, identity_functor, initial_cat,
-    make_internal_category, nat_is_iso, product_cat, restrict_cat,
+    category_from_tables, compose_functors, from_finite_category,
+    identity_functor, initial_cat, nat_is_iso, product_cat, restrict_cat,
     restrict_functor, terminal_cat,
 )
 from .functor_cat import (
@@ -70,23 +73,22 @@ class Diagram:
     def of(functor: InternalFunctor) -> "Diagram":
         return Diagram(functor.source_cat, functor.target_cat, functor)
 
-    def validate(self) -> list[str]:
+    def _endpoint_errors(self) -> list[str]:
         errs = []
         if self.functor.source_cat != self.shape:
             errs.append("functor does not start at the shape")
         if self.functor.target_cat != self.target:
             errs.append("functor does not land in the target")
-        return errs + self.functor.validate()
+        return errs
+
+    def validate(self) -> list[str]:
+        return self._endpoint_errors() + self.functor.validate()
 
 
 def diagram_functor(dg) -> InternalFunctor:
     """Accept either a Diagram or a bare internal functor."""
     if isinstance(dg, Diagram):
-        errs = [e for e in (
-            "functor does not start at the shape"
-            if dg.functor.source_cat != dg.shape else None,
-            "functor does not land in the target"
-            if dg.functor.target_cat != dg.target else None) if e]
+        errs = dg._endpoint_errors()
         if errs:
             raise PreconditionError("; ".join(errs))
         return dg.functor
@@ -94,12 +96,14 @@ def diagram_functor(dg) -> InternalFunctor:
 
 
 @dataclass(eq=True)
-class Cone:
-    """A vertex with one leg per shape-object element, uncurried."""
+class _Legs:
+    """A vertex and one leg per shape-object element, uncurried. The legs
+    leave the vertex of a cone and arrive at the vertex of a cocone."""
 
     diagram: InternalFunctor
     vertex: PresheafMap          # terminal -> target.obj
     legs: PresheafMap            # shape.obj -> target.arr
+    dual = False
 
     def validate(self) -> list[str]:
         errs = self.vertex.validate() + self.legs.validate()
@@ -109,48 +113,33 @@ class Cone:
         a, d = dg.target_cat, dg.source_cat
         for c in a.base.objects:
             v = self.vertex.components[c]["*"]
+            legs = self.legs.components[c]
             for x in d.obj.at(c):
-                leg = self.legs.components[c][x]
-                if a.s_at(c, leg) != v:
+                ends = (dg.on_obj(c, x), v) if self.dual else (v, dg.on_obj(c, x))
+                if a.s_at(c, legs[x]) != ends[0]:
                     errs.append(f"leg source at {c!r}:{x!r}")
-                if a.t_at(c, leg) != dg.on_obj(c, x):
+                if a.t_at(c, legs[x]) != ends[1]:
                     errs.append(f"leg target at {c!r}:{x!r}")
             for f in d.arr.at(c):
-                lhs = a.comp_at(c, dg.on_arr(c, f),
-                                self.legs.components[c][d.s_at(c, f)])
-                if lhs != self.legs.components[c][d.t_at(c, f)]:
-                    errs.append(f"cone condition at {c!r}:{f!r}")
+                sx, tx = d.s_at(c, f), d.t_at(c, f)
+                if self.dual:
+                    ok = a.comp_at(c, legs[tx], dg.on_arr(c, f)) == legs[sx]
+                else:
+                    ok = a.comp_at(c, dg.on_arr(c, f), legs[sx]) == legs[tx]
+                if not ok:
+                    kind = "cocone" if self.dual else "cone"
+                    errs.append(f"{kind} condition at {c!r}:{f!r}")
         return errs
 
 
-@dataclass(eq=True)
-class Cocone:
+class Cone(_Legs):
+    """A vertex with one leg per shape-object element, uncurried."""
+
+
+class Cocone(_Legs):
     """A vertex receiving one leg per shape-object element."""
 
-    diagram: InternalFunctor
-    vertex: PresheafMap
-    legs: PresheafMap
-
-    def validate(self) -> list[str]:
-        errs = self.vertex.validate() + self.legs.validate()
-        if errs:
-            return errs
-        dg = self.diagram
-        a, d = dg.target_cat, dg.source_cat
-        for c in a.base.objects:
-            v = self.vertex.components[c]["*"]
-            for x in d.obj.at(c):
-                leg = self.legs.components[c][x]
-                if a.s_at(c, leg) != dg.on_obj(c, x):
-                    errs.append(f"leg source at {c!r}:{x!r}")
-                if a.t_at(c, leg) != v:
-                    errs.append(f"leg target at {c!r}:{x!r}")
-            for f in d.arr.at(c):
-                lhs = a.comp_at(c, self.legs.components[c][d.t_at(c, f)],
-                                dg.on_arr(c, f))
-                if lhs != self.legs.components[c][d.s_at(c, f)]:
-                    errs.append(f"cocone condition at {c!r}:{f!r}")
-        return errs
+    dual = True
 
 
 # ---------------------------------------------------------------------------
@@ -271,29 +260,13 @@ def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:
 
     obj_action = {w: {o: shift_obj(w, o) for o in obj_carrier[base.tgt[w]]}
                   for w in base.arrows}
-    obj = Presheaf(base, obj_carrier, obj_action)
-    arr_action = {w: {(o1, o2, p): (shift_obj(w, o1), shift_obj(w, o2),
-                                    a.arr.action[w][p])
-                      for (o1, o2, p) in arr_carrier[base.tgt[w]]}
-                  for w in base.arrows}
-    arr = Presheaf(base, arr_carrier, arr_action)
-
-    source = PresheafMap(arr, obj, {c: {t: t[0] for t in arr.at(c)}
-                                    for c in base.objects})
-    target = PresheafMap(arr, obj, {c: {t: t[1] for t in arr.at(c)}
-                                    for c in base.objects})
-    ident = PresheafMap(obj, arr, {c: {o: (o, o, a.id_at(c, o[0]))
-                                       for o in obj.at(c)}
-                                   for c in base.objects})
-    cat = make_internal_category(
-        obj, arr, source, target, ident,
-        lambda c, g, f: (f[0], g[1], a.comp_at(c, g[2], f[2])))
-    to_base = InternalFunctor(
-        cat, a,
-        PresheafMap(obj, a.obj, {c: {o: o[0] for o in obj.at(c)}
-                                 for c in base.objects}),
-        PresheafMap(arr, a.arr, {c: {t: t[2] for t in arr.at(c)}
-                                 for c in base.objects}))
+    cat = category_from_tables(
+        Presheaf(base, obj_carrier, obj_action), arr_carrier,
+        lambda w, t: (a.arr.action[w][t[2]],),
+        lambda c, o: (a.id_at(c, o[0]),),
+        lambda c, g, f: (a.comp_at(c, g[2], f[2]),))
+    to_base = InternalFunctor(cat, a, PresheafMap.entry(cat.obj, a.obj, 0),
+                              PresheafMap.entry(cat.arr, a.arr, 2))
     return ConesCategory("cocones" if dual else "cones", dg, cat, to_base)
 
 
@@ -397,41 +370,19 @@ def comma_category(f: InternalFunctor, g: InternalFunctor) -> CommaCategory:
 
     obj_action = {w: {o: shift_obj(w, o) for o in obj_carrier[base.tgt[w]]}
                   for w in base.arrows}
-    obj = Presheaf(base, obj_carrier, obj_action)
-    arr_action = {w: {(o1, o2, p, q): (shift_obj(w, o1), shift_obj(w, o2),
-                                       x.arr.action[w][p], y.arr.action[w][q])
-                      for (o1, o2, p, q) in arr_carrier[base.tgt[w]]}
-                  for w in base.arrows}
-    arr = Presheaf(base, arr_carrier, arr_action)
+    cat = category_from_tables(
+        Presheaf(base, obj_carrier, obj_action), arr_carrier,
+        lambda w, t: (x.arr.action[w][t[2]], y.arr.action[w][t[3]]),
+        lambda c, o: (x.id_at(c, o[0]), y.id_at(c, o[1])),
+        lambda c, g, f: (x.comp_at(c, g[2], f[2]), y.comp_at(c, g[3], f[3])))
 
-    source = PresheafMap(arr, obj, {c: {t: t[0] for t in arr.at(c)}
-                                    for c in base.objects})
-    target = PresheafMap(arr, obj, {c: {t: t[1] for t in arr.at(c)}
-                                    for c in base.objects})
-    ident = PresheafMap(obj, arr,
-                        {c: {o: (o, o, x.id_at(c, o[0]), y.id_at(c, o[1]))
-                             for o in obj.at(c)} for c in base.objects})
-    cat = make_internal_category(
-        obj, arr, source, target, ident,
-        lambda c, gq, fq: (fq[0], gq[1], x.comp_at(c, gq[2], fq[2]),
-                           y.comp_at(c, gq[3], fq[3])))
-
-    proj_left = InternalFunctor(
-        cat, x,
-        PresheafMap(obj, x.obj, {c: {o: o[0] for o in obj.at(c)}
-                                 for c in base.objects}),
-        PresheafMap(arr, x.arr, {c: {t: t[2] for t in arr.at(c)}
-                                 for c in base.objects}))
-    proj_right = InternalFunctor(
-        cat, y,
-        PresheafMap(obj, y.obj, {c: {o: o[1] for o in obj.at(c)}
-                                 for c in base.objects}),
-        PresheafMap(arr, y.arr, {c: {t: t[3] for t in arr.at(c)}
-                                 for c in base.objects}))
+    proj_left = InternalFunctor(cat, x, PresheafMap.entry(cat.obj, x.obj, 0),
+                                PresheafMap.entry(cat.arr, x.arr, 2))
+    proj_right = InternalFunctor(cat, y, PresheafMap.entry(cat.obj, y.obj, 1),
+                                 PresheafMap.entry(cat.arr, y.arr, 3))
     square = InternalNatTrans(
         compose_functors(f, proj_left), compose_functors(g, proj_right),
-        PresheafMap(obj, z.arr, {c: {o: o[2] for o in obj.at(c)}
-                                 for c in base.objects}))
+        PresheafMap.entry(cat.obj, z.arr, 2))
     return CommaCategory(f, g, cat, proj_left, proj_right, square)
 
 
@@ -464,6 +415,26 @@ def _check_point(a: InternalCategory, v: PresheafMap):
         raise PreconditionError(f"candidate point is not natural: {errs}")
 
 
+def _internal_universal(a: InternalCategory, v: PresheafMap, dual: bool):
+    _check_point(a, v)
+    at_v, far = (a.source, a.target) if dual else (a.target, a.source)
+    harr = pullback(at_v, v).legs[0]
+    inv = inverse(harr.then(far))
+    if inv is None:
+        for c in a.base.objects:
+            vc = v.components[c]["*"]
+            for x in a.obj.at(c):
+                ends = (vc, x) if dual else (x, vc)
+                n = sum(1 for h in a.arr.at(c)
+                        if (a.s_at(c, h), a.t_at(c, h)) == ends)
+                if n != 1:
+                    return Refusal("not_initial" if dual else "not_terminal",
+                                   {"stage": c, "element": x, "count": n})
+        raise AssertionError("projection not invertible yet all fibers are singletons")
+    return UniversalCertificate("initial" if dual else "terminal", a, v,
+                                inv.then(harr))
+
+
 def is_internal_terminal(a: InternalCategory, v: PresheafMap):
     """Certify that the point ``v`` is terminal inside the category object.
 
@@ -472,43 +443,13 @@ def is_internal_terminal(a: InternalCategory, v: PresheafMap):
     unique-arrow map. Refusal names the stage and element whose fiber of
     incoming arrows is not a singleton.
     """
-    _check_point(a, v)
-    cone = pullback(a.target, v)
-    harr = cone.legs[0]
-    src_proj = harr.then(a.source)
-    inv = inverse(src_proj)
-    if inv is None:
-        for c in a.base.objects:
-            vc = v.components[c]["*"]
-            for x in a.obj.at(c):
-                n = sum(1 for h in a.arr.at(c)
-                        if a.s_at(c, h) == x and a.t_at(c, h) == vc)
-                if n != 1:
-                    return Refusal("not_terminal",
-                                   {"stage": c, "element": x, "count": n})
-        raise AssertionError("projection not invertible yet all fibers are singletons")
-    return UniversalCertificate("terminal", a, v, inv.then(harr))
+    return _internal_universal(a, v, dual=False)
 
 
 def is_internal_initial(a: InternalCategory, v: PresheafMap):
     """Dual certificate: arrows out of ``v`` project isomorphically via the
     target map; unique_arrow sends each object to the arrow from ``v``."""
-    _check_point(a, v)
-    cone = pullback(a.source, v)
-    harr = cone.legs[0]
-    tgt_proj = harr.then(a.target)
-    inv = inverse(tgt_proj)
-    if inv is None:
-        for c in a.base.objects:
-            vc = v.components[c]["*"]
-            for x in a.obj.at(c):
-                n = sum(1 for h in a.arr.at(c)
-                        if a.s_at(c, h) == vc and a.t_at(c, h) == x)
-                if n != 1:
-                    return Refusal("not_initial",
-                                   {"stage": c, "element": x, "count": n})
-        raise AssertionError("projection not invertible yet all fibers are singletons")
-    return UniversalCertificate("initial", a, v, inv.then(harr))
+    return _internal_universal(a, v, dual=True)
 
 
 def _universal(dg: InternalFunctor, dual: bool,
@@ -909,31 +850,18 @@ def parallel_arrows_category(a: InternalCategory):
 
     obj_action = {w: {o: shift_obj(w, o) for o in obj_carrier[base.tgt[w]]}
                   for w in base.arrows}
-    obj = Presheaf(base, obj_carrier, obj_action)
-    arr_action = {w: {(o1, o2, h0, h1): (shift_obj(w, o1), shift_obj(w, o2),
-                                         a.arr.action[w][h0], a.arr.action[w][h1])
-                      for (o1, o2, h0, h1) in arr_carrier[base.tgt[w]]}
-                  for w in base.arrows}
-    arr = Presheaf(base, arr_carrier, arr_action)
-    source = PresheafMap(arr, obj, {c: {t: t[0] for t in arr.at(c)}
-                                    for c in base.objects})
-    target = PresheafMap(arr, obj, {c: {t: t[1] for t in arr.at(c)}
-                                    for c in base.objects})
-    ident = PresheafMap(obj, arr,
-                        {c: {o: (o, o, a.id_at(c, a.s_at(c, o[0])),
-                                 a.id_at(c, a.t_at(c, o[0])))
-                             for o in obj.at(c)} for c in base.objects})
-    par = make_internal_category(
-        obj, arr, source, target, ident,
-        lambda c, g, f: (f[0], g[1], a.comp_at(c, g[2], f[2]),
-                         a.comp_at(c, g[3], f[3])))
+    par = category_from_tables(
+        Presheaf(base, obj_carrier, obj_action), arr_carrier,
+        lambda w, t: (a.arr.action[w][t[2]], a.arr.action[w][t[3]]),
+        lambda c, o: (a.id_at(c, a.s_at(c, o[0])), a.id_at(c, a.t_at(c, o[0]))),
+        lambda c, g, f: (a.comp_at(c, g[2], f[2]), a.comp_at(c, g[3], f[3])))
     dbl0 = {c: {x: (a.id_at(c, x), a.id_at(c, x)) for x in a.obj.at(c)}
             for c in base.objects}
     dbl1 = {c: {h: (dbl0[c][a.s_at(c, h)], dbl0[c][a.t_at(c, h)], h, h)
                 for h in a.arr.at(c)} for c in base.objects}
     doubled = InternalFunctor(a, par,
-                              PresheafMap(a.obj, obj, dbl0),
-                              PresheafMap(a.arr, arr, dbl1))
+                              PresheafMap(a.obj, par.obj, dbl0),
+                              PresheafMap(a.arr, par.arr, dbl1))
     return par, doubled
 
 

@@ -12,8 +12,8 @@ from intcat.core import (
     terminal_cat, validate_internal_category, vertical_compose,
 )
 from intcat.fixtures import (
-    chain_cat, corpus, discrete_cat, divisor_lattice, indiscrete_cat,
-    poset_cat, walking_idempotent,
+    CHAIN2, chain_cat, corpus, discrete_cat, divisor_lattice, indiscrete_cat,
+    poset_cat, staged_chain3, walking_idempotent,
 )
 
 FIN = IndexCategory.finset()
@@ -22,6 +22,12 @@ FIN = IndexCategory.finset()
 def test_corpus_categories_satisfy_all_laws():
     for name, cat in corpus():
         assert validate_internal_category(cat) == [], name
+
+
+def test_staged_chain_lives_over_its_base():
+    c3 = staged_chain3()
+    assert c3.base == CHAIN2
+    assert validate_internal_category(c3) == []
 
 
 def test_divisor_lattice_sizes():

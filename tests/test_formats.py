@@ -22,6 +22,15 @@ task complete-check D6
 """
 
 
+# Machine-report digests of the fixture documents: the behaviour oracle a
+# refactor of the engine must leave byte-identical.
+FIXTURE_DIGESTS = {
+    "divisors.ct": "sha256:c6538a046040861c5ee88326c7267630541fef6c6e0361eca383511bb83d9ea3",
+    "refusals.ct": "sha256:c8768f4b36c69edeee117ea37ac39bd3a4046ceb3bbd1322474eb23a59896897",
+    "staged.ct": "sha256:6a28a836e90cfa000e9a9b7ebc5119d4fa51e66d761afb3fd71ebb428e3548c4",
+}
+
+
 def read_fixture(name):
     return (FIXTURES / name).read_text()
 
@@ -40,6 +49,13 @@ def test_fixture_documents_round_trip():
         again = parse_document(out)
         assert again == doc, name
         assert emit_document(again) == out, name
+
+
+def test_fixture_report_digests_are_pinned():
+    assert sorted(p.name for p in FIXTURES.glob("*.ct")) == sorted(FIXTURE_DIGESTS)
+    for name, digest in FIXTURE_DIGESTS.items():
+        report = run_document(parse_document(read_fixture(name)))
+        assert report["digest"] == digest, name
 
 
 def test_emission_is_canonical_under_whitespace_and_comments():

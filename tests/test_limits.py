@@ -10,8 +10,10 @@ from intcat.ambient import (
 )
 from intcat.core import (
     InternalFunctor, discrete, from_finite_category, identity_functor,
-    identity_nat, initial_cat, opposite, validate_internal_category,
+    identity_nat, initial_cat, opposite, terminal_cat,
+    validate_internal_category,
 )
+from intcat.functor_cat import diagonal_functor, exponential_cat
 from intcat.labels import fam_dict
 from intcat.limits import (
     Cone, Refusal, UniversalCertificate, cocones_category, comma_category,
@@ -22,6 +24,7 @@ from intcat.limits import (
 )
 from intcat.fixtures import (
     chain_cat, discrete_cat, divisor_lattice, incomparable_pair, poset_cat,
+    staged_chain3,
 )
 
 FIN = IndexCategory.finset()
@@ -159,6 +162,34 @@ def test_comma_of_identities_is_arrow_category():
     med = cm.mediate(identity_functor(c2), identity_functor(c2),
                      identity_nat(identity_functor(c2)))
     assert med.validate() == []
+
+
+def name_functor(e, dg):
+    """The functor from the terminal category picking ``dg`` in ``e``."""
+    one = terminal_cat(e.cat.base)
+    point = e.encode_functor(dg).components
+    ids = {c: {"*": e.cat.id_at(c, p["*"])} for c, p in point.items()}
+    return InternalFunctor(one, e.cat, PresheafMap(one.obj, e.cat.obj, point),
+                           PresheafMap(one.arr, e.cat.arr, ids))
+
+
+@pytest.mark.parametrize("target, x, y, sizes", [
+    (divisor_lattice(12), "4", "6", {"pt": (2, 3)}),
+    (staged_chain3(), "1", "2", {"c0": (2, 3), "c1": (2, 3)}),
+], ids=["divisors-12", "staged-chain-3"])
+def test_cone_category_agrees_with_comma_of_diagonal(target, x, y, sizes):
+    # cones over D are the comma category of the constant-diagram functor
+    # against the name of D, stage by stage
+    dg = diagram_two(target, x, y)
+    e = exponential_cat(dg.source_cat, target)
+    cm = comma_category(diagonal_functor(target, dg.source_cat, expo=e),
+                        name_functor(e, dg))
+    cns = cones_category(dg)
+    counts = {c: (len(cns.cat.obj.at(c)), len(cns.cat.arr.at(c)))
+              for c in target.base.objects}
+    assert counts == {c: (len(cm.cat.obj.at(c)), len(cm.cat.arr.at(c)))
+                      for c in target.base.objects}
+    assert counts == sizes
 
 
 def test_comma_counts_match_hom_sets():
