@@ -9,26 +9,25 @@ theorem engines that produce checkable certificates or concrete refusals.
 
 __version__ = "0.1.0"
 
-from .labels import fam, fam_dict, show, sort_key
+from .labels import fam, fam_dict, sort_key
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, LimitCone,
-    PreconditionError, SliceEquivalence, base_change, coproduct,
-    dependent_sum, elements_category, enumerate_maps, equalizer,
-    evaluation_map, exponential, curry, uncurry, family_space, initial,
-    inverse, is_iso, iso_failure, point_label, point_of, points, product,
-    pullback, representable, restrict, restrict_map, subpresheaf, terminal,
+    PreconditionError, coproduct, elements_category, enumerate_maps,
+    equalizer, evaluation_map, exponential, curry, uncurry,
+    family_at_identity, family_space, initial, inverse, is_iso, point_label,
+    point_of, points, product, pullback, representable, restrict,
+    restrict_map, shift_family, stage_family, subpresheaf, terminal,
     unique_from_initial, unique_to_terminal,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
-    compose_functors, dependent_sum_cat, dis_u_ind_adjunctions, discrete,
+    arrows_by_ends, compose_functors, dis_u_ind_adjunctions, discrete,
     enumerate_functors, enumerate_nats, from_finite_category,
     horizontal_compose, identity_functor, identity_nat, indiscrete,
     initial_cat, make_internal_category, nat_inverse, nat_is_iso, opposite,
-    points_of_cat, product_cat, reindex_cat, restrict_cat, restrict_functor,
-    restrict_nat, terminal_cat, validate_internal_category,
-    validate_internal_functor, validate_internal_nat, vertical_compose,
-    whisker_left, whisker_right,
+    points_of_cat, product_cat, restrict_cat, restrict_functor,
+    terminal_cat, validate_internal_category, validate_internal_functor,
+    validate_internal_nat, vertical_compose, whisker_left, whisker_right,
 )
 from .functor_cat import (
     ExponentialCategory, HomObject, curry_functor, diagonal_functor,
@@ -36,21 +35,22 @@ from .functor_cat import (
     reindex_exponential_iso, uncurry_functor,
 )
 from .limits import (
-    CommaCategory, Cone, Cocone, ConesCategory, Diagram, LimitFunctorResult,
-    Refusal, RefusalError, SpecialAdjoint, UniversalCertificate,
-    cocones_category, comma_category, cones_category, connecting_iso,
-    default_provider, diagram_functor, indexed_cone_factorization,
-    is_internal_initial, is_internal_terminal, limit_functor,
-    parallel_arrows_category, reindex_diagram, shape_parallel_pair,
-    shape_two, special_right_adjoint, transport_cone_point,
-    transport_certificate, universal_cocone, universal_cone,
+    CertificateError, CommaCategory, Cone, Cocone, ConesCategory, Diagram,
+    LimitFunctorResult, Refusal, RefusalError, SpecialAdjoint,
+    UniversalCertificate, cocones_category, comma_category, cones_category,
+    connecting_iso, default_provider, diagram_functor,
+    indexed_cone_factorization, is_internal_initial, is_internal_terminal,
+    limit_functor, parallel_arrows_category, reindex_diagram,
+    shape_parallel_pair, shape_two, special_right_adjoint,
+    transport_cone_point, transport_certificate, universal_cocone,
+    universal_cone,
 )
 from .theorems import (
     AdjointConstruction, ColimitResult, CompletenessCertificate,
     ContinuityReport, GaloisAdjoint, InitialViaLimit, TransportedLimit,
-    aft_left_adjoint, capability_certificate, cocones_limit_transport,
-    colimit_via_duality, default_shape_family, galois_oracle,
-    initial_via_identity_limit, is_continuous, lattice_completeness_check,
+    aft_left_adjoint, cocones_limit_transport, colimit_via_duality,
+    default_shape_family, galois_oracle, initial_via_identity_limit,
+    is_continuous, lattice_completeness_check,
 )
 from .formats import (
     Declaration, ParseError, SpecDocument, TaskDecl, emit_document,

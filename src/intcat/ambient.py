@@ -12,14 +12,19 @@ Conventions
   presheaf ``X`` by ``X.action[u] : X(b) -> X(a)``.
 * Composition tables are keyed ``(g, f)`` where ``f`` is applied first:
   ``compose[(g, f)] = g after f`` and needs ``src[g] == tgt[f]``.
+* A generalized element at stage ``c`` is a family label keyed ``(u, x)``
+  for every arrow ``u`` into c and element ``x`` at ``src u``. This module
+  owns the format: ``stage_family`` builds one, ``shift_family`` moves it
+  along a base arrow, ``family_at_identity`` reads it back, and
+  ``point_of`` assembles global elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from .labels import Label, fam, fam_dict, sort_key
+from .labels import fam, fam_dict, sort_key
 
 
 class PreconditionError(ValueError):
@@ -417,18 +422,27 @@ def pullback(f: PresheafMap, g: PresheafMap) -> LimitCone:
     return LimitCone(apex, (p1, p2), mediate)
 
 
+def subpresheaf(x: Presheaf, keep: Callable) -> tuple:
+    """The subpresheaf of elements with ``keep(c, e)`` true, plus its inclusion.
+
+    The predicate must be closed under the action; validate the result when
+    that is not known in advance.
+    """
+    base = x.base
+    carrier = {c: tuple(e for e in x.at(c) if keep(c, e)) for c in base.objects}
+    action = {u: {e: x.action[u][e] for e in carrier[base.tgt[u]]} for u in base.arrows}
+    sub = Presheaf(base, carrier, action)
+    inc = PresheafMap(sub, x, {c: {e: e for e in carrier[c]} for c in base.objects})
+    return sub, inc
+
+
 def equalizer(f: PresheafMap, g: PresheafMap) -> LimitCone:
     """Equalizer of a parallel pair f, g : X -> Y; elements keep their labels."""
     if f.source != g.source or f.target != g.target:
         raise PreconditionError("equalizer needs a parallel pair")
-    x = f.source
-    base = x.base
-    carrier = {c: tuple(e for e in x.at(c)
-                        if f.components[c][e] == g.components[c][e])
-               for c in base.objects}
-    action = {u: {e: x.action[u][e] for e in carrier[base.tgt[u]]} for u in base.arrows}
-    apex = Presheaf(base, carrier, action)
-    inc = PresheafMap(apex, x, {c: {e: e for e in carrier[c]} for c in base.objects})
+    apex, inc = subpresheaf(
+        f.source, lambda c, e: f.components[c][e] == g.components[c][e])
+    base = apex.base
 
     def mediate(legs):
         (u,) = legs
@@ -437,7 +451,7 @@ def equalizer(f: PresheafMap, g: PresheafMap) -> LimitCone:
             cc = {}
             for w in u.source.at(c):
                 e = u.components[c][w]
-                if e not in action[base.identity[c]]:
+                if e not in apex.action[base.identity[c]]:
                     raise PreconditionError(f"leg does not equalize over {c!r} at {w!r}")
                 cc[w] = e
             comps[c] = cc
@@ -464,20 +478,6 @@ def coproduct(x: Presheaf, y: Presheaf):
     inl = PresheafMap(x, apex, {c: {a: ("inl", a) for a in x.at(c)} for c in base.objects})
     inr = PresheafMap(y, apex, {c: {b: ("inr", b) for b in y.at(c)} for c in base.objects})
     return apex, inl, inr
-
-
-def subpresheaf(x: Presheaf, keep: Callable) -> tuple:
-    """The subpresheaf of elements with ``keep(c, e)`` true, plus its inclusion.
-
-    The predicate must be closed under the action; validate the result when
-    that is not known in advance.
-    """
-    base = x.base
-    carrier = {c: tuple(e for e in x.at(c) if keep(c, e)) for c in base.objects}
-    action = {u: {e: x.action[u][e] for e in carrier[base.tgt[u]]} for u in base.arrows}
-    sub = Presheaf(base, carrier, action)
-    inc = PresheafMap(sub, x, {c: {e: e for e in carrier[c]} for c in base.objects})
-    return sub, inc
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +554,32 @@ def family_space(base, c, dom: Presheaf, cod: Presheaf,
     return sorted(results, key=sort_key)
 
 
+def stage_family(base: IndexCategory, c, dom: Presheaf, value: Callable) -> tuple:
+    """The family at stage ``c`` with ``value(u, x)`` at each key ``(u, x)``:
+    ``u`` an arrow into c and ``x`` an element of ``dom`` at the source of u.
+
+    This is the engine's one encoding of a generalized element at stage c;
+    ``fam`` sorts the entries, so the label does not depend on the order in
+    which the keys are visited.
+    """
+    return fam(((u, x), value(u, x))
+               for u in base.arrows_into(c) for x in dom.at(base.src[u]))
+
+
+def shift_family(base: IndexCategory, w, dom: Presheaf, label) -> tuple:
+    """Reindex a family at stage ``tgt w`` along ``w`` by precomposition."""
+    table = fam_dict(label)
+    return stage_family(base, base.src[w], dom,
+                        lambda u, x: table[(base.comp(w, u), x)])
+
+
+def family_at_identity(base: IndexCategory, c, label, dom: Presheaf) -> dict:
+    """A family at stage ``c`` read at the identity key, in ``dom(c)`` order."""
+    table = fam_dict(label)
+    i = base.identity[c]
+    return {x: table[(i, x)] for x in dom.at(c)}
+
+
 def exponential(x: Presheaf, y: Presheaf) -> Presheaf:
     """The exponential presheaf: stage c holds the natural families from
     (arrows into c) x X to Y. Over the one-object base this is the full
@@ -562,16 +588,8 @@ def exponential(x: Presheaf, y: Presheaf) -> Presheaf:
         raise PreconditionError("exponential factors live over different bases")
     base = x.base
     carrier = {c: tuple(family_space(base, c, x, y)) for c in base.objects}
-    action = {}
-    for w in base.arrows:
-        d, c = base.src[w], base.tgt[w]
-        act = {}
-        for phi in carrier[c]:
-            table = fam_dict(phi)
-            act[phi] = fam((((u2, e), table[(base.comp(w, u2), e)])
-                            for u2 in base.arrows_into(d)
-                            for e in x.at(base.src[u2])))
-        action[w] = act
+    action = {w: {phi: shift_family(base, w, x, phi) for phi in carrier[base.tgt[w]]}
+              for w in base.arrows}
     return Presheaf(base, carrier, action)
 
 
@@ -594,15 +612,12 @@ def curry(f: PresheafMap, z: Presheaf, x: Presheaf) -> PresheafMap:
     base = z.base
     y = f.target
     expo = exponential(x, y)
-    comps = {}
-    for c in base.objects:
-        cc = {}
-        for t in z.at(c):
-            label = fam((((u, e), f.components[base.src[u]][(z.action[u][t], e)])
-                         for u in base.arrows_into(c)
-                         for e in x.at(base.src[u])))
-            cc[t] = label
-        comps[c] = cc
+
+    def transpose(c, t):
+        return stage_family(base, c, x,
+                            lambda u, e: f.components[base.src[u]][(z.action[u][t], e)])
+
+    comps = {c: {t: transpose(c, t) for t in z.at(c)} for c in base.objects}
     return PresheafMap(z, expo, comps)
 
 
@@ -681,23 +696,8 @@ def is_iso(f: PresheafMap) -> bool:
     return inverse(f) is not None
 
 
-def iso_failure(f: PresheafMap):
-    """A witness that f is not an iso: (index object, reason, element)."""
-    for c in f.source.base.objects:
-        fwd = f.components[c]
-        seen = {}
-        for k, v in fwd.items():
-            if v in seen:
-                return (c, "not injective", v)
-            seen[v] = k
-        for v in f.target.at(c):
-            if v not in seen:
-                return (c, "not surjective", v)
-    return None
-
-
 # ---------------------------------------------------------------------------
-# representables, categories of elements, slices
+# representables, categories of elements, reindexing
 
 
 def representable(base: IndexCategory, c) -> Presheaf:
@@ -744,67 +744,3 @@ def restrict(p: IndexFunctor, x: Presheaf) -> Presheaf:
 def restrict_map(p: IndexFunctor, f: PresheafMap) -> PresheafMap:
     return PresheafMap(restrict(p, f.source), restrict(p, f.target),
                        {d: f.components[p.on_obj[d]] for d in p.source.objects})
-
-
-@dataclass
-class SliceEquivalence:
-    """The equivalence between maps into ``i`` and presheaves on its
-    category of elements. ``to_slice`` fibers a structure map; ``from_slice``
-    reassembles a total presheaf (elements are relabeled ``(fiber, element)``)."""
-
-    i: Presheaf
-    site: IndexCategory = field(init=False)
-    projection: IndexFunctor = field(init=False)
-
-    def __post_init__(self):
-        self.site, self.projection = elements_category(self.i)
-
-    def to_slice(self, structure: PresheafMap) -> Presheaf:
-        if structure.target != self.i:
-            raise PreconditionError("structure map does not land in the slice index")
-        x = structure.source
-        carrier = {(c, e): tuple(a for a in x.at(c) if structure.components[c][a] == e)
-                   for (c, e) in self.site.objects}
-        action = {(u, j): {a: x.action[u][a] for a in carrier[(self.i.base.tgt[u], j)]}
-                  for (u, j) in self.site.arrows}
-        return Presheaf(self.site, carrier, action)
-
-    def to_slice_map(self, f: PresheafMap, src_structure: PresheafMap,
-                     tgt_structure: PresheafMap) -> PresheafMap:
-        if src_structure != f.then(tgt_structure):
-            raise PreconditionError("map does not commute with the structure maps")
-        return PresheafMap(
-            self.to_slice(src_structure), self.to_slice(tgt_structure),
-            {(c, e): {a: f.components[c][a]
-                      for a in self.to_slice(src_structure).at((c, e))}
-             for (c, e) in self.site.objects})
-
-    def from_slice(self, q: Presheaf) -> PresheafMap:
-        """Total presheaf and structure map of a slice presheaf; elements are
-        labeled ``(fiber element, q element)``."""
-        base = self.i.base
-        carrier = {c: tuple((e, a) for e in self.i.at(c) for a in q.at((c, e)))
-                   for c in base.objects}
-        action = {u: {(j, a): (self.i.action[u][j], q.action[(u, j)][a])
-                      for (j, a) in carrier[base.tgt[u]]}
-                  for u in base.arrows}
-        total = Presheaf(base, carrier, action)
-        structure = PresheafMap(total, self.i,
-                                {c: {(e, a): e for (e, a) in carrier[c]}
-                                 for c in base.objects})
-        return structure
-
-
-def base_change(i: PresheafMap, x_over: PresheafMap) -> PresheafMap:
-    """Pull an object over I back along i : J -> I; returns it over J."""
-    if x_over.target != i.target:
-        raise PreconditionError("base change needs a map into the same index")
-    cone = pullback(x_over, i)
-    return cone.legs[1]
-
-
-def dependent_sum(i: PresheafMap, y_over: PresheafMap) -> PresheafMap:
-    """Push an object over J forward along i : J -> I by composition."""
-    if y_over.target != i.source:
-        raise PreconditionError("dependent sum needs an object over the source index")
-    return y_over.then(i)

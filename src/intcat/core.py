@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, LimitCone,
-    PreconditionError, elements_category, enumerate_maps, initial,
+    PreconditionError, enumerate_maps, initial,
     point_label, points, product, pullback, restrict, restrict_map, terminal,
 )
 
@@ -367,54 +367,6 @@ def restrict_functor(p: IndexFunctor, fn: InternalFunctor,
                     {d: fn.f1.components[p.on_obj[d]] for d in p.source.objects}))
 
 
-def restrict_nat(p: IndexFunctor, nt: InternalNatTrans,
-                 source_fn: InternalFunctor, target_fn: InternalFunctor) -> InternalNatTrans:
-    return InternalNatTrans(
-        source_fn, target_fn,
-        PresheafMap(source_fn.source_cat.obj, source_fn.target_cat.arr,
-                    {d: nt.component.components[p.on_obj[d]] for d in p.source.objects}))
-
-
-def reindex_cat(i: Presheaf, a: InternalCategory) -> InternalCategory:
-    """Pull a category object back to the slice over ``i`` (presheaves on the
-    category of elements of ``i``)."""
-    _, proj = elements_category(i)
-    return restrict_cat(proj, a)
-
-
-def dependent_sum_cat(i, a: InternalCategory) -> InternalCategory:
-    """Push a category object over the elements of ``i`` down along ``i``.
-
-    ``i`` is the indexing presheaf; ``a`` must live over its category of
-    elements. The result lives over the base of ``i``; its carriers are
-    tagged ``(fiber element, element)``.
-    """
-    base = i.base
-    site, _ = elements_category(i)
-    if a.base != site:
-        raise PreconditionError("category does not live over the elements of the index")
-
-    def squash(x: Presheaf) -> Presheaf:
-        carrier = {c: tuple((e, q) for e in i.at(c) for q in x.at((c, e)))
-                   for c in base.objects}
-        action = {u: {(j, q): (i.action[u][j], x.action[(u, j)][q])
-                      for (j, q) in carrier[base.tgt[u]]}
-                  for u in base.arrows}
-        return Presheaf(base, carrier, action)
-
-    def squash_map(f: PresheafMap, src: Presheaf, tgt: Presheaf) -> PresheafMap:
-        comps = {c: {(e, q): (e, f.components[(c, e)][q]) for (e, q) in src.at(c)}
-                 for c in base.objects}
-        return PresheafMap(src, tgt, comps)
-
-    obj, arr = squash(a.obj), squash(a.arr)
-    return make_internal_category(
-        obj, arr,
-        squash_map(a.source, arr, obj), squash_map(a.target, arr, obj),
-        squash_map(a.identity, obj, arr),
-        lambda c, g, f: (g[0], a.comp_at((c, g[0]), g[1], f[1])))
-
-
 # ---------------------------------------------------------------------------
 # externalization and enumeration
 
@@ -443,15 +395,27 @@ def points_of_cat(a: InternalCategory) -> IndexCategory:
     return IndexCategory(tuple(obj_labels), tuple(arr_labels), src, tgt, identity, compose)
 
 
+def arrows_by_ends(b: InternalCategory) -> dict:
+    """Per stage, the arrow elements of ``b`` grouped by (source, target),
+    each group in carrier order."""
+    out = {}
+    for c in b.base.objects:
+        s, t = b.source.components[c], b.target.components[c]
+        groups: dict = {}
+        for k in b.arr.at(c):
+            groups.setdefault((s[k], t[k]), []).append(k)
+        out[c] = {ends: tuple(ks) for ends, ks in groups.items()}
+    return out
+
+
 def enumerate_functors(a: InternalCategory, b: InternalCategory) -> list:
     """All internal functors a -> b, in a deterministic order."""
+    by_ends = arrows_by_ends(b)
     out = []
     for f0 in enumerate_maps(a.obj, b.obj):
         def allowed(c, h, f0=f0):
-            sa = f0.components[c][a.s_at(c, h)]
-            ta = f0.components[c][a.t_at(c, h)]
-            return tuple(k for k in b.arr.at(c)
-                         if b.s_at(c, k) == sa and b.t_at(c, k) == ta)
+            ends = (f0.components[c][a.s_at(c, h)], f0.components[c][a.t_at(c, h)])
+            return by_ends[c].get(ends, ())
         for f1 in enumerate_maps(a.arr, b.arr, allowed=allowed):
             fn = InternalFunctor(a, b, f0, f1)
             if functor_laws_hold(fn):
@@ -475,11 +439,10 @@ def functor_laws_hold(fn: InternalFunctor) -> bool:
 def enumerate_nats(f: InternalFunctor, g: InternalFunctor) -> list:
     """All natural transformations f -> g between parallel functors."""
     a, b = f.source_cat, f.target_cat
+    by_ends = arrows_by_ends(b)
 
     def allowed(c, x):
-        sa, ta = f.on_obj(c, x), g.on_obj(c, x)
-        return tuple(h for h in b.arr.at(c)
-                     if b.s_at(c, h) == sa and b.t_at(c, h) == ta)
+        return by_ends[c].get((f.on_obj(c, x), g.on_obj(c, x)), ())
 
     out = []
     for comp in enumerate_maps(a.obj, b.arr, allowed=allowed):
@@ -505,14 +468,14 @@ def nat_inverse(nt: InternalNatTrans) -> Optional[InternalNatTrans]:
     """The inverse transformation, when every component is an invertible
     arrow of the target category; None otherwise."""
     a = nt.source.target_cat
+    by_ends = arrows_by_ends(a)
     comps = {}
     for c in a.base.objects:
         stage = {}
         for x, h in nt.component.components[c].items():
             s, t = a.s_at(c, h), a.t_at(c, h)
-            inv = next((k for k in a.arr.at(c)
-                        if a.s_at(c, k) == t and a.t_at(c, k) == s
-                        and a.comp_at(c, k, h) == a.id_at(c, s)
+            inv = next((k for k in by_ends[c].get((t, s), ())
+                        if a.comp_at(c, k, h) == a.id_at(c, s)
                         and a.comp_at(c, h, k) == a.id_at(c, t)), None)
             if inv is None:
                 return None

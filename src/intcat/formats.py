@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 from .ambient import IndexCategory, Presheaf, PresheafMap
 from .core import (
-    InternalCategory, InternalFunctor, InternalNatTrans, from_finite_category,
-    indiscrete, make_internal_category, opposite, product_cat,
+    InternalCategory, InternalFunctor, InternalNatTrans, arrows_by_ends,
+    from_finite_category, indiscrete, make_internal_category, opposite,
+    product_cat,
 )
 from .limits import Diagram
 
@@ -640,6 +641,7 @@ class _Parser:
             if missing:
                 _fail(row_line, 1, f"obj line does not cover {missing[0]!r}")
             f0[c] = table
+        by_ends = arrows_by_ends(b)
         f1 = {}
         for c in base.objects:
             explicit = {}
@@ -659,8 +661,7 @@ class _Parser:
                               f"image of {k!r} has the wrong endpoints")
                     table[k] = v
                     continue
-                ks = [v for v in b.arr.at(c)
-                      if b.s_at(c, v) == sa and b.t_at(c, v) == ta]
+                ks = by_ends[c].get((sa, ta), ())
                 if len(ks) != 1:
                     _fail(line, 1,
                           f"image of arrow {k!r} at {c!r} is not determined; "
@@ -700,6 +701,7 @@ class _Parser:
             if stage in rows:
                 _fail(row_line, row_toks[1][1], "duplicate at line")
             rows[stage] = (row_line, row_toks[3:])
+        by_ends = arrows_by_ends(b)
         comps = {}
         for c in base.objects:
             explicit = {}
@@ -720,8 +722,7 @@ class _Parser:
                               f"component at {x!r} has the wrong endpoints")
                     table[x] = v
                     continue
-                ks = [v for v in b.arr.at(c)
-                      if b.s_at(c, v) == s and b.t_at(c, v) == t]
+                ks = by_ends[c].get((s, t), ())
                 if len(ks) != 1:
                     _fail(line, 1,
                           f"component at {x!r} ({c!r}) is not determined; "

@@ -1,50 +1,32 @@
 """Mapping spaces and functor categories between category objects.
 
 The mapping space of two category objects is computed stage by stage: an
-element at stage c is a pair ``(phi0, phi1)`` of families giving, for every
-arrow ``u : c' -> c`` of the base at once, an object assignment and an
-arrow assignment subject to the functor laws. Natural-transformation
-elements are triples ``(F, G, alpha)``. Families are enumerated by the
-engine's one solver (``ambient.family_space``) with constraint propagation
-and the laws prune candidates early, so the raw function spaces of the
-underlying carriers are never materialized unless the inclusion map is
-explicitly requested. The functor category is assembled from its arrow
-triples by ``core.category_from_tables``.
+element at stage c is a pair ``(phi0, phi1)`` of stage families, the
+generalized-element format that ``ambient`` owns (keyed by an arrow
+``u : c' -> c`` of the base and an element at c'), giving an object
+assignment and an arrow assignment subject to the functor laws.
+Natural-transformation elements are triples ``(F, G, alpha)``. Families are
+enumerated by the engine's one solver (``ambient.family_space``) with
+constraint propagation and the laws prune candidates early, so the raw
+function spaces of the underlying carriers are never materialized. The
+functor category is assembled from its arrow triples by
+``core.category_from_tables``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .labels import fam, fam_dict
+from .labels import fam_dict
 from .ambient import (
-    IndexCategory, Presheaf, PresheafMap, PreconditionError,
-    elements_category, exponential, family_space, product, terminal,
+    Presheaf, PresheafMap, PreconditionError, elements_category,
+    family_at_identity, family_space, point_of, shift_family, stage_family,
 )
 from .core import (
-    InternalCategory, InternalFunctor, InternalNatTrans,
+    InternalCategory, InternalFunctor, InternalNatTrans, arrows_by_ends,
     category_from_tables, product_cat, restrict_cat,
 )
-
-
-def _shift(base: IndexCategory, w, dom: Presheaf, table: dict):
-    """Reindex a stage family along ``w : d -> c`` by precomposition."""
-    d = base.src[w]
-    return fam((((u, e), table[(base.comp(w, u), e)])
-                for u in base.arrows_into(d)
-                for e in dom.at(base.src[u])))
-
-
-def _arrows_by_ends(b: InternalCategory) -> dict:
-    """Per stage, the arrow elements of ``b`` grouped by (source, target)."""
-    out = {}
-    for c in b.base.objects:
-        groups: dict = {}
-        for k in b.arr.at(c):
-            groups.setdefault((b.s_at(c, k), b.t_at(c, k)), []).append(k)
-        out[c] = {ends: tuple(ks) for ends, ks in groups.items()}
-    return out
 
 
 def _arrow_parts(a: InternalCategory, b: InternalCategory, c, phi0_table: dict,
@@ -90,48 +72,29 @@ class HomObject:
     dom: InternalCategory
     cod: InternalCategory
     space: Presheaf
-    _inclusion: Optional[PresheafMap] = field(default=None, compare=False, repr=False)
-
-    def inclusion(self) -> PresheafMap:
-        """Monomorphism into the product of the raw function spaces of the
-        carriers. Materializes full exponentials, so computed on demand."""
-        if self._inclusion is None:
-            cone = product(exponential(self.dom.obj, self.cod.obj),
-                           exponential(self.dom.arr, self.cod.arr))
-            comps = {c: {e: e for e in self.space.at(c)}
-                     for c in self.space.base.objects}
-            self._inclusion = PresheafMap(self.space, cone.apex, comps)
-        return self._inclusion
 
     def stage_element(self, c, fn: InternalFunctor):
         """The element of stage c induced by a whole functor."""
         base = self.dom.base
-        phi0 = fam((((u, x), fn.f0.components[base.src[u]][x])
-                    for u in base.arrows_into(c)
-                    for x in self.dom.obj.at(base.src[u])))
-        phi1 = fam((((u, h), fn.f1.components[base.src[u]][h])
-                    for u in base.arrows_into(c)
-                    for h in self.dom.arr.at(base.src[u])))
-        return (phi0, phi1)
+        return (stage_family(base, c, self.dom.obj,
+                             lambda u, x: fn.f0.components[base.src[u]][x]),
+                stage_family(base, c, self.dom.arr,
+                             lambda u, h: fn.f1.components[base.src[u]][h]))
 
     def encode_functor(self, fn: InternalFunctor) -> PresheafMap:
         """The global point of the mapping space naming ``fn``."""
         if fn.source_cat != self.dom or fn.target_cat != self.cod:
             raise PreconditionError("functor endpoints do not match the mapping space")
-        base = self.dom.base
-        return PresheafMap(terminal(base), self.space,
-                           {c: {"*": self.stage_element(c, fn)} for c in base.objects})
+        return point_of(self.space, {c: self.stage_element(c, fn)
+                                     for c in self.dom.base.objects})
 
     def decode_point(self, p: PresheafMap) -> InternalFunctor:
         """The functor named by a global point of the mapping space."""
         base = self.dom.base
-        f0, f1 = {}, {}
-        for c in base.objects:
-            phi0, phi1 = p.components[c]["*"]
-            t0, t1 = fam_dict(phi0), fam_dict(phi1)
-            i = base.identity[c]
-            f0[c] = {x: t0[(i, x)] for x in self.dom.obj.at(c)}
-            f1[c] = {h: t1[(i, h)] for h in self.dom.arr.at(c)}
+        f0 = {c: family_at_identity(base, c, p.components[c]["*"][0], self.dom.obj)
+              for c in base.objects}
+        f1 = {c: family_at_identity(base, c, p.components[c]["*"][1], self.dom.arr)
+              for c in base.objects}
         return InternalFunctor(self.dom, self.cod,
                                PresheafMap(self.dom.obj, self.cod.obj, f0),
                                PresheafMap(self.dom.arr, self.cod.arr, f1))
@@ -142,7 +105,7 @@ def hom_object(a: InternalCategory, b: InternalCategory) -> HomObject:
     if a.base != b.base:
         raise PreconditionError("mapping space factors live over different bases")
     base = a.base
-    by_ends = _arrows_by_ends(b)
+    by_ends = arrows_by_ends(b)
     ids = {c: a.identity_elements(c) for c in base.objects}
     carrier = {}
     for c in base.objects:
@@ -151,8 +114,8 @@ def hom_object(a: InternalCategory, b: InternalCategory) -> HomObject:
             for phi1 in _arrow_parts(a, b, c, fam_dict(phi0), by_ends, ids):
                 elems.append((phi0, phi1))
         carrier[c] = tuple(elems)
-    action = {w: {(phi0, phi1): (_shift(base, w, a.obj, fam_dict(phi0)),
-                                 _shift(base, w, a.arr, fam_dict(phi1)))
+    action = {w: {(phi0, phi1): (shift_family(base, w, a.obj, phi0),
+                                 shift_family(base, w, a.arr, phi1))
                   for (phi0, phi1) in carrier[base.tgt[w]]}
               for w in base.arrows}
     return HomObject(a, b, Presheaf(base, carrier, action))
@@ -180,26 +143,20 @@ class ExponentialCategory:
     def encode_nat(self, nt: InternalNatTrans) -> PresheafMap:
         """The global point of the arrows-object naming a transformation."""
         base = self.dom.base
-        comps = {}
-        for c in base.objects:
-            alpha = fam((((u, x), nt.component.components[base.src[u]][x])
-                         for u in base.arrows_into(c)
-                         for x in self.dom.obj.at(base.src[u])))
-            comps[c] = {"*": (self.hom.stage_element(c, nt.source),
-                              self.hom.stage_element(c, nt.target), alpha)}
-        return PresheafMap(terminal(base), self.cat.arr, comps)
+        return point_of(self.cat.arr, {
+            c: (self.hom.stage_element(c, nt.source),
+                self.hom.stage_element(c, nt.target),
+                stage_family(base, c, self.dom.obj,
+                             lambda u, x: nt.component.components[base.src[u]][x]))
+            for c in base.objects})
 
     def decode_arrow(self, p: PresheafMap) -> InternalNatTrans:
         """The transformation named by a global point of the arrows-object."""
         base = self.dom.base
-        src_fn = self.hom.decode_point(p.then(self.cat.source))
-        tgt_fn = self.hom.decode_point(p.then(self.cat.target))
-        comps = {}
-        for c in base.objects:
-            alpha = fam_dict(p.components[c]["*"][2])
-            i = base.identity[c]
-            comps[c] = {x: alpha[(i, x)] for x in self.dom.obj.at(c)}
-        return InternalNatTrans(src_fn, tgt_fn,
+        comps = {c: family_at_identity(base, c, p.components[c]["*"][2], self.dom.obj)
+                 for c in base.objects}
+        return InternalNatTrans(self.hom.decode_point(p.then(self.cat.source)),
+                                self.hom.decode_point(p.then(self.cat.target)),
                                 PresheafMap(self.dom.obj, self.cod.arr, comps))
 
 
@@ -208,7 +165,7 @@ def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCate
     hom = hom_object(a, b)
     base = a.base
     space = hom.space
-    by_ends = _arrows_by_ends(b)
+    by_ends = arrows_by_ends(b)
 
     arr_carrier = {}
     for c in base.objects:
@@ -240,19 +197,18 @@ def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCate
 
     def identity_parts(c, el):
         t0 = fam_dict(el[0])
-        return (fam((((u, x), b.id_at(base.src[u], t0[(u, x)]))
-                     for u in base.arrows_into(c)
-                     for x in a.obj.at(base.src[u]))),)
+        return (stage_family(base, c, a.obj,
+                             lambda u, x: b.id_at(base.src[u], t0[(u, x)])),)
 
     def compose_parts(c, g, f):
         tg, tf = fam_dict(g[2]), fam_dict(f[2])
-        return (fam((((u, x), b.comp_at(base.src[u], tg[(u, x)], tf[(u, x)]))
-                     for u in base.arrows_into(c)
-                     for x in a.obj.at(base.src[u]))),)
+        return (stage_family(
+            base, c, a.obj,
+            lambda u, x: b.comp_at(base.src[u], tg[(u, x)], tf[(u, x)])),)
 
     cat = category_from_tables(
         space, arr_carrier,
-        lambda w, t: (_shift(base, w, a.obj, fam_dict(t[2])),),
+        lambda w, t: (shift_family(base, w, a.obj, t[2]),),
         identity_parts, compose_parts)
     return ExponentialCategory(a, b, hom, cat)
 
@@ -291,30 +247,22 @@ def curry_functor(fn: InternalFunctor, left: InternalCategory,
     base = left.base
 
     def stage0(c, x):
-        phi0 = fam((((u, d),
-                     fn.f0.components[base.src[u]][(left.obj.action[u][x], d)])
-                    for u in base.arrows_into(c)
-                    for d in right.obj.at(base.src[u])))
-        phi1 = fam((((u, h),
-                     fn.f1.components[base.src[u]][
-                         (left.id_at(base.src[u], left.obj.action[u][x]), h)])
-                    for u in base.arrows_into(c)
-                    for h in right.arr.at(base.src[u])))
-        return (phi0, phi1)
+        return (stage_family(base, c, right.obj,
+                             lambda u, d: fn.f0.components[base.src[u]][
+                                 (left.obj.action[u][x], d)]),
+                stage_family(base, c, right.arr,
+                             lambda u, h: fn.f1.components[base.src[u]][
+                                 (left.id_at(base.src[u], left.obj.action[u][x]), h)]))
 
     f0 = {c: {x: stage0(c, x) for x in left.obj.at(c)} for c in base.objects}
-    f1 = {}
-    for c in base.objects:
-        stage = {}
-        for k in left.arr.at(c):
-            alpha = fam((((u, d),
-                          fn.f1.components[base.src[u]][
-                              (left.arr.action[u][k],
-                               right.id_at(base.src[u], d))])
-                         for u in base.arrows_into(c)
-                         for d in right.obj.at(base.src[u])))
-            stage[k] = (f0[c][left.s_at(c, k)], f0[c][left.t_at(c, k)], alpha)
-        f1[c] = stage
+
+    def stage1(c, k):
+        alpha = stage_family(base, c, right.obj,
+                             lambda u, d: fn.f1.components[base.src[u]][
+                                 (left.arr.action[u][k], right.id_at(base.src[u], d))])
+        return (f0[c][left.s_at(c, k)], f0[c][left.t_at(c, k)], alpha)
+
+    f1 = {c: {k: stage1(c, k) for k in left.arr.at(c)} for c in base.objects}
     return InternalFunctor(left, e.cat,
                            PresheafMap(left.obj, e.cat.obj, f0),
                            PresheafMap(left.arr, e.cat.arr, f1))
@@ -373,17 +321,16 @@ def reindex_exponential_iso(i: Presheaf, a: InternalCategory,
     lhs = restrict_cat(proj, e.cat)
     rhs = exponential_cat(restrict_cat(proj, a), restrict_cat(proj, b))
 
-    def rekey(j, table):
-        return fam(((((u, j), x), v) for ((u, x), v) in table.items()))
+    def rekey(so, dom, label):
+        table = fam_dict(label)
+        return stage_family(site, so, dom, lambda w, x: table[(w[0], x)])
 
     f0comps, f1comps = {}, {}
     for so in site.objects:
-        _, j = so
-        stage0 = {}
-        for el in lhs.obj.at(so):
-            stage0[el] = (rekey(j, fam_dict(el[0])), rekey(j, fam_dict(el[1])))
+        stage0 = {el: (rekey(so, rhs.dom.obj, el[0]), rekey(so, rhs.dom.arr, el[1]))
+                  for el in lhs.obj.at(so)}
         f0comps[so] = stage0
-        f1comps[so] = {t: (stage0[t[0]], stage0[t[1]], rekey(j, fam_dict(t[2])))
+        f1comps[so] = {t: (stage0[t[0]], stage0[t[1]], rekey(so, rhs.dom.obj, t[2]))
                        for t in lhs.arr.at(so)}
     return InternalFunctor(lhs, rhs.cat,
                            PresheafMap(lhs.obj, rhs.cat.obj, f0comps),

@@ -27,16 +27,3 @@ def fam_dict(label) -> dict:
     """The family label as a lookup table."""
     assert isinstance(label, tuple) and label[0] == "fam"
     return dict(label[1])
-
-
-def show(label) -> str:
-    """Deterministic human rendering of a label."""
-    if isinstance(label, str):
-        return label
-    if label and label[0] == "fam":
-        inner = ", ".join(f"{show(k)}=>{show(v)}" for k, v in label[1])
-        return "{" + inner + "}"
-    if label and label[0] == "pt":
-        inner = ", ".join(f"{show(c)}:{show(v)}" for c, v in label[1])
-        return "<" + inner + ">"
-    return "(" + ", ".join(show(part) for part in label) + ")"

@@ -8,10 +8,13 @@ family over every arrow into c at once, which is the same data as the
 comma category of the constant-diagram functor against the diagram's name
 but never materializes the full functor category. The generic comma
 category is also provided and the two constructions are cross-checked in
-the tests. Leg families come from the engine's one solver
-(``ambient.family_space``). The cone, comma and parallel-arrows categories
-each choose only their carriers and the arithmetic of their arrow data;
-``core.category_from_tables`` assembles the rest.
+the tests. Leg families are stage families in the format ``ambient`` owns
+(``stage_family``, ``shift_family``, ``family_at_identity``) and are
+enumerated by the engine's one solver (``ambient.family_space``); cone
+points are built by ``ambient.point_of``. The cone, comma and
+parallel-arrows categories each choose only their carriers and the
+arithmetic of their arrow data; ``core.category_from_tables`` assembles the
+rest.
 
 Universality is decided internally: a candidate is terminal when the
 object of arrows into it projects isomorphically onto the objects-object.
@@ -26,22 +29,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .labels import fam, fam_dict
+from .labels import fam_dict
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, PreconditionError,
-    elements_category, enumerate_maps, family_space, inverse, point_label,
-    pullback, terminal,
+    elements_category, enumerate_maps, family_at_identity, family_space,
+    inverse, point_label, point_of, pullback, shift_family, stage_family,
+    terminal,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
-    category_from_tables, compose_functors, from_finite_category,
-    identity_functor, initial_cat, nat_is_iso, product_cat, restrict_cat,
-    restrict_functor, terminal_cat,
+    arrows_by_ends, category_from_tables, compose_functors,
+    from_finite_category, identity_functor, initial_cat, nat_is_iso,
+    product_cat, restrict_cat, restrict_functor, terminal_cat,
 )
-from .functor_cat import (
-    ExponentialCategory, _arrows_by_ends, _shift, diagonal_functor,
-    exponential_cat,
-)
+from .functor_cat import ExponentialCategory, diagonal_functor, exponential_cat
 
 
 @dataclass(eq=True)
@@ -59,6 +60,13 @@ class RefusalError(Exception):
     def __init__(self, refusal: Refusal):
         super().__init__(refusal.kind)
         self.refusal = refusal
+
+
+class CertificateError(Exception):
+    """A certifying check failed: the engine built a result it cannot back.
+
+    Unlike ``assert``, the checks that raise it run under ``python -O``.
+    """
 
 
 @dataclass(eq=True)
@@ -114,14 +122,19 @@ class _Legs:
         for c in a.base.objects:
             v = self.vertex.components[c]["*"]
             legs = self.legs.components[c]
+            misplaced = set()
             for x in d.obj.at(c):
                 ends = (dg.on_obj(c, x), v) if self.dual else (v, dg.on_obj(c, x))
                 if a.s_at(c, legs[x]) != ends[0]:
                     errs.append(f"leg source at {c!r}:{x!r}")
+                    misplaced.add(x)
                 if a.t_at(c, legs[x]) != ends[1]:
                     errs.append(f"leg target at {c!r}:{x!r}")
+                    misplaced.add(x)
             for f in d.arr.at(c):
                 sx, tx = d.s_at(c, f), d.t_at(c, f)
+                if sx in misplaced or tx in misplaced:
+                    continue    # the cone condition would not compose
                 if self.dual:
                     ok = a.comp_at(c, legs[tx], dg.on_arr(c, f)) == legs[sx]
                 else:
@@ -166,16 +179,12 @@ class ConesCategory:
         dg = self.diagram
         a, d = dg.target_cat, dg.source_cat
         base = a.base
-        vcomps, lcomps = {}, {}
-        for c in base.objects:
-            v, gamma = p.components[c]["*"]
-            t = fam_dict(gamma)
-            i = base.identity[c]
-            vcomps[c] = {"*": v}
-            lcomps[c] = {x: t[(i, x)] for x in d.obj.at(c)}
+        stage = {c: p.components[c]["*"] for c in base.objects}
         cls = Cone if self.kind == "cones" else Cocone
-        return cls(dg, PresheafMap(terminal(base), a.obj, vcomps),
-                   PresheafMap(d.obj, a.arr, lcomps))
+        return cls(dg, point_of(a.obj, {c: v for c, (v, _) in stage.items()}),
+                   PresheafMap(d.obj, a.arr,
+                               {c: family_at_identity(base, c, gamma, d.obj)
+                                for c, (_, gamma) in stage.items()}))
 
     def encode(self, cone: Union[Cone, Cocone]) -> PresheafMap:
         """The global point of the objects-object naming a cone."""
@@ -184,20 +193,18 @@ class ConesCategory:
             raise PreconditionError(f"expected a {expected.__name__}")
         dg = self.diagram
         base = dg.target_cat.base
-        d = dg.source_cat
-        comps = {}
-        for c in base.objects:
-            gamma = fam((((u, x), cone.legs.components[base.src[u]][x])
-                         for u in base.arrows_into(c)
-                         for x in d.obj.at(base.src[u])))
-            comps[c] = {"*": (cone.vertex.components[c]["*"], gamma)}
-        return PresheafMap(terminal(base), self.cat.obj, comps)
+        legs = cone.legs.components
+        return point_of(self.cat.obj, {
+            c: (cone.vertex.components[c]["*"],
+                stage_family(base, c, dg.source_cat.obj,
+                             lambda u, x: legs[base.src[u]][x]))
+            for c in base.objects})
 
 
 def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:
     a, d = dg.target_cat, dg.source_cat
     base = a.base
-    by_ends = _arrows_by_ends(a)
+    by_ends = arrows_by_ends(a)
 
     obj_carrier = {}
     for c in base.objects:
@@ -256,7 +263,7 @@ def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:
         if w == base.identity[base.tgt[w]]:
             return o
         v, gamma = o
-        return (a.obj.action[w][v], _shift(base, w, d.obj, fam_dict(gamma)))
+        return (a.obj.action[w][v], shift_family(base, w, d.obj, gamma))
 
     obj_action = {w: {o: shift_obj(w, o) for o in obj_carrier[base.tgt[w]]}
                   for w in base.arrows}
@@ -345,13 +352,12 @@ def comma_category(f: InternalFunctor, g: InternalFunctor) -> CommaCategory:
     x, y, z = f.source_cat, g.source_cat, f.target_cat
     base = z.base
 
+    ends_x, ends_y, ends_z = arrows_by_ends(x), arrows_by_ends(y), arrows_by_ends(z)
     obj_carrier = {c: tuple((xo, yo, h)
                             for xo in x.obj.at(c) for yo in y.obj.at(c)
-                            for h in z.arr.at(c)
-                            if z.s_at(c, h) == f.on_obj(c, xo)
-                            and z.t_at(c, h) == g.on_obj(c, yo))
+                            for h in ends_z[c].get((f.on_obj(c, xo),
+                                                    g.on_obj(c, yo)), ()))
                    for c in base.objects}
-    ends_x, ends_y = _arrows_by_ends(x), _arrows_by_ends(y)
     arr_carrier = {}
     for c in base.objects:
         quads = []
@@ -421,16 +427,15 @@ def _internal_universal(a: InternalCategory, v: PresheafMap, dual: bool):
     harr = pullback(at_v, v).legs[0]
     inv = inverse(harr.then(far))
     if inv is None:
+        by_ends = arrows_by_ends(a)
         for c in a.base.objects:
             vc = v.components[c]["*"]
             for x in a.obj.at(c):
-                ends = (vc, x) if dual else (x, vc)
-                n = sum(1 for h in a.arr.at(c)
-                        if (a.s_at(c, h), a.t_at(c, h)) == ends)
+                n = len(by_ends[c].get((vc, x) if dual else (x, vc), ()))
                 if n != 1:
                     return Refusal("not_initial" if dual else "not_terminal",
                                    {"stage": c, "element": x, "count": n})
-        raise AssertionError("projection not invertible yet all fibers are singletons")
+        raise CertificateError("projection not invertible yet all fibers are singletons")
     return UniversalCertificate("initial" if dual else "terminal", a, v,
                                 inv.then(harr))
 
@@ -547,8 +552,9 @@ def connecting_iso(cert_a: UniversalCertificate,
         b = bwd.components[c]["*"]
         oa = cert_a.point.components[c]["*"]
         ob = cert_b.point.components[c]["*"]
-        assert cat.comp_at(c, b, f) == cat.id_at(c, oa)
-        assert cat.comp_at(c, f, b) == cat.id_at(c, ob)
+        if cat.comp_at(c, b, f) != cat.id_at(c, oa) or \
+           cat.comp_at(c, f, b) != cat.id_at(c, ob):
+            raise CertificateError(f"connecting arrows are not inverse at {c!r}")
     return fwd
 
 
@@ -579,7 +585,8 @@ def indexed_cone_factorization(family: PresheafMap,
     mediator = family.then(cert.unique_arrow).then(cert.cones.to_base.f1)
     ends = mediator.then(a.source if cert.kind == "limit" else a.target)
     vertices = family.then(cert.cones.to_base.f0)
-    assert ends == vertices, "mediator does not start at the family's vertices"
+    if ends != vertices:
+        raise CertificateError("mediator does not start at the family's vertices")
     return mediator
 
 
@@ -599,15 +606,14 @@ def transport_cone_point(cert: UniversalCertificate, q: IndexFunctor,
     """Reindex the certified cone's point along ``q`` into a rebuilt cone
     category over the new base."""
     shape2 = cns2.diagram.source_cat
-    comps = {}
-    for so in q.source.objects:
+
+    def moved(so):
         v, gamma = cert.point.components[q.on_obj[so]]["*"]
         t = fam_dict(gamma)
-        newfam = fam((((w, x), t[(q.on_arr[w], x)])
-                      for w in q.source.arrows_into(so)
-                      for x in shape2.obj.at(q.source.src[w])))
-        comps[so] = {"*": (v, newfam)}
-    return PresheafMap(terminal(q.source), cns2.cat.obj, comps)
+        return (v, stage_family(q.source, so, shape2.obj,
+                                lambda w, x: t[(q.on_arr[w], x)]))
+
+    return point_of(cns2.cat.obj, {so: moved(so) for so in q.source.objects})
 
 
 def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
@@ -659,13 +665,10 @@ def _functor_space_diagram(e: ExponentialCategory):
     site, proj = elements_category(e.cat.obj)
     sh = restrict_cat(proj, shape)
     am = restrict_cat(proj, a)
-    f0, f1 = {}, {}
-    for so in site.objects:
-        c, el = so
-        i = base.identity[c]
-        t0, t1 = fam_dict(el[0]), fam_dict(el[1])
-        f0[so] = {d: t0[(i, d)] for d in shape.obj.at(c)}
-        f1[so] = {h: t1[(i, h)] for h in shape.arr.at(c)}
+    f0 = {(c, el): family_at_identity(base, c, el[0], shape.obj)
+          for (c, el) in site.objects}
+    f1 = {(c, el): family_at_identity(base, c, el[1], shape.arr)
+          for (c, el) in site.objects}
     eps = InternalFunctor(sh, am, PresheafMap(sh.obj, am.obj, f0),
                           PresheafMap(sh.arr, am.arr, f1))
     return site, proj, eps
@@ -717,18 +720,15 @@ def limit_functor(a: InternalCategory, shape: InternalCategory,
             raise RefusalError(Refusal("transport_failed", {
                 "during": "limit functor: arrow part", **moved.details}))
 
-    pi2 = {}
-    for so in site_n.objects:
-        c, t_el = so
-        talpha = fam_dict(t_el[2])
+    def pushed(so):
+        talpha = fam_dict(so[1][2])
         v_s, gamma_s = cert_s.point.components[so]["*"]
         ts = fam_dict(gamma_s)
-        newfam = fam((((w, d),
-                       a.comp_at(site_n.src[w][0], talpha[(w[0], d)], ts[(w, d)]))
-                      for w in site_n.arrows_into(so)
-                      for d in shape.obj.at(site_n.src[w][0])))
-        pi2[so] = {"*": (v_s, newfam)}
-    pi2_point = PresheafMap(terminal(site_n), cns_t.cat.obj, pi2)
+        return (v_s, stage_family(
+            site_n, so, sh_n.obj,
+            lambda w, d: a.comp_at(site_n.src[w][0], talpha[(w[0], d)], ts[(w, d)])))
+
+    pi2_point = point_of(cns_t.cat.obj, {so: pushed(so) for so in site_n.objects})
     med = pi2_point.then(cert_t.unique_arrow).then(cns_t.to_base.f1)
     lim1 = {c: {t_el: med.components[(c, t_el)]["*"]
                 for t_el in e.cat.arr.at(c)} for c in base.objects}
@@ -753,15 +753,11 @@ def limit_functor(a: InternalCategory, shape: InternalCategory,
     if isinstance(cert_d, Refusal):
         raise RefusalError(Refusal("transport_failed", {
             "during": "limit functor: unit", **cert_d.details}))
-    idc = {}
-    for so in site_a.objects:
-        c, x = so
-        newfam = fam((((w, d),
-                       a.id_at(site_a.src[w][0], a.obj.action[w[0]][x]))
-                      for w in site_a.arrows_into(so)
-                      for d in shape.obj.at(site_a.src[w][0])))
-        idc[so] = {"*": (x, newfam)}
-    id_point = PresheafMap(terminal(site_a), cns_d.cat.obj, idc)
+    id_point = point_of(cns_d.cat.obj, {
+        (c, x): (x, stage_family(
+            site_a, (c, x), sh_a.obj,
+            lambda w, d: a.id_at(site_a.src[w][0], a.obj.action[w[0]][x])))
+        for (c, x) in site_a.objects})
     eta_map = id_point.then(cert_d.unique_arrow).then(cns_d.to_base.f1)
     unit = InternalNatTrans(
         identity_functor(a), compose_functors(lim_fn, delta),
@@ -771,23 +767,19 @@ def limit_functor(a: InternalCategory, shape: InternalCategory,
 
     # Counit: the universal cone itself, one transformation element per
     # functor element.
-    cou = {}
-    for c in base.objects:
-        stage = {}
-        for el in e.cat.obj.at(c):
-            _, gamma = cert.point.components[(c, el)]["*"]
-            t = fam_dict(gamma)
-            alpha = fam((((u, d), t[((u, el), d)])
-                         for u in base.arrows_into(c)
-                         for d in shape.obj.at(base.src[u])))
-            stage[el] = (delta.f0.components[c][lim0[c][el]], el, alpha)
-        cou[c] = stage
+    def cone_at(c, el):
+        t = fam_dict(cert.point.components[(c, el)]["*"][1])
+        alpha = stage_family(base, c, shape.obj, lambda u, d: t[((u, el), d)])
+        return (delta.f0.components[c][lim0[c][el]], el, alpha)
+
+    cou = {c: {el: cone_at(c, el) for el in e.cat.obj.at(c)} for c in base.objects}
     counit = InternalNatTrans(
         compose_functors(delta, lim_fn), identity_functor(e.cat),
         PresheafMap(e.cat.obj, e.cat.arr, cou))
 
     errs = adjunction_check(delta, lim_fn, unit, counit)
-    assert not errs, errs
+    if errs:
+        raise CertificateError(f"limit functor: {errs}")
     return LimitFunctorResult(lim_fn, delta, unit, counit, e,
                               nat_is_iso(unit), cert)
 
@@ -822,24 +814,17 @@ def parallel_arrows_category(a: InternalCategory):
     sending each object of ``a`` to its doubled identity pair.
     """
     base = a.base
-    obj_carrier = {c: tuple((f, g)
-                            for f in a.arr.at(c) for g in a.arr.at(c)
-                            if a.s_at(c, f) == a.s_at(c, g)
-                            and a.t_at(c, f) == a.t_at(c, g))
+    by_ends = arrows_by_ends(a)
+    obj_carrier = {c: tuple((f, g) for f in a.arr.at(c)
+                            for g in by_ends[c][(a.s_at(c, f), a.t_at(c, f))])
                    for c in base.objects}
     arr_carrier = {}
     for c in base.objects:
         quads = []
         for o1 in obj_carrier[c]:
             for o2 in obj_carrier[c]:
-                for h0 in a.arr.at(c):
-                    if a.s_at(c, h0) != a.s_at(c, o1[0]) or \
-                       a.t_at(c, h0) != a.s_at(c, o2[0]):
-                        continue
-                    for h1 in a.arr.at(c):
-                        if a.s_at(c, h1) != a.t_at(c, o1[0]) or \
-                           a.t_at(c, h1) != a.t_at(c, o2[0]):
-                            continue
+                for h0 in by_ends[c].get((a.s_at(c, o1[0]), a.s_at(c, o2[0])), ()):
+                    for h1 in by_ends[c].get((a.t_at(c, o1[0]), a.t_at(c, o2[0])), ()):
                         if a.comp_at(c, h1, o1[0]) == a.comp_at(c, o2[0], h0) \
                            and a.comp_at(c, h1, o1[1]) == a.comp_at(c, o2[1], h0):
                             quads.append((o1, o2, h0, h1))
@@ -914,52 +899,38 @@ def _special_comparison(a: InternalCategory, kind: str,
     """The canonical identification of the direct target with the functor
     category over the corresponding shape."""
     base = a.base
+    shape = e.dom
 
-    def psi0(c, o):
-        ins = base.arrows_into(c)
+    def picks(c, o):
+        """The diagram an object of the direct target names at stage c, as
+        (object per shape object, arrow per shape arrow)."""
         if kind == "terminal":
-            return (fam(()), fam(()))
+            return {}, {}
         if kind == "binary_product":
             x, y = o
-            pick = {"0": x, "1": y}
-            phi0 = fam((((u, d), a.obj.action[u][pick[d]])
-                        for u in ins for d in ("0", "1")))
-            phi1 = fam((((u, ("id", d)),
-                         a.id_at(base.src[u], a.obj.action[u][pick[d]]))
-                        for u in ins for d in ("0", "1")))
-            return (phi0, phi1)
+            return {"0": x, "1": y}, {("id", "0"): a.id_at(c, x),
+                                      ("id", "1"): a.id_at(c, y)}
         f, g = o
         sx, tx = a.s_at(c, f), a.t_at(c, f)
-        phi0 = fam((((u, d),
-                     a.obj.action[u][sx if d == "0" else tx])
-                    for u in ins for d in ("0", "1")))
-        parts = {}
-        for u in ins:
-            c2 = base.src[u]
-            parts[(u, "id_0")] = a.id_at(c2, a.obj.action[u][sx])
-            parts[(u, "id_1")] = a.id_at(c2, a.obj.action[u][tx])
-            parts[(u, "one")] = a.arr.action[u][f]
-            parts[(u, "two")] = a.arr.action[u][g]
-        return (phi0, fam(parts.items()))
+        return {"0": sx, "1": tx}, {"id_0": a.id_at(c, sx), "id_1": a.id_at(c, tx),
+                                    "one": f, "two": g}
+
+    def psi0(c, o):
+        objs, arrs = picks(c, o)
+        return (stage_family(base, c, shape.obj, lambda u, d: a.obj.action[u][objs[d]]),
+                stage_family(base, c, shape.arr, lambda u, h: a.arr.action[u][arrs[h]]))
 
     def psi1(c, t):
-        ins = base.arrows_into(c)
         if kind == "terminal":
-            src = tgt = psi0(c, "*")
-            return (src, tgt, fam(()))
-        if kind == "binary_product":
+            ends, legs = ("*", "*"), {}
+        elif kind == "binary_product":
             p, q = t
-            pick = {"0": p, "1": q}
-            alpha = fam((((u, d), a.arr.action[u][pick[d]])
-                         for u in ins for d in ("0", "1")))
-            s_o = (a.s_at(c, p), a.s_at(c, q))
-            t_o = (a.t_at(c, p), a.t_at(c, q))
-            return (psi0(c, s_o), psi0(c, t_o), alpha)
-        o1, o2, h0, h1 = t
-        pick = {"0": h0, "1": h1}
-        alpha = fam((((u, d), a.arr.action[u][pick[d]])
-                     for u in ins for d in ("0", "1")))
-        return (psi0(c, o1), psi0(c, o2), alpha)
+            ends = ((a.s_at(c, p), a.s_at(c, q)), (a.t_at(c, p), a.t_at(c, q)))
+            legs = {"0": p, "1": q}
+        else:
+            ends, legs = (t[0], t[1]), {"0": t[2], "1": t[3]}
+        return (psi0(c, ends[0]), psi0(c, ends[1]),
+                stage_family(base, c, shape.obj, lambda u, d: a.arr.action[u][legs[d]]))
 
     f0 = {c: {o: psi0(c, o) for o in direct.obj.at(c)} for c in base.objects}
     f1 = {c: {t: psi1(c, t) for t in direct.arr.at(c)} for c in base.objects}
@@ -1004,9 +975,11 @@ def special_right_adjoint(a: InternalCategory, kind: str,
                        {"kind": kind, "witness": witness,
                         "cause": err.refusal.kind, "cause_details": details})
     psi = _special_comparison(a, kind, direct, lf.expo)
-    assert compose_functors(psi, to_direct) == lf.diagonal
+    if compose_functors(psi, to_direct) != lf.diagonal:
+        raise CertificateError("comparison does not carry the direct diagonal")
     inv0, inv1 = inverse(psi.f0), inverse(psi.f1)
-    assert inv0 is not None and inv1 is not None, "comparison must be invertible"
+    if inv0 is None or inv1 is None:
+        raise CertificateError("comparison must be invertible")
     right = compose_functors(lf.functor, psi)
     unit = InternalNatTrans(identity_functor(a),
                             compose_functors(right, to_direct),
@@ -1015,6 +988,7 @@ def special_right_adjoint(a: InternalCategory, kind: str,
                               identity_functor(direct),
                               psi.f0.then(lf.counit.component).then(inv1))
     errs = adjunction_check(to_direct, right, unit, counit)
-    assert not errs, errs
+    if errs:
+        raise CertificateError(f"special right adjoint: {errs}")
     return SpecialAdjoint(kind, direct, to_direct, right, unit, counit,
                           psi, lf)

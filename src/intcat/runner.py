@@ -20,7 +20,7 @@ from .core import initial_cat
 from .formats import SpecDocument, emit_document
 from .functor_cat import exponential_cat
 from .limits import (
-    Diagram, Refusal, RefusalError, UniversalCertificate, limit_functor,
+    CertificateError, Diagram, Refusal, RefusalError, limit_functor,
     shape_parallel_pair, shape_two, universal_cocone, universal_cone,
 )
 from .theorems import (
@@ -151,11 +151,9 @@ def _run_aft(env, caps, args):
     if tgt_name in caps:
         oracle = galois_oracle(fn, source_cert=caps[src_name],
                                target_cert=caps[tgt_name])
-        if isinstance(oracle, Refusal):
-            raise AssertionError(
-                f"order oracle disagrees with the construction: {oracle.kind}")
         stage = fn.source_cat.base.objects[0]
-        assert adj.left.f0.components[stage] == oracle.table
+        if isinstance(oracle, Refusal) or adj.left.f0.components[stage] != oracle.table:
+            raise CertificateError("order oracle disagrees with the construction")
         witness["oracle_agrees"] = True
     return witness
 

@@ -14,20 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .labels import fam, fam_dict, sort_key
+from .labels import fam_dict, sort_key
 from .ambient import (
-    IndexCategory, PresheafMap, PreconditionError,
-    elements_category, terminal,
+    IndexCategory, PresheafMap, PreconditionError, elements_category,
+    family_at_identity, point_of, stage_family,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
-    compose_functors, enumerate_functors, identity_functor, initial_cat,
-    restrict_cat, restrict_functor, terminal_cat,
+    arrows_by_ends, compose_functors, enumerate_functors, identity_functor,
+    initial_cat, restrict_cat, restrict_functor, terminal_cat,
 )
 from .limits import (
-    Cocone, CommaCategory, ConesCategory, Refusal, RefusalError,
-    UniversalCertificate, cocones_category, comma_category, cones_category,
-    connecting_iso, default_provider, diagram_functor,
+    CertificateError, Cocone, CommaCategory, ConesCategory, Refusal,
+    RefusalError, UniversalCertificate, cocones_category, comma_category,
+    cones_category, connecting_iso, default_provider, diagram_functor,
     indexed_cone_factorization, is_internal_initial, is_internal_terminal,
     shape_parallel_pair, shape_two, universal_cocone,
 )
@@ -44,7 +44,7 @@ class CompletenessCertificate:
     which by finiteness covers every subset."""
 
     subject: InternalCategory
-    mode: str                    # "lattice" or "capability"
+    mode: str                    # "lattice", the only mode; reports carry it
     evidence: dict
 
     def leq(self, x, y) -> bool:
@@ -74,9 +74,7 @@ def lattice_completeness_check(a: InternalCategory):
         raise PreconditionError("lattice mode needs a one-object base")
     c = base.objects[0]
     objs = list(a.obj.at(c))
-    hom = {}
-    for h in a.arr.at(c):
-        hom.setdefault((a.s_at(c, h), a.t_at(c, h)), []).append(h)
+    hom = arrows_by_ends(a)[c]
     for x in objs:
         for y in objs:
             n = len(hom.get((x, y), ()))
@@ -108,19 +106,6 @@ def lattice_completeness_check(a: InternalCategory):
          "representative": rep, "order": order})
 
 
-def capability_certificate(a: InternalCategory, provider: Callable,
-                           shapes) -> CompletenessCertificate:
-    """Completeness evidence scoped to a declared shape family: one
-    certificate per diagram over each listed shape."""
-    certs = []
-    for name, shape in shapes:
-        for dg in enumerate_functors(shape, a):
-            certs.append((name, provider(dg)))
-    return CompletenessCertificate(a, "capability",
-                                   {"shapes": tuple(n for n, _ in certs),
-                                    "certificates": tuple(c for _, c in certs)})
-
-
 # ---------------------------------------------------------------------------
 # the initial object as the limit of the identity diagram
 
@@ -149,16 +134,16 @@ def initial_via_identity_limit(a: InternalCategory,
     cert = identity_certificate if identity_certificate is not None \
         else provider(dg)
     base = a.base
-    vpt = PresheafMap(terminal(base), a.obj,
-                      {c: {"*": cert.vertex_at(c)[0]} for c in base.objects})
+    vpt = point_of(a.obj, {c: cert.vertex_at(c)[0] for c in base.objects})
     # The leg at the vertex itself must be the identity arrow.
     for c in base.objects:
         v, gamma = cert.point.components[c]["*"]
         t = fam_dict(gamma)
         for u in base.arrows_into(c):
             vres = a.obj.action[u][v]
-            assert t[(u, vres)] == a.id_at(base.src[u], vres), \
-                "identity-limit leg at the vertex is not the identity"
+            if t[(u, vres)] != a.id_at(base.src[u], vres):
+                raise CertificateError(
+                    "identity-limit leg at the vertex is not the identity")
 
     tc = terminal_cat(base)
     ifn = InternalFunctor(
@@ -178,19 +163,17 @@ def initial_via_identity_limit(a: InternalCategory,
         identity_functor(tc), compose_functors(bang, ifn),
         PresheafMap(tc.obj, tc.arr,
                     {c: {"*": "*"} for c in base.objects}))
-    legs = {}
-    for c in base.objects:
-        _, gamma = cert.point.components[c]["*"]
-        t = fam_dict(gamma)
-        i = base.identity[c]
-        legs[c] = {x: t[(i, x)] for x in a.obj.at(c)}
+    legs = {c: family_at_identity(base, c, cert.point.components[c]["*"][1], a.obj)
+            for c in base.objects}
     counit = InternalNatTrans(compose_functors(ifn, bang),
                               identity_functor(a),
                               PresheafMap(a.obj, a.arr, legs))
     errs = adjunction_check(ifn, bang, unit, counit)
-    assert not errs, errs
+    if errs:
+        raise CertificateError(f"initial object via the identity limit: {errs}")
     icert = is_internal_initial(a, vpt)
-    assert isinstance(icert, UniversalCertificate), icert
+    if not isinstance(icert, UniversalCertificate):
+        raise CertificateError(f"identity-limit vertex is not initial: {icert}")
     return InitialViaLimit(vpt, icert, cert, ifn, unit, counit)
 
 
@@ -241,47 +224,39 @@ def cocones_limit_transport(dg, dprime, provider: Optional[Callable] = None,
 
     # Each shape-object element induces a cone over the composed diagram
     # whose legs are the matching legs of every cocone in sight.
-    fam_comps = {}
-    for c in base.objects:
-        stage = {}
-        for d in s0.at(c):
-            gamma = {}
-            for u in base.arrows_into(c):
-                c2 = base.src[u]
-                du = s0.action[u][d]
-                i2 = base.identity[c2]
-                for w in sprime.obj.at(c2):
-                    _, gw = dprime_f.on_obj(c2, w)
-                    gamma[(u, w)] = fam_dict(gw)[(i2, du)]
-            stage[d] = (dg.f0.components[c][d], fam(gamma.items()))
-        fam_comps[c] = stage
-    family = PresheafMap(s0, cert_td.cones.cat.obj, fam_comps)
+    def leg_of(u, w, d):
+        c2 = base.src[u]
+        gw = dprime_f.on_obj(c2, w)[1]
+        return fam_dict(gw)[(base.identity[c2], s0.action[u][d])]
+
+    family = PresheafMap(s0, cert_td.cones.cat.obj, {
+        c: {d: (dg.f0.components[c][d],
+                stage_family(base, c, sprime.obj, lambda u, w: leg_of(u, w, d)))
+            for d in s0.at(c)}
+        for c in base.objects})
     lambdas = indexed_cone_factorization(family, cert_td)
 
-    vertex = PresheafMap(terminal(base), a.obj,
-                         {c: {"*": cert_td.vertex_at(c)[0]}
-                          for c in base.objects})
+    vertex = point_of(a.obj, {c: cert_td.vertex_at(c)[0] for c in base.objects})
     cocone_l = Cocone(dg, vertex, lambdas)
     errs = cocone_l.validate()
-    assert not errs, errs
+    if errs:
+        raise CertificateError(f"lifted cocone: {errs}")
     l_point = cc.encode(cocone_l)
 
     cns2 = cones_category(dprime_f)
-    comps = {}
-    for c in base.objects:
+
+    def lifted(c):
         l_el = l_point.components[c]["*"]
-        _, gamma_td = cert_td.point.components[c]["*"]
-        t = fam_dict(gamma_td)
-        pfam = {}
-        for u in base.arrows_into(c):
-            c2 = base.src[u]
-            l_res = cc.cat.obj.action[u][l_el]
-            for w in sprime.obj.at(c2):
-                pfam[(u, w)] = (l_res, dprime_f.on_obj(c2, w), t[(u, w)])
-        comps[c] = {"*": (l_el, fam(pfam.items()))}
-    p_point = PresheafMap(terminal(base), cns2.cat.obj, comps)
+        t = fam_dict(cert_td.point.components[c]["*"][1])
+        return (l_el, stage_family(
+            base, c, sprime.obj,
+            lambda u, w: (cc.cat.obj.action[u][l_el],
+                          dprime_f.on_obj(base.src[u], w), t[(u, w)])))
+
+    p_point = point_of(cns2.cat.obj, {c: lifted(c) for c in base.objects})
     res = is_internal_terminal(cns2.cat, p_point)
-    assert isinstance(res, UniversalCertificate), res
+    if not isinstance(res, UniversalCertificate):
+        raise CertificateError(f"lifted limit is not terminal: {res}")
     cert = UniversalCertificate("limit", cns2.cat, p_point, res.unique_arrow,
                                 cns2.decode_point(p_point), dprime_f, cns2)
     return TransportedLimit(cert, cocone_l, cns2, cc, lambdas)
@@ -313,13 +288,24 @@ def colimit_via_duality(dg, provider: Optional[Callable] = None) -> ColimitResul
                                 iv.initial_certificate.unique_arrow,
                                 cc.decode_point(iv.point), dg, cc)
     direct = universal_cocone(dg, cns=cc)
-    assert isinstance(direct, UniversalCertificate), direct
+    if not isinstance(direct, UniversalCertificate):
+        raise CertificateError(f"direct search finds no colimit: {direct}")
     iso = connecting_iso(cert, direct)
     return ColimitResult(cert, cc.decode_point(iv.point), tr, direct, iso)
 
 
 # ---------------------------------------------------------------------------
 # continuity
+
+
+def _image_cone(fn: InternalFunctor, c, shape_obj, cone):
+    """A cone ``(vertex, legs)`` at stage c carried along ``fn``."""
+    base = fn.source_cat.base
+    v, gamma = cone
+    t = fam_dict(gamma)
+    return (fn.f0.components[c][v],
+            stage_family(base, c, shape_obj,
+                         lambda u, d: fn.f1.components[base.src[u]][t[(u, d)]]))
 
 
 @dataclass
@@ -349,13 +335,9 @@ def is_continuous(fn: InternalFunctor, shape_family=None,
             cert = provider(dg)
             image = compose_functors(fn, dg)
             cns_img = cones_category(image)
-            comps = {}
-            for c in base.objects:
-                v, gamma = cert.point.components[c]["*"]
-                newfam = fam((((u, d), fn.f1.components[base.src[u]][val])
-                              for (u, d), val in fam_dict(gamma).items()))
-                comps[c] = {"*": (fn.f0.components[c][v], newfam)}
-            ipoint = PresheafMap(terminal(base), cns_img.cat.obj, comps)
+            ipoint = point_of(cns_img.cat.obj, {
+                c: _image_cone(fn, c, shape.obj, cert.point.components[c]["*"])
+                for c in base.objects})
             res = is_internal_terminal(cns_img.cat, ipoint)
             entry = {"shape": name,
                      "diagram": {c: dict(dg.f0.components[c])
@@ -435,19 +417,19 @@ def aft_left_adjoint(r: InternalFunctor,
         stage = {}
         for f in a.arr.at(c):
             sf, tf = a.s_at(c, f), a.t_at(c, f)
-            pfam = {}
+            at_w = {}
             for w in site.arrows_into((c, tf)):
                 u = w[0]
                 c2 = base.src[u]
-                fu = a.arr.action[u][f]
                 sfu = a.obj.action[u][sf]
-                _, gamma2 = cert.point.components[(c2, sfu)]["*"]
-                t2 = fam_dict(gamma2)
-                ikey = (base.identity[c2], sfu)
-                for sig in fiber.cat.obj.at(site.src[w]):
-                    hcomp = a.comp_at(c2, sig[2], fu)
-                    pfam[(w, sig)] = t2[(ikey, ("*", sig[1], hcomp))]
-            cand = (l0[c][sf], fam(pfam.items()))
+                t2 = fam_dict(cert.point.components[(c2, sfu)]["*"][1])
+                at_w[w] = (c2, a.arr.action[u][f], t2, (base.identity[c2], sfu))
+
+            def leg(w, sig):
+                c2, fu, t2, ikey = at_w[w]
+                return t2[(ikey, ("*", sig[1], a.comp_at(c2, sig[2], fu)))]
+
+            cand = (l0[c][sf], stage_family(site, (c, tf), fiber.cat.obj, leg))
             med = cert.unique_arrow.components[(c, tf)][cand]
             stage[f] = cns.to_base.f1.components[(c, tf)][med]
         l1[c] = stage
@@ -459,14 +441,9 @@ def aft_left_adjoint(r: InternalFunctor,
     # must again be a limit cone.
     rpb = compose_functors(r_s, pb)
     cns_r = cones_category(rpb)
-    rcomps = {}
-    for so in site.objects:
-        c, x = so
-        v, gamma = cert.point.components[so]["*"]
-        newfam = fam((((w, sig), r.f1.components[site.src[w][0]][val])
-                      for (w, sig), val in fam_dict(gamma).items()))
-        rcomps[so] = {"*": (r.on_obj(c, v), newfam)}
-    rpoint = PresheafMap(terminal(site), cns_r.cat.obj, rcomps)
+    rpoint = point_of(cns_r.cat.obj, {
+        so: _image_cone(r_s, so, fiber.cat.obj, cert.point.components[so]["*"])
+        for so in site.objects})
     rres = is_internal_terminal(cns_r.cat, rpoint)
     if isinstance(rres, Refusal):
         stage = rres.details.get("stage")
@@ -477,15 +454,9 @@ def aft_left_adjoint(r: InternalFunctor,
 
     # Unit: mediate the tautological cone whose legs are the comma arrows
     # themselves.
-    ecomps = {}
-    for so in site.objects:
-        c, x = so
-        hfam = {}
-        for w in site.arrows_into(so):
-            for sig in fiber.cat.obj.at(site.src[w]):
-                hfam[(w, sig)] = sig[2]
-        ecomps[so] = {"*": (x, fam(hfam.items()))}
-    epoint = PresheafMap(terminal(site), cns_r.cat.obj, ecomps)
+    epoint = point_of(cns_r.cat.obj, {
+        so: (so[1], stage_family(site, so, fiber.cat.obj, lambda w, sig: sig[2]))
+        for so in site.objects})
     eta_map = epoint.then(rres.unique_arrow).then(cns_r.to_base.f1)
     eta = {c: {x: eta_map.components[(c, x)]["*"] for x in a.obj.at(c)}
            for c in base.objects}
@@ -506,14 +477,17 @@ def aft_left_adjoint(r: InternalFunctor,
                               PresheafMap(b.obj, b.arr, epsv))
 
     errs = adjunction_check(left, r, unit, counit)
-    assert not errs, errs
+    if errs:
+        raise CertificateError(f"adjoint construction: {errs}")
     # The canonical square factors through the unit exactly.
     for c in base.objects:
         i = base.identity[c]
         for (x0, y0, h) in comma.cat.obj.at(c):
             _, gamma = cert.point.components[(c, x0)]["*"]
             leg = fam_dict(gamma)[((i, x0), ("*", y0, h))]
-            assert a.comp_at(c, r.on_arr(c, leg), eta[c][x0]) == h
+            if a.comp_at(c, r.on_arr(c, leg), eta[c][x0]) != h:
+                raise CertificateError(
+                    f"canonical square does not factor through the unit at {c!r}:{h!r}")
 
     emb0 = {c: {y: (r.on_obj(c, y), y, a.id_at(c, r.on_obj(c, y)))
                 for y in b.obj.at(c)} for c in base.objects}
@@ -573,16 +547,17 @@ def galois_oracle(r: InternalFunctor, source_cert=None, target_cert=None):
     # The Galois condition, exhaustively.
     for x in a_cat.obj.at(c):
         for y in b_cat.obj.at(c):
-            assert cb.leq(table[x], y) == ca.leq(x, r0[y]), (x, y)
+            if cb.leq(table[x], y) != ca.leq(x, r0[y]):
+                raise CertificateError(f"Galois condition fails at {(x, y)!r}")
 
-    def arrow_between(cat, s, t):
-        out = next((h for h in cat.arr.at(c)
-                    if cat.s_at(c, h) == s and cat.t_at(c, h) == t), None)
-        assert out is not None, (s, t)
-        return out
+    by_ends = arrows_by_ends(b_cat)[c]
 
-    f1 = {c: {h: arrow_between(b_cat, table[a_cat.s_at(c, h)],
-                               table[a_cat.t_at(c, h)])
+    def arrow_between(s, t):
+        if (s, t) not in by_ends:
+            raise CertificateError(f"no arrow between {(s, t)!r}")
+        return by_ends[(s, t)][0]
+
+    f1 = {c: {h: arrow_between(table[a_cat.s_at(c, h)], table[a_cat.t_at(c, h)])
               for h in a_cat.arr.at(c)}}
     left = InternalFunctor(a_cat, b_cat,
                            PresheafMap(a_cat.obj, b_cat.obj, {c: table}),

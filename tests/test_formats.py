@@ -1,11 +1,15 @@
 """The document format: parsing, canonical emission, and the runner."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import intcat
 from intcat.cli import main
 from intcat.formats import ParseError, emit_document, parse_document
 from intcat.runner import render_human, render_machine, run_document
@@ -56,6 +60,46 @@ def test_fixture_report_digests_are_pinned():
     for name, digest in FIXTURE_DIGESTS.items():
         report = run_document(parse_document(read_fixture(name)))
         assert report["digest"] == digest, name
+
+
+# Runs under ``python -O``, where every ``assert`` is stripped: the fixture
+# digests must not move, and a failed triangle identity must still stop the
+# limit functor and surface in a report as an engine error.
+OPTIMIZED_RUN = """
+import json, sys
+from pathlib import Path
+import intcat.limits as limits
+from intcat.formats import parse_document
+from intcat.runner import run_document
+
+fixtures, doc = Path(sys.argv[1]), sys.argv[2]
+out = {"optimized": not __debug__, "digests": {}}
+for path in sorted(fixtures.glob("*.ct")):
+    report = run_document(parse_document(path.read_text()))
+    out["digests"][path.name] = report["digest"]
+limits.adjunction_check = lambda *args: ["first triangle identity fails"]
+report = run_document(parse_document(doc))
+out["task"] = report["tasks"][-1]
+print(json.dumps(out))
+"""
+
+
+def test_certificates_are_enforced_under_optimization():
+    env = dict(os.environ)
+    src = str(Path(intcat.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    doc = LATTICE_DOC + "task limit-functor D6 discrete-two\n"
+    run = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_RUN,
+                          str(FIXTURES), doc],
+                         capture_output=True, text=True, env=env, check=True)
+    out = json.loads(run.stdout)
+    assert out["optimized"] is True
+    assert out["digests"] == FIXTURE_DIGESTS
+    task = out["task"]
+    assert task["op"] == "limit-functor"
+    assert task["outcome"] == "error"
+    assert task["error"]["type"] == "CertificateError"
+    assert "first triangle identity fails" in task["error"]["message"]
 
 
 def test_emission_is_canonical_under_whitespace_and_comments():

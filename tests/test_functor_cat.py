@@ -2,16 +2,19 @@
 
 import pytest
 
-from intcat.ambient import IndexCategory, points
+from intcat.ambient import IndexCategory, inverse, points
 from intcat.core import (
     compose_functors, enumerate_functors, enumerate_nats, identity_functor,
     product_cat, terminal_cat, validate_internal_category,
 )
 from intcat.functor_cat import (
     curry_functor, diagonal_functor, evaluation_functor, exponential_cat,
-    hom_object, name_of, uncurry_functor,
+    hom_object, name_of, reindex_exponential_iso, uncurry_functor,
 )
-from intcat.fixtures import chain_cat, discrete_cat, divisor_lattice
+from intcat.fixtures import (
+    chain_cat, discrete_cat, divisor_lattice, staged_discrete,
+    staged_indiscrete, staged_set,
+)
 
 FIN = IndexCategory.finset()
 
@@ -111,3 +114,30 @@ def test_exponential_arrows_are_natural_transformations():
     fns = enumerate_functors(a, b)
     total = sum(len(enumerate_nats(f, g)) for f in fns for g in fns)
     assert len(e.cat.arr.at("pt")) == total
+
+
+def test_points_of_the_arrows_object_name_transformations():
+    # the functor category's arrows-object is internal: each transformation
+    # is one global point of it, and the point reads back as the same one
+    c2 = chain_cat(2)
+    e = exponential_cat(c2, c2)
+    fns = enumerate_functors(c2, c2)
+    seen = set()
+    for f in fns:
+        for g in fns:
+            for nt in enumerate_nats(f, g):
+                p = e.encode_nat(nt)
+                assert p.validate() == []
+                assert e.decode_arrow(p) == nt
+                seen.add(p.components["pt"]["*"])
+    assert len(seen) == len(e.cat.arr.at("pt"))
+
+
+def test_exponentials_are_stable_under_reindexing():
+    # reindexing the functor category to the elements of the staged set
+    # agrees with the functor category of the reindexed factors
+    iso = reindex_exponential_iso(staged_set(), staged_discrete(),
+                                  staged_indiscrete())
+    assert iso.validate() == []
+    assert inverse(iso.f0) is not None
+    assert inverse(iso.f1) is not None

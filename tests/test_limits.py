@@ -5,26 +5,27 @@ import math
 import pytest
 
 from intcat.ambient import (
-    IndexCategory, Presheaf, PresheafMap, elements_category, points,
-    representable,
+    IndexCategory, PreconditionError, Presheaf, PresheafMap,
+    elements_category, points, representable,
 )
 from intcat.core import (
-    InternalFunctor, discrete, from_finite_category, identity_functor,
-    identity_nat, initial_cat, opposite, terminal_cat,
-    validate_internal_category,
+    InternalFunctor, compose_functors, discrete, enumerate_functors,
+    enumerate_nats, from_finite_category, identity_functor, identity_nat,
+    initial_cat, opposite, terminal_cat, validate_internal_category,
 )
 from intcat.functor_cat import diagonal_functor, exponential_cat
 from intcat.labels import fam_dict
 from intcat.limits import (
-    Cone, Refusal, UniversalCertificate, cocones_category, comma_category,
-    cones_category, connecting_iso, indexed_cone_factorization, limit_functor,
+    Cocone, Cone, Refusal, UniversalCertificate, cocones_category,
+    comma_category, cones_category, connecting_iso,
+    indexed_cone_factorization, limit_functor,
     parallel_arrows_category, reindex_diagram, shape_parallel_pair, shape_two,
     special_right_adjoint, transport_certificate, universal_cocone,
     universal_cone,
 )
 from intcat.fixtures import (
     chain_cat, discrete_cat, divisor_lattice, incomparable_pair, poset_cat,
-    staged_chain3,
+    staged_chain3, walking_parallel_pair,
 )
 
 FIN = IndexCategory.finset()
@@ -146,7 +147,6 @@ def test_connecting_iso_rejects_mixed_polarity():
     dg = diagram_two(d12, "4", "6")
     ca = universal_cone(dg)
     cb = universal_cocone(dg)
-    from intcat.ambient import PreconditionError
     with pytest.raises(PreconditionError):
         connecting_iso(ca, cb)
 
@@ -190,6 +190,46 @@ def test_cone_category_agrees_with_comma_of_diagonal(target, x, y, sizes):
     assert counts == {c: (len(cm.cat.obj.at(c)), len(cm.cat.arr.at(c)))
                       for c in target.base.objects}
     assert counts == sizes
+
+
+@pytest.mark.parametrize("search, cls", [(universal_cone, Cone),
+                                         (universal_cocone, Cocone)])
+def test_legs_with_wrong_endpoints_are_reported_not_raised(search, cls):
+    d12 = divisor_lattice(12)
+    dg = diagram_two(d12, "4", "6")
+    good = search(dg).candidate
+    assert good.validate() == []
+    one = d12.id_at("pt", "1")
+    bad = cls(dg, good.vertex,
+              PresheafMap(dg.source_cat.obj, d12.arr,
+                          {"pt": {x: one for x in dg.source_cat.obj.at("pt")}}))
+    errs = bad.validate()
+    assert "leg source at 'pt':'0'" in errs
+    assert "leg target at 'pt':'1'" in errs
+    assert not any("condition" in e for e in errs)
+
+
+def _pick(target, x):
+    """The functor from the one-object category picking out ``x``."""
+    return next(fn for fn in enumerate_functors(terminal_cat(target.base), target)
+                if fn.on_obj("pt", "*") == x)
+
+
+def test_comma_two_cells_between_mediators():
+    # the 2-dimensional universal property of the comma category: a pair of
+    # transformations into the legs induces the 2-cell between mediators
+    # exactly when it commutes with the two squares
+    par = walking_parallel_pair()
+    cm = comma_category(identity_functor(par), identity_functor(par))
+    s, t = _pick(par, "0"), _pick(par, "1")
+    squares = enumerate_nats(compose_functors(cm.left, s),
+                             compose_functors(cm.right, t))
+    assert len(squares) == 2                    # the arrows one and two
+    m_one, m_two = (cm.mediate(s, t, tau) for tau in squares)
+    assert cm.mediate_2(m_one, m_one, identity_nat(s), identity_nat(t)) == \
+        identity_nat(m_one)
+    with pytest.raises(PreconditionError):
+        cm.mediate_2(m_one, m_two, identity_nat(s), identity_nat(t))
 
 
 def test_comma_counts_match_hom_sets():

@@ -1,0 +1,35 @@
+"""The package surface: every exported name has a user."""
+
+import ast
+from pathlib import Path
+
+import intcat
+
+PACKAGE = Path(intcat.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+
+
+def exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {alias.asname or alias.name
+            for node in tree.body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def referenced_names(path):
+    """Names read or looked up as attributes; definitions and imports alone
+    do not count."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_export_is_referenced_by_a_module_or_a_test():
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += list(TESTS.glob("test_*.py"))
+    used = set().union(*(referenced_names(p) for p in files))
+    assert sorted(exported_names() - used) == []
