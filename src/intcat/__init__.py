@@ -14,10 +14,10 @@ from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, LimitCone,
     PreconditionError, coproduct, elements_category, enumerate_maps,
     equalizer, evaluation_map, exponential, curry, uncurry,
-    family_at_identity, family_space, initial, inverse, is_iso, point_label,
-    point_of, points, product, pullback, representable, restrict,
-    restrict_map, shift_family, stage_family, subpresheaf, terminal,
-    unique_from_initial, unique_to_terminal,
+    family_at_identity, family_solver, family_space, initial, inverse,
+    is_iso, point_label, point_of, points, product, pullback, representable,
+    restrict, restrict_map, restrict_pullback, shift_family, stage_family,
+    subpresheaf, terminal, unique_from_initial, unique_to_terminal,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,

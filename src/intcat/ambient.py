@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .labels import fam, fam_dict, sort_key
+from .labels import fam, fam_dict, fam_in_order, sort_key
 
 
 class PreconditionError(ValueError):
@@ -147,23 +147,25 @@ class IndexCategory:
         result if the input is untrusted).
         """
         elements = tuple(elements)
-        rel = {(a, a) for a in elements}
-        rel.update((a, b) for a, b in pairs)
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for b2, c in list(rel):
-                    if b == b2 and (a, c) not in rel:
-                        rel.add((a, c))
-                        changed = True
-        arrows = tuple((a, b) for a in elements for b in elements if (a, b) in rel)
+        pairs = tuple(pairs)
+        nodes = dict.fromkeys(elements)
+        nodes.update(dict.fromkeys(x for pair in pairs for x in pair))
+        succ = {a: {a} for a in nodes}
+        for a, b in pairs:
+            succ[a].add(b)
+        for k in nodes:                 # Warshall over successor sets
+            for a in nodes:
+                if k in succ[a]:
+                    succ[a] |= succ[k]
+        arrows = tuple((a, b) for a in elements for b in elements if b in succ[a])
+        into: dict = {}
+        for f in arrows:
+            into.setdefault(f[1], []).append(f)
         return IndexCategory(
             objects=elements, arrows=arrows,
             src={(a, b): a for a, b in arrows}, tgt={(a, b): b for a, b in arrows},
             identity={a: (a, a) for a in elements},
-            compose={((b, c), (a, b2)): (a, c)
-                     for (b, c) in arrows for (a, b2) in arrows if b2 == b})
+            compose={((b, c), f): (f[0], c) for (b, c) in arrows for f in into[b]})
 
     @staticmethod
     def chain(n: int) -> "IndexCategory":
@@ -405,6 +407,13 @@ def pullback(f: PresheafMap, g: PresheafMap) -> LimitCone:
               for u in base.arrows}
     apex = Presheaf(base, carrier, action)
     p1, p2 = PresheafMap.entry(apex, x, 0), PresheafMap.entry(apex, y, 1)
+    return LimitCone(apex, (p1, p2), _pair_mediator(apex))
+
+
+def _pair_mediator(apex: Presheaf) -> Callable:
+    """The mediator of a pullback, which needs only its apex: two legs
+    factor exactly when each pair of their values is an apex element."""
+    base = apex.base
 
     def mediate(legs):
         u, v = legs
@@ -413,13 +422,21 @@ def pullback(f: PresheafMap, g: PresheafMap) -> LimitCone:
             cc = {}
             for w in u.source.at(c):
                 e = (u.components[c][w], v.components[c][w])
-                if e not in action[base.identity[c]]:
+                if e not in apex.action[base.identity[c]]:
                     raise PreconditionError(f"legs do not commute over {c!r} at {w!r}")
                 cc[w] = e
             comps[c] = cc
         return PresheafMap(u.source, apex, comps)
 
-    return LimitCone(apex, (p1, p2), mediate)
+    return mediate
+
+
+def restrict_pullback(p: IndexFunctor, cone: LimitCone) -> LimitCone:
+    """Reindex a pullback along an index functor. Labels are preserved, so
+    the apex and legs at stage d are those of the given pullback at p(d)."""
+    apex = restrict(p, cone.apex)
+    return LimitCone(apex, tuple(restrict_map(p, leg) for leg in cone.legs),
+                     _pair_mediator(apex))
 
 
 def subpresheaf(x: Presheaf, keep: Callable) -> tuple:
@@ -526,18 +543,18 @@ def _solve(keys: list, edges: dict, candidates: Callable,
     rec(0)
 
 
-def family_space(base, c, dom: Presheaf, cod: Presheaf,
-                 allowed: Optional[Callable] = None,
-                 check: Optional[Callable] = None) -> list:
-    """All natural families at stage ``c``: keys (u : c' -> c, e in dom(c')).
+def family_solver(base, c, dom: Presheaf, cod: Presheaf) -> Callable:
+    """The search for natural families at stage ``c``, keyed
+    (u : c' -> c, e in dom(c')), set up once for any number of searches.
 
     A family assigns to each key a value in cod(src u) subject to the
     restriction law ``phi(u after v, dom(v)(e)) = cod(v)(phi(u, e))`` —
     enforced by constraint propagation during backtracking.
 
-    ``allowed(u, e)`` restricts candidate values per key; ``check(table)``
-    accepts or rejects a completed assignment (for relational laws such as
-    composition preservation). Returns family labels in canonical order.
+    Returns ``solve(allowed=None, check=None)``: ``allowed(u, e)`` restricts
+    candidate values per key; ``check(table)`` accepts or rejects a
+    completed assignment (for relational laws such as composition
+    preservation). Each search returns family labels in canonical order.
     """
     keys, edges = [], {}
     for u in base.arrows_into(c):
@@ -547,11 +564,28 @@ def family_space(base, c, dom: Presheaf, cod: Presheaf,
             keys.append((u, e))
             edges[(u, e)] = [((base.comp(u, v), dom.action[v][e]), cod.action[v])
                              for v in below] if below else ()
-    candidates = allowed or (lambda u, e: cod.at(base.src[u]))
-    results = []
-    _solve(keys, edges, candidates, check,
-           lambda table: results.append(fam(table.items())))
-    return sorted(results, key=sort_key)
+    order = sorted(keys, key=sort_key)
+
+    def every(u, e):
+        return cod.at(base.src[u])
+
+    def solve(allowed: Optional[Callable] = None,
+              check: Optional[Callable] = None) -> list:
+        results = []
+        _solve(keys, edges, allowed or every, check,
+               lambda table: results.append(fam_in_order((k, table[k]) for k in order)))
+        if len(results) > 1:
+            results.sort(key=sort_key)
+        return results
+
+    return solve
+
+
+def family_space(base, c, dom: Presheaf, cod: Presheaf,
+                 allowed: Optional[Callable] = None,
+                 check: Optional[Callable] = None) -> list:
+    """All natural families at stage ``c``: one search of ``family_solver``."""
+    return family_solver(base, c, dom, cod)(allowed, check)
 
 
 def stage_family(base: IndexCategory, c, dom: Presheaf, value: Callable) -> tuple:
@@ -598,9 +632,10 @@ def evaluation_map(x: Presheaf, y: Presheaf, expo: Optional[Presheaf] = None):
     expo = exponential(x, y) if expo is None else expo
     cone = product(expo, x)
     base = x.base
-    comps = {c: {(phi, e): fam_dict(phi)[(base.identity[c], e)]
-                 for (phi, e) in cone.apex.at(c)}
-             for c in base.objects}
+    comps = {}
+    for c in base.objects:
+        at_id = {phi: family_at_identity(base, c, phi, x) for phi in expo.at(c)}
+        comps[c] = {(phi, e): at_id[phi][e] for (phi, e) in cone.apex.at(c)}
     return cone, PresheafMap(cone.apex, y, comps)
 
 
@@ -625,9 +660,10 @@ def uncurry(g: PresheafMap, z: Presheaf, x: Presheaf, y: Presheaf) -> PresheafMa
     """Transpose g : Z -> Y^X back to Z x X -> Y."""
     base = z.base
     cone = product(z, x)
-    comps = {c: {(t, e): fam_dict(g.components[c][t])[(base.identity[c], e)]
-                 for (t, e) in cone.apex.at(c)}
-             for c in base.objects}
+    comps = {}
+    for c in base.objects:
+        at_id = {t: family_at_identity(base, c, g.components[c][t], x) for t in z.at(c)}
+        comps[c] = {(t, e): at_id[t][e] for (t, e) in cone.apex.at(c)}
     return PresheafMap(cone.apex, y, comps)
 
 

@@ -16,7 +16,8 @@ from typing import Callable, Optional
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, LimitCone,
     PreconditionError, enumerate_maps, initial,
-    point_label, points, product, pullback, restrict, restrict_map, terminal,
+    point_label, point_of, points, product, pullback, restrict, restrict_map,
+    restrict_pullback, terminal,
 )
 
 
@@ -346,12 +347,13 @@ def from_finite_category(base: IndexCategory, c: IndexCategory) -> InternalCateg
 
 
 def restrict_cat(p: IndexFunctor, a: InternalCategory) -> InternalCategory:
-    """Reindex a category object along an index functor (labels preserved)."""
-    obj, arr = restrict(p, a.obj), restrict(p, a.arr)
-    return make_internal_category(
-        obj, arr,
+    """Reindex a category object along an index functor. Labels are
+    preserved, so every table at stage d, the composable pairs and the
+    composition included, is the one of ``a`` at p(d)."""
+    return InternalCategory(
+        restrict(p, a.obj), restrict(p, a.arr),
         restrict_map(p, a.source), restrict_map(p, a.target), restrict_map(p, a.identity),
-        lambda d, g, f: a.comp_at(p.on_obj[d], g, f))
+        restrict_pullback(p, a.pairs), restrict_map(p, a.compose))
 
 
 def restrict_functor(p: IndexFunctor, fn: InternalFunctor,
@@ -389,9 +391,10 @@ def points_of_cat(a: InternalCategory) -> IndexCategory:
             if src[gl] != tgt[fl]:
                 continue
             g, f = arr_by_label[gl], arr_by_label[fl]
-            comp_values = {c: a.comp_at(c, g.components[c]["*"], f.components[c]["*"])
-                           for c in base.objects}
-            compose[(gl, fl)] = ("pt", tuple((c, comp_values[c]) for c in base.objects))
+            composite = point_of(a.arr, {
+                c: a.comp_at(c, g.components[c]["*"], f.components[c]["*"])
+                for c in base.objects})
+            compose[(gl, fl)] = point_label(composite)
     return IndexCategory(tuple(obj_labels), tuple(arr_labels), src, tgt, identity, compose)
 
 

@@ -15,6 +15,7 @@ also accepted as a table key wherever an arrow must be named.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -122,6 +123,13 @@ def _split_entry(tok, line, col):
     if not key or not val:
         _fail(line, col, f"expected key=value, got {tok!r}")
     return key, val
+
+
+def _divisors(n: int) -> list:
+    """The divisors of ``n`` in increasing order, by trial division up to
+    its square root."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 class _Parser:
@@ -244,10 +252,11 @@ class _Parser:
         if len(rest) == 2 and rest[0][0] == "divisors":
             if not rest[1][0].isdigit():
                 _fail(line, rest[1][1], "expected: divisors <n>")
-            n = int(rest[1][0])
-            elems = tuple(str(d) for d in range(1, n + 1) if n % d == 0)
+            elems = tuple(str(d) for d in _divisors(int(rest[1][0])))
+            self._bound((len(elems),), line)
             pairs = [(a, b) for a in elems for b in elems
                      if int(b) % int(a) == 0]
+            self._bound((len(pairs),), line)    # already its own closure
         else:
             elems, pairs, seen_slash = [], [], False
             for tok, col in rest:
@@ -270,6 +279,7 @@ class _Parser:
             if len(set(elems)) != len(elems):
                 _fail(line, toks[4][1], "duplicate elements")
             elems = tuple(elems)
+            self._bound((len(elems),), line)
         ix = IndexCategory.poset(elems, pairs)
         self._bound((len(ix.objects), len(ix.arrows)), line)
         built = from_finite_category(base, ix)
@@ -295,6 +305,7 @@ class _Parser:
             if len(rest) != 1 or not rest[0][0].isdigit():
                 _fail(line, toks[5][1], "expected: chain <n>")
             n = int(rest[0][0])
+            self._bound((n, n * (n + 1) // 2), line)
             elems = tuple(str(i) for i in range(n))
             ix = IndexCategory.poset(
                 elems, [(str(i), str(i + 1)) for i in range(n - 1)])

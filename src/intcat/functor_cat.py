@@ -6,11 +6,11 @@ generalized-element format that ``ambient`` owns (keyed by an arrow
 ``u : c' -> c`` of the base and an element at c'), giving an object
 assignment and an arrow assignment subject to the functor laws.
 Natural-transformation elements are triples ``(F, G, alpha)``. Families are
-enumerated by the engine's one solver (``ambient.family_space``) with
-constraint propagation and the laws prune candidates early, so the raw
-function spaces of the underlying carriers are never materialized. The
-functor category is assembled from its arrow triples by
-``core.category_from_tables``.
+enumerated by the engine's one solver, set up once per stage and per pair
+of carriers by ``ambient.family_solver``; constraint propagation and the
+laws prune candidates early, so the raw function spaces of the underlying
+carriers are never materialized. The functor category is assembled from its
+arrow triples by ``core.category_from_tables``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 from .labels import fam_dict
 from .ambient import (
     Presheaf, PresheafMap, PreconditionError, elements_category,
-    family_at_identity, family_space, point_of, shift_family, stage_family,
+    family_at_identity, family_solver, point_of, shift_family, stage_family,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, arrows_by_ends,
@@ -30,7 +30,7 @@ from .core import (
 
 
 def _arrow_parts(a: InternalCategory, b: InternalCategory, c, phi0_table: dict,
-                 by_ends: dict, ids: dict) -> list:
+                 by_ends: dict, ids: dict, solve) -> list:
     """All arrow families completing the object family ``phi0`` at stage c.
 
     Identity arrows are forced, endpoints filter the candidates, the base
@@ -56,7 +56,7 @@ def _arrow_parts(a: InternalCategory, b: InternalCategory, c, phi0_table: dict,
                     return False
         return True
 
-    return family_space(base, c, a.arr, b.arr, allowed=allowed, check=check)
+    return solve(allowed, check)
 
 
 @dataclass(eq=True)
@@ -109,9 +109,10 @@ def hom_object(a: InternalCategory, b: InternalCategory) -> HomObject:
     ids = {c: a.identity_elements(c) for c in base.objects}
     carrier = {}
     for c in base.objects:
+        solve = family_solver(base, c, a.arr, b.arr)
         elems = []
-        for phi0 in family_space(base, c, a.obj, b.obj):
-            for phi1 in _arrow_parts(a, b, c, fam_dict(phi0), by_ends, ids):
+        for phi0 in family_solver(base, c, a.obj, b.obj)():
+            for phi1 in _arrow_parts(a, b, c, fam_dict(phi0), by_ends, ids, solve):
                 elems.append((phi0, phi1))
         carrier[c] = tuple(elems)
     action = {w: {(phi0, phi1): (shift_family(base, w, a.obj, phi0),
@@ -169,6 +170,7 @@ def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCate
 
     arr_carrier = {}
     for c in base.objects:
+        solve = family_solver(base, c, a.obj, b.arr)
         triples = []
         for f_el in space.at(c):
             t0f, t1f = fam_dict(f_el[0]), fam_dict(f_el[1])
@@ -190,8 +192,7 @@ def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCate
                                 return False
                     return True
 
-                for alpha in family_space(base, c, a.obj, b.arr,
-                                          allowed=allowed, check=check):
+                for alpha in solve(allowed, check):
                     triples.append((f_el, g_el, alpha))
         arr_carrier[c] = tuple(triples)
 
@@ -221,17 +222,14 @@ def evaluation_functor(e: ExponentialCategory):
     a, b = e.dom, e.cod
     base = a.base
     prod = product_cat(e.cat, a)
-    f0 = {c: {(el, x): fam_dict(el[0])[(base.identity[c], x)]
-              for (el, x) in prod.obj.at(c)} for c in base.objects}
-    f1 = {}
+    f0, f1 = {}, {}
     for c in base.objects:
-        i = base.identity[c]
-        stage = {}
-        for (t, h) in prod.arr.at(c):
-            f_el, _, alpha = t
-            stage[(t, h)] = b.comp_at(c, fam_dict(alpha)[(i, a.t_at(c, h))],
-                                      fam_dict(f_el[1])[(i, h)])
-        f1[c] = stage
+        obj_at = {el: family_at_identity(base, c, el[0], a.obj) for el in e.cat.obj.at(c)}
+        arr_at = {el: family_at_identity(base, c, el[1], a.arr) for el in e.cat.obj.at(c)}
+        nat_at = {t: family_at_identity(base, c, t[2], a.obj) for t in e.cat.arr.at(c)}
+        f0[c] = {(el, x): obj_at[el][x] for (el, x) in prod.obj.at(c)}
+        f1[c] = {(t, h): b.comp_at(c, nat_at[t][a.t_at(c, h)], arr_at[t[0]][h])
+                 for (t, h) in prod.arr.at(c)}
     return prod, InternalFunctor(prod, b,
                                  PresheafMap(prod.obj, b.obj, f0),
                                  PresheafMap(prod.arr, b.arr, f1))
@@ -276,17 +274,17 @@ def uncurry_functor(g: InternalFunctor, left: InternalCategory,
     right, b = e.dom, e.cod
     base = left.base
     prod = product_cat(left, right)
-    f0 = {c: {(x, d): fam_dict(g.f0.components[c][x][0])[(base.identity[c], d)]
-              for (x, d) in prod.obj.at(c)} for c in base.objects}
-    f1 = {}
+    f0, f1 = {}, {}
     for c in base.objects:
-        i = base.identity[c]
-        stage = {}
-        for (k, h) in prod.arr.at(c):
-            f_el, _, alpha = g.f1.components[c][k]
-            stage[(k, h)] = b.comp_at(c, fam_dict(alpha)[(i, right.t_at(c, h))],
-                                      fam_dict(f_el[1])[(i, h)])
-        f1[c] = stage
+        obj_at = {x: family_at_identity(base, c, el[0], right.obj)
+                  for x, el in g.f0.components[c].items()}
+        arr_at = {k: family_at_identity(base, c, t[0][1], right.arr)
+                  for k, t in g.f1.components[c].items()}
+        nat_at = {k: family_at_identity(base, c, t[2], right.obj)
+                  for k, t in g.f1.components[c].items()}
+        f0[c] = {(x, d): obj_at[x][d] for (x, d) in prod.obj.at(c)}
+        f1[c] = {(k, h): b.comp_at(c, nat_at[k][right.t_at(c, h)], arr_at[k][h])
+                 for (k, h) in prod.arr.at(c)}
     return InternalFunctor(prod, b, PresheafMap(prod.obj, b.obj, f0),
                            PresheafMap(prod.arr, b.arr, f1))
 

@@ -23,6 +23,11 @@ def fam(items) -> tuple:
     return ("fam", tuple(sorted(items, key=lambda kv: sort_key(kv[0]))))
 
 
+def fam_in_order(items) -> tuple:
+    """``fam`` for entries that already come in canonical key order."""
+    return ("fam", tuple(items))
+
+
 def fam_dict(label) -> dict:
     """The family label as a lookup table."""
     assert isinstance(label, tuple) and label[0] == "fam"

@@ -10,11 +10,11 @@ but never materializes the full functor category. The generic comma
 category is also provided and the two constructions are cross-checked in
 the tests. Leg families are stage families in the format ``ambient`` owns
 (``stage_family``, ``shift_family``, ``family_at_identity``) and are
-enumerated by the engine's one solver (``ambient.family_space``); cone
-points are built by ``ambient.point_of``. The cone, comma and
-parallel-arrows categories each choose only their carriers and the
-arithmetic of their arrow data; ``core.category_from_tables`` assembles the
-rest.
+enumerated by the engine's one solver, set up once per stage by
+``ambient.family_solver`` and searched once per vertex; cone points are
+built by ``ambient.point_of``. The cone, comma and parallel-arrows
+categories each choose only their carriers and the arithmetic of their
+arrow data; ``core.category_from_tables`` assembles the rest.
 
 Universality is decided internally: a candidate is terminal when the
 object of arrows into it projects isomorphically onto the objects-object.
@@ -32,7 +32,7 @@ from typing import Callable, Optional, Union
 from .labels import fam_dict
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, PreconditionError,
-    elements_category, enumerate_maps, family_at_identity, family_space,
+    elements_category, enumerate_maps, family_at_identity, family_solver,
     inverse, point_label, point_of, pullback, shift_family, stage_family,
     terminal,
 )
@@ -208,6 +208,22 @@ def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:
 
     obj_carrier = {}
     for c in base.objects:
+        solve = family_solver(base, c, d.obj, a.arr)
+
+        def check(table, c=c):
+            for u in base.arrows_into(c):
+                c2 = base.src[u]
+                for f in d.arr.at(c2):
+                    sx, tx = d.s_at(c2, f), d.t_at(c2, f)
+                    df = dg.on_arr(c2, f)
+                    if dual:
+                        ok = table[(u, sx)] == a.comp_at(c2, table[(u, tx)], df)
+                    else:
+                        ok = table[(u, tx)] == a.comp_at(c2, df, table[(u, sx)])
+                    if not ok:
+                        return False
+            return True
+
         elems = []
         for v in a.obj.at(c):
 
@@ -218,22 +234,7 @@ def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:
                 ends = (tx, vres) if dual else (vres, tx)
                 return by_ends[c2].get(ends, ())
 
-            def check(table, c=c):
-                for u in base.arrows_into(c):
-                    c2 = base.src[u]
-                    for f in d.arr.at(c2):
-                        sx, tx = d.s_at(c2, f), d.t_at(c2, f)
-                        df = dg.on_arr(c2, f)
-                        if dual:
-                            ok = table[(u, sx)] == a.comp_at(c2, table[(u, tx)], df)
-                        else:
-                            ok = table[(u, tx)] == a.comp_at(c2, df, table[(u, sx)])
-                        if not ok:
-                            return False
-                return True
-
-            for gamma in family_space(base, c, d.obj, a.arr,
-                                      allowed=allowed, check=check):
+            for gamma in solve(allowed, check):
                 elems.append((v, gamma))
         obj_carrier[c] = tuple(elems)
 
@@ -939,17 +940,17 @@ def _special_comparison(a: InternalCategory, kind: str,
                            PresheafMap(direct.arr, e.cat.arr, f1))
 
 
-def _decode_special_stage(a: InternalCategory, kind: str, stage):
+def _decode_special_stage(a: InternalCategory, kind: str,
+                          shape: InternalCategory, stage):
     """Name the witness object at a site stage of the functor space."""
     c, el = stage
     if kind == "terminal":
         return "*"
-    i = a.base.identity[c]
     if kind == "binary_product":
-        t0 = fam_dict(el[0])
-        return (t0[(i, "0")], t0[(i, "1")])
-    t1 = fam_dict(el[1])
-    return (t1[(i, "one")], t1[(i, "two")])
+        t0 = family_at_identity(a.base, c, el[0], shape.obj)
+        return (t0["0"], t0["1"])
+    t1 = family_at_identity(a.base, c, el[1], shape.arr)
+    return (t1["one"], t1["two"])
 
 
 def special_right_adjoint(a: InternalCategory, kind: str,
@@ -970,7 +971,7 @@ def special_right_adjoint(a: InternalCategory, kind: str,
             [b["stage"] for b in details.get("blocked_stages", [])] or \
             [f.get("stage") for f in details.get("failures", []) if f.get("stage")]
         if stages:
-            witness = _decode_special_stage(a, kind, stages[0])
+            witness = _decode_special_stage(a, kind, shape, stages[0])
         return Refusal("no_right_adjoint",
                        {"kind": kind, "witness": witness,
                         "cause": err.refusal.kind, "cause_details": details})

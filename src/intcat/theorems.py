@@ -12,6 +12,7 @@ to cross-check it in the one-object case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .labels import fam_dict, sort_key
@@ -356,15 +357,33 @@ def is_continuous(fn: InternalFunctor, shape_family=None,
 @dataclass
 class AdjointConstruction:
     """A left adjoint built from fiberwise limits over the comma category,
-    with exact triangle identities and the full trace."""
+    with exact triangle identities and the full trace. The comma category
+    ``identity ↓ right`` and the embedding of the source into it are built
+    on first access."""
 
     right: InternalFunctor
     left: InternalFunctor
     unit: InternalNatTrans
     counit: InternalNatTrans
-    comma: CommaCategory           # projections and the canonical square
-    embed: InternalFunctor         # B -> comma, b |-> (R b, b, id)
     certificate: UniversalCertificate
+
+    @cached_property
+    def comma(self) -> CommaCategory:
+        """Projections and the canonical square of ``identity ↓ right``."""
+        return comma_category(identity_functor(self.right.target_cat), self.right)
+
+    @cached_property
+    def embed(self) -> InternalFunctor:
+        """B -> comma, b |-> (R b, b, id)."""
+        r, b, a = self.right, self.right.source_cat, self.right.target_cat
+        emb0 = {c: {y: (r.on_obj(c, y), y, a.id_at(c, r.on_obj(c, y)))
+                    for y in b.obj.at(c)} for c in b.base.objects}
+        emb1 = {c: {q: (emb0[c][b.s_at(c, q)], emb0[c][b.t_at(c, q)],
+                        r.on_arr(c, q), q)
+                    for q in b.arr.at(c)} for c in b.base.objects}
+        cat = self.comma.cat
+        return InternalFunctor(b, cat, PresheafMap(b.obj, cat.obj, emb0),
+                               PresheafMap(b.arr, cat.arr, emb1))
 
 
 def aft_left_adjoint(r: InternalFunctor,
@@ -380,7 +399,6 @@ def aft_left_adjoint(r: InternalFunctor,
     provider = default_provider if provider is None else provider
     b, a = r.source_cat, r.target_cat
     base = a.base
-    comma = comma_category(identity_functor(a), r)
 
     site, proj = elements_category(a.obj)
     a_s = restrict_cat(proj, a)
@@ -479,25 +497,21 @@ def aft_left_adjoint(r: InternalFunctor,
     errs = adjunction_check(left, r, unit, counit)
     if errs:
         raise CertificateError(f"adjoint construction: {errs}")
-    # The canonical square factors through the unit exactly.
+    # The canonical square factors through the unit exactly, at every
+    # object (x0, y0, h : x0 -> r y0) of the comma category identity ↓ r.
+    ends_a = arrows_by_ends(a)
     for c in base.objects:
         i = base.identity[c]
-        for (x0, y0, h) in comma.cat.obj.at(c):
-            _, gamma = cert.point.components[(c, x0)]["*"]
-            leg = fam_dict(gamma)[((i, x0), ("*", y0, h))]
-            if a.comp_at(c, r.on_arr(c, leg), eta[c][x0]) != h:
-                raise CertificateError(
-                    f"canonical square does not factor through the unit at {c!r}:{h!r}")
-
-    emb0 = {c: {y: (r.on_obj(c, y), y, a.id_at(c, r.on_obj(c, y)))
-                for y in b.obj.at(c)} for c in base.objects}
-    emb1 = {c: {q: (emb0[c][b.s_at(c, q)], emb0[c][b.t_at(c, q)],
-                    r.on_arr(c, q), q)
-                for q in b.arr.at(c)} for c in base.objects}
-    embed = InternalFunctor(b, comma.cat,
-                            PresheafMap(b.obj, comma.cat.obj, emb0),
-                            PresheafMap(b.arr, comma.cat.arr, emb1))
-    return AdjointConstruction(r, left, unit, counit, comma, embed, cert)
+        for x0 in a.obj.at(c):
+            t = fam_dict(cert.point.components[(c, x0)]["*"][1])
+            for y0 in b.obj.at(c):
+                for h in ends_a[c].get((x0, r.on_obj(c, y0)), ()):
+                    leg = t[((i, x0), ("*", y0, h))]
+                    if a.comp_at(c, r.on_arr(c, leg), eta[c][x0]) != h:
+                        raise CertificateError(
+                            "canonical square does not factor through the unit"
+                            f" at {c!r}:{h!r}")
+    return AdjointConstruction(r, left, unit, counit, cert)
 
 
 # ---------------------------------------------------------------------------

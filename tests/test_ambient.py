@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from intcat.ambient import (
     IndexCategory, Presheaf, PresheafMap, coproduct, curry, enumerate_maps,
-    equalizer, evaluation_map, exponential, initial, inverse, is_iso, points,
-    product, pullback, representable, terminal, uncurry, unique_from_initial,
-    unique_to_terminal,
+    equalizer, evaluation_map, exponential, family_solver, family_space,
+    initial, inverse, is_iso, points, product, pullback, representable,
+    terminal, uncurry, unique_from_initial, unique_to_terminal,
 )
 
 FIN = IndexCategory.finset()
@@ -47,6 +47,41 @@ def test_poset_closure_is_reflexive_transitive():
     assert ("a", "c") in pairs          # transitivity
     assert ("a", "a") in pairs          # reflexivity
     assert ("c", "a") not in pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                                   st.integers(0, max(n - 1, 0))),
+                         max_size=12 if n else 0))))
+def test_poset_closure_matches_naive_closure(case):
+    n, edges = case
+    elems = tuple(f"e{i}" for i in range(n))
+    pairs = [(elems[a], elems[b]) for a, b in edges]
+    rel = {(a, a) for a in elems} | set(pairs)
+    while True:
+        more = {(a, c) for a, b in rel for b2, c in rel if b == b2} - rel
+        if not more:
+            break
+        rel |= more
+    p = IndexCategory.poset(elems, pairs)
+    arrows = tuple((a, b) for a in elems for b in elems if (a, b) in rel)
+    assert p.arrows == arrows
+    assert list(p.compose.items()) == [
+        (((b, c), (a, b2)), (a, c))
+        for (b, c) in arrows for (a, b2) in arrows if b2 == b]
+    assert p.validate() == []
+
+
+def test_one_family_solver_serves_many_searches():
+    dom = staged(("p", "q"), ("x",), {"x": "p"})
+    cod = staged(("0", "1"), ("a", "b"), {"a": "0", "b": "1"})
+    solve = family_solver(CHAIN2, "c1", dom, cod)
+    filters = (None, lambda u, e: cod.at(CHAIN2.src[u])[:1],
+               lambda u, e: cod.at(CHAIN2.src[u])[::-1])
+    for allowed in filters:
+        assert solve(allowed) == family_space(CHAIN2, "c1", dom, cod, allowed)
+    assert len(solve()) == 4 and len(solve(filters[1])) == 1
 
 
 def test_presheaf_validate_catches_broken_action():

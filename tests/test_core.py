@@ -3,17 +3,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intcat.ambient import IndexCategory, Presheaf, PresheafMap
+from intcat.ambient import (
+    IndexCategory, Presheaf, PresheafMap, PreconditionError, elements_category,
+    restrict, restrict_map,
+)
 from intcat.core import (
     adjunction_check, compose_functors, dis_u_ind_adjunctions, discrete,
     enumerate_functors, enumerate_nats, from_finite_category,
     horizontal_compose, identity_functor, identity_nat, indiscrete,
-    initial_cat, nat_is_iso, opposite, points_of_cat, product_cat,
-    terminal_cat, validate_internal_category, vertical_compose,
+    initial_cat, make_internal_category, nat_is_iso, opposite, points_of_cat,
+    product_cat, restrict_cat, terminal_cat, validate_internal_category,
+    vertical_compose,
 )
 from intcat.fixtures import (
     CHAIN2, chain_cat, corpus, discrete_cat, divisor_lattice, indiscrete_cat,
-    poset_cat, staged_chain3, walking_idempotent,
+    poset_cat, staged_chain3, staged_indiscrete, walking_idempotent,
 )
 
 FIN = IndexCategory.finset()
@@ -28,6 +32,32 @@ def test_staged_chain_lives_over_its_base():
     c3 = staged_chain3()
     assert c3.base == CHAIN2
     assert validate_internal_category(c3) == []
+
+
+@pytest.mark.parametrize("make", [staged_chain3, lambda: divisor_lattice(12),
+                                  staged_indiscrete],
+                         ids=["staged_chain_three", "divisors_12", "staged_indiscrete"])
+def test_restrict_cat_shares_the_tables_it_would_rebuild(make):
+    a = make()
+    _, proj = elements_category(a.obj)
+    shared = restrict_cat(proj, a)
+    rebuilt = make_internal_category(
+        restrict(proj, a.obj), restrict(proj, a.arr), restrict_map(proj, a.source),
+        restrict_map(proj, a.target), restrict_map(proj, a.identity),
+        lambda d, g, f: a.comp_at(proj.on_obj[d], g, f))
+    assert shared.pairs == rebuilt.pairs
+    assert shared.compose == rebuilt.compose
+    assert shared == rebuilt
+    assert validate_internal_category(shared) == []
+    # the shared pullback mediates h |-> (id at the target of h, h) ...
+    to_id = shared.target.then(shared.identity)
+    one = PresheafMap.identity(shared.arr)
+    pair = shared.pairs.mediate([to_id, one])
+    assert pair == rebuilt.pairs.mediate([to_id, one])
+    assert pair.then(shared.compose) == one
+    # ... and refuses the pair (h, h), which does not commute
+    with pytest.raises(PreconditionError):
+        shared.pairs.mediate([one, one])
 
 
 def test_divisor_lattice_sizes():

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,25 @@ def test_size_bound_is_enforced():
     with pytest.raises(ParseError) as exc:
         parse_document(doc_text, max_size=10)
     assert "size bound" in exc.value.message
+
+
+def test_divisors_shorthand_lists_every_divisor_in_order():
+    for n in (1, 7, 36, 360):
+        doc = parse_document(f"format 1\nbase f finset\nlattice D over f : divisors {n}\n")
+        assert doc.env["cats"]["D"].obj.at("pt") == \
+            tuple(str(d) for d in range(1, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize("decl, arrows", [
+    ("lattice L over f : divisors 300000000", 6075),
+    ("category C over f : chain 120", 7260),
+])
+def test_size_bound_refuses_before_building(decl, arrows):
+    start = time.process_time()
+    err = located(f"format 1\nbase f finset\n{decl}\n")
+    assert time.process_time() - start < 0.5
+    assert (err.line, err.col) == (3, 1)
+    assert err.message == f"size bound exceeded ({arrows} > 512)"
 
 
 def test_map_naturality_checked_at_parse():

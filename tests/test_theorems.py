@@ -6,8 +6,8 @@ import pytest
 
 from intcat.ambient import IndexCategory, Presheaf, PresheafMap
 from intcat.core import (
-    InternalFunctor, adjunction_check, from_finite_category, identity_functor,
-    indiscrete, initial_cat, opposite,
+    InternalFunctor, adjunction_check, arrows_by_ends, compose_functors,
+    from_finite_category, identity_functor, indiscrete, initial_cat, opposite,
 )
 from intcat.limits import Refusal, RefusalError, cocones_category, shape_parallel_pair, shape_two
 from intcat.theorems import (
@@ -160,6 +160,20 @@ def test_aft_inclusion_of_subchain():
     assert adjunction_check(adj.left, adj.right, adj.unit, adj.counit) == []
     oracle = galois_oracle(incl)
     assert oracle.table == table
+
+
+def test_aft_trace_embeds_the_source_into_the_comma():
+    d12, d6 = divisor_lattice(12), divisor_lattice(6)
+    to6 = monotone(d12, d6, lambda x: str(gcd(int(x), 6)))
+    adj = aft_left_adjoint(to6)
+    assert adj.comma.right == to6
+    assert adj.embed.validate() == []
+    assert compose_functors(adj.comma.proj_right, adj.embed) == identity_functor(d12)
+    # each comma object (x, y, h : x -> R y) has its transpose L x -> y
+    hom = arrows_by_ends(d12)["pt"]
+    assert adj.comma.cat.obj.at("pt")
+    for (x, y, _) in adj.comma.cat.obj.at("pt"):
+        assert (adj.left.on_obj("pt", x), y) in hom
 
 
 def test_aft_identity_is_identity():
