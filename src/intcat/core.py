@@ -4,8 +4,11 @@ An internal category is a six-arrow diagram: objects-object, arrows-object,
 source, target, identity, and composition on the chosen pullback of
 composable pairs. A composable pair is labeled ``(g, f)`` with the later
 arrow first, i.e. ``source(g) = target(f)`` and ``compose((g, f)) = g after
-f``. Functors and natural transformations between internal categories are
-presheaf maps subject to the usual equations, checked elementwise.
+f``. The pullback of composable pairs and the composition are built on
+first read and kept, since deciding universality reads only the arrows
+object, source and target. Functors and natural transformations between
+internal categories are presheaf maps subject to the usual equations,
+checked elementwise.
 """
 
 from __future__ import annotations
@@ -21,17 +24,54 @@ from .ambient import (
 )
 
 
-@dataclass(eq=True)
 class InternalCategory:
-    """A category object: six arrows of the ambient category."""
+    """A category object: six arrows of the ambient category.
 
-    obj: Presheaf
-    arr: Presheaf
-    source: PresheafMap
-    target: PresheafMap
-    identity: PresheafMap
-    pairs: LimitCone            # pullback of source against target
-    compose: PresheafMap        # pairs.apex -> arr
+    ``tables()`` returns the pullback of composable pairs and the
+    composition on it; it runs once, when either is first read.
+    """
+
+    _FIELDS = ("obj", "arr", "source", "target", "identity", "pairs", "compose")
+
+    def __init__(self, obj: Presheaf, arr: Presheaf, source: PresheafMap,
+                 target: PresheafMap, identity: PresheafMap,
+                 tables: Callable[[], tuple]):
+        self.obj = obj
+        self.arr = arr
+        self.source = source
+        self.target = target
+        self.identity = identity
+        self._tables = tables       # None once built
+        self._pairs = self._compose = None
+
+    def _build(self):
+        self._pairs, self._compose = self._tables()
+        self._tables = None
+
+    @property
+    def pairs(self) -> LimitCone:
+        """The pullback of source against target."""
+        if self._tables is not None:
+            self._build()
+        return self._pairs
+
+    @property
+    def compose(self) -> PresheafMap:
+        """The composition, pairs.apex -> arr."""
+        if self._tables is not None:
+            self._build()
+        return self._compose
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self._FIELDS)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._FIELDS)
+        return f"{type(self).__qualname__}({fields})"
 
     @property
     def base(self) -> IndexCategory:
@@ -48,7 +88,9 @@ class InternalCategory:
 
     def comp_at(self, c, g, f):
         """g after f at stage c; the pair label is ``(g, f)``."""
-        return self.compose.components[c][(g, f)]
+        if self._tables is not None:
+            self._build()
+        return self._compose.components[c][(g, f)]
 
     def identity_elements(self, c) -> dict:
         """Reverse lookup: identity arrow element -> the object it sits on."""
@@ -64,13 +106,15 @@ class InternalCategory:
 def make_internal_category(obj: Presheaf, arr: Presheaf, source: PresheafMap,
                            target: PresheafMap, identity: PresheafMap,
                            comp_fn: Callable) -> InternalCategory:
-    """Assemble a category object; ``comp_fn(c, g, f)`` names g after f."""
-    pairs = pullback(source, target)
-    base = obj.base
-    comps = {c: {(g, f): comp_fn(c, g, f) for (g, f) in pairs.apex.at(c)}
-             for c in base.objects}
-    return InternalCategory(obj, arr, source, target, identity, pairs,
-                            PresheafMap(pairs.apex, arr, comps))
+    """Assemble a category object; ``comp_fn(c, g, f)`` names g after f.
+    The composable pairs and the composition are built on first read."""
+    def tables():
+        pairs = pullback(source, target)
+        comps = {c: {(g, f): comp_fn(c, g, f) for (g, f) in pairs.apex.at(c)}
+                 for c in obj.base.objects}
+        return pairs, PresheafMap(pairs.apex, arr, comps)
+
+    return InternalCategory(obj, arr, source, target, identity, tables)
 
 
 def category_from_tables(obj: Presheaf, arr_carrier: dict, shift_parts: Callable,
@@ -349,11 +393,12 @@ def from_finite_category(base: IndexCategory, c: IndexCategory) -> InternalCateg
 def restrict_cat(p: IndexFunctor, a: InternalCategory) -> InternalCategory:
     """Reindex a category object along an index functor. Labels are
     preserved, so every table at stage d, the composable pairs and the
-    composition included, is the one of ``a`` at p(d)."""
+    composition included, is the one of ``a`` at p(d); those two are
+    reindexed on first read."""
     return InternalCategory(
         restrict(p, a.obj), restrict(p, a.arr),
         restrict_map(p, a.source), restrict_map(p, a.target), restrict_map(p, a.identity),
-        restrict_pullback(p, a.pairs), restrict_map(p, a.compose))
+        lambda: (restrict_pullback(p, a.pairs), restrict_map(p, a.compose)))
 
 
 def restrict_functor(p: IndexFunctor, fn: InternalFunctor,

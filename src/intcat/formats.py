@@ -125,11 +125,29 @@ def _split_entry(tok, line, col):
     return key, val
 
 
-def _divisors(n: int) -> list:
-    """The divisors of ``n`` in increasing order, by trial division up to
-    its square root."""
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
+def _prime_powers(n: int) -> list:
+    """``n`` as (prime, exponent) pairs, by trial division of the
+    shrinking cofactor: quick when every prime factor is small, still
+    about sqrt(p) steps for a large prime factor p."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _divisors(powers: list) -> list:
+    """The divisors of the product of these prime powers, in increasing order."""
+    divs = [1]
+    for p, e in powers:
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 class _Parser:
@@ -252,11 +270,17 @@ class _Parser:
         if len(rest) == 2 and rest[0][0] == "divisors":
             if not rest[1][0].isdigit():
                 _fail(line, rest[1][1], "expected: divisors <n>")
-            elems = tuple(str(d) for d in _divisors(int(rest[1][0])))
-            self._bound((len(elems),), line)
+            n = int(rest[1][0])
+            powers = _prime_powers(n)
+            if n:
+                # a divisor picks an exponent 0..e of each prime, a pair
+                # a | b two exponents i <= j
+                self._bound((math.prod(e + 1 for _, e in powers),
+                             math.prod((e + 1) * (e + 2) // 2 for _, e in powers)),
+                            line)
+            elems = tuple(str(d) for d in _divisors(powers)) if n else ()
             pairs = [(a, b) for a in elems for b in elems
-                     if int(b) % int(a) == 0]
-            self._bound((len(pairs),), line)    # already its own closure
+                     if int(b) % int(a) == 0]   # already its own closure
         else:
             elems, pairs, seen_slash = [], [], False
             for tok, col in rest:

@@ -241,10 +241,9 @@ def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:
     arr_carrier = {}
     for c in base.objects:
         triples = []
-        for o1 in obj_carrier[c]:
-            t1 = fam_dict(o1[1])
-            for o2 in obj_carrier[c]:
-                t2 = fam_dict(o2[1])
+        tables = [(o, fam_dict(o[1])) for o in obj_carrier[c]]
+        for o1, t1 in tables:
+            for o2, t2 in tables:
                 for p in by_ends[c].get((o1[0], o2[0]), ()):
                     ok = True
                     for (u, x), w in t1.items():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import intcat.core as core
 from intcat.ambient import (
     IndexCategory, Presheaf, PresheafMap, PreconditionError, elements_category,
     restrict, restrict_map,
@@ -58,6 +59,39 @@ def test_restrict_cat_shares_the_tables_it_would_rebuild(make):
     # ... and refuses the pair (h, h), which does not commute
     with pytest.raises(PreconditionError):
         shared.pairs.mediate([one, one])
+
+
+def one_object_monoid(square):
+    """The monoid {1, e} as a one-object category, with ``e after e`` given."""
+    obj = Presheaf(FIN, {"pt": ("*",)}, {"id_pt": {"*": "*"}})
+    arr = Presheaf(FIN, {"pt": ("1", "e")}, {"id_pt": {"1": "1", "e": "e"}})
+    ends = PresheafMap(arr, obj, {"pt": {"1": "*", "e": "*"}})
+    unit = PresheafMap(obj, arr, {"pt": {"*": "1"}})
+    return make_internal_category(
+        obj, arr, ends, ends, unit,
+        lambda c, g, f: f if g == "1" else g if f == "1" else square)
+
+
+def test_categories_differing_only_in_composition_are_unequal(monkeypatch):
+    built = []
+    real = core.pullback
+
+    def counted(source, target):
+        built.append(source)
+        return real(source, target)
+
+    monkeypatch.setattr(core, "pullback", counted)
+    idem, invol = one_object_monoid("e"), one_object_monoid("1")
+    assert idem == idem and not built       # built on first read, not before
+    assert idem.obj == invol.obj and idem.arr == invol.arr
+    assert idem != invol
+    assert len(built) == 2
+    assert idem == one_object_monoid("e")
+    assert invol == one_object_monoid("1")
+    assert repr(idem) != repr(invol)
+    assert repr(idem).startswith("InternalCategory(obj=")
+    assert [validate_internal_category(m) for m in (idem, invol)] == [[], []]
+    assert (idem.comp_at("pt", "e", "e"), invol.comp_at("pt", "e", "e")) == ("e", "1")
 
 
 def test_divisor_lattice_sizes():

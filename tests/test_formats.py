@@ -178,6 +178,7 @@ def test_divisors_shorthand_lists_every_divisor_in_order():
 
 @pytest.mark.parametrize("decl, arrows", [
     ("lattice L over f : divisors 300000000", 6075),
+    ("lattice L over f : divisors 1000000000000000000000", 64009),
     ("category C over f : chain 120", 7260),
 ])
 def test_size_bound_refuses_before_building(decl, arrows):

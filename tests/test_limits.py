@@ -6,7 +6,7 @@ import pytest
 
 from intcat.ambient import (
     IndexCategory, PreconditionError, Presheaf, PresheafMap,
-    elements_category, points, representable,
+    elements_category, points, pullback, representable,
 )
 from intcat.core import (
     InternalFunctor, compose_functors, discrete, enumerate_functors,
@@ -162,6 +162,46 @@ def test_comma_of_identities_is_arrow_category():
     med = cm.mediate(identity_functor(c2), identity_functor(c2),
                      identity_nat(identity_functor(c2)))
     assert med.validate() == []
+
+
+# Category objects built by ``category_from_tables``, each with the
+# categories in which the parts of its arrows after (source, target) compose.
+TABLE_BUILT = {
+    "cones-divisors-12": lambda: (
+        cones_category(diagram_two(divisor_lattice(12), "4", "6")).cat,
+        (divisor_lattice(12),)),
+    "cocones-divisors-12": lambda: (
+        cocones_category(diagram_two(divisor_lattice(12), "4", "6")).cat,
+        (divisor_lattice(12),)),
+    "cones-staged-chain-3": lambda: (
+        cones_category(diagram_two(staged_chain3(), "1", "2")).cat,
+        (staged_chain3(),)),
+    "cocones-staged-chain-3": lambda: (
+        cocones_category(diagram_two(staged_chain3(), "1", "2")).cat,
+        (staged_chain3(),)),
+    "comma-chain-2": lambda: (
+        comma_category(identity_functor(chain_cat(2)),
+                       identity_functor(chain_cat(2))).cat,
+        (chain_cat(2), chain_cat(2))),
+    "comma-staged-chain-3": lambda: (
+        comma_category(identity_functor(staged_chain3()),
+                       identity_functor(staged_chain3())).cat,
+        (staged_chain3(), staged_chain3())),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_BUILT))
+def test_tables_built_on_first_read_are_the_eager_ones(name):
+    cat, parts = TABLE_BUILT[name]()
+    assert cat.validate() == []
+    eager = pullback(cat.source, cat.target)
+    assert cat.pairs == eager
+    comps = {c: {(g, f): (f[0], g[1]) + tuple(
+                     part.comp_at(c, gp, fp)
+                     for part, gp, fp in zip(parts, g[2:], f[2:]))
+                 for (g, f) in eager.apex.at(c)}
+             for c in cat.base.objects}
+    assert cat.compose == PresheafMap(eager.apex, cat.arr, comps)
 
 
 def name_functor(e, dg):

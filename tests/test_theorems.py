@@ -4,6 +4,7 @@ from math import gcd
 
 import pytest
 
+import intcat.core as core
 from intcat.ambient import IndexCategory, Presheaf, PresheafMap
 from intcat.core import (
     InternalFunctor, adjunction_check, arrows_by_ends, compose_functors,
@@ -174,6 +175,28 @@ def test_aft_trace_embeds_the_source_into_the_comma():
     assert adj.comma.cat.obj.at("pt")
     for (x, y, _) in adj.comma.cat.obj.at("pt"):
         assert (adj.left.on_obj("pt", x), y) in hom
+
+
+def test_aft_builds_no_composition_it_does_not_read(monkeypatch):
+    # universality reads arrows, source and target only: the cone and comma
+    # categories inside the construction never build their composable pairs
+    d12, d18 = divisor_lattice(12), divisor_lattice(18)
+    assert d12.validate() == [] and d18.validate() == []    # their own tables
+    swap = {"1": "1", "2": "3", "3": "2", "4": "9", "6": "6", "12": "18"}
+    iso = monotone(d12, d18, swap.get)
+    built = []
+    real = core.pullback
+
+    def counted(source, target):
+        built.append(source)
+        return real(source, target)
+
+    monkeypatch.setattr(core, "pullback", counted)
+    adj = aft_left_adjoint(iso)
+    assert adj.left.f0.components["pt"] == {y: x for x, y in swap.items()}
+    assert built == []
+    assert adj.comma.cat.compose.validate() == []
+    assert len(built) == 1
 
 
 def test_aft_identity_is_identity():
