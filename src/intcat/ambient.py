@@ -224,9 +224,6 @@ class Presheaf:
         """Act by index arrow ``u`` on element ``x`` living at ``tgt(u)``."""
         return self.action[u][x]
 
-    def size(self) -> int:
-        return sum(len(v) for v in self.carrier.values())
-
     def validate(self) -> list[str]:
         out = []
         base = self.base
@@ -268,9 +265,6 @@ class PresheafMap:
     source: Presheaf
     target: Presheaf
     components: dict        # index object -> {source element -> target element}
-
-    def apply(self, c, x):
-        return self.components[c][x]
 
     def then(self, other: "PresheafMap") -> "PresheafMap":
         """Diagram-order composition: ``self`` first, then ``other``."""

@@ -7,6 +7,15 @@ category objects, and reports the first problem with its line and column.
 A parsed document keeps its declarations token for token, so emission is
 canonical and a parse of emitted text rebuilds an equal document.
 
+Block bodies go through a few shared readers. ``_gather_tables`` is the
+one reader of ``<kw> <stage> : ...`` rows for category, presheaf, map,
+functor and nat blocks, and of ``act`` rows in the blocks that take them.
+``_carriers`` reads label rows under the size bound, ``_table`` reads a
+total checked ``key=value`` row, and ``_arrow_tables`` reads arrow rows,
+defaulting each entry to the only arrow with its endpoints. ``_header``
+reads the ``map``/``functor``/``nat`` header, and ``_declare`` binds a
+name and keeps its tokens in one step.
+
 Labels may be any whitespace-free tokens not containing ``= < > : / .``
 so set-like names such as ``{a,b}`` stay legal. Arrows of posetal
 categories are referred to by their endpoints as ``x->y``; that form is
@@ -125,12 +134,47 @@ def _split_entry(tok, line, col):
     return key, val
 
 
-def _prime_powers(n: int) -> list:
-    """``n`` as (prime, exponent) pairs, by trial division of the
-    shrinking cofactor: quick when every prime factor is small, still
-    about sqrt(p) steps for a large prime factor p."""
+def _natural(tok, line, col, usage):
+    """``tok`` as a natural number written in ASCII digits; anything else,
+    ``²`` included, is refused with the usage line."""
+    if not (tok.isascii() and tok.isdigit()):
+        _fail(line, col, f"expected: {usage}")
+    return int(tok)
+
+
+# Trial division stops at this bound; a larger cofactor must then be prime.
+_TRIAL_BOUND = 1 << 16
+# Miller–Rabin with the first thirteen primes as bases decides every n below
+# _MR_LIMIT (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller–Rabin for odd ``n`` above the trial bound and
+    below _MR_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_powers(n: int, line: int, col: int) -> list:
+    """``n`` as (prime, exponent) pairs, at bounded cost: trial division by
+    the numbers below _TRIAL_BOUND, then a primality test of what is left.
+    A cofactor that is not proven prime is refused."""
     out, p = [], 2
-    while p * p <= n:
+    while p * p <= n and p < _TRIAL_BOUND:
         e = 0
         while n % p == 0:
             n, e = n // p, e + 1
@@ -138,6 +182,9 @@ def _prime_powers(n: int) -> list:
             out.append((p, e))
         p += 1 if p == 2 else 2
     if n > 1:
+        if p * p <= n and not (n < _MR_LIMIT and _is_prime(n)):
+            _fail(line, col, f"cannot factor {n}: it has no prime factor "
+                             f"below {_TRIAL_BOUND} and is not proven prime")
         out.append((n, 1))
     return out
 
@@ -150,6 +197,12 @@ def _divisors(powers: list) -> list:
     return sorted(divs)
 
 
+# the env table each declaration kind binds its name in
+_SPACES = {"base": "bases", "lattice": "cats", "category": "cats",
+           "presheaf": "presheaves", "map": "maps", "functor": "functors",
+           "nat": "nats", "diagram": "diagrams"}
+
+
 class _Parser:
     def __init__(self, text: str, max_size: int):
         self.rows = _rows(text)
@@ -159,8 +212,7 @@ class _Parser:
         self.tasks: list = []
         self.env = {"bases": {}, "cats": {}, "presheaves": {}, "maps": {},
                     "functors": {}, "nats": {}, "diagrams": {},
-                    "functor_ends": {}, "nat_ends": {}, "map_ends": {},
-                    "cat_base": {}, "presheaf_base": {}}
+                    "functor_ends": {}}
 
     # -- row plumbing -------------------------------------------------------
 
@@ -192,12 +244,19 @@ class _Parser:
             _fail(line, col, f"unknown {what} {name!r}")
         return self.env[space][name]
 
-    def _declare(self, space, name, value, line, col):
-        for sp in ("bases", "cats", "presheaves", "maps", "functors",
-                   "nats", "diagrams"):
-            if name in self.env[sp]:
-                _fail(line, col, f"name {name!r} is already declared")
-        self.env[space][name] = value
+    def _declare(self, line, toks, value, body=()):
+        """Bind the declared name to its built value and keep the
+        declaration's tokens for emission."""
+        kind, (name, col) = toks[0][0], toks[1]
+        if any(name in self.env[space] for space in _SPACES.values()):
+            _fail(line, col, f"name {name!r} is already declared")
+        self.env[_SPACES[kind]][name] = value
+        head = tuple(t for t, _ in toks)
+        if head[-1] == "{":
+            head = head[:-1]
+        self.decls.append(Declaration(
+            kind, name, head,
+            tuple(tuple(t for t, _ in row_toks) for _, row_toks in body), line))
 
     def _bound(self, sizes, line):
         for n in sizes:
@@ -225,36 +284,26 @@ class _Parser:
             handler(line, toks)
         return SpecDocument(1, tuple(self.decls), tuple(self.tasks), self.env)
 
-    def _record(self, kind, name, line, toks, body_rows=()):
-        head = tuple(t for t, _ in toks)
-        body = tuple(tuple(t for t, _ in row_toks)
-                     for _, row_toks in body_rows)
-        if head and head[-1] == "{":
-            head = head[:-1]
-        self.decls.append(Declaration(kind, name, head, body, line))
-
     # -- declarations -------------------------------------------------------
 
     def _parse_base(self, line, toks):
         if len(toks) < 3:
             _fail(line, toks[0][1], "expected: base <name> finset | chain <n>")
-        name = _check_name(toks[1][0], line, toks[1][1])
+        _check_name(toks[1][0], line, toks[1][1])
         kind = toks[2][0]
         if kind == "finset":
             if len(toks) != 3:
                 _fail(line, toks[3][1], "unexpected token after 'finset'")
             built = IndexCategory.finset()
         elif kind == "chain":
-            if len(toks) != 4 or not toks[3][0].isdigit():
-                _fail(line, toks[2][1], "expected: chain <n>")
-            n = int(toks[3][0])
+            n = _natural(toks[3][0] if len(toks) == 4 else "", line,
+                         toks[2][1], "chain <n>")
             if n < 1 or n > 9:
                 _fail(line, toks[3][1], "chain length must be between 1 and 9")
             built = IndexCategory.chain(n)
         else:
             _fail(line, toks[2][1], f"unknown base kind {kind!r}")
-        self._declare("bases", name, built, line, toks[1][1])
-        self._record("base", name, line, toks)
+        self._declare(line, toks, built)
 
     def _over_base(self, toks, line, at):
         if len(toks) <= at + 1 or toks[at][0] != "over":
@@ -262,16 +311,14 @@ class _Parser:
         return self._get("bases", toks[at + 1][0], line, toks[at + 1][1], "base")
 
     def _parse_lattice(self, line, toks):
-        name = _check_name(toks[1][0], line, toks[1][1])
+        _check_name(toks[1][0], line, toks[1][1])
         base = self._over_base(toks, line, 2)
         if len(toks) < 5 or toks[4][0] != ":":
             _fail(line, toks[-1][1], "expected ':' then elements / order pairs")
         rest = toks[5:]
         if len(rest) == 2 and rest[0][0] == "divisors":
-            if not rest[1][0].isdigit():
-                _fail(line, rest[1][1], "expected: divisors <n>")
-            n = int(rest[1][0])
-            powers = _prime_powers(n)
+            n = _natural(rest[1][0], line, rest[1][1], "divisors <n>")
+            powers = _prime_powers(n, line, rest[1][1])
             if n:
                 # a divisor picks an exponent 0..e of each prime, a pair
                 # a | b two exponents i <= j
@@ -306,29 +353,23 @@ class _Parser:
             self._bound((len(elems),), line)
         ix = IndexCategory.poset(elems, pairs)
         self._bound((len(ix.objects), len(ix.arrows)), line)
-        built = from_finite_category(base, ix)
-        self._declare("cats", name, built, line, toks[1][1])
-        self.env["cat_base"][name] = base
-        self._record("lattice", name, line, toks)
+        self._declare(line, toks, from_finite_category(base, ix))
 
     def _parse_category(self, line, toks):
         name = _check_name(toks[1][0], line, toks[1][1])
         base = self._over_base(toks, line, 2)
         if toks[-1][0] == "{":
             body = self._block(line)
-            built = self._category_block(name, base, body, line)
-            self._declare("cats", name, built, line, toks[1][1])
-            self.env["cat_base"][name] = base
-            self._record("category", name, line, toks, body)
+            self._declare(line, toks, self._category_block(name, base, body, line),
+                          body)
             return
         if len(toks) < 6 or toks[4][0] != ":":
             _fail(line, toks[-1][1], "expected ':' then a category form")
         form = toks[5][0]
         rest = toks[6:]
         if form == "chain":
-            if len(rest) != 1 or not rest[0][0].isdigit():
-                _fail(line, toks[5][1], "expected: chain <n>")
-            n = int(rest[0][0])
+            n = _natural(rest[0][0] if len(rest) == 1 else "", line,
+                         toks[5][1], "chain <n>")
             self._bound((n, n * (n + 1) // 2), line)
             elems = tuple(str(i) for i in range(n))
             ix = IndexCategory.poset(
@@ -360,11 +401,22 @@ class _Parser:
         sizes = [len(built.obj.at(c)) for c in base.objects]
         sizes += [len(built.arr.at(c)) for c in base.objects]
         self._bound(sizes, line)
-        self._declare("cats", name, built, line, toks[1][1])
-        self.env["cat_base"][name] = base
-        self._record("category", name, line, toks)
+        self._declare(line, toks, built)
 
-    # -- full blocks ---------------------------------------------------------
+    # -- the shared readers of block rows ------------------------------------
+
+    def _header(self, line, toks, op, space, what):
+        """``<kind> <name> : <X> op <Y> [{]``: the two named ends and the
+        block's rows, if a block follows."""
+        head = [t for t, _ in toks]
+        has_block = head[-1] == "{"
+        if len(head) != 6 + has_block or head[2] != ":" or head[4] != op:
+            _fail(line, toks[0][1],
+                  f"expected: {head[0]} <name> : <X> {op} <Y> [{{]")
+        _check_name(toks[1][0], line, toks[1][1])
+        x = self._get(space, head[3], line, toks[3][1], what)
+        y = self._get(space, head[5], line, toks[5][1], what)
+        return x, y, self._block(line) if has_block else []
 
     def _base_arrow(self, base, tok, line, col):
         if "<" not in tok:
@@ -375,64 +427,84 @@ class _Parser:
                 return u
         _fail(line, col, f"no base arrow from {a!r} to {b!r}")
 
-    def _gather_tables(self, body, base, line, keywords):
-        """Collect ``<kw> <stage> : ...`` rows into per-keyword stage maps."""
+    def _gather_tables(self, body, base, keywords):
+        """The one reader of ``<kw> <stage> : ...`` rows: per keyword, a map
+        from stage to (line, entry tokens). A block that takes restriction
+        actions lists ``act`` (rows ``act src<tgt : ...``, keyed by base
+        arrow), or ``act obj`` and ``act arr`` (rows ``act src<tgt obj :
+        ...``)."""
         tables = {kw: {} for kw in keywords}
-        acts = []
         for row_line, toks in body:
             kw = toks[0][0]
-            if kw == "act":
-                acts.append((row_line, toks))
-                continue
+            if kw == "act" and len(toks) > 2 and toks[2][0] != ":":
+                kw, toks = f"act {toks[2][0]}", toks[:2] + toks[3:]
             if kw not in tables:
                 _fail(row_line, toks[0][1], f"unexpected {kw!r} line")
+            is_act = kw.startswith("act")
             if len(toks) < 3 or toks[2][0] != ":":
-                _fail(row_line, toks[0][1], f"expected: {kw} <stage> : ...")
-            stage = toks[1][0]
-            if stage not in base.objects:
-                _fail(row_line, toks[1][1], f"unknown stage {stage!r}")
-            if stage in tables[kw]:
-                _fail(row_line, toks[1][1], f"duplicate {kw} line for {stage!r}")
-            tables[kw][stage] = (row_line, toks[3:])
-        return tables, acts
+                _fail(row_line, toks[0][1],
+                      f"expected: {kw} <{'src<tgt' if is_act else 'stage'}> : ...")
+            tok, col = toks[1]
+            if is_act:
+                key = self._base_arrow(base, tok, row_line, col)
+            elif tok in base.objects:
+                key = tok
+            else:
+                _fail(row_line, col, f"unknown stage {tok!r}")
+            if key in tables[kw]:
+                _fail(row_line, col, f"duplicate {kw} line for {tok!r}")
+            tables[kw][key] = (row_line, toks[3:])
+        return tables
 
-    def _entries(self, row, what="entry"):
-        line, toks = row
+    def _row(self, rows, kw, c, line):
+        if c not in rows[kw]:
+            _fail(line, 1, f"missing {kw} line for stage {c!r}")
+        return rows[kw][c]
+
+    def _carriers(self, rows, kw, base, line):
+        """Per stage, the labels of its ``kw`` row, each row within the
+        size bound."""
+        out = {}
+        for c in base.objects:
+            row_line, toks = self._row(rows, kw, c, line)
+            self._bound((len(toks),), row_line)
+            out[c] = tuple(_check_label(t, row_line, col) for t, col in toks)
+        return out
+
+    def _entries(self, row_line, toks):
         out = {}
         for tok, col in toks:
-            k, v = _split_entry(tok, line, col)
+            k, v = _split_entry(tok, row_line, col)
             if k in out:
-                _fail(line, col, f"duplicate {what} for {k!r}")
+                _fail(row_line, col, f"duplicate entry for {k!r}")
             out[k] = (v, col)
-        return line, out
+        return out
 
-    def _resolve_actions(self, base, carrier, act_rows, line, what):
-        """Build the full action table for one presheaf from act rows."""
-        given = {}
-        for row_line, toks in act_rows:
-            u = self._base_arrow(base, toks[1][0], row_line, toks[1][1])
-            if len(toks) < 3 or toks[2][0] != ":":
-                _fail(row_line, toks[1][1], "expected: act src<tgt : x=y ...")
-            _, entries = self._entries((row_line, toks[3:]))
-            tgt_stage, src_stage = base.tgt[u], base.src[u]
-            table = {}
-            for k, (v, col) in entries.items():
-                if k not in carrier[tgt_stage]:
-                    _fail(row_line, col, f"unknown element {k!r} at stage {tgt_stage!r}")
-                if v not in carrier[src_stage]:
-                    _fail(row_line, col, f"unknown element {v!r} at stage {src_stage!r}")
-                table[k] = v
-            missing = [e for e in carrier[tgt_stage] if e not in table]
-            if missing:
-                _fail(row_line, toks[1][1],
-                      f"act line does not cover {missing[0]!r}")
-            if u in given:
-                _fail(row_line, toks[1][1], "duplicate act line")
-            given[u] = table
-        action = {}
-        for c in base.objects:
-            action[base.identity[c]] = {e: e for e in carrier[c]}
-        action.update(given)
+    def _table(self, kw, row, keys, values):
+        """A total ``key=value`` row: each key one of ``keys``, each value
+        one of ``values``, and every key covered."""
+        row_line, toks = row
+        out = {}
+        for k, (v, col) in self._entries(row_line, toks).items():
+            if k not in keys:
+                _fail(row_line, col, f"unknown element {k!r} in {kw} line")
+            if v not in values:
+                _fail(row_line, col, f"unknown value {v!r} in {kw} line")
+            out[k] = v
+        missing = [k for k in keys if k not in out]
+        if missing:
+            _fail(row_line, toks[0][1] if toks else 1,
+                  f"{kw} line does not cover {missing[0]!r}")
+        return out
+
+    def _resolve_actions(self, base, carrier, kw, rows, line, what):
+        """The full action table of one presheaf: identities, the act rows,
+        and their composites."""
+        action = {base.identity[c]: {e: e for e in carrier[c]}
+                  for c in base.objects}
+        for u, row in rows[kw].items():
+            action[u] = self._table(kw, row, carrier[base.tgt[u]],
+                                    carrier[base.src[u]])
         changed = True
         while changed:
             changed = False
@@ -447,54 +519,74 @@ class _Parser:
                   f"missing act line for base arrow {missing[0]!r} in {what}")
         return action
 
+    def _arrow_token(self, cat, by_ends, c, tok, line, col):
+        """An arrow of ``cat`` at stage c: a label, or endpoints x->y."""
+        if "->" in tok:
+            s, _, t = tok.partition("->")
+            ks = by_ends[c].get((s, t), ())
+            if not ks:
+                _fail(line, col, f"no arrow from {s!r} to {t!r}")
+            if len(ks) > 1:
+                _fail(line, col,
+                      f"{tok!r} is ambiguous: {len(ks)} arrows share those endpoints")
+            return ks[0]
+        if tok in cat.arr.at(c):
+            return tok
+        _fail(line, col, f"unknown arrow {tok!r}")
+
+    def _arrow_tables(self, kw, rows, b, line, keys, read_key, what):
+        """Per stage c, an arrow of ``b`` for each (key, endpoints) in
+        ``keys(c)``: the arrow the ``kw`` row at c gives for the key, or
+        else the only arrow of ``b`` with those endpoints. ``what`` names
+        an entry in errors, formatted with ``c`` and ``k``."""
+        by_ends = arrows_by_ends(b)
+        out = {}
+        for c in b.base.objects:
+            given, row_line = {}, line
+            if c in rows[kw]:
+                row_line, toks = rows[kw][c]
+                for k, (v, col) in self._entries(row_line, toks).items():
+                    key = read_key(c, k, row_line, col)
+                    if key in given:
+                        _fail(row_line, col, f"duplicate entry for {key!r}")
+                    given[key] = self._arrow_token(b, by_ends, c, v, row_line, col)
+            out[c] = {}
+            for k, ends in keys(c):
+                ks = by_ends[c].get(ends, ())
+                if k in given:
+                    if given[k] not in ks:
+                        _fail(row_line, 1,
+                              what.format(c=c, k=k) + " has the wrong endpoints")
+                    out[c][k] = given[k]
+                elif len(ks) == 1:
+                    out[c][k] = ks[0]
+                else:
+                    _fail(line, 1, what.format(c=c, k=k)
+                          + f" is not determined; add an {kw} line")
+        return out
+
+    # -- full blocks ---------------------------------------------------------
+
     def _category_block(self, name, base, body, line) -> InternalCategory:
-        tables, act_rows = self._gather_tables(
-            body, base, line, ("obj", "arr", "src", "tgt", "id", "comp"))
-        for kw in ("obj", "arr"):
-            missing = [c for c in base.objects if c not in tables[kw]]
-            if missing:
-                _fail(line, 1, f"missing {kw} line for stage {missing[0]!r}")
-        obj_carrier, arr_carrier = {}, {}
-        for c in base.objects:
-            row_line, toks = tables["obj"][c]
-            obj_carrier[c] = tuple(_check_label(t, row_line, col)
-                                   for t, col in toks)
-            row_line, toks = tables["arr"][c]
-            arr_carrier[c] = tuple(_check_label(t, row_line, col)
-                                   for t, col in toks)
-            self._bound((len(obj_carrier[c]), len(arr_carrier[c])), row_line)
+        rows = self._gather_tables(body, base, ("obj", "arr", "src", "tgt", "id",
+                                                "comp", "act obj", "act arr"))
+        obj_carrier = self._carriers(rows, "obj", base, line)
+        arr_carrier = self._carriers(rows, "arr", base, line)
 
-        def table_for(kw, c, keys, values, total=True):
-            if c not in tables[kw]:
-                _fail(line, 1, f"missing {kw} line for stage {c!r}")
-            row_line, toks = tables[kw][c]
-            _, entries = self._entries((row_line, toks))
-            out = {}
-            for k, (v, col) in entries.items():
-                if k not in keys:
-                    _fail(row_line, col, f"unknown element {k!r} in {kw} line")
-                if v not in values:
-                    _fail(row_line, col, f"unknown value {v!r} in {kw} line")
-                out[k] = v
-            if total:
-                missing = [k for k in keys if k not in out]
-                if missing:
-                    _fail(row_line, toks[0][1] if toks else 1,
-                          f"{kw} line does not cover {missing[0]!r}")
-            return out
+        def table_for(kw, keys, values):
+            return {c: self._table(kw, self._row(rows, kw, c, line),
+                                   keys[c], values[c])
+                    for c in base.objects}
 
-        src_t = {c: table_for("src", c, arr_carrier[c], obj_carrier[c])
-                 for c in base.objects}
-        tgt_t = {c: table_for("tgt", c, arr_carrier[c], obj_carrier[c])
-                 for c in base.objects}
-        id_t = {c: table_for("id", c, obj_carrier[c], arr_carrier[c])
-                for c in base.objects}
+        src_t = table_for("src", arr_carrier, obj_carrier)
+        tgt_t = table_for("tgt", arr_carrier, obj_carrier)
+        id_t = table_for("id", obj_carrier, arr_carrier)
 
         comp_t = {}
         for c in base.objects:
             entries = {}
-            if c in tables["comp"]:
-                row_line, toks = tables["comp"][c]
+            if c in rows["comp"]:
+                row_line, toks = rows["comp"][c]
                 for tok, col in toks:
                     k, v = _split_entry(tok, row_line, col)
                     if "." not in k:
@@ -514,29 +606,18 @@ class _Parser:
             for g in arr_carrier[c]:
                 for f in arr_carrier[c]:
                     if src_t[c][g] == tgt_t[c][f] and (g, f) not in entries:
-                        _fail(tables["comp"][c][0] if c in tables["comp"] else line,
+                        _fail(rows["comp"][c][0] if c in rows["comp"] else line,
                               1, f"composite of {g!r} after {f!r} is not given")
             comp_t[c] = entries
 
-        obj_acts = [r for r in act_rows if r[1][2][0] == "obj"]
-        arr_acts = [r for r in act_rows if r[1][2][0] == "arr"]
-        for r in act_rows:
-            if r[1][2][0] not in ("obj", "arr"):
-                _fail(r[0], r[1][2][1], "expected 'obj' or 'arr' after the base arrow")
-        obj_action = self._resolve_actions(
-            base, obj_carrier,
-            [(l, t[:2] + t[3:]) for l, t in obj_acts], line, f"category {name!r}")
-        arr_action = self._resolve_actions(
-            base, arr_carrier,
-            [(l, t[:2] + t[3:]) for l, t in arr_acts], line, f"category {name!r}")
-        obj = Presheaf(base, obj_carrier, obj_action)
-        arr = Presheaf(base, arr_carrier, arr_action)
+        what = f"category {name!r}"
+        obj = Presheaf(base, obj_carrier, self._resolve_actions(
+            base, obj_carrier, "act obj", rows, line, what))
+        arr = Presheaf(base, arr_carrier, self._resolve_actions(
+            base, arr_carrier, "act arr", rows, line, what))
         return make_internal_category(
-            obj, arr,
-            PresheafMap(arr, obj, {c: dict(src_t[c]) for c in base.objects}),
-            PresheafMap(arr, obj, {c: dict(tgt_t[c]) for c in base.objects}),
-            PresheafMap(obj, arr, {c: dict(id_t[c]) for c in base.objects}),
-            lambda c, g, f: comp_t[c][(g, f)])
+            obj, arr, PresheafMap(arr, obj, src_t), PresheafMap(arr, obj, tgt_t),
+            PresheafMap(obj, arr, id_t), lambda c, g, f: comp_t[c][(g, f)])
 
     def _parse_presheaf(self, line, toks):
         name = _check_name(toks[1][0], line, toks[1][1])
@@ -544,243 +625,79 @@ class _Parser:
         if toks[-1][0] != "{":
             _fail(line, toks[-1][1], "expected a block")
         body = self._block(line)
-        carrier, act_rows = {}, []
-        for row_line, row_toks in body:
-            kw = row_toks[0][0]
-            if kw == "at":
-                if len(row_toks) < 3 or row_toks[2][0] != ":":
-                    _fail(row_line, row_toks[0][1], "expected: at <stage> : ...")
-                stage = row_toks[1][0]
-                if stage not in base.objects:
-                    _fail(row_line, row_toks[1][1], f"unknown stage {stage!r}")
-                if stage in carrier:
-                    _fail(row_line, row_toks[1][1], "duplicate at line")
-                carrier[stage] = tuple(_check_label(t, row_line, c)
-                                       for t, c in row_toks[3:])
-            elif kw == "act":
-                act_rows.append((row_line, row_toks))
-            else:
-                _fail(row_line, row_toks[0][1], f"unexpected {kw!r} line")
-        missing = [c for c in base.objects if c not in carrier]
-        if missing:
-            _fail(line, 1, f"missing at line for stage {missing[0]!r}")
-        self._bound([len(v) for v in carrier.values()], line)
-        action = self._resolve_actions(base, carrier, act_rows, line,
+        rows = self._gather_tables(body, base, ("at", "act"))
+        carrier = self._carriers(rows, "at", base, line)
+        action = self._resolve_actions(base, carrier, "act", rows, line,
                                        f"presheaf {name!r}")
-        built = Presheaf(base, carrier, action)
-        self._declare("presheaves", name, built, line, toks[1][1])
-        self.env["presheaf_base"][name] = base
-        self._record("presheaf", name, line, toks, body)
-
-    def _arrow_token(self, cat, c, tok, line, col):
-        """An arrow of ``cat`` at stage c: a label, or endpoints x->y."""
-        if "->" in tok:
-            s, _, t = tok.partition("->")
-            ks = [k for k in cat.arr.at(c)
-                  if cat.s_at(c, k) == s and cat.t_at(c, k) == t]
-            if not ks:
-                _fail(line, col, f"no arrow from {s!r} to {t!r}")
-            if len(ks) > 1:
-                _fail(line, col,
-                      f"{tok!r} is ambiguous: {len(ks)} arrows share those endpoints")
-            return ks[0]
-        if tok in cat.arr.at(c):
-            return tok
-        _fail(line, col, f"unknown arrow {tok!r}")
+        self._declare(line, toks, Presheaf(base, carrier, action), body)
 
     def _parse_map(self, line, toks):
-        header = [t for t, _ in toks]
-        if len(header) < 6 or header[2] != ":" or header[4] != "->" \
-                or header[-1] != "{":
-            _fail(line, toks[0][1], "expected: map <name> : <X> -> <Y> {")
-        name = _check_name(toks[1][0], line, toks[1][1])
-        xsrc = self._get("presheaves", header[3], line, toks[3][1], "presheaf")
-        ytgt = self._get("presheaves", header[5], line, toks[5][1], "presheaf")
-        if xsrc.base != ytgt.base:
+        x, y, body = self._header(line, toks, "->", "presheaves", "presheaf")
+        if x.base != y.base:
             _fail(line, toks[3][1], "map endpoints live over different bases")
-        body = self._block(line)
-        comps = {}
-        for row_line, row_toks in body:
-            if row_toks[0][0] != "at" or len(row_toks) < 3 or row_toks[2][0] != ":":
-                _fail(row_line, row_toks[0][1], "expected: at <stage> : x=y ...")
-            stage = row_toks[1][0]
-            if stage not in xsrc.base.objects:
-                _fail(row_line, row_toks[1][1], f"unknown stage {stage!r}")
-            _, entries = self._entries((row_line, row_toks[3:]))
-            table = {}
-            for k, (v, col) in entries.items():
-                if k not in xsrc.at(stage):
-                    _fail(row_line, col, f"unknown element {k!r}")
-                if v not in ytgt.at(stage):
-                    _fail(row_line, col, f"unknown value {v!r}")
-                table[k] = v
-            missing = [e for e in xsrc.at(stage) if e not in table]
-            if missing:
-                _fail(row_line, row_toks[1][1],
-                      f"at line does not cover {missing[0]!r}")
-            comps[stage] = table
-        missing = [c for c in xsrc.base.objects if c not in comps]
-        if missing:
-            _fail(line, 1, f"missing at line for stage {missing[0]!r}")
-        built = PresheafMap(xsrc, ytgt, comps)
+        rows = self._gather_tables(body, x.base, ("at",))
+        built = PresheafMap(x, y, {
+            c: self._table("at", self._row(rows, "at", c, line),
+                           x.at(c), y.at(c))
+            for c in x.base.objects})
         errs = built.validate()
         if errs:
             _fail(line, 1, f"map does not commute with the actions: {errs[0]}")
-        self._declare("maps", name, built, line, toks[1][1])
-        self.env["map_ends"][name] = (header[3], header[5])
-        self._record("map", name, line, toks, body)
+        self._declare(line, toks, built, body)
 
     def _parse_functor(self, line, toks):
-        header = [t for t, _ in toks]
-        has_block = header[-1] == "{"
-        want = 7 if has_block else 6
-        if len(header) != want or header[2] != ":" or header[4] != "->":
-            _fail(line, toks[0][1], "expected: functor <name> : <A> -> <B> [{]")
-        name = _check_name(toks[1][0], line, toks[1][1])
-        a = self._get("cats", header[3], line, toks[3][1], "category")
-        b = self._get("cats", header[5], line, toks[5][1], "category")
+        a, b, body = self._header(line, toks, "->", "cats", "category")
         if a.base != b.base:
             _fail(line, toks[3][1], "functor endpoints live over different bases")
-        base = a.base
-        body = self._block(line) if has_block else []
-        obj_rows, arr_rows = {}, {}
-        for row_line, row_toks in body:
-            kw = row_toks[0][0]
-            if kw not in ("obj", "arr") or len(row_toks) < 3 or row_toks[2][0] != ":":
-                _fail(row_line, row_toks[0][1],
-                      "expected: obj <stage> : ... or arr <stage> : ...")
-            stage = row_toks[1][0]
-            if stage not in base.objects:
-                _fail(row_line, row_toks[1][1], f"unknown stage {stage!r}")
-            store = obj_rows if kw == "obj" else arr_rows
-            if stage in store:
-                _fail(row_line, row_toks[1][1], f"duplicate {kw} line")
-            store[stage] = (row_line, row_toks[3:])
-        f0 = {}
-        for c in base.objects:
-            if c not in obj_rows:
-                if not a.obj.at(c):
-                    f0[c] = {}
-                    continue
-                _fail(line, 1, f"missing obj line for stage {c!r}")
-            row_line, row_toks = obj_rows[c]
-            _, entries = self._entries((row_line, row_toks))
-            table = {}
-            for k, (v, col) in entries.items():
-                if k not in a.obj.at(c):
-                    _fail(row_line, col, f"unknown object {k!r}")
-                if v not in b.obj.at(c):
-                    _fail(row_line, col, f"unknown value {v!r}")
-                table[k] = v
-            missing = [x for x in a.obj.at(c) if x not in table]
-            if missing:
-                _fail(row_line, 1, f"obj line does not cover {missing[0]!r}")
-            f0[c] = table
-        by_ends = arrows_by_ends(b)
-        f1 = {}
-        for c in base.objects:
-            explicit = {}
-            if c in arr_rows:
-                row_line, row_toks = arr_rows[c]
-                _, entries = self._entries((row_line, row_toks))
-                for k, (v, col) in entries.items():
-                    key = self._arrow_token(a, c, k, row_line, col)
-                    explicit[key] = self._arrow_token(b, c, v, row_line, col)
-            table = {}
-            for k in a.arr.at(c):
-                sa, ta = f0[c][a.s_at(c, k)], f0[c][a.t_at(c, k)]
-                if k in explicit:
-                    v = explicit[k]
-                    if b.s_at(c, v) != sa or b.t_at(c, v) != ta:
-                        _fail(arr_rows[c][0], 1,
-                              f"image of {k!r} has the wrong endpoints")
-                    table[k] = v
-                    continue
-                ks = by_ends[c].get((sa, ta), ())
-                if len(ks) != 1:
-                    _fail(line, 1,
-                          f"image of arrow {k!r} at {c!r} is not determined; "
-                          f"add an arr line")
-                table[k] = ks[0]
-            f1[c] = table
+        rows = self._gather_tables(body, a.base, ("obj", "arr"))
+        f0 = {c: self._table("obj", self._row(rows, "obj", c, line),
+                             a.obj.at(c), b.obj.at(c))
+              if a.obj.at(c) or c in rows["obj"] else {}
+              for c in a.base.objects}
+        a_ends = arrows_by_ends(a)
+        f1 = self._arrow_tables(
+            "arr", rows, b, line,
+            lambda c: [(k, (f0[c][a.s_at(c, k)], f0[c][a.t_at(c, k)]))
+                       for k in a.arr.at(c)],
+            lambda c, k, row_line, col:
+                self._arrow_token(a, a_ends, c, k, row_line, col),
+            "image of {k!r} at {c!r}")
         built = InternalFunctor(a, b, PresheafMap(a.obj, b.obj, f0),
                                 PresheafMap(a.arr, b.arr, f1))
         errs = built.validate()
         if errs:
             _fail(line, 1, f"not a functor: {errs[0]}")
-        self._declare("functors", name, built, line, toks[1][1])
-        self.env["functor_ends"][name] = (header[3], header[5])
-        self._record("functor", name, line, toks, body)
+        self._declare(line, toks, built, body)
+        self.env["functor_ends"][toks[1][0]] = (toks[3][0], toks[5][0])
 
     def _parse_nat(self, line, toks):
-        header = [t for t, _ in toks]
-        has_block = header[-1] == "{"
-        want = 7 if has_block else 6
-        if len(header) != want or header[2] != ":" or header[4] != "=>":
-            _fail(line, toks[0][1], "expected: nat <name> : <F> => <G> [{]")
-        name = _check_name(toks[1][0], line, toks[1][1])
-        f = self._get("functors", header[3], line, toks[3][1], "functor")
-        g = self._get("functors", header[5], line, toks[5][1], "functor")
+        f, g, body = self._header(line, toks, "=>", "functors", "functor")
         if f.source_cat != g.source_cat or f.target_cat != g.target_cat:
             _fail(line, toks[3][1], "transformation endpoints are not parallel")
         a, b = f.source_cat, f.target_cat
-        base = a.base
-        body = self._block(line) if has_block else []
-        rows = {}
-        for row_line, row_toks in body:
-            if row_toks[0][0] != "at" or len(row_toks) < 3 or row_toks[2][0] != ":":
-                _fail(row_line, row_toks[0][1], "expected: at <stage> : x=arrow ...")
-            stage = row_toks[1][0]
-            if stage not in base.objects:
-                _fail(row_line, row_toks[1][1], f"unknown stage {stage!r}")
-            if stage in rows:
-                _fail(row_line, row_toks[1][1], "duplicate at line")
-            rows[stage] = (row_line, row_toks[3:])
-        by_ends = arrows_by_ends(b)
-        comps = {}
-        for c in base.objects:
-            explicit = {}
-            if c in rows:
-                row_line, row_toks = rows[c]
-                _, entries = self._entries((row_line, row_toks))
-                for k, (v, col) in entries.items():
-                    if k not in a.obj.at(c):
-                        _fail(row_line, col, f"unknown object {k!r}")
-                    explicit[k] = self._arrow_token(b, c, v, row_line, col)
-            table = {}
-            for x in a.obj.at(c):
-                s, t = f.on_obj(c, x), g.on_obj(c, x)
-                if x in explicit:
-                    v = explicit[x]
-                    if b.s_at(c, v) != s or b.t_at(c, v) != t:
-                        _fail(rows[c][0], 1,
-                              f"component at {x!r} has the wrong endpoints")
-                    table[x] = v
-                    continue
-                ks = by_ends[c].get((s, t), ())
-                if len(ks) != 1:
-                    _fail(line, 1,
-                          f"component at {x!r} ({c!r}) is not determined; "
-                          f"add an at line")
-                table[x] = ks[0]
-            comps[c] = table
+
+        def read_object(c, x, row_line, col):
+            if x not in a.obj.at(c):
+                _fail(row_line, col, f"unknown element {x!r} in at line")
+            return x
+
+        comps = self._arrow_tables(
+            "at", self._gather_tables(body, a.base, ("at",)), b, line,
+            lambda c: [(x, (f.on_obj(c, x), g.on_obj(c, x))) for x in a.obj.at(c)],
+            read_object, "component at {k!r} ({c!r})")
         built = InternalNatTrans(f, g, PresheafMap(a.obj, b.arr, comps))
         errs = built.validate()
         if errs:
             _fail(line, 1, f"not natural: {errs[0]}")
-        self._declare("nats", name, built, line, toks[1][1])
-        self.env["nat_ends"][name] = (header[3], header[5])
-        self._record("nat", name, line, toks, body)
+        self._declare(line, toks, built, body)
 
     def _parse_diagram(self, line, toks):
         header = [t for t, _ in toks]
         if len(header) != 4 or header[2] != ":":
             _fail(line, toks[0][1], "expected: diagram <name> : <functor>")
-        name = _check_name(toks[1][0], line, toks[1][1])
+        _check_name(toks[1][0], line, toks[1][1])
         fn = self._get("functors", header[3], line, toks[3][1], "functor")
-        built = Diagram.of(fn)
-        self._declare("diagrams", name, built, line, toks[1][1])
-        self._record("diagram", name, line, toks)
+        self._declare(line, toks, Diagram.of(fn))
 
     # -- tasks ---------------------------------------------------------------
 

@@ -79,18 +79,12 @@ def _vertex_labels(cone) -> dict:
             for c in cone.vertex.source.base.objects}
 
 
-class _Refused(Exception):
-    def __init__(self, refusal: Refusal):
-        super().__init__(refusal.kind)
-        self.refusal = refusal
-
-
 def _run_validate(env, caps, args):
     label, value = _find_named(env, args[0])
     problems = value.validate()
     if problems:
-        raise _Refused(Refusal("invalid", {"target": args[0], "kind": label,
-                                           "problems": problems}))
+        raise RefusalError(Refusal("invalid", {
+            "target": args[0], "kind": label, "problems": problems}))
     return {"target": args[0], "kind": label, "laws": "hold"}
 
 
@@ -106,7 +100,7 @@ def _run_limit(env, caps, args, dual=False):
     search = universal_cocone if dual else universal_cone
     res = search(dg)
     if isinstance(res, Refusal):
-        raise _Refused(res)
+        raise RefusalError(res)
     return {"kind": res.kind, "vertex": _vertex_labels(res.candidate),
             "unique": True}
 
@@ -114,7 +108,7 @@ def _run_limit(env, caps, args, dual=False):
 def _run_complete_check(env, caps, args):
     res = lattice_completeness_check(env["cats"][args[0]])
     if isinstance(res, Refusal):
-        raise _Refused(res)
+        raise RefusalError(res)
     caps[args[0]] = res
     ev = res.evidence
     return {"mode": res.mode, "top": ev["top"],
@@ -140,7 +134,7 @@ def _run_aft(env, caps, args):
     name = args[0]
     src_name, tgt_name = env["functor_ends"][name]
     if src_name not in caps:
-        raise _Refused(Refusal("missing_capability", {
+        raise RefusalError(Refusal("missing_capability", {
             "needs": "complete-check", "category": src_name,
             "hint": "run a complete-check task on the functor's source first"}))
     fn = env["functors"][name]
@@ -170,7 +164,7 @@ def _run_continuity_check(env, caps, args):
     checked = len(rep.entries)
     if not rep.ok:
         bad = [e for e in rep.entries if not e["ok"]]
-        raise _Refused(Refusal("not_continuous", {
+        raise RefusalError(Refusal("not_continuous", {
             "diagrams_checked": checked, "failures": len(bad),
             "first_failures": bad[:3]}))
     return {"diagrams_checked": checked}
@@ -210,9 +204,6 @@ def run_document(doc: SpecDocument, only=None, seed: int = 0,
         try:
             entry["witness"] = jsonable(_DISPATCH[t.op](doc.env, caps, t.args))
             entry["outcome"] = "ok"
-        except _Refused as r:
-            entry["outcome"] = "refused"
-            entry["refusal"] = jsonable(r.refusal)
         except RefusalError as r:
             entry["outcome"] = "refused"
             entry["refusal"] = jsonable(r.refusal)

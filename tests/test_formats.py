@@ -189,6 +189,171 @@ def test_size_bound_refuses_before_building(decl, arrows):
     assert err.message == f"size bound exceeded ({arrows} > 512)"
 
 
+def test_divisors_of_a_large_prime_parse_at_bounded_cost():
+    start = time.process_time()
+    doc = parse_document("format 1\nbase f finset\n"
+                         "lattice L over f : divisors 1000000000000000003\n")
+    assert time.process_time() - start < 0.5
+    cat = doc.env["cats"]["L"]
+    assert cat.obj.at("pt") == ("1", "1000000000000000003")
+    assert len(cat.arr.at("pt")) == 3
+
+
+def test_divisors_refuses_a_cofactor_it_cannot_split():
+    n = (10 ** 9 + 7) * (10 ** 9 + 9)
+    start = time.process_time()
+    err = located(f"format 1\nbase f finset\nlattice L over f : divisors {n}\n")
+    assert time.process_time() - start < 0.5
+    assert (err.line, err.col) == (3, 29)
+    assert err.message == (f"cannot factor {n}: it has no prime factor below "
+                           f"65536 and is not proven prime")
+
+
+@pytest.mark.parametrize("decl, col, usage", [
+    ("base g chain ²", 8, "chain <n>"),
+    ("lattice L over f : divisors ²", 29, "divisors <n>"),
+    ("category C over f : chain ²", 21, "chain <n>"),
+], ids=["base-chain", "lattice-divisors", "category-chain"])
+def test_number_tokens_take_ascii_digits_only(decl, col, usage, tmp_path, capsys):
+    text = f"format 1\nbase f finset\n{decl}\n"
+    err = located(text)
+    assert (err.line, err.col, err.message) == (3, col, f"expected: {usage}")
+    path = tmp_path / "doc.ct"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
+# One valid block of each kind that carries stage rows; each case below
+# breaks one row of it.
+BLOCKS = {
+    "category": """\
+format 1
+base two chain 2
+category K over two {
+  obj c0 : p q
+  obj c1 : x
+  arr c0 : ip iq
+  arr c1 : ix
+  src c0 : ip=p iq=q
+  tgt c0 : ip=p iq=q
+  id c0 : p=ip q=iq
+  src c1 : ix=x
+  tgt c1 : ix=x
+  id c1 : x=ix
+  act c0<c1 obj : x=p
+  act c0<c1 arr : ix=ip
+}
+""",
+    "presheaf": """\
+format 1
+base two chain 2
+presheaf X over two {
+  at c0 : p q
+  at c1 : x
+  act c0<c1 : x=p
+}
+""",
+    "functor": """\
+format 1
+base two chain 2
+category A over two : discrete a b
+category B over two : chain 2
+functor F : A -> B {
+  obj c0 : a=0 b=1
+  obj c1 : a=0 b=1
+}
+""",
+}
+BLOCKS["map"] = BLOCKS["presheaf"] + """\
+map m : X -> X {
+  at c0 : p=p q=q
+  at c1 : x=x
+}
+"""
+BLOCKS["nat"] = BLOCKS["functor"] + """\
+functor G : A -> B {
+  obj c0 : a=1 b=1
+  obj c1 : a=1 b=1
+}
+nat t : F => G {
+  at c0 : a=0->1
+  at c1 : a=0->1
+}
+"""
+
+
+@pytest.mark.parametrize("kind, old, new, where, message", [
+    ("category", "  src c1 : ix=x\n", "  src c1 : ix=x\n  src c1 : ix=x\n",
+     (12, 7), "duplicate src line for 'c1'"),
+    ("category", "src c1", "src c9", (11, 7), "unknown stage 'c9'"),
+    ("category", "src c0 : ip=p iq=q", "src c0 : ip=p iz=q",
+     (8, 17), "unknown element 'iz' in src line"),
+    ("category", "src c0 : ip=p iq=q", "src c0 : ip=p iq=z",
+     (8, 17), "unknown value 'z' in src line"),
+    ("category", "src c0 : ip=p iq=q", "src c0 : ip=p",
+     (8, 12), "src line does not cover 'iq'"),
+    ("presheaf", "  at c1 : x\n", "  at c1 : x\n  at c1 : y\n",
+     (6, 6), "duplicate at line for 'c1'"),
+    ("presheaf", "at c1", "at c7", (5, 6), "unknown stage 'c7'"),
+    ("presheaf", "x=p", "z=p", (6, 15), "unknown element 'z' in act line"),
+    ("presheaf", "x=p", "x=z", (6, 15), "unknown value 'z' in act line"),
+    ("presheaf", "at c1 : x", "at c1 : x y", (6, 15), "act line does not cover 'y'"),
+    ("map", "  at c0 : p=p q=q\n", "  at c0 : p=p q=q\n  at c0 : p=q q=q\n",
+     (10, 6), "duplicate at line for 'c0'"),
+    ("map", "at c1 : x=x", "at c9 : x=x", (10, 6), "unknown stage 'c9'"),
+    ("map", "p=p q=q", "p=p z=q", (9, 15), "unknown element 'z' in at line"),
+    ("map", "p=p q=q", "p=p q=z", (9, 15), "unknown value 'z' in at line"),
+    ("map", "p=p q=q", "p=p", (9, 11), "at line does not cover 'q'"),
+    ("functor", "  obj c1 : a=0 b=1\n", "  obj c1 : a=0 b=1\n  obj c1 : a=0 b=1\n",
+     (8, 7), "duplicate obj line for 'c1'"),
+    ("functor", "obj c1", "obj c5", (7, 7), "unknown stage 'c5'"),
+    ("functor", "obj c0 : a=0 b=1", "obj c0 : a=0 z=1",
+     (6, 16), "unknown element 'z' in obj line"),
+    ("functor", "obj c0 : a=0 b=1", "obj c0 : a=0 b=7",
+     (6, 16), "unknown value '7' in obj line"),
+    ("functor", "obj c0 : a=0 b=1", "obj c0 : a=0",
+     (6, 12), "obj line does not cover 'b'"),
+    ("nat", "  at c1 : a=0->1\n", "  at c1 : a=0->1\n  at c1 : a=0->1\n",
+     (16, 6), "duplicate at line for 'c1'"),
+    ("nat", "at c1", "at c3", (15, 6), "unknown stage 'c3'"),
+    ("nat", "at c0 : a=0->1", "at c0 : z=0->1",
+     (14, 11), "unknown element 'z' in at line"),
+    ("nat", "at c0 : a=0->1", "at c0 : a=zz", (14, 11), "unknown arrow 'zz'"),
+    ("nat", "a=1 b=1", "a=1 b=0", (13, 1),
+     "component at 'b' ('c0') is not determined; add an at line"),
+], ids=[f"{kind}-{error}" for kind in ("category", "presheaf", "map", "functor", "nat")
+        for error in ("duplicate", "unknown-stage", "unknown-key", "unknown-value",
+                      "uncovered")])
+def test_stage_row_errors_are_shared_by_every_block(kind, old, new, where, message):
+    text = BLOCKS[kind]
+    assert old in text
+    parse_document(text)
+    err = located(text.replace(old, new))
+    assert ((err.line, err.col), err.message) == (where, message)
+
+
+def test_arrow_row_refuses_two_spellings_of_one_arrow():
+    text = """\
+format 1
+base f finset
+category K over f {
+  obj pt : p q
+  arr pt : ip iq u
+  src pt : ip=p iq=q u=p
+  tgt pt : ip=p iq=q u=q
+  id pt : p=ip q=iq
+}
+functor F : K -> K {
+  obj pt : p=p q=q
+  arr pt : u=u
+}
+"""
+    parse_document(text)
+    err = located(text.replace("u=u", "u=u p->q=u"))
+    assert (err.line, err.col, err.message) == (12, 16, "duplicate entry for 'u'")
+
+
 def test_map_naturality_checked_at_parse():
     bad = """\
 format 1
@@ -309,3 +474,52 @@ def test_random_poset_documents_round_trip(pairs, n):
     out = emit_document(doc)
     assert parse_document(out) == doc
     assert emit_document(parse_document(out)) == out
+
+
+@st.composite
+def staged_documents(draw):
+    """A presheaf with a natural map out of it, and a monotone functor
+    between chains, with some arrows named explicitly, over ``finset`` or
+    ``chain 2``."""
+    stages = draw(st.sampled_from([("pt",), ("c0", "c1")]))
+    labels = st.lists(st.sampled_from("pqrs"), min_size=1, max_size=3, unique=True)
+    xs = {c: draw(labels) for c in stages}
+    ys = draw(labels)
+    lines = ["format 1", f"base b {'finset' if len(stages) == 1 else 'chain 2'}"]
+    lines += ["presheaf X over b {"] + [f"  at {c} : {' '.join(xs[c])}" for c in stages]
+    act = {x: draw(st.sampled_from(xs["c0"])) for x in xs.get("c1", ())}
+    if act:
+        lines.append("  act c0<c1 : " + " ".join(f"{x}={y}" for x, y in act.items()))
+    lines += ["}", "presheaf Y over b {"]
+    lines += [f"  at {c} : {' '.join(ys)}" for c in stages]
+    if act:
+        lines.append("  act c0<c1 : " + " ".join(f"{y}={y}" for y in ys))
+    # Y acts by identities, so the map is natural once c1 follows c0
+    m = {x: draw(st.sampled_from(ys)) for x in xs[stages[0]]}
+    rows = {stages[0]: m, **({"c1": {x: m[act[x]] for x in act}} if act else {})}
+    lines += ["}", "map m : X -> Y {"]
+    lines += [f"  at {c} : " + " ".join(f"{x}={y}" for x, y in rows[c].items())
+              for c in stages]
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    f = sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
+    named = draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+                          .map(sorted), max_size=2, unique_by=tuple))
+    lines += ["}", f"category A over b : chain {k}", f"category B over b : chain {n}",
+              "functor F : A -> B {"]
+    for c in stages:
+        lines.append(f"  obj {c} : " + " ".join(f"{i}={v}" for i, v in enumerate(f)))
+        if named:
+            lines.append(f"  arr {c} : " + " ".join(
+                f"{i}->{j}={f[i]}->{f[j]}" for i, j in named))
+    return "\n".join(lines + ["}", "task validate m", "task validate F"]) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(staged_documents())
+def test_random_staged_documents_round_trip(text):
+    doc = parse_document(text)
+    out = emit_document(doc)
+    again = parse_document(out)
+    assert again == doc
+    assert again.env == doc.env
+    assert emit_document(again) == out
