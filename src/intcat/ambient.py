@@ -57,12 +57,6 @@ class IndexCategory:
             self._cache[key] = tuple(u for u in self.arrows if self.tgt[u] == c)
         return self._cache[key]
 
-    def arrows_from(self, c) -> tuple:
-        key = ("from", c)
-        if key not in self._cache:
-            self._cache[key] = tuple(u for u in self.arrows if self.src[u] == c)
-        return self._cache[key]
-
     def comp(self, g, f):
         return self.compose[(g, f)]
 

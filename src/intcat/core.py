@@ -28,7 +28,8 @@ class InternalCategory:
     """A category object: six arrows of the ambient category.
 
     ``tables()`` returns the pullback of composable pairs and the
-    composition on it; it runs once, when either is first read.
+    composition on it; it runs once, when either is first read. The
+    endpoint index ``arrows_by_ends`` is also built on first read and kept.
     """
 
     _FIELDS = ("obj", "arr", "source", "target", "identity", "pairs", "compose")
@@ -43,6 +44,7 @@ class InternalCategory:
         self.identity = identity
         self._tables = tables       # None once built
         self._pairs = self._compose = None
+        self._ends = None           # built by arrows_by_ends
 
     def _build(self):
         self._pairs, self._compose = self._tables()
@@ -445,15 +447,18 @@ def points_of_cat(a: InternalCategory) -> IndexCategory:
 
 def arrows_by_ends(b: InternalCategory) -> dict:
     """Per stage, the arrow elements of ``b`` grouped by (source, target),
-    each group in carrier order."""
-    out = {}
-    for c in b.base.objects:
-        s, t = b.source.components[c], b.target.components[c]
-        groups: dict = {}
-        for k in b.arr.at(c):
-            groups.setdefault((s[k], t[k]), []).append(k)
-        out[c] = {ends: tuple(ks) for ends, ks in groups.items()}
-    return out
+    each group in carrier order; built once per object, shared, not to be
+    mutated."""
+    if b._ends is None:
+        out = {}
+        for c in b.base.objects:
+            s, t = b.source.components[c], b.target.components[c]
+            groups: dict = {}
+            for k in b.arr.at(c):
+                groups.setdefault((s[k], t[k]), []).append(k)
+            out[c] = {ends: tuple(ks) for ends, ks in groups.items()}
+        b._ends = out
+    return b._ends
 
 
 def enumerate_functors(a: InternalCategory, b: InternalCategory) -> list:

@@ -305,14 +305,17 @@ class _Parser:
             _fail(line, toks[2][1], f"unknown base kind {kind!r}")
         self._declare(line, toks, built)
 
-    def _over_base(self, toks, line, at):
-        if len(toks) <= at + 1 or toks[at][0] != "over":
-            _fail(line, toks[min(at, len(toks) - 1)][1], "expected 'over <base>'")
-        return self._get("bases", toks[at + 1][0], line, toks[at + 1][1], "base")
+    def _named_over_base(self, line, toks):
+        """``<kind> <name> over <base> ...``: the checked name and the base."""
+        if len(toks) < 2:
+            _fail(line, toks[0][1], f"expected: {toks[0][0]} <name> over <base> ...")
+        name = _check_name(toks[1][0], line, toks[1][1])
+        if len(toks) < 4 or toks[2][0] != "over":
+            _fail(line, toks[min(2, len(toks) - 1)][1], "expected 'over <base>'")
+        return name, self._get("bases", toks[3][0], line, toks[3][1], "base")
 
     def _parse_lattice(self, line, toks):
-        _check_name(toks[1][0], line, toks[1][1])
-        base = self._over_base(toks, line, 2)
+        _, base = self._named_over_base(line, toks)
         if len(toks) < 5 or toks[4][0] != ":":
             _fail(line, toks[-1][1], "expected ':' then elements / order pairs")
         rest = toks[5:]
@@ -356,8 +359,7 @@ class _Parser:
         self._declare(line, toks, from_finite_category(base, ix))
 
     def _parse_category(self, line, toks):
-        name = _check_name(toks[1][0], line, toks[1][1])
-        base = self._over_base(toks, line, 2)
+        name, base = self._named_over_base(line, toks)
         if toks[-1][0] == "{":
             body = self._block(line)
             self._declare(line, toks, self._category_block(name, base, body, line),
@@ -462,13 +464,18 @@ class _Parser:
         return rows[kw][c]
 
     def _carriers(self, rows, kw, base, line):
-        """Per stage, the labels of its ``kw`` row, each row within the
-        size bound."""
+        """Per stage, the distinct labels of its ``kw`` row, each row within
+        the size bound."""
         out = {}
         for c in base.objects:
             row_line, toks = self._row(rows, kw, c, line)
             self._bound((len(toks),), row_line)
-            out[c] = tuple(_check_label(t, row_line, col) for t, col in toks)
+            seen = set()
+            for t, col in toks:
+                if t in seen:
+                    _fail(row_line, col, f"duplicate label {t!r} in {kw} line")
+                seen.add(_check_label(t, row_line, col))
+            out[c] = tuple(t for t, _ in toks)
         return out
 
     def _entries(self, row_line, toks):
@@ -620,8 +627,7 @@ class _Parser:
             PresheafMap(obj, arr, id_t), lambda c, g, f: comp_t[c][(g, f)])
 
     def _parse_presheaf(self, line, toks):
-        name = _check_name(toks[1][0], line, toks[1][1])
-        base = self._over_base(toks, line, 2)
+        name, base = self._named_over_base(line, toks)
         if toks[-1][0] != "{":
             _fail(line, toks[-1][1], "expected a block")
         body = self._block(line)

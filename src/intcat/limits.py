@@ -18,8 +18,10 @@ arrow data; ``core.category_from_tables`` assembles the rest.
 
 Universality is decided internally: a candidate is terminal when the
 object of arrows into it projects isomorphically onto the objects-object.
-That single condition is stable under every change of stage, so certified
-limits transport along reindexings; ``transport_certificate`` performs the
+It holds exactly when each fiber is a singleton at every stage, which the
+one test reads from the endpoint index ``core.arrows_by_ends``. That single
+condition is stable under every change of stage, so certified limits
+transport along reindexings; ``transport_certificate`` performs the
 transport and re-certifies from scratch. Failures are returned as
 ``Refusal`` values naming the stage and element that obstruct.
 """
@@ -33,8 +35,7 @@ from .labels import fam_dict
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, PreconditionError,
     elements_category, enumerate_maps, family_at_identity, family_solver,
-    inverse, point_label, point_of, pullback, shift_family, stage_family,
-    terminal,
+    inverse, point_of, shift_family, stage_family, terminal,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
@@ -199,6 +200,17 @@ class ConesCategory:
                 stage_family(base, c, dg.source_cat.obj,
                              lambda u, x: legs[base.src[u]][x]))
             for c in base.objects})
+
+    def certify(self, p: PresheafMap):
+        """The limit (for cocones, colimit) certificate of the point ``p``,
+        or the refusal of its terminality (initiality) test."""
+        dual = self.kind == "cocones"
+        res = _internal_universal(self.cat, p, dual)
+        if isinstance(res, Refusal):
+            return res
+        return UniversalCertificate("colimit" if dual else "limit", self.cat, p,
+                                    res.unique_arrow, self.decode_point(p),
+                                    self.diagram, self)
 
 
 def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:
@@ -413,40 +425,45 @@ class UniversalCertificate:
         return self.point.components[c]["*"]
 
 
-def _check_point(a: InternalCategory, v: PresheafMap):
+def _obstruction(a: InternalCategory, c, o, dual: bool):
+    """The first object at stage ``c`` with other than one arrow into ``o``
+    (out of ``o`` when dual) and that count, read from the endpoint index."""
+    ends = arrows_by_ends(a)[c]
+    for x in a.obj.at(c):
+        n = len(ends.get((o, x) if dual else (x, o), ()))
+        if n != 1:
+            return x, n
+    return None
+
+
+def _internal_universal(a: InternalCategory, v: PresheafMap, dual: bool):
     if v.source != terminal(a.base) or v.target != a.obj:
         raise PreconditionError("candidate is not a point of the objects-object")
     errs = v.validate()
     if errs:
         raise PreconditionError(f"candidate point is not natural: {errs}")
-
-
-def _internal_universal(a: InternalCategory, v: PresheafMap, dual: bool):
-    _check_point(a, v)
     at_v, far = (a.source, a.target) if dual else (a.target, a.source)
-    harr = pullback(at_v, v).legs[0]
-    inv = inverse(harr.then(far))
-    if inv is None:
-        by_ends = arrows_by_ends(a)
-        for c in a.base.objects:
-            vc = v.components[c]["*"]
-            for x in a.obj.at(c):
-                n = len(by_ends[c].get((vc, x) if dual else (x, vc), ()))
-                if n != 1:
-                    return Refusal("not_initial" if dual else "not_terminal",
-                                   {"stage": c, "element": x, "count": n})
-        raise CertificateError("projection not invertible yet all fibers are singletons")
+    unique = {}
+    for c in a.base.objects:
+        vc = v.components[c]["*"]
+        bad = _obstruction(a, c, vc, dual)
+        if bad is not None:
+            return Refusal("not_initial" if dual else "not_terminal",
+                           {"stage": c, "element": bad[0], "count": bad[1]})
+        at, to = at_v.components[c], far.components[c]
+        unique[c] = {to[h]: h for h in a.arr.at(c) if at[h] == vc}
     return UniversalCertificate("initial" if dual else "terminal", a, v,
-                                inv.then(harr))
+                                PresheafMap(a.obj, a.arr, unique))
 
 
 def is_internal_terminal(a: InternalCategory, v: PresheafMap):
     """Certify that the point ``v`` is terminal inside the category object.
 
     The object of arrows into ``v`` must project isomorphically onto the
-    objects-object via the source map; the certificate carries the induced
-    unique-arrow map. Refusal names the stage and element whose fiber of
-    incoming arrows is not a singleton.
+    objects-object via the source map, which holds exactly when each fiber is
+    a singleton at every stage, read from the endpoint index; the
+    certificate carries the induced unique-arrow map. Refusal names the first
+    stage and element whose fiber of incoming arrows is not a singleton.
     """
     return _internal_universal(a, v, dual=False)
 
@@ -468,52 +485,31 @@ def _universal(dg: InternalFunctor, dual: bool,
     # each stage down to its stage-terminal (or stage-initial) elements
     # before enumerating candidate points. Without this the candidate
     # space is a product over stages.
-    empty_stages, blocked_stages = [], []
-    stage_good = {}
+    empty_stages, blocked_stages, stage_good = [], [], {}
     for c in base.objects:
         objs = cat.obj.at(c)
+        bad = {o: _obstruction(cat, c, o, dual) for o in objs}
+        stage_good[c] = tuple(o for o in objs if bad[o] is None)
         if not objs:
             empty_stages.append(c)
-            stage_good[c] = ()
-            continue
-        counts = {}
-        for t in cat.arr.at(c):
-            pair = (t[1], t[0]) if dual else (t[0], t[1])
-            counts[pair] = counts.get(pair, 0) + 1
-        good, obstructions = [], []
-        for o in objs:
-            bad = next(((o2, counts.get((o2, o), 0)) for o2 in objs
-                        if counts.get((o2, o), 0) != 1), None)
-            if bad is None:
-                good.append(o)
-            else:
-                obstructions.append({"candidate": o, "element": bad[0],
-                                     "count": bad[1]})
-        stage_good[c] = tuple(good)
-        if not good:
-            blocked_stages.append({"stage": c, "obstructions": obstructions})
+        elif not stage_good[c]:
+            blocked_stages.append({"stage": c, "obstructions": [
+                {"candidate": o, "element": x, "count": n}
+                for o, (x, n) in bad.items()]})
 
-    refusal_kind = "no_universal_cocone" if dual else "no_universal_cone"
-    if empty_stages or blocked_stages:
-        return Refusal(refusal_kind,
+    # A point through stage-universal elements passes the internal test,
+    # which reads the same counts, so the first candidate is the answer.
+    cands = [] if empty_stages or blocked_stages else enumerate_maps(
+        terminal(base), cat.obj, allowed=lambda c, e: stage_good[c])
+    if not cands:
+        return Refusal("no_universal_cocone" if dual else "no_universal_cone",
                        {"candidates": 0, "failures": [],
                         "empty_stages": empty_stages,
                         "blocked_stages": blocked_stages})
-
-    cands = enumerate_maps(terminal(base), cat.obj,
-                           allowed=lambda c, e: stage_good[c])
-    decide = is_internal_initial if dual else is_internal_terminal
-    failures = []
-    for p in cands:
-        res = decide(cat, p)
-        if isinstance(res, UniversalCertificate):
-            return UniversalCertificate(
-                "colimit" if dual else "limit", cat, p, res.unique_arrow,
-                cns.decode_point(p), dg, cns)
-        failures.append({"point": point_label(p), **res.details})
-    return Refusal(refusal_kind,
-                   {"candidates": len(cands), "failures": failures,
-                    "empty_stages": [], "blocked_stages": []})
+    res = cns.certify(cands[0])
+    if isinstance(res, Refusal):
+        raise CertificateError(f"stage-universal point is refused: {res}")
+    return res
 
 
 def universal_cone(dg, cns: Optional[ConesCategory] = None):
@@ -630,13 +626,7 @@ def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
         dg2 = reindex_diagram(q, cert.diagram)
     if cns2 is None:
         cns2 = cocones_category(dg2) if dual else cones_category(dg2)
-    p2 = transport_cone_point(cert, q, cns2)
-    decide = is_internal_initial if dual else is_internal_terminal
-    res = decide(cns2.cat, p2)
-    if isinstance(res, Refusal):
-        return res
-    return UniversalCertificate(cert.kind, cns2.cat, p2, res.unique_arrow,
-                                cns2.decode_point(p2), dg2, cns2)
+    return cns2.certify(transport_cone_point(cert, q, cns2))
 
 
 # ---------------------------------------------------------------------------
@@ -967,8 +957,7 @@ def special_right_adjoint(a: InternalCategory, kind: str,
         details = dict(err.refusal.details)
         witness = None
         stages = details.get("empty_stages") or \
-            [b["stage"] for b in details.get("blocked_stages", [])] or \
-            [f.get("stage") for f in details.get("failures", []) if f.get("stage")]
+            [b["stage"] for b in details.get("blocked_stages", [])]
         if stages:
             witness = _decode_special_stage(a, kind, shape, stages[0])
         return Refusal("no_right_adjoint",

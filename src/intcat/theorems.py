@@ -255,11 +255,9 @@ def cocones_limit_transport(dg, dprime, provider: Optional[Callable] = None,
                           dprime_f.on_obj(base.src[u], w), t[(u, w)])))
 
     p_point = point_of(cns2.cat.obj, {c: lifted(c) for c in base.objects})
-    res = is_internal_terminal(cns2.cat, p_point)
-    if not isinstance(res, UniversalCertificate):
-        raise CertificateError(f"lifted limit is not terminal: {res}")
-    cert = UniversalCertificate("limit", cns2.cat, p_point, res.unique_arrow,
-                                cns2.decode_point(p_point), dprime_f, cns2)
+    cert = cns2.certify(p_point)
+    if isinstance(cert, Refusal):
+        raise CertificateError(f"lifted limit is not terminal: {cert}")
     return TransportedLimit(cert, cocone_l, cns2, cc, lambdas)
 
 
@@ -285,14 +283,14 @@ def colimit_via_duality(dg, provider: Optional[Callable] = None) -> ColimitResul
                                  cocones=cc)
     iv = initial_via_identity_limit(cc.cat,
                                     identity_certificate=tr.certificate)
-    cert = UniversalCertificate("colimit", cc.cat, iv.point,
-                                iv.initial_certificate.unique_arrow,
-                                cc.decode_point(iv.point), dg, cc)
+    cert = cc.certify(iv.point)
+    if isinstance(cert, Refusal):
+        raise CertificateError(f"initial cocone is not initial: {cert}")
     direct = universal_cocone(dg, cns=cc)
     if not isinstance(direct, UniversalCertificate):
         raise CertificateError(f"direct search finds no colimit: {direct}")
     iso = connecting_iso(cert, direct)
-    return ColimitResult(cert, cc.decode_point(iv.point), tr, direct, iso)
+    return ColimitResult(cert, cert.candidate, tr, direct, iso)
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,7 @@ def test_criterion_5_limit_functor_adjunction_and_binary_values():
                "binary values are gcd and intersection")
 
 
+@pytest.mark.slow
 def test_criterion_6_adjoint_construction_exhaustive_with_oracle():
     start = time.perf_counter()
     lats = all_lattices(6)

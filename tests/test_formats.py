@@ -147,6 +147,13 @@ def test_error_unclosed_block():
     assert "never closed" in err.message
 
 
+@pytest.mark.parametrize("kind", ["lattice", "category", "presheaf"])
+def test_declaration_of_only_its_keyword_is_located(kind):
+    err = located(f"format 1\nbase f finset\n  {kind}\n")
+    assert (err.line, err.col, err.message) == \
+        (3, 3, f"expected: {kind} <name> over <base> ...")
+
+
 def test_error_wrong_format_line():
     err = located("format 2\n")
     assert err.line == 1
@@ -322,9 +329,16 @@ nat t : F => G {
     ("nat", "at c0 : a=0->1", "at c0 : a=zz", (14, 11), "unknown arrow 'zz'"),
     ("nat", "a=1 b=1", "a=1 b=0", (13, 1),
      "component at 'b' ('c0') is not determined; add an at line"),
+    ("category", "obj c0 : p q", "obj c0 : p q p",
+     (4, 16), "duplicate label 'p' in obj line"),
+    ("category", "arr c1 : ix", "arr c1 : ix ix",
+     (7, 15), "duplicate label 'ix' in arr line"),
+    ("presheaf", "at c0 : p q", "at c0 : p q q",
+     (4, 15), "duplicate label 'q' in at line"),
 ], ids=[f"{kind}-{error}" for kind in ("category", "presheaf", "map", "functor", "nat")
         for error in ("duplicate", "unknown-stage", "unknown-key", "unknown-value",
-                      "uncovered")])
+                      "uncovered")]
+    + ["category-repeated-object", "category-repeated-arrow", "presheaf-repeated-label"])
 def test_stage_row_errors_are_shared_by_every_block(kind, old, new, where, message):
     text = BLOCKS[kind]
     assert old in text

@@ -6,10 +6,10 @@ import pytest
 
 from intcat.ambient import (
     IndexCategory, PreconditionError, Presheaf, PresheafMap,
-    elements_category, points, pullback, representable,
+    elements_category, inverse, points, pullback, representable,
 )
 from intcat.core import (
-    InternalFunctor, compose_functors, discrete, enumerate_functors,
+    InternalFunctor, arrows_by_ends, compose_functors, discrete, enumerate_functors,
     enumerate_nats, from_finite_category, identity_functor, identity_nat,
     initial_cat, opposite, terminal_cat, validate_internal_category,
 )
@@ -18,14 +18,15 @@ from intcat.labels import fam_dict
 from intcat.limits import (
     Cocone, Cone, Refusal, UniversalCertificate, cocones_category,
     comma_category, cones_category, connecting_iso,
-    indexed_cone_factorization, limit_functor,
+    indexed_cone_factorization, is_internal_initial, is_internal_terminal,
+    limit_functor,
     parallel_arrows_category, reindex_diagram, shape_parallel_pair, shape_two,
     special_right_adjoint, transport_certificate, universal_cocone,
     universal_cone,
 )
 from intcat.fixtures import (
-    chain_cat, discrete_cat, divisor_lattice, incomparable_pair, poset_cat,
-    staged_chain3, walking_parallel_pair,
+    chain_cat, corpus, discrete_cat, divisor_lattice, incomparable_pair,
+    poset_cat, staged_chain3, walking_parallel_pair,
 )
 
 FIN = IndexCategory.finset()
@@ -97,6 +98,45 @@ def test_refusal_for_incomparable_pair():
     res = universal_cone(diagram_two(p, "a", "b"))
     assert isinstance(res, Refusal)
     assert res.details["candidates"] == 0 or res.details["failures"]
+
+
+def paper_universality(a, v, dual):
+    """The paper's internal terminality, rebuilt from the pullback of the
+    arrows into ``v`` (out of ``v`` when dual): the unique-arrow map when its
+    projection onto the objects-object is invertible, else the first stage
+    and element whose fiber is not a singleton, with the fiber's size."""
+    at_v, far = (a.source, a.target) if dual else (a.target, a.source)
+    into = pullback(at_v, v).legs[0]
+    inv = inverse(into.then(far))
+    if inv is not None:
+        return inv.then(into)
+    for c in a.base.objects:
+        fibers = [far.components[c][h] for h in into.components[c].values()]
+        for x in a.obj.at(c):
+            if fibers.count(x) != 1:
+                return {"stage": c, "element": x, "count": fibers.count(x)}
+    raise AssertionError("projection not invertible yet every fiber is a singleton")
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["terminal", "initial"])
+def test_universality_agrees_with_the_paper_formulation(dual):
+    decide = is_internal_initial if dual else is_internal_terminal
+    kind = "not_initial" if dual else "not_terminal"
+    counts, staged = set(), set()
+    for name, a in corpus():
+        for v in points(a.obj):
+            want, got = paper_universality(a, v, dual), decide(a, v)
+            if isinstance(want, PresheafMap):
+                assert isinstance(got, UniversalCertificate), (name, got)
+                assert got.unique_arrow == want, name
+                assert repr(got.unique_arrow) == repr(want), name
+            else:
+                assert got == Refusal(kind, want), name
+                counts.add(min(want["count"], 2))
+            if len(a.base.objects) > 1:
+                staged.add(isinstance(got, Refusal))
+    assert counts == {0, 2}
+    assert staged == {False, True}
 
 
 def test_mediator_uniqueness_from_certificate():
@@ -202,6 +242,15 @@ def test_tables_built_on_first_read_are_the_eager_ones(name):
                  for (g, f) in eager.apex.at(c)}
              for c in cat.base.objects}
     assert cat.compose == PresheafMap(eager.apex, cat.arr, comps)
+    ends = arrows_by_ends(cat)
+    assert arrows_by_ends(cat) is ends
+    fresh = {}
+    for c in cat.base.objects:
+        for k in cat.arr.at(c):
+            fresh.setdefault(c, {}).setdefault(
+                (cat.s_at(c, k), cat.t_at(c, k)), []).append(k)
+    assert ends == {c: {e: tuple(ks) for e, ks in fresh.get(c, {}).items()}
+                    for c in cat.base.objects}
 
 
 def name_functor(e, dg):

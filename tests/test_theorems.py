@@ -1,10 +1,11 @@
 """Executable theorems: completeness, duality, continuity, adjoints."""
 
+import sys
 from math import gcd
 
 import pytest
 
-import intcat.core as core
+import intcat.ambient as ambient
 from intcat.ambient import IndexCategory, Presheaf, PresheafMap
 from intcat.core import (
     InternalFunctor, adjunction_check, arrows_by_ends, compose_functors,
@@ -179,19 +180,24 @@ def test_aft_trace_embeds_the_source_into_the_comma():
 
 def test_aft_builds_no_composition_it_does_not_read(monkeypatch):
     # universality reads arrows, source and target only: the cone and comma
-    # categories inside the construction never build their composable pairs
+    # categories inside the construction never build their composable pairs,
+    # and deciding universality builds no pullback at all
     d12, d18 = divisor_lattice(12), divisor_lattice(18)
     assert d12.validate() == [] and d18.validate() == []    # their own tables
     swap = {"1": "1", "2": "3", "3": "2", "4": "9", "6": "6", "12": "18"}
     iso = monotone(d12, d18, swap.get)
     built = []
-    real = core.pullback
+    real = ambient.pullback
 
     def counted(source, target):
         built.append(source)
         return real(source, target)
 
-    monkeypatch.setattr(core, "pullback", counted)
+    bindings = [m for name, m in sys.modules.items()
+                if name.split(".")[0] == "intcat" and getattr(m, "pullback", None) is real]
+    assert ambient in bindings
+    for module in bindings:
+        monkeypatch.setattr(module, "pullback", counted)
     adj = aft_left_adjoint(iso)
     assert adj.left.f0.components["pt"] == {y: x for x, y in swap.items()}
     assert built == []
