@@ -9,15 +9,16 @@ theorem engines that produce checkable certificates or concrete refusals.
 
 __version__ = "0.1.0"
 
-from .labels import fam, fam_dict, sort_key
+from .labels import fam_dict, sort_key
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, LimitCone,
     PreconditionError, coproduct, elements_category, enumerate_maps,
     equalizer, evaluation_map, exponential, curry, uncurry,
-    family_at_identity, family_solver, family_space, initial, inverse,
-    is_iso, point_label, point_of, points, product, pullback, representable,
-    restrict, restrict_map, restrict_pullback, shift_family, stage_family,
-    subpresheaf, terminal, unique_from_initial, unique_to_terminal,
+    family_at_identity, family_keys, family_solver, family_space, initial,
+    inverse, is_iso, point_label, point_of, points, product, pullback,
+    representable, restrict, restrict_map, restrict_pullback, shift_family,
+    stage_family, subpresheaf, terminal, unique_from_initial,
+    unique_to_terminal,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,

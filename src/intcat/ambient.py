@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .labels import fam, fam_dict, fam_in_order, sort_key
+from .labels import fam_dict, fam_in_order, sort_key
 
 
 class PreconditionError(ValueError):
@@ -52,10 +52,15 @@ class IndexCategory:
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def arrows_into(self, c) -> tuple:
-        key = ("into", c)
-        if key not in self._cache:
-            self._cache[key] = tuple(u for u in self.arrows if self.tgt[u] == c)
-        return self._cache[key]
+        """The arrows with target ``c``, in arrow order; the whole by-target
+        index is built in one pass on first call and kept."""
+        into = self._cache.get("into")
+        if into is None:
+            groups: dict = {}
+            for u in self.arrows:
+                groups.setdefault(self.tgt[u], []).append(u)
+            into = self._cache["into"] = {o: tuple(us) for o, us in groups.items()}
+        return into.get(c, ())
 
     def comp(self, g, f):
         return self.compose[(g, f)]
@@ -210,6 +215,7 @@ class Presheaf:
     base: IndexCategory
     carrier: dict           # index object -> tuple of element labels
     action: dict            # index arrow u -> {element at tgt u -> element at src u}
+    _keys: dict = field(default_factory=dict, compare=False, repr=False)  # by family_keys
 
     def at(self, c) -> tuple:
         return self.carrier[c]
@@ -552,7 +558,7 @@ def family_solver(base, c, dom: Presheaf, cod: Presheaf) -> Callable:
             keys.append((u, e))
             edges[(u, e)] = [((base.comp(u, v), dom.action[v][e]), cod.action[v])
                              for v in below] if below else ()
-    order = sorted(keys, key=sort_key)
+    order = family_keys(base, c, dom)
 
     def every(u, e):
         return cod.at(base.src[u])
@@ -576,16 +582,30 @@ def family_space(base, c, dom: Presheaf, cod: Presheaf,
     return family_solver(base, c, dom, cod)(allowed, check)
 
 
+def family_keys(base: IndexCategory, c, dom: Presheaf) -> tuple:
+    """The keys ``(u, x)`` of a family at stage ``c``, ``u`` an arrow into c
+    and ``x`` an element of ``dom`` at the source of u, in canonical
+    ``sort_key`` order. Built on first read and kept on ``dom`` when ``dom``
+    lives over ``base`` itself; shared, not to be mutated."""
+    own = dom.base is base
+    keys = dom._keys.get(c) if own else None
+    if keys is None:
+        keys = tuple(sorted(((u, x) for u in base.arrows_into(c)
+                             for x in dom.at(base.src[u])), key=sort_key))
+        if own:
+            dom._keys[c] = keys
+    return keys
+
+
 def stage_family(base: IndexCategory, c, dom: Presheaf, value: Callable) -> tuple:
     """The family at stage ``c`` with ``value(u, x)`` at each key ``(u, x)``:
     ``u`` an arrow into c and ``x`` an element of ``dom`` at the source of u.
 
     This is the engine's one encoding of a generalized element at stage c;
-    ``fam`` sorts the entries, so the label does not depend on the order in
-    which the keys are visited.
+    the entries come in the canonical key order of ``family_keys``, so the
+    label does not depend on the order in which the keys are visited.
     """
-    return fam(((u, x), value(u, x))
-               for u in base.arrows_into(c) for x in dom.at(base.src[u]))
+    return fam_in_order((k, value(*k)) for k in family_keys(base, c, dom))
 
 
 def shift_family(base: IndexCategory, w, dom: Presheaf, label) -> tuple:
@@ -746,11 +766,14 @@ def elements_category(i: Presheaf):
     tgt = {(u, j): (base.tgt[u], j) for (u, j) in arrows}
     identity = {(c, e): (base.identity[c], e) for (c, e) in objects}
     compose = {}
-    for (v, k) in arrows:
-        for (u, j) in arrows:
-            if src[(v, k)] == tgt[(u, j)]:
-                compose[((v, k), (u, j))] = (base.comp(v, u), k)
     site = IndexCategory(objects, arrows, src, tgt, identity, compose)
+    # Each arrow composes only with the arrows into its source, read from
+    # the site's own by-target index in arrow order.
+    base_compose = base.compose
+    for g in arrows:
+        v, k = g
+        for f in site.arrows_into(src[g]):
+            compose[(g, f)] = (base_compose[(v, f[0])], k)
     proj = IndexFunctor(site, base,
                         {(c, e): c for (c, e) in objects},
                         {(u, j): u for (u, j) in arrows})

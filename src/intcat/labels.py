@@ -2,10 +2,11 @@
 
 Atoms are strings chosen by the user. Every constructed element is a nested
 tuple: ``(x, y)`` for a pair, ``("inl", x)`` / ``("inr", y)`` for coproduct
-injections, ``("fam", ((key, value), ...))`` for a function family with
-canonically sorted entries, ``("pt", ((index_obj, value), ...))`` for a
-global element. Equality of elements is structural equality of labels, so
-rebuilding a construction from equal inputs yields identical labels.
+injections, ``("fam", ((key, value), ...))`` for a function family with its
+entries in ``sort_key`` order of the keys (``ambient.family_keys`` keeps that
+order per stage), ``("pt", ((index_obj, value), ...))`` for a global element.
+Equality of elements is structural equality of labels, so rebuilding a
+construction from equal inputs yields identical labels.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ def sort_key(label) -> str:
     return repr(label)
 
 
-def fam(items) -> tuple:
-    """Function-family label from (key, value) pairs, entries sorted by key."""
-    return ("fam", tuple(sorted(items, key=lambda kv: sort_key(kv[0]))))
-
-
 def fam_in_order(items) -> tuple:
-    """``fam`` for entries that already come in canonical key order."""
+    """Function-family label from (key, value) pairs that already come in
+    canonical key order."""
     return ("fam", tuple(items))
 
 

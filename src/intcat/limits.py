@@ -204,13 +204,19 @@ class ConesCategory:
     def certify(self, p: PresheafMap):
         """The limit (for cocones, colimit) certificate of the point ``p``,
         or the refusal of its terminality (initiality) test."""
+        res = _internal_universal(self.cat, p, self.kind == "cocones")
+        return res if isinstance(res, Refusal) else self._of_universal(res)
+
+    def _of_universal(self, res: "UniversalCertificate") -> "UniversalCertificate":
+        """The limit (colimit) certificate wrapping a terminality
+        (initiality) certificate of a point of this category."""
         dual = self.kind == "cocones"
-        res = _internal_universal(self.cat, p, dual)
-        if isinstance(res, Refusal):
-            return res
-        return UniversalCertificate("colimit" if dual else "limit", self.cat, p,
-                                    res.unique_arrow, self.decode_point(p),
-                                    self.diagram, self)
+        if res.kind != ("initial" if dual else "terminal") or res.subject is not self.cat:
+            raise CertificateError(
+                f"a {res.kind} certificate does not certify a point of these {self.kind}")
+        return UniversalCertificate("colimit" if dual else "limit", self.cat,
+                                    res.point, res.unique_arrow,
+                                    self.decode_point(res.point), self.diagram, self)
 
 
 def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:

@@ -283,9 +283,7 @@ def colimit_via_duality(dg, provider: Optional[Callable] = None) -> ColimitResul
                                  cocones=cc)
     iv = initial_via_identity_limit(cc.cat,
                                     identity_certificate=tr.certificate)
-    cert = cc.certify(iv.point)
-    if isinstance(cert, Refusal):
-        raise CertificateError(f"initial cocone is not initial: {cert}")
+    cert = cc._of_universal(iv.initial_certificate)
     direct = universal_cocone(dg, cns=cc)
     if not isinstance(direct, UniversalCertificate):
         raise CertificateError(f"direct search finds no colimit: {direct}")

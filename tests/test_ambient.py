@@ -1,14 +1,18 @@
 """Laws of the ambient layer: finite presheaves and their limits."""
 
+from itertools import product as cartesian
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from intcat.ambient import (
-    IndexCategory, Presheaf, PresheafMap, coproduct, curry, enumerate_maps,
-    equalizer, evaluation_map, exponential, family_solver, family_space,
-    initial, inverse, is_iso, points, product, pullback, representable,
-    terminal, uncurry, unique_from_initial, unique_to_terminal,
+    IndexCategory, Presheaf, PresheafMap, coproduct, curry, elements_category,
+    enumerate_maps, equalizer, evaluation_map, exponential, family_keys,
+    family_solver, family_space, initial, inverse, is_iso, points, product,
+    pullback, representable, stage_family, terminal, uncurry,
+    unique_from_initial, unique_to_terminal,
 )
+from intcat.labels import sort_key
 
 FIN = IndexCategory.finset()
 CHAIN2 = IndexCategory.chain(2)
@@ -220,3 +224,121 @@ def test_staged_curry_bijection_property(n0, n1, data):
     lhs = enumerate_maps(product(z, x).apex, y)
     rhs = enumerate_maps(z, exponential(x, y))
     assert len(lhs) == len(rhs)
+
+
+# ---------------------------------------------------------------------------
+# the by-target site index and the canonical key order
+
+
+@st.composite
+def bases(draw):
+    """A chain, or a poset with at most four elements."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    if draw(st.booleans()):
+        return IndexCategory.chain(n)
+    elems = tuple(f"p{i}" for i in range(n))
+    pairs = [(elems[i], elems[j]) for i in range(n) for j in range(i + 1, n)]
+    return IndexCategory.poset(elems, draw(st.lists(st.sampled_from(pairs),
+                                                    max_size=5)) if pairs else [])
+
+
+@st.composite
+def presheaves(draw, base, size=3):
+    """Over a chain, carriers and the restrictions between neighbours are
+    drawn freely and composed; otherwise a coproduct of representables and
+    points."""
+    objs = base.objects
+    if base == IndexCategory.chain(len(objs)):
+        sizes = draw(st.lists(st.integers(0, size), min_size=len(objs),
+                              max_size=len(objs)))
+        for i in range(1, len(objs)):          # nothing restricts to empty
+            sizes[i] = sizes[i] if sizes[i - 1] else 0
+        carrier = {c: tuple(f"x{i}.{k}" for k in range(sizes[i]))
+                   for i, c in enumerate(objs)}
+        down = [{y: draw(st.sampled_from(carrier[objs[i]]))
+                 for y in carrier[objs[i + 1]]} for i in range(len(objs) - 1)]
+        action = {}
+        for u in base.arrows:
+            lo, hi = objs.index(base.src[u]), objs.index(base.tgt[u])
+            act = {}
+            for y in carrier[objs[hi]]:
+                x = y
+                for i in range(hi - 1, lo - 1, -1):
+                    x = down[i][x]
+                act[y] = x
+            action[u] = act
+        return Presheaf(base, carrier, action)
+    x = initial(base)
+    for _ in range(draw(st.integers(1, max(1, size - 1)))):
+        c = draw(st.sampled_from(objs + (None,)))
+        x = coproduct(x, terminal(base) if c is None else representable(base, c))[0]
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases().flatmap(presheaves))
+def test_indexed_site_matches_the_naive_closure(x):
+    assert x.validate() == []
+    site, proj = elements_category(x)
+    assert list(site.compose.items()) == [
+        ((g, f), (x.base.comp(g[0], f[0]), g[1]))
+        for g in site.arrows for f in site.arrows if site.src[g] == site.tgt[f]]
+    for cat in (x.base, site):
+        for o in cat.objects:
+            assert cat.arrows_into(o) == tuple(
+                u for u in cat.arrows if cat.tgt[u] == o)
+    assert proj.validate() == []
+
+
+def sorted_family(base, c, dom, value):
+    """A stage family by sorting its entries, visited by arrow and element."""
+    entries = [((u, x), value(u, x))
+               for u in base.arrows_into(c) for x in dom.at(base.src[u])]
+    return ("fam", tuple(sorted(entries, key=lambda kv: sort_key(kv[0]))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bases().flatmap(presheaves))
+def test_stage_families_keep_the_canonical_key_order(x):
+    base = x.base
+    twin = IndexCategory(base.objects, base.arrows, dict(base.src),
+                         dict(base.tgt), dict(base.identity), dict(base.compose))
+    over_twin = Presheaf(twin, x.carrier, x.action)
+    assert twin == base and twin is not base
+
+    def value(u, e):
+        return (base.src[u], e)
+
+    for c in base.objects:
+        want = sorted_family(base, c, x, value)
+        # a presheaf over an equal but distinct base takes the uncached path
+        assert stage_family(base, c, over_twin, value) == want
+        assert over_twin._keys == {}
+        assert stage_family(base, c, x, value) == want
+        assert family_keys(base, c, x) is family_keys(base, c, x)
+        assert stage_family(base, c, x, value) == want
+
+
+def naive_families(base, c, dom, cod):
+    """Every natural family at stage c, by trying every assignment."""
+    keys = [(u, e) for u in base.arrows_into(c) for e in dom.at(base.src[u])]
+    out = []
+    for values in cartesian(*(cod.at(base.src[u]) for u, _ in keys)):
+        t = dict(zip(keys, values))
+        if all(t[(base.comp(u, v), dom.action[v][e])] == cod.action[v][t[(u, e)]]
+               for u, e in keys for v in base.arrows_into(base.src[u])):
+            out.append(sorted_family(base, c, dom, lambda u, e: t[(u, e)]))
+    return sorted(out, key=sort_key)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bases().flatmap(lambda b: st.tuples(presheaves(b, 2), presheaves(b, 2))))
+def test_family_solver_keeps_the_order_of_sorted_families(pair):
+    dom, cod = pair
+    base = dom.base
+    for c in base.objects:
+        tries = 1
+        for u in base.arrows_into(c):
+            tries *= len(cod.at(base.src[u])) ** len(dom.at(base.src[u]))
+        assume(tries <= 4096)
+        assert family_solver(base, c, dom, cod)() == naive_families(base, c, dom, cod)

@@ -6,12 +6,16 @@ from math import gcd
 import pytest
 
 import intcat.ambient as ambient
+import intcat.limits as limits
 from intcat.ambient import IndexCategory, Presheaf, PresheafMap
 from intcat.core import (
     InternalFunctor, adjunction_check, arrows_by_ends, compose_functors,
     from_finite_category, identity_functor, indiscrete, initial_cat, opposite,
 )
-from intcat.limits import Refusal, RefusalError, cocones_category, shape_parallel_pair, shape_two
+from intcat.limits import (
+    CertificateError, Refusal, RefusalError, cocones_category,
+    shape_parallel_pair, shape_two,
+)
 from intcat.theorems import (
     CompletenessCertificate, aft_left_adjoint, cocones_limit_transport,
     colimit_via_duality, galois_oracle, initial_via_identity_limit,
@@ -136,6 +140,26 @@ def test_colimit_via_duality_agrees_with_direct_search():
     c3 = chain_cat(3)
     assert colimit_via_duality(pair_diagram(c3, "0", "2")) \
         .cocone.vertex.components["pt"]["*"] == "2"
+
+
+def test_colimit_via_duality_decides_its_initiality_once(monkeypatch):
+    # the initial certificate of the identity limit is wrapped into the
+    # colimit certificate; only the direct search decides initiality again
+    dg = pair_diagram(divisor_lattice(12), "4", "6")
+    decided = []
+    real = limits._internal_universal
+
+    def counted(a, v, dual):
+        decided.append(dual)
+        return real(a, v, dual)
+
+    monkeypatch.setattr(limits, "_internal_universal", counted)
+    col = colimit_via_duality(dg)
+    assert decided.count(True) == 2
+    cc = col.certificate.cones
+    assert col.certificate == cc.certify(col.certificate.point)
+    with pytest.raises(CertificateError, match="a colimit certificate does not"):
+        cc._of_universal(col.direct)
 
 
 def test_identity_functor_is_continuous():
