@@ -22,7 +22,7 @@ from .ambient import (
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
-    arrows_by_ends, compose_functors, dis_u_ind_adjunctions, discrete,
+    arrows_at, arrows_by_ends, compose_functors, dis_u_ind_adjunctions, discrete,
     enumerate_functors, enumerate_nats, from_finite_category,
     horizontal_compose, identity_functor, identity_nat, indiscrete,
     initial_cat, make_internal_category, nat_inverse, nat_is_iso, opposite,

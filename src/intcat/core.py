@@ -6,9 +6,11 @@ composable pairs. A composable pair is labeled ``(g, f)`` with the later
 arrow first, i.e. ``source(g) = target(f)`` and ``compose((g, f)) = g after
 f``. The pullback of composable pairs and the composition are built on
 first read and kept, since deciding universality reads only the arrows
-object, source and target. Functors and natural transformations between
-internal categories are presheaf maps subject to the usual equations,
-checked elementwise.
+into (or out of) one object. A category object may also build its arrows
+part on first read, when it can read those arrows without it; cone
+categories do, from their legs, and ``arrows_at`` serves either way.
+Functors and natural transformations between internal categories are
+presheaf maps subject to the usual equations, checked elementwise.
 """
 
 from __future__ import annotations
@@ -27,27 +29,31 @@ from .ambient import (
 class InternalCategory:
     """A category object: six arrows of the ambient category.
 
-    ``tables()`` returns the pullback of composable pairs and the
+    ``tables(cat)`` returns the pullback of composable pairs and the
     composition on it; it runs once, when either is first read. The
     endpoint index ``arrows_by_ends`` is also built on first read and kept.
+    ``fibres``, when given, is ``(dual, read)``: ``read(c, o)`` gives the
+    arrows into ``o`` at stage ``c`` (out of ``o`` when ``dual``) without
+    reading the arrows object; ``arrows_at`` serves it.
     """
 
     _FIELDS = ("obj", "arr", "source", "target", "identity", "pairs", "compose")
 
     def __init__(self, obj: Presheaf, arr: Presheaf, source: PresheafMap,
                  target: PresheafMap, identity: PresheafMap,
-                 tables: Callable[[], tuple]):
+                 tables: Callable[["InternalCategory"], tuple],
+                 fibres: Optional[tuple] = None):
         self.obj = obj
-        self.arr = arr
-        self.source = source
-        self.target = target
-        self.identity = identity
+        if arr is not None:         # else built on first read, see _ArrowsOnFirstRead
+            self.arr, self.source, self.target, self.identity = arr, source, target, identity
         self._tables = tables       # None once built
         self._pairs = self._compose = None
+        self._fibres = fibres
         self._ends = None           # built by arrows_by_ends
+        self._at = {}               # built by arrows_at, by polarity
 
     def _build(self):
-        self._pairs, self._compose = self._tables()
+        self._pairs, self._compose = self._tables(self)
         self._tables = None
 
     @property
@@ -67,13 +73,13 @@ class InternalCategory:
     def __eq__(self, other):
         if self is other:
             return True
-        if other.__class__ is not self.__class__:
+        if not isinstance(other, InternalCategory):
             return NotImplemented
         return all(getattr(self, k) == getattr(other, k) for k in self._FIELDS)
 
     def __repr__(self):
         fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._FIELDS)
-        return f"{type(self).__qualname__}({fields})"
+        return f"InternalCategory({fields})"
 
     @property
     def base(self) -> IndexCategory:
@@ -105,43 +111,82 @@ class InternalCategory:
         return validate_internal_category(self)
 
 
+class _ArrowsOnFirstRead(InternalCategory):
+    """A category object whose arrows part (``arr``, ``source``, ``target``,
+    ``identity``) is returned by ``arrows()`` on the first read of any of
+    them. The object then becomes a plain ``InternalCategory``: a class with
+    ``__getattr__`` makes every attribute read slower, and category objects
+    are read in the innermost loops."""
+
+    def __init__(self, obj: Presheaf, arrows: Callable, tables: Callable,
+                 fibres: Optional[tuple] = None):
+        super().__init__(obj, None, None, None, None, tables, fibres)
+        self._arrows = arrows
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set.
+        build = self.__dict__.get("_arrows")
+        if build is None or name not in ("arr", "source", "target", "identity"):
+            raise AttributeError(name)
+        self.arr, self.source, self.target, self.identity = build()
+        del self._arrows
+        self.__class__ = InternalCategory
+        return getattr(self, name)
+
+
+def _composition(comp_fn: Callable) -> Callable:
+    """The composition part of a category object, for its thunk:
+    ``comp_fn(c, g, f)`` names g after f."""
+    def tables(cat):
+        pairs = pullback(cat.source, cat.target)
+        comps = {c: {(g, f): comp_fn(c, g, f) for (g, f) in pairs.apex.at(c)}
+                 for c in cat.base.objects}
+        return pairs, PresheafMap(pairs.apex, cat.arr, comps)
+    return tables
+
+
 def make_internal_category(obj: Presheaf, arr: Presheaf, source: PresheafMap,
                            target: PresheafMap, identity: PresheafMap,
                            comp_fn: Callable) -> InternalCategory:
     """Assemble a category object; ``comp_fn(c, g, f)`` names g after f.
     The composable pairs and the composition are built on first read."""
-    def tables():
-        pairs = pullback(source, target)
-        comps = {c: {(g, f): comp_fn(c, g, f) for (g, f) in pairs.apex.at(c)}
-                 for c in obj.base.objects}
-        return pairs, PresheafMap(pairs.apex, arr, comps)
-
-    return InternalCategory(obj, arr, source, target, identity, tables)
+    return InternalCategory(obj, arr, source, target, identity,
+                            _composition(comp_fn))
 
 
-def category_from_tables(obj: Presheaf, arr_carrier: dict, shift_parts: Callable,
-                         identity_parts: Callable,
-                         compose_parts: Callable) -> InternalCategory:
+def category_from_tables(obj: Presheaf, arr_carrier, shift_parts: Callable,
+                         identity_parts: Callable, compose_parts: Callable,
+                         fibres: Optional[tuple] = None) -> InternalCategory:
     """Assemble a category object whose stage-c arrows are ``(s, t, *parts)``.
 
-    Source and target are the first two entries and move along base arrows
-    by the action of ``obj``. The callbacks return only the parts:
+    ``arr_carrier`` holds the arrows of each stage, or is a thunk returning
+    them, in which case the arrows part is assembled on first read. Source
+    and target are the first two entries and move along base arrows by the
+    action of ``obj``. The callbacks return only the parts:
     ``shift_parts(w, t)`` those of arrow ``t`` moved along ``w``,
     ``identity_parts(c, o)`` those of the identity on ``o``, and
-    ``compose_parts(c, g, f)`` those of g after f.
+    ``compose_parts(c, g, f)`` those of g after f. ``fibres`` is as for
+    ``InternalCategory``.
     """
     base = obj.base
-    arr_action = {w: {t: (obj.action[w][t[0]], obj.action[w][t[1]])
-                      + shift_parts(w, t)
-                      for t in arr_carrier[base.tgt[w]]}
-                  for w in base.arrows}
-    arr = Presheaf(base, arr_carrier, arr_action)
-    ident = PresheafMap(obj, arr, {c: {o: (o, o) + identity_parts(c, o)
-                                       for o in obj.at(c)}
-                                   for c in base.objects})
-    return make_internal_category(
-        obj, arr, PresheafMap.entry(arr, obj, 0), PresheafMap.entry(arr, obj, 1),
-        ident, lambda c, g, f: (f[0], g[1]) + compose_parts(c, g, f))
+
+    def arrows():
+        carrier = arr_carrier() if callable(arr_carrier) else arr_carrier
+        arr_action = {w: {t: (obj.action[w][t[0]], obj.action[w][t[1]])
+                          + shift_parts(w, t)
+                          for t in carrier[base.tgt[w]]}
+                      for w in base.arrows}
+        arr = Presheaf(base, carrier, arr_action)
+        ident = PresheafMap(obj, arr, {c: {o: (o, o) + identity_parts(c, o)
+                                           for o in obj.at(c)}
+                                       for c in base.objects})
+        return (arr, PresheafMap.entry(arr, obj, 0), PresheafMap.entry(arr, obj, 1),
+                ident)
+
+    tables = _composition(lambda c, g, f: (f[0], g[1]) + compose_parts(c, g, f))
+    if callable(arr_carrier):
+        return _ArrowsOnFirstRead(obj, arrows, tables, fibres)
+    return InternalCategory(obj, *arrows(), tables, fibres)
 
 
 def validate_internal_category(a: InternalCategory) -> list[str]:
@@ -400,7 +445,7 @@ def restrict_cat(p: IndexFunctor, a: InternalCategory) -> InternalCategory:
     return InternalCategory(
         restrict(p, a.obj), restrict(p, a.arr),
         restrict_map(p, a.source), restrict_map(p, a.target), restrict_map(p, a.identity),
-        lambda: (restrict_pullback(p, a.pairs), restrict_map(p, a.compose)))
+        lambda cat: (restrict_pullback(p, a.pairs), restrict_map(p, a.compose)))
 
 
 def restrict_functor(p: IndexFunctor, fn: InternalFunctor,
@@ -459,6 +504,32 @@ def arrows_by_ends(b: InternalCategory) -> dict:
             out[c] = {ends: tuple(ks) for ends, ks in groups.items()}
         b._ends = out
     return b._ends
+
+
+def arrows_at(b: InternalCategory, c, o, dual: bool = False) -> dict:
+    """The arrow elements of ``b`` at stage ``c`` into ``o`` (out of ``o``
+    when ``dual``), grouped by their other end: each group in carrier order,
+    the groups in the carrier order of their first arrows.
+
+    Read from the category's own fibre reader when it has one for this
+    polarity, which needs no arrows part, and otherwise from an index built
+    once per polarity from ``arrows_by_ends``; shared, not to be mutated.
+    """
+    fibres = b._fibres
+    if fibres is not None and fibres[0] == dual:
+        return fibres[1](c, o)
+    index = b._at.get(dual)
+    if index is None:
+        index = {}
+        for stage, groups in arrows_by_ends(b).items():
+            by_end = index[stage] = {}
+            for (s, t), ks in groups.items():
+                if dual:
+                    by_end.setdefault(s, {})[t] = ks
+                else:
+                    by_end.setdefault(t, {})[s] = ks
+        b._at[dual] = index
+    return index[c].get(o, {})
 
 
 def enumerate_functors(a: InternalCategory, b: InternalCategory) -> list:

@@ -16,19 +16,26 @@ built by ``ambient.point_of``. The cone, comma and parallel-arrows
 categories each choose only their carriers and the arithmetic of their
 arrow data; ``core.category_from_tables`` assembles the rest.
 
+Cones form a discrete fibration over the diagram's target: each arrow into
+a cone's vertex lifts to exactly one arrow into the cone, so a cone
+category reads the arrows into a cone (out of a cocone) from its legs, and
+builds its arrows object, and its projection ``to_base``, only when read.
+
 Universality is decided internally: a candidate is terminal when the
 object of arrows into it projects isomorphically onto the objects-object.
 It holds exactly when each fiber is a singleton at every stage, which the
-one test reads from the endpoint index ``core.arrows_by_ends``. That single
-condition is stable under every change of stage, so certified limits
-transport along reindexings; ``transport_certificate`` performs the
-transport and re-certifies from scratch. Failures are returned as
-``Refusal`` values naming the stage and element that obstruct.
+one test reads through ``core.arrows_at``: from the legs of a cone
+category, from the endpoint index otherwise. That single condition is
+stable under every change of stage, so certified limits transport along
+reindexings; ``transport_certificate`` performs the transport and
+re-certifies from scratch. Failures are returned as ``Refusal`` values
+naming the stage and element that obstruct.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 from .labels import fam_dict
@@ -39,7 +46,7 @@ from .ambient import (
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
-    arrows_by_ends, category_from_tables, compose_functors,
+    arrows_at, arrows_by_ends, category_from_tables, compose_functors,
     from_finite_category, identity_functor, initial_cat, nat_is_iso,
     product_cat, restrict_cat, restrict_functor, terminal_cat,
 )
@@ -160,20 +167,31 @@ class Cocone(_Legs):
 # cone and cocone categories (direct construction)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, repr=False)
 class ConesCategory:
     """The category object of cones (or cocones) over a diagram.
 
     Stage-c objects are pairs ``(v, gamma)``: a vertex element and a leg
     family keyed by (arrow into c, shape-object element). Stage-c arrows
     are triples ``(o1, o2, p)`` where ``p`` is a vertex arrow making every
-    leg triangle commute. ``to_base`` projects onto the diagram's target.
+    leg triangle commute. ``to_base`` projects onto the diagram's target;
+    it and the arrows part of ``cat`` are built on first read.
     """
 
     kind: str                   # "cones" or "cocones"
     diagram: InternalFunctor
     cat: InternalCategory
-    to_base: InternalFunctor
+
+    @cached_property
+    def to_base(self) -> InternalFunctor:
+        a, cat = self.diagram.target_cat, self.cat
+        return InternalFunctor(cat, a, PresheafMap.entry(cat.obj, a.obj, 0),
+                               PresheafMap.entry(cat.arr, a.arr, 2))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(kind={self.kind!r}, "
+                f"diagram={self.diagram!r}, cat={self.cat!r}, "
+                f"to_base={self.to_base!r})")
 
     def decode_point(self, p: PresheafMap) -> Union[Cone, Cocone]:
         """Read a global point of the objects-object back as a cone."""
@@ -215,7 +233,7 @@ class ConesCategory:
             raise CertificateError(
                 f"a {res.kind} certificate does not certify a point of these {self.kind}")
         return UniversalCertificate("colimit" if dual else "limit", self.cat,
-                                    res.point, res.unique_arrow,
+                                    res.point, res.unique_table,
                                     self.decode_point(res.point), self.diagram, self)
 
 
@@ -256,26 +274,48 @@ def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:
                 elems.append((v, gamma))
         obj_carrier[c] = tuple(elems)
 
-    arr_carrier = {}
-    for c in base.objects:
-        triples = []
-        tables = [(o, fam_dict(o[1])) for o in obj_carrier[c]]
-        for o1, t1 in tables:
-            for o2, t2 in tables:
-                for p in by_ends[c].get((o1[0], o2[0]), ()):
-                    ok = True
-                    for (u, x), w in t1.items():
-                        c2 = base.src[u]
-                        pr = a.arr.action[u][p]
-                        if dual:
-                            ok = t2[(u, x)] == a.comp_at(c2, pr, w)
-                        else:
-                            ok = w == a.comp_at(c2, t2[(u, x)], pr)
-                        if not ok:
-                            break
-                    if ok:
-                        triples.append((o1, o2, p))
-        arr_carrier[c] = tuple(triples)
+    # Cones form a discrete fibration over ``a``: an arrow p : v1 -> v of
+    # ``a`` lifts to exactly one arrow into the cone (v, gamma), from the
+    # cone (v1, gamma p); dually p : v -> v2 lifts to one arrow out of the
+    # cocone (v, gamma), to (v2, p gamma). So the arrows into a cone (out
+    # of a cocone) are read from its legs, one composite per leg and
+    # arrow, without building the others.
+    position = {c: {o: i for i, o in enumerate(obj_carrier[c])}
+                for c in base.objects}
+    comp, act, src = a.compose.components, a.arr.action, base.src
+    fibres = {}
+
+    def fibre(c, o):
+        got = fibres.get((c, o))
+        if got is not None:
+            return got
+        v, gamma = o
+        legs = gamma[1]
+        here = position[c]
+        groups = {}
+        for x in a.obj.at(c):
+            for p in by_ends[c].get((v, x) if dual else (x, v), ()):
+                if dual:
+                    moved = tuple((k, comp[src[k[0]]][(act[k[0]][p], w)]) for k, w in legs)
+                else:
+                    moved = tuple((k, comp[src[k[0]]][(w, act[k[0]][p])]) for k, w in legs)
+                far = (x, ("fam", moved))
+                if far not in here:
+                    raise CertificateError(
+                        f"lift of {p!r} at {c!r} is not among the {'co' if dual else ''}cones")
+                groups.setdefault(far, []).append((o, far, p) if dual else (far, o, p))
+        got = fibres[(c, o)] = {x: tuple(groups[x]) for x in sorted(groups, key=here.get)}
+        return got
+
+    def arr_carrier():
+        """The stage-c arrows ``(o1, o2, p)`` from the fibres, ordered by
+        the positions of o1, then o2, then p."""
+        out = {}
+        for c in base.objects:
+            here = position[c]
+            arrows = [h for o in obj_carrier[c] for hs in fibre(c, o).values() for h in hs]
+            out[c] = tuple(sorted(arrows, key=lambda h: (here[h[0]], here[h[1]])))
+        return out
 
     def shift_obj(w, o):
         if w == base.identity[base.tgt[w]]:
@@ -289,10 +329,9 @@ def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:
         Presheaf(base, obj_carrier, obj_action), arr_carrier,
         lambda w, t: (a.arr.action[w][t[2]],),
         lambda c, o: (a.id_at(c, o[0]),),
-        lambda c, g, f: (a.comp_at(c, g[2], f[2]),))
-    to_base = InternalFunctor(cat, a, PresheafMap.entry(cat.obj, a.obj, 0),
-                              PresheafMap.entry(cat.arr, a.arr, 2))
-    return ConesCategory("cocones" if dual else "cones", dg, cat, to_base)
+        lambda c, g, f: (a.comp_at(c, g[2], f[2]),),
+        fibres=(dual, fibre))
+    return ConesCategory("cocones" if dual else "cones", dg, cat)
 
 
 def cones_category(dg) -> ConesCategory:
@@ -414,29 +453,51 @@ def comma_category(f: InternalFunctor, g: InternalFunctor) -> CommaCategory:
 # internal terminality and universal cones
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, repr=False)
 class UniversalCertificate:
     """A certified universal object: the point, the unique-arrow witness,
-    and (for limits of diagrams) the detected cone with its category."""
+    and (for limits of diagrams) the detected cone with its category.
+
+    ``unique_table`` gives, per stage, the one arrow from each object to
+    the point (from the point, when initial); the map ``unique_arrow`` of
+    the arrows object is built from it on first read.
+    """
 
     kind: str                    # "terminal" | "initial" | "limit" | "colimit"
     subject: InternalCategory
     point: PresheafMap           # terminal -> subject.obj
-    unique_arrow: PresheafMap    # subject.obj -> subject.arr
+    unique_table: dict           # stage -> {object element: arrow element}
     candidate: object = None     # Cone or Cocone when inside a cone category
     diagram: Optional[InternalFunctor] = None
     cones: Optional[ConesCategory] = None
 
+    @cached_property
+    def unique_arrow(self) -> PresheafMap:
+        """The unique-arrow map, subject.obj -> subject.arr."""
+        return PresheafMap(self.subject.obj, self.subject.arr, self.unique_table)
+
     def vertex_at(self, c):
         return self.point.components[c]["*"]
 
+    def mediator_at(self, c, o):
+        """The vertex arrow of the one arrow at stage ``c`` from the cone
+        ``o`` to the certified point of a cone category (to ``o`` from the
+        point, for cocones)."""
+        return self.unique_table[c][o][2]
 
-def _obstruction(a: InternalCategory, c, o, dual: bool):
-    """The first object at stage ``c`` with other than one arrow into ``o``
-    (out of ``o`` when dual) and that count, read from the endpoint index."""
-    ends = arrows_by_ends(a)[c]
-    for x in a.obj.at(c):
-        n = len(ends.get((o, x) if dual else (x, o), ()))
+    def __repr__(self):
+        fields = ("kind", "subject", "point", "unique_arrow", "candidate",
+                  "diagram", "cones")
+        body = ", ".join(f"{k}={getattr(self, k)!r}" for k in fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+def _obstruction(objs, fibre: dict):
+    """The first of ``objs`` with other than one arrow in ``fibre`` (the
+    arrows into a candidate, or out of it, by their other end) and that
+    count."""
+    for x in objs:
+        n = len(fibre.get(x, ()))
         if n != 1:
             return x, n
     return None
@@ -448,18 +509,15 @@ def _internal_universal(a: InternalCategory, v: PresheafMap, dual: bool):
     errs = v.validate()
     if errs:
         raise PreconditionError(f"candidate point is not natural: {errs}")
-    at_v, far = (a.source, a.target) if dual else (a.target, a.source)
     unique = {}
     for c in a.base.objects:
-        vc = v.components[c]["*"]
-        bad = _obstruction(a, c, vc, dual)
+        fibre = arrows_at(a, c, v.components[c]["*"], dual)
+        bad = _obstruction(a.obj.at(c), fibre)
         if bad is not None:
             return Refusal("not_initial" if dual else "not_terminal",
                            {"stage": c, "element": bad[0], "count": bad[1]})
-        at, to = at_v.components[c], far.components[c]
-        unique[c] = {to[h]: h for h in a.arr.at(c) if at[h] == vc}
-    return UniversalCertificate("initial" if dual else "terminal", a, v,
-                                PresheafMap(a.obj, a.arr, unique))
+        unique[c] = {x: hs[0] for x, hs in fibre.items()}
+    return UniversalCertificate("initial" if dual else "terminal", a, v, unique)
 
 
 def is_internal_terminal(a: InternalCategory, v: PresheafMap):
@@ -467,9 +525,11 @@ def is_internal_terminal(a: InternalCategory, v: PresheafMap):
 
     The object of arrows into ``v`` must project isomorphically onto the
     objects-object via the source map, which holds exactly when each fiber is
-    a singleton at every stage, read from the endpoint index; the
-    certificate carries the induced unique-arrow map. Refusal names the first
-    stage and element whose fiber of incoming arrows is not a singleton.
+    a singleton at every stage. The fibers are read by ``core.arrows_at``:
+    from the legs of a cone category, without its arrows object, and from
+    the endpoint index otherwise. The certificate carries the induced
+    unique-arrow map. Refusal names the first stage and element whose fiber
+    of incoming arrows is not a singleton.
     """
     return _internal_universal(a, v, dual=False)
 
@@ -480,10 +540,43 @@ def is_internal_initial(a: InternalCategory, v: PresheafMap):
     return _internal_universal(a, v, dual=True)
 
 
+def _stage_universal(cns: ConesCategory, c):
+    """The objects of a cone (cocone) category at stage ``c`` with exactly
+    one arrow from (to) every object, in carrier order, and, when there are
+    objects but none of these, the obstruction of every object.
+
+    The arrows into a cone (out of a cocone) lift those into (out of) its
+    vertex one to one, so only a candidate whose vertex has as many as
+    there are objects is counted object by object, unless the stage is
+    blocked.
+    """
+    dual = cns.kind == "cocones"
+    cat = cns.cat
+    objs = cat.obj.at(c)
+    degree = {}
+    for (s, t), hs in arrows_by_ends(cns.diagram.target_cat)[c].items():
+        v = s if dual else t
+        degree[v] = degree.get(v, 0) + len(hs)
+    bad = {o: _obstruction(objs, arrows_at(cat, c, o, dual))
+           for o in objs if degree.get(o[0], 0) == len(objs)}
+    good = tuple(o for o, why in bad.items() if why is None)
+    if good or not objs:
+        return good, []
+    obstructions = []
+    for o in objs:
+        x, n = bad.get(o) or _obstruction(objs, arrows_at(cat, c, o, dual))
+        obstructions.append({"candidate": o, "element": x, "count": n})
+    return good, obstructions
+
+
 def _universal(dg: InternalFunctor, dual: bool,
                cns: Optional[ConesCategory] = None):
+    kind = "cocones" if dual else "cones"
     if cns is None:
         cns = cocones_category(dg) if dual else cones_category(dg)
+    elif cns.kind != kind or (cns.diagram is not dg and cns.diagram != dg):
+        raise PreconditionError(f"the category given is not that of the {kind} "
+                                "over this diagram")
     cat = cns.cat
     base = cat.base
 
@@ -493,18 +586,14 @@ def _universal(dg: InternalFunctor, dual: bool,
     # space is a product over stages.
     empty_stages, blocked_stages, stage_good = [], [], {}
     for c in base.objects:
-        objs = cat.obj.at(c)
-        bad = {o: _obstruction(cat, c, o, dual) for o in objs}
-        stage_good[c] = tuple(o for o in objs if bad[o] is None)
-        if not objs:
+        stage_good[c], obstructions = _stage_universal(cns, c)
+        if not cat.obj.at(c):
             empty_stages.append(c)
-        elif not stage_good[c]:
-            blocked_stages.append({"stage": c, "obstructions": [
-                {"candidate": o, "element": x, "count": n}
-                for o, (x, n) in bad.items()]})
+        elif obstructions:
+            blocked_stages.append({"stage": c, "obstructions": obstructions})
 
     # A point through stage-universal elements passes the internal test,
-    # which reads the same counts, so the first candidate is the answer.
+    # which reads the same fibres, so the first candidate is the answer.
     cands = [] if empty_stages or blocked_stages else enumerate_maps(
         terminal(base), cat.obj, allowed=lambda c, e: stage_good[c])
     if not cands:
@@ -519,12 +608,14 @@ def _universal(dg: InternalFunctor, dual: bool,
 
 
 def universal_cone(dg, cns: Optional[ConesCategory] = None):
-    """Search the cone category for an internally terminal cone."""
+    """Search the cone category for an internally terminal cone; ``cns``,
+    when given, must be the cone category of ``dg``."""
     return _universal(diagram_functor(dg), dual=False, cns=cns)
 
 
 def universal_cocone(dg, cns: Optional[ConesCategory] = None):
-    """Search the cocone category for an internally initial cocone."""
+    """Search the cocone category for an internally initial cocone; ``cns``,
+    when given, must be the cocone category of ``dg``."""
     return _universal(diagram_functor(dg), dual=True, cns=cns)
 
 
@@ -584,9 +675,12 @@ def indexed_cone_factorization(family: PresheafMap,
     if errs:
         raise PreconditionError(f"family is not a natural family of cones: {errs}")
     a = cert.cones.diagram.target_cat
-    mediator = family.then(cert.unique_arrow).then(cert.cones.to_base.f1)
+    comps = family.components
+    mediator = PresheafMap(family.source, a.arr, {
+        c: {i: cert.mediator_at(c, o) for i, o in cc.items()} for c, cc in comps.items()})
     ends = mediator.then(a.source if cert.kind == "limit" else a.target)
-    vertices = family.then(cert.cones.to_base.f0)
+    vertices = PresheafMap(family.source, a.obj, {
+        c: {i: o[0] for i, o in cc.items()} for c, cc in comps.items()})
     if ends != vertices:
         raise CertificateError("mediator does not start at the family's vertices")
     return mediator
@@ -724,9 +818,7 @@ def limit_functor(a: InternalCategory, shape: InternalCategory,
             site_n, so, sh_n.obj,
             lambda w, d: a.comp_at(site_n.src[w][0], talpha[(w[0], d)], ts[(w, d)])))
 
-    pi2_point = point_of(cns_t.cat.obj, {so: pushed(so) for so in site_n.objects})
-    med = pi2_point.then(cert_t.unique_arrow).then(cns_t.to_base.f1)
-    lim1 = {c: {t_el: med.components[(c, t_el)]["*"]
+    lim1 = {c: {t_el: cert_t.mediator_at((c, t_el), pushed((c, t_el)))
                 for t_el in e.cat.arr.at(c)} for c in base.objects}
     lim_fn = InternalFunctor(e.cat, a,
                              PresheafMap(e.cat.obj, a.obj, lim0),
@@ -749,16 +841,17 @@ def limit_functor(a: InternalCategory, shape: InternalCategory,
     if isinstance(cert_d, Refusal):
         raise RefusalError(Refusal("transport_failed", {
             "during": "limit functor: unit", **cert_d.details}))
-    id_point = point_of(cns_d.cat.obj, {
-        (c, x): (x, stage_family(
+
+    def identity_cone(c, x):
+        return (x, stage_family(
             site_a, (c, x), sh_a.obj,
             lambda w, d: a.id_at(site_a.src[w][0], a.obj.action[w[0]][x])))
-        for (c, x) in site_a.objects})
-    eta_map = id_point.then(cert_d.unique_arrow).then(cns_d.to_base.f1)
+
     unit = InternalNatTrans(
         identity_functor(a), compose_functors(lim_fn, delta),
         PresheafMap(a.obj, a.arr,
-                    {c: {x: eta_map.components[(c, x)]["*"] for x in a.obj.at(c)}
+                    {c: {x: cert_d.mediator_at((c, x), identity_cone(c, x))
+                         for x in a.obj.at(c)}
                      for c in base.objects}))
 
     # Counit: the universal cone itself, one transformation element per

@@ -425,7 +425,6 @@ def aft_left_adjoint(r: InternalFunctor,
     # there is the value of the adjoint.
     if cert.cones is None:
         raise PreconditionError("fiber certificate does not carry its cone category")
-    cns = cert.cones
     l1 = {}
     for c in base.objects:
         stage = {}
@@ -444,8 +443,7 @@ def aft_left_adjoint(r: InternalFunctor,
                 return t2[(ikey, ("*", sig[1], a.comp_at(c2, sig[2], fu)))]
 
             cand = (l0[c][sf], stage_family(site, (c, tf), fiber.cat.obj, leg))
-            med = cert.unique_arrow.components[(c, tf)][cand]
-            stage[f] = cns.to_base.f1.components[(c, tf)][med]
+            stage[f] = cert.mediator_at((c, tf), cand)
         l1[c] = stage
     left = InternalFunctor(a, b,
                            PresheafMap(a.obj, b.obj, l0),
@@ -468,11 +466,9 @@ def aft_left_adjoint(r: InternalFunctor,
 
     # Unit: mediate the tautological cone whose legs are the comma arrows
     # themselves.
-    epoint = point_of(cns_r.cat.obj, {
-        so: (so[1], stage_family(site, so, fiber.cat.obj, lambda w, sig: sig[2]))
-        for so in site.objects})
-    eta_map = epoint.then(rres.unique_arrow).then(cns_r.to_base.f1)
-    eta = {c: {x: eta_map.components[(c, x)]["*"] for x in a.obj.at(c)}
+    eta = {c: {x: rres.mediator_at((c, x), (x, stage_family(
+                   site, (c, x), fiber.cat.obj, lambda w, sig: sig[2])))
+               for x in a.obj.at(c)}
            for c in base.objects}
     unit = InternalNatTrans(identity_functor(a), compose_functors(r, left),
                             PresheafMap(a.obj, a.arr, eta))

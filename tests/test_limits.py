@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import intcat.limits as limits
 from intcat.ambient import (
     IndexCategory, PreconditionError, Presheaf, PresheafMap,
     elements_category, inverse, points, pullback, representable,
@@ -16,8 +17,8 @@ from intcat.core import (
 from intcat.functor_cat import diagonal_functor, exponential_cat
 from intcat.labels import fam_dict
 from intcat.limits import (
-    Cocone, Cone, Refusal, UniversalCertificate, cocones_category,
-    comma_category, cones_category, connecting_iso,
+    Cocone, Cone, Refusal, UniversalCertificate, _stage_universal,
+    cocones_category, comma_category, cones_category, connecting_iso,
     indexed_cone_factorization, is_internal_initial, is_internal_terminal,
     limit_functor,
     parallel_arrows_category, reindex_diagram, shape_parallel_pair, shape_two,
@@ -28,6 +29,7 @@ from intcat.fixtures import (
     chain_cat, corpus, discrete_cat, divisor_lattice, incomparable_pair,
     poset_cat, staged_chain3, walking_parallel_pair,
 )
+from intcat.theorems import default_shape_family
 
 FIN = IndexCategory.finset()
 CHAIN2 = IndexCategory.chain(2)
@@ -137,6 +139,100 @@ def test_universality_agrees_with_the_paper_formulation(dual):
                 staged.add(isinstance(got, Refusal))
     assert counts == {0, 2}
     assert staged == {False, True}
+
+
+def corpus_cone_categories():
+    """The cone and cocone categories of every diagram from the default
+    shapes into a corpus category, each built twice: one to be read
+    through its fibres, one whose arrows object is forced."""
+    for name, a in corpus():
+        for shape_name, shape in default_shape_family(a.base):
+            for n, dg in enumerate(enumerate_functors(shape, a)):
+                for build in (cones_category, cocones_category):
+                    lazy, forced = build(dg), build(dg)
+                    assert forced.cat.validate() == [], name
+                    yield f"{name}/{shape_name}/{n}/{lazy.kind}", lazy, forced
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["terminal", "initial"])
+def test_cone_fibres_agree_with_the_paper_formulation(dual):
+    # a cone category reads the arrows into a cone (out of a cocone) from
+    # its legs; the other polarity and the reference read the arrows object
+    decide = is_internal_initial if dual else is_internal_terminal
+    kind = "not_initial" if dual else "not_terminal"
+    counts, staged, read = set(), set(), 0
+    for name, lazy, forced in corpus_cone_categories():
+        decided = [(v, decide(lazy.cat, v)) for v in points(forced.cat.obj)]
+        if dual == (lazy.kind == "cocones"):
+            assert "arr" not in vars(lazy.cat), name
+            read += 1
+        for v, got in decided:
+            want = paper_universality(forced.cat, v, dual)
+            if isinstance(want, PresheafMap):
+                assert isinstance(got, UniversalCertificate), (name, got)
+                assert got.unique_arrow == want, name
+                assert repr(got.unique_arrow) == repr(want), name
+            else:
+                assert got == Refusal(kind, want), name
+                counts.add(min(want["count"], 2))
+            staged.add((len(lazy.cat.base.objects) > 1, isinstance(got, Refusal)))
+    assert counts == {0, 2} and len(staged) == 4 and read > 300
+
+
+def test_in_degree_prefilter_keeps_the_stage_universal_objects():
+    blocked = 0
+    for name, lazy, forced in corpus_cone_categories():
+        dual = lazy.kind == "cocones"
+        ends = arrows_by_ends(forced.cat)
+        for c in forced.cat.base.objects:
+            objs = forced.cat.obj.at(c)
+            counts = {o: [len(ends[c].get((o, x) if dual else (x, o), ())) for x in objs]
+                      for o in objs}
+            good = tuple(o for o in objs if counts[o] == [1] * len(objs))
+            obstructions = [] if good or not objs else [
+                {"candidate": o, "element": objs[i], "count": n[i]}
+                for o, n in counts.items()
+                for i in [next(i for i, k in enumerate(n) if k != 1)]]
+            assert _stage_universal(lazy, c) == (good, obstructions), name
+            blocked += bool(obstructions)
+        assert "arr" not in vars(lazy.cat), name
+    assert blocked
+
+
+@pytest.mark.parametrize("search, build, other", [
+    (universal_cone, cocones_category, ("4", "6")),
+    (universal_cocone, cones_category, ("4", "6")),
+    (universal_cone, cones_category, ("2", "3")),
+], ids=["cone-search-given-cocones", "cocone-search-given-cones",
+        "cones-of-another-diagram"])
+def test_universal_search_refuses_a_category_it_was_not_asked_about(search, build, other):
+    d12 = divisor_lattice(12)
+    dg = diagram_two(d12, "4", "6")
+    with pytest.raises(PreconditionError, match="not that of the"):
+        search(dg, build(diagram_two(d12, *other)))
+    # the limit is the meet 2 and the colimit the join 12
+    assert search(dg).vertex_at("pt")[0] == ("2" if search is universal_cone else "12")
+
+
+def test_a_lift_missing_from_the_cones_is_a_certificate_error(monkeypatch):
+    # the cones over {4, 6} have vertices 1 and 2; without the one at 1 the
+    # arrow 1 -> 2 lifts to no arrow into the cone at 2
+    real = limits.family_solver
+
+    def dropping(base, c, dom, cod):
+        solve, calls = real(base, c, dom, cod), []
+
+        def first_vertex_has_none(allowed=None, check=None):
+            calls.append(1)
+            return solve(allowed, check) if len(calls) > 1 else []
+        return first_vertex_has_none
+
+    monkeypatch.setattr(limits, "family_solver", dropping)
+    dg = diagram_two(divisor_lattice(12), "4", "6")
+    cns = cones_category(dg)
+    assert [o[0] for o in cns.cat.obj.at("pt")] == ["2"]
+    with pytest.raises(limits.CertificateError, match="lift of"):
+        universal_cone(dg, cns)
 
 
 def test_mediator_uniqueness_from_certificate():

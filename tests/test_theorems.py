@@ -9,12 +9,14 @@ import intcat.ambient as ambient
 import intcat.limits as limits
 from intcat.ambient import IndexCategory, Presheaf, PresheafMap
 from intcat.core import (
-    InternalFunctor, adjunction_check, arrows_by_ends, compose_functors,
-    from_finite_category, identity_functor, indiscrete, initial_cat, opposite,
+    InternalFunctor, adjunction_check, arrows_by_ends, category_from_tables,
+    compose_functors, from_finite_category, identity_functor, indiscrete,
+    initial_cat, opposite,
 )
+from intcat.labels import fam_dict
 from intcat.limits import (
-    CertificateError, Refusal, RefusalError, cocones_category,
-    shape_parallel_pair, shape_two,
+    CertificateError, ConesCategory, Refusal, RefusalError, cocones_category,
+    limit_functor, shape_parallel_pair, shape_two,
 )
 from intcat.theorems import (
     CompletenessCertificate, aft_left_adjoint, cocones_limit_transport,
@@ -227,6 +229,69 @@ def test_aft_builds_no_composition_it_does_not_read(monkeypatch):
     assert built == []
     assert adj.comma.cat.compose.validate() == []
     assert len(built) == 1
+
+
+def pair_loop_category(cns):
+    """A cone category's arrows as the pair loop built them before they
+    were read from fibres: every (o1, o2, p) whose leg triangles commute,
+    by o1, then o2, then p, assembled with the same tables."""
+    a, dual = cns.diagram.target_cat, cns.kind == "cocones"
+    base, ends = a.base, arrows_by_ends(a)
+
+    def commutes(o1, o2, p):
+        t2 = fam_dict(o2[1])
+        for (u, x), w in fam_dict(o1[1]).items():
+            c2, pr = base.src[u], a.arr.action[u][p]
+            if t2[(u, x)] != a.comp_at(c2, pr, w) if dual else \
+               w != a.comp_at(c2, t2[(u, x)], pr):
+                return False
+        return True
+
+    carrier = {c: tuple((o1, o2, p) for o1 in cns.cat.obj.at(c)
+                        for o2 in cns.cat.obj.at(c)
+                        for p in ends[c].get((o1[0], o2[0]), ())
+                        if commutes(o1, o2, p))
+               for c in base.objects}
+    return category_from_tables(
+        cns.cat.obj, carrier, lambda w, t: (a.arr.action[w][t[2]],),
+        lambda c, o: (a.id_at(c, o[0]),),
+        lambda c, g, f: (a.comp_at(c, g[2], f[2]),))
+
+
+def _aft_divisors_12():
+    d12, d6 = divisor_lattice(12), divisor_lattice(6)
+    return aft_left_adjoint(monotone(d12, d6, lambda x: str(gcd(int(x), 6))))
+
+
+@pytest.mark.parametrize("run", [
+    _aft_divisors_12,
+    lambda: limit_functor(chain_cat(3), shape_parallel_pair(FIN)),
+    lambda: is_continuous(identity_functor(chain_cat(3))),
+], ids=["aft-divisors-12", "limit-functor-chain-3", "is-continuous-chain-3"])
+def test_cone_categories_build_no_arrows_object_they_do_not_read(run, monkeypatch):
+    built = []
+    real = limits._build_cones
+
+    def recorded(dg, dual):
+        built.append(real(dg, dual))
+        return built[-1]
+
+    monkeypatch.setattr(limits, "_build_cones", recorded)
+    result = run()
+    assert len(built) >= 2
+    for cns in built:
+        assert "arr" not in vars(cns.cat) and "to_base" not in vars(cns)
+    certificate = getattr(result, "certificate", None)
+    assert certificate is None or "unique_arrow" not in vars(certificate)
+    for cns in built:
+        # forced, the fibres give the arrows the pair loop gave, in its order
+        reference = pair_loop_category(cns)
+        assert cns.cat.arr == reference.arr
+        assert (cns.cat.source, cns.cat.target, cns.cat.identity) == \
+            (reference.source, reference.target, reference.identity)
+        old = ConesCategory(cns.kind, cns.diagram, reference)
+        assert cns.cat == reference and cns == old and repr(cns) == repr(old)
+        assert cns.to_base.validate() == []
 
 
 def test_aft_identity_is_identity():
