@@ -38,8 +38,8 @@ from .functor_cat import (
 from .limits import (
     CertificateError, CommaCategory, Cone, Cocone, ConesCategory, Diagram,
     LimitFunctorResult, Refusal, RefusalError, SpecialAdjoint,
-    UniversalCertificate, cocones_category, comma_category, cones_category,
-    connecting_iso, default_provider, diagram_functor,
+    UniversalCertificate, certified_limit, cocones_category, comma_category,
+    cones_category, connecting_iso, diagram_functor,
     indexed_cone_factorization, is_internal_initial, is_internal_terminal,
     limit_functor, parallel_arrows_category, reindex_diagram,
     shape_parallel_pair, shape_two, special_right_adjoint,

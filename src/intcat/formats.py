@@ -31,15 +31,21 @@ from dataclasses import dataclass, field
 from .ambient import IndexCategory, Presheaf, PresheafMap
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, arrows_by_ends,
-    from_finite_category, indiscrete, make_internal_category, opposite,
+    from_finite_category, initial_cat, make_internal_category, opposite,
     product_cat,
 )
-from .limits import Diagram
+from .fixtures import chain_cat, discrete_cat, indiscrete_cat
+from .limits import Diagram, shape_parallel_pair, shape_two
 
 OPS = ("validate", "exponential", "limit", "colimit", "complete-check",
        "limit-functor", "aft", "duality-check", "continuity-check")
 
-SHAPE_NAMES = ("empty", "discrete-two", "parallel-pair")
+# the shapes a limit-functor task may name, each built over a base
+SHAPE_BUILDERS = {
+    "empty": initial_cat,
+    "discrete-two": shape_two,
+    "parallel-pair": shape_parallel_pair,
+}
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _BAD_LABEL = set("=<>:/.")
@@ -314,6 +320,13 @@ class _Parser:
             _fail(line, toks[min(2, len(toks) - 1)][1], "expected 'over <base>'")
         return name, self._get("bases", toks[3][0], line, toks[3][1], "base")
 
+    def _block_over_base(self, line, toks):
+        """The rows of the block that ``<kind> <name> over <base> {`` opens;
+        nothing may stand between the base and the brace."""
+        if len(toks) > 5:
+            _fail(line, toks[4][1], f"unexpected token {toks[4][0]!r} before '{{'")
+        return self._block(line)
+
     def _parse_lattice(self, line, toks):
         _, base = self._named_over_base(line, toks)
         if len(toks) < 5 or toks[4][0] != ":":
@@ -361,7 +374,7 @@ class _Parser:
     def _parse_category(self, line, toks):
         name, base = self._named_over_base(line, toks)
         if toks[-1][0] == "{":
-            body = self._block(line)
+            body = self._block_over_base(line, toks)
             self._declare(line, toks, self._category_block(name, base, body, line),
                           body)
             return
@@ -373,20 +386,13 @@ class _Parser:
             n = _natural(rest[0][0] if len(rest) == 1 else "", line,
                          toks[5][1], "chain <n>")
             self._bound((n, n * (n + 1) // 2), line)
-            elems = tuple(str(i) for i in range(n))
-            ix = IndexCategory.poset(
-                elems, [(str(i), str(i + 1)) for i in range(n - 1)])
-            built = from_finite_category(base, ix)
+            built = chain_cat(n, base)
         elif form in ("discrete", "indiscrete"):
             labels = tuple(_check_label(t, line, c) for t, c in rest)
             if not labels:
                 _fail(line, toks[5][1], f"{form} needs at least one label")
-            if form == "discrete":
-                built = from_finite_category(base, IndexCategory.discrete(labels))
-            else:
-                x = Presheaf(base, {c: labels for c in base.objects},
-                             {u: {e: e for e in labels} for u in base.arrows})
-                built = indiscrete(x)
+            built = (discrete_cat if form == "discrete" else indiscrete_cat)(
+                labels, base)
         elif form == "opposite":
             if len(rest) != 1:
                 _fail(line, toks[5][1], "expected: opposite <category>")
@@ -630,7 +636,7 @@ class _Parser:
         name, base = self._named_over_base(line, toks)
         if toks[-1][0] != "{":
             _fail(line, toks[-1][1], "expected a block")
-        body = self._block(line)
+        body = self._block_over_base(line, toks)
         rows = self._gather_tables(body, base, ("at", "act"))
         carrier = self._carriers(rows, "at", base, line)
         action = self._resolve_actions(base, carrier, "act", rows, line,
@@ -748,9 +754,9 @@ class _Parser:
         elif op == "limit-functor":
             arity(2)
             need("cats", 0, "category")
-            if args[1] not in SHAPE_NAMES:
+            if args[1] not in SHAPE_BUILDERS:
                 _fail(line, toks[3][1],
-                      f"unknown shape {args[1]!r}; one of {', '.join(SHAPE_NAMES)}")
+                      f"unknown shape {args[1]!r}; one of {', '.join(SHAPE_BUILDERS)}")
         elif op in ("aft", "continuity-check"):
             arity(1)
             need("functors", 0, "functor")

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from .labels import fam_dict
 from .ambient import (
@@ -651,10 +651,14 @@ def connecting_iso(cert_a: UniversalCertificate,
     return fwd
 
 
-def default_provider(dg: InternalFunctor) -> UniversalCertificate:
-    """Limit provider backed by exhaustive universal-cone search."""
+def certified_limit(dg, during=None) -> UniversalCertificate:
+    """The limit of ``dg`` by exhaustive universal-cone search. A refusal
+    is raised as ``RefusalError``; when ``during`` names the step that
+    asked, the refusal's details carry it unless they name one already."""
     res = universal_cone(dg)
     if isinstance(res, Refusal):
+        if during is not None:
+            res.details.setdefault("during", during)
         raise RefusalError(res)
     return res
 
@@ -713,19 +717,18 @@ def transport_cone_point(cert: UniversalCertificate, q: IndexFunctor,
 
 
 def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
-                          dg2: Optional[InternalFunctor] = None,
-                          cns2: Optional[ConesCategory] = None):
+                          dg2: Optional[InternalFunctor] = None):
     """Reindex a certified universal cone along an index functor and
     re-certify it from scratch over the new base.
 
     Returns a fresh certificate, or a Refusal if the transported cone is
     not universal over the new base (which would witness an instability).
     """
-    dual = cert.kind == "colimit"
+    if cert.cones is None or cert.kind not in ("limit", "colimit"):
+        raise PreconditionError("certificate does not carry a cone category")
     if dg2 is None:
         dg2 = reindex_diagram(q, cert.diagram)
-    if cns2 is None:
-        cns2 = cocones_category(dg2) if dual else cones_category(dg2)
+    cns2 = cocones_category(dg2) if cert.kind == "colimit" else cones_category(dg2)
     return cns2.certify(transport_cone_point(cert, q, cns2))
 
 
@@ -764,9 +767,20 @@ def _functor_space_diagram(e: ExponentialCategory):
     return site, proj, eps
 
 
-def limit_functor(a: InternalCategory, shape: InternalCategory,
-                  provider: Optional[Callable] = None,
-                  expo: Optional[ExponentialCategory] = None) -> LimitFunctorResult:
+def _transported(cert: UniversalCertificate, eps: InternalFunctor,
+                 q: IndexFunctor, shape: InternalCategory, a: InternalCategory,
+                 during: str) -> UniversalCertificate:
+    """The functor-space certificate moved along ``q`` onto ``eps``
+    restricted along it, with ``shape`` and ``a`` already restricted; a
+    cone that is no longer universal is refused as ``transport_failed``."""
+    moved = transport_certificate(cert, q, restrict_functor(q, eps, shape, a))
+    if isinstance(moved, Refusal):
+        raise RefusalError(Refusal("transport_failed", {
+            "during": during, **moved.details}))
+    return moved
+
+
+def limit_functor(a: InternalCategory, shape: InternalCategory) -> LimitFunctorResult:
     """Construct the right adjoint to the constant-diagram functor.
 
     The object part comes from one certified universal cone over the
@@ -775,15 +789,10 @@ def limit_functor(a: InternalCategory, shape: InternalCategory,
     transformation projection. Both triangle identities are verified
     exactly before returning.
     """
-    provider = default_provider if provider is None else provider
-    e = exponential_cat(shape, a) if expo is None else expo
+    e = exponential_cat(shape, a)
     base = a.base
     site_f, _, eps = _functor_space_diagram(e)
-    try:
-        cert = provider(eps)
-    except RefusalError as err:
-        err.refusal.details.setdefault("during", "limit functor: functor-space diagram")
-        raise
+    cert = certified_limit(eps, "limit functor: functor-space diagram")
 
     lim0 = {c: {el: cert.point.components[(c, el)]["*"][0]
                 for el in e.cat.obj.at(c)} for c in base.objects}
@@ -799,16 +808,9 @@ def limit_functor(a: InternalCategory, shape: InternalCategory,
     to_tgt = IndexFunctor(site_n, site_f,
                           {so: (so[0], so[1][1]) for so in site_n.objects},
                           {w: (w[0], w[1][1]) for w in site_n.arrows})
-    eps_s = restrict_functor(to_src, eps, sh_n, am_n)
-    eps_t = restrict_functor(to_tgt, eps, sh_n, am_n)
-    cns_s = cones_category(eps_s)
-    cns_t = cones_category(eps_t)
-    cert_s = transport_certificate(cert, to_src, eps_s, cns_s)
-    cert_t = transport_certificate(cert, to_tgt, eps_t, cns_t)
-    for moved in (cert_s, cert_t):
-        if isinstance(moved, Refusal):
-            raise RefusalError(Refusal("transport_failed", {
-                "during": "limit functor: arrow part", **moved.details}))
+    cert_s, cert_t = (_transported(cert, eps, q, sh_n, am_n,
+                                   "limit functor: arrow part")
+                      for q in (to_src, to_tgt))
 
     def pushed(so):
         talpha = fam_dict(so[1][2])
@@ -835,12 +837,7 @@ def limit_functor(a: InternalCategory, shape: InternalCategory,
         site_a, site_f,
         {so: (so[0], delta.f0.components[so[0]][so[1]]) for so in site_a.objects},
         {w: (w[0], delta.f0.components[base.tgt[w[0]]][w[1]]) for w in site_a.arrows})
-    eps_d = restrict_functor(to_diag, eps, sh_a, am_a)
-    cns_d = cones_category(eps_d)
-    cert_d = transport_certificate(cert, to_diag, eps_d, cns_d)
-    if isinstance(cert_d, Refusal):
-        raise RefusalError(Refusal("transport_failed", {
-            "during": "limit functor: unit", **cert_d.details}))
+    cert_d = _transported(cert, eps, to_diag, sh_a, am_a, "limit functor: unit")
 
     def identity_cone(c, x):
         return (x, stage_family(
@@ -1041,8 +1038,7 @@ def _decode_special_stage(a: InternalCategory, kind: str,
     return (t1["one"], t1["two"])
 
 
-def special_right_adjoint(a: InternalCategory, kind: str,
-                          provider: Optional[Callable] = None):
+def special_right_adjoint(a: InternalCategory, kind: str):
     """A right adjoint to the terminal/product/equalizer comparison functor,
     built through the limit functor over the matching shape.
 
@@ -1051,7 +1047,7 @@ def special_right_adjoint(a: InternalCategory, kind: str,
     """
     shape, direct, to_direct = _special_setup(a, kind)
     try:
-        lf = limit_functor(a, shape, provider=provider)
+        lf = limit_functor(a, shape)
     except RefusalError as err:
         details = dict(err.refusal.details)
         witness = None

@@ -16,23 +16,16 @@ import time
 
 from . import __version__
 from .ambient import PreconditionError
-from .core import initial_cat
-from .formats import SpecDocument, emit_document
+from .formats import SHAPE_BUILDERS, SpecDocument, emit_document
 from .functor_cat import exponential_cat
 from .limits import (
     CertificateError, Diagram, Refusal, RefusalError, limit_functor,
-    shape_parallel_pair, shape_two, universal_cocone, universal_cone,
+    universal_cocone, universal_cone,
 )
 from .theorems import (
     aft_left_adjoint, colimit_via_duality, galois_oracle, is_continuous,
     lattice_completeness_check,
 )
-
-SHAPE_BUILDERS = {
-    "empty": initial_cat,
-    "discrete-two": shape_two,
-    "parallel-pair": shape_parallel_pair,
-}
 
 
 def _key(k) -> str:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
 
 from .labels import fam_dict, sort_key
 from .ambient import (
@@ -27,8 +26,8 @@ from .core import (
 )
 from .limits import (
     CertificateError, Cocone, CommaCategory, ConesCategory, Refusal,
-    RefusalError, UniversalCertificate, cocones_category, comma_category,
-    cones_category, connecting_iso, default_provider, diagram_functor,
+    RefusalError, UniversalCertificate, certified_limit, cocones_category,
+    comma_category, cones_category, connecting_iso, diagram_functor,
     indexed_cone_factorization, is_internal_initial, is_internal_terminal,
     shape_parallel_pair, shape_two, universal_cocone,
 )
@@ -125,15 +124,13 @@ class InitialViaLimit:
 
 
 def initial_via_identity_limit(a: InternalCategory,
-                               provider: Optional[Callable] = None,
                                identity_certificate=None) -> InitialViaLimit:
     """Take the limit of the identity diagram and certify that its vertex
     is initial, with the cone legs as the counit of the adjunction against
     the unique functor to the one-object category."""
-    provider = default_provider if provider is None else provider
     dg = identity_functor(a)
     cert = identity_certificate if identity_certificate is not None \
-        else provider(dg)
+        else certified_limit(dg)
     base = a.base
     vpt = point_of(a.obj, {c: cert.vertex_at(c)[0] for c in base.objects})
     # The leg at the vertex itself must be the identity arrow.
@@ -194,34 +191,25 @@ class TransportedLimit:
     mediators: PresheafMap               # shape-objects -> mediating arrows
 
 
-def cocones_limit_transport(dg, dprime, provider: Optional[Callable] = None,
-                            cocones: Optional[ConesCategory] = None
-                            ) -> TransportedLimit:
-    """Give the cocone category of ``dg`` the limit of a diagram ``dprime``
-    by computing the limit after the vertex projection and lifting the
+def cocones_limit_transport(cocones: ConesCategory, dprime) -> TransportedLimit:
+    """Give a cocone category the limit of a diagram ``dprime`` by
+    computing the limit after the vertex projection and lifting the
     cocone structure through one indexed factorization.
 
     The lifted pair is then re-certified as terminal among cones over
     ``dprime``, so the returned certificate does not depend on the
     transport argument being right.
     """
-    provider = default_provider if provider is None else provider
-    dg = diagram_functor(dg)
+    dg = cocones.diagram
     dprime_f = diagram_functor(dprime)
-    cc = cocones_category(dg) if cocones is None else cocones
-    if dprime_f.target_cat != cc.cat:
+    if dprime_f.target_cat != cocones.cat:
         raise PreconditionError("second diagram must land in the cocone category")
     a = dg.target_cat
     base = a.base
     s0 = dg.source_cat.obj
     sprime = dprime_f.source_cat
-    td = compose_functors(cc.to_base, dprime_f)
-    try:
-        cert_td = provider(td)
-    except RefusalError as err:
-        err.refusal.details.setdefault(
-            "during", "cocone-category limit: composed diagram")
-        raise
+    td = compose_functors(cocones.to_base, dprime_f)
+    cert_td = certified_limit(td, "cocone-category limit: composed diagram")
 
     # Each shape-object element induces a cone over the composed diagram
     # whose legs are the matching legs of every cocone in sight.
@@ -242,7 +230,7 @@ def cocones_limit_transport(dg, dprime, provider: Optional[Callable] = None,
     errs = cocone_l.validate()
     if errs:
         raise CertificateError(f"lifted cocone: {errs}")
-    l_point = cc.encode(cocone_l)
+    l_point = cocones.encode(cocone_l)
 
     cns2 = cones_category(dprime_f)
 
@@ -251,14 +239,14 @@ def cocones_limit_transport(dg, dprime, provider: Optional[Callable] = None,
         t = fam_dict(cert_td.point.components[c]["*"][1])
         return (l_el, stage_family(
             base, c, sprime.obj,
-            lambda u, w: (cc.cat.obj.action[u][l_el],
+            lambda u, w: (cocones.cat.obj.action[u][l_el],
                           dprime_f.on_obj(base.src[u], w), t[(u, w)])))
 
     p_point = point_of(cns2.cat.obj, {c: lifted(c) for c in base.objects})
     cert = cns2.certify(p_point)
     if isinstance(cert, Refusal):
         raise CertificateError(f"lifted limit is not terminal: {cert}")
-    return TransportedLimit(cert, cocone_l, cns2, cc, lambdas)
+    return TransportedLimit(cert, cocone_l, cns2, cocones, lambdas)
 
 
 @dataclass
@@ -273,14 +261,13 @@ class ColimitResult:
     iso: PresheafMap
 
 
-def colimit_via_duality(dg, provider: Optional[Callable] = None) -> ColimitResult:
+def colimit_via_duality(dg) -> ColimitResult:
     """Build the cocone category, take the limit of its identity diagram,
     extract the initial cocone, and cross-check against the direct
     universal-cocone search."""
     dg = diagram_functor(dg)
     cc = cocones_category(dg)
-    tr = cocones_limit_transport(dg, identity_functor(cc.cat), provider,
-                                 cocones=cc)
+    tr = cocones_limit_transport(cc, identity_functor(cc.cat))
     iv = initial_via_identity_limit(cc.cat,
                                     identity_certificate=tr.certificate)
     cert = cc._of_universal(iv.initial_certificate)
@@ -295,14 +282,23 @@ def colimit_via_duality(dg, provider: Optional[Callable] = None) -> ColimitResul
 # continuity
 
 
-def _image_cone(fn: InternalFunctor, c, shape_obj, cone):
-    """A cone ``(vertex, legs)`` at stage c carried along ``fn``."""
+def _image_limit(fn: InternalFunctor, cert: UniversalCertificate):
+    """Carry a certified limit cone along ``fn`` and test whether the image
+    is terminal among cones over the image diagram: the terminality
+    certificate, or the refusal naming the obstruction."""
     base = fn.source_cat.base
-    v, gamma = cone
-    t = fam_dict(gamma)
-    return (fn.f0.components[c][v],
-            stage_family(base, c, shape_obj,
-                         lambda u, d: fn.f1.components[base.src[u]][t[(u, d)]]))
+    shape_obj = cert.diagram.source_cat.obj
+    cns = cones_category(compose_functors(fn, cert.diagram))
+
+    def image(c):
+        v, gamma = cert.point.components[c]["*"]
+        t = fam_dict(gamma)
+        return (fn.f0.components[c][v], stage_family(
+            base, c, shape_obj,
+            lambda u, d: fn.f1.components[base.src[u]][t[(u, d)]]))
+
+    return is_internal_terminal(
+        cns.cat, point_of(cns.cat.obj, {c: image(c) for c in base.objects}))
 
 
 @dataclass
@@ -313,29 +309,22 @@ class ContinuityReport:
 
 
 def default_shape_family(base: IndexCategory):
+    """The shapes continuity is checked over: empty, two objects, and a
+    parallel pair, which together build every finite limit."""
     return (("empty", initial_cat(base)),
             ("discrete_two", shape_two(base)),
             ("parallel_pair", shape_parallel_pair(base)))
 
 
-def is_continuous(fn: InternalFunctor, shape_family=None,
-                  provider: Optional[Callable] = None) -> ContinuityReport:
+def is_continuous(fn: InternalFunctor) -> ContinuityReport:
     """Check that a functor carries certified limit cones to limit cones
-    for every diagram over each shape in the family."""
-    provider = default_provider if provider is None else provider
+    for every diagram over each shape of the default shape family."""
     a = fn.source_cat
     base = a.base
-    shapes = default_shape_family(base) if shape_family is None else shape_family
     entries = []
-    for name, shape in shapes:
+    for name, shape in default_shape_family(base):
         for dg in enumerate_functors(shape, a):
-            cert = provider(dg)
-            image = compose_functors(fn, dg)
-            cns_img = cones_category(image)
-            ipoint = point_of(cns_img.cat.obj, {
-                c: _image_cone(fn, c, shape.obj, cert.point.components[c]["*"])
-                for c in base.objects})
-            res = is_internal_terminal(cns_img.cat, ipoint)
+            res = _image_limit(fn, certified_limit(dg))
             entry = {"shape": name,
                      "diagram": {c: dict(dg.f0.components[c])
                                  for c in base.objects},
@@ -382,8 +371,7 @@ class AdjointConstruction:
                                PresheafMap(b.arr, cat.arr, emb1))
 
 
-def aft_left_adjoint(r: InternalFunctor,
-                     provider: Optional[Callable] = None) -> AdjointConstruction:
+def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:
     """Construct the left adjoint of a limit-preserving functor.
 
     The value at each generalized object is the limit of its comma fiber,
@@ -392,7 +380,6 @@ def aft_left_adjoint(r: InternalFunctor,
     which is re-certified first: a functor that fails to preserve that
     limit is refused there, with the offending fiber attached.
     """
-    provider = default_provider if provider is None else provider
     b, a = r.source_cat, r.target_cat
     base = a.base
 
@@ -408,13 +395,7 @@ def aft_left_adjoint(r: InternalFunctor,
         PresheafMap(tcs.arr, a_s.arr,
                     {so: {"*": a.id_at(so[0], so[1])} for so in site.objects}))
     fiber = comma_category(generic, r_s)
-    pb = fiber.proj_right
-    try:
-        cert = provider(pb)
-    except RefusalError as err:
-        err.refusal.details.setdefault(
-            "during", "fiber limit of the comma projection")
-        raise
+    cert = certified_limit(fiber.proj_right, "fiber limit of the comma projection")
 
     l0 = {c: {x: cert.point.components[(c, x)]["*"][0] for x in a.obj.at(c)}
           for c in base.objects}
@@ -451,12 +432,7 @@ def aft_left_adjoint(r: InternalFunctor,
 
     # Continuity where it is used: the image of the fiber limit under R
     # must again be a limit cone.
-    rpb = compose_functors(r_s, pb)
-    cns_r = cones_category(rpb)
-    rpoint = point_of(cns_r.cat.obj, {
-        so: _image_cone(r_s, so, fiber.cat.obj, cert.point.components[so]["*"])
-        for so in site.objects})
-    rres = is_internal_terminal(cns_r.cat, rpoint)
+    rres = _image_limit(r_s, cert)
     if isinstance(rres, Refusal):
         stage = rres.details.get("stage")
         raise RefusalError(Refusal("not_continuous", {

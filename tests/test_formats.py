@@ -335,10 +335,15 @@ nat t : F => G {
      (7, 15), "duplicate label 'ix' in arr line"),
     ("presheaf", "at c0 : p q", "at c0 : p q q",
      (4, 15), "duplicate label 'q' in at line"),
+    ("category", "category K over two {", "category K over two : chain 3 {",
+     (3, 21), "unexpected token ':' before '{'"),
+    ("presheaf", "presheaf X over two {", "presheaf X over two junk : more {",
+     (3, 21), "unexpected token 'junk' before '{'"),
 ], ids=[f"{kind}-{error}" for kind in ("category", "presheaf", "map", "functor", "nat")
         for error in ("duplicate", "unknown-stage", "unknown-key", "unknown-value",
                       "uncovered")]
-    + ["category-repeated-object", "category-repeated-arrow", "presheaf-repeated-label"])
+    + ["category-repeated-object", "category-repeated-arrow", "presheaf-repeated-label",
+       "category-stray-header-token", "presheaf-stray-header-token"])
 def test_stage_row_errors_are_shared_by_every_block(kind, old, new, where, message):
     text = BLOCKS[kind]
     assert old in text

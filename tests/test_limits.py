@@ -7,7 +7,7 @@ import pytest
 import intcat.limits as limits
 from intcat.ambient import (
     IndexCategory, PreconditionError, Presheaf, PresheafMap,
-    elements_category, inverse, points, pullback, representable,
+    elements_category, inverse, point_of, points, pullback, representable,
 )
 from intcat.core import (
     InternalFunctor, arrows_by_ends, compose_functors, discrete, enumerate_functors,
@@ -522,6 +522,18 @@ def test_transport_along_representable_stays_terminal():
     assert isinstance(moved, UniversalCertificate)
     assert all(moved.vertex_at(so)[0] == "c0" for so in site.objects)
     assert moved.candidate.validate() == []
+
+
+@pytest.mark.parametrize("test, vertex", [
+    (is_internal_terminal, "6"), (is_internal_initial, "1"),
+], ids=["terminal", "initial"])
+def test_transport_refuses_a_certificate_without_a_diagram(test, vertex):
+    a = divisor_lattice(6)
+    cert = test(a, point_of(a.obj, {"pt": vertex}))
+    assert isinstance(cert, UniversalCertificate)
+    with pytest.raises(PreconditionError,
+                       match="certificate does not carry a cone category"):
+        transport_certificate(cert, elements_category(a.obj)[1])
 
 
 def test_limit_functor_over_chain_base():

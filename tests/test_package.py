@@ -33,3 +33,19 @@ def test_every_export_is_referenced_by_a_module_or_a_test():
     files += list(TESTS.glob("test_*.py"))
     used = set().union(*(referenced_names(p) for p in files))
     assert sorted(exported_names() - used) == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    """A single-underscore name stays inside its module; dunder names such
+    as ``__version__`` are public."""
+    def private(name):
+        return name.startswith("_") and not (
+            name.startswith("__") and name.endswith("__"))
+
+    found = [f"{path.name}: {alias.name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").startswith("intcat"))
+             for alias in node.names if private(alias.name)]
+    assert found == []

@@ -10,8 +10,8 @@ import intcat.limits as limits
 from intcat.ambient import IndexCategory, Presheaf, PresheafMap
 from intcat.core import (
     InternalFunctor, adjunction_check, arrows_by_ends, category_from_tables,
-    compose_functors, from_finite_category, identity_functor, indiscrete,
-    initial_cat, opposite,
+    compose_functors, enumerate_functors, from_finite_category,
+    identity_functor, indiscrete, initial_cat, opposite,
 )
 from intcat.labels import fam_dict
 from intcat.limits import (
@@ -121,9 +121,9 @@ def test_cocone_transport_empty_and_identity():
         empty_shape, cc.cat,
         PresheafMap(empty_shape.obj, cc.cat.obj, {"pt": {}}),
         PresheafMap(empty_shape.arr, cc.cat.arr, {"pt": {}}))
-    tre = cocones_limit_transport(dg, dpe, cocones=cc)
+    tre = cocones_limit_transport(cc, dpe)
     assert tre.vertex_cocone.vertex.components["pt"]["*"] == "12"
-    tri = cocones_limit_transport(dg, identity_functor(cc.cat), cocones=cc)
+    tri = cocones_limit_transport(cc, identity_functor(cc.cat))
     assert tri.vertex_cocone.vertex.components["pt"]["*"] == "12"
     assert tri.vertex_cocone.legs.components["pt"]["0"] == ("4", "12")
 
@@ -162,6 +162,27 @@ def test_colimit_via_duality_decides_its_initiality_once(monkeypatch):
     assert col.certificate == cc.certify(col.certificate.point)
     with pytest.raises(CertificateError, match="a colimit certificate does not"):
         cc._of_universal(col.direct)
+
+
+def _aft_constant_on_vee():
+    fn = next(f for f in enumerate_functors(vee_poset(), chain_cat(2))
+              if set(f.f0.components["pt"].values()) == {"0"})
+    return aft_left_adjoint(fn)
+
+
+@pytest.mark.parametrize("run, during", [
+    (lambda: limit_functor(vee_poset(), initial_cat(FIN)),
+     "limit functor: functor-space diagram"),
+    (_aft_constant_on_vee, "fiber limit of the comma projection"),
+    (lambda: is_continuous(identity_functor(vee_poset())), None),
+], ids=["limit-functor", "aft-fiber", "is-continuous"])
+def test_engine_refusals_keep_their_during_tag(run, during):
+    with pytest.raises(RefusalError) as exc:
+        run()
+    refusal = exc.value.refusal
+    assert refusal.kind == "no_universal_cone"
+    assert refusal.details.get("during") == during
+    assert ("during" in refusal.details) == (during is not None)
 
 
 def test_identity_functor_is_continuous():
