@@ -16,8 +16,9 @@ defaulting each entry to the only arrow with its endpoints. ``_header``
 reads the ``map``/``functor``/``nat`` header, and ``_declare`` binds a
 name and keeps its tokens in one step.
 
-Labels may be any whitespace-free tokens not containing ``= < > : / .``
-so set-like names such as ``{a,b}`` stay legal. Arrows of posetal
+Labels may be any whitespace-free tokens not containing ``= < > : / .``,
+other than the block delimiters ``{`` and ``}``, so set-like names such
+as ``{a,b}`` stay legal. Arrows of posetal
 categories are referred to by their endpoints as ``x->y``; that form is
 also accepted as a table key wherever an arrow must be named.
 """
@@ -120,6 +121,8 @@ def _fail(line, col, msg):
 
 
 def _check_label(tok, line, col):
+    if tok in ("{", "}"):
+        _fail(line, col, f"label {tok!r} is a block delimiter")
     if any(ch in _BAD_LABEL for ch in tok):
         _fail(line, col, f"label {tok!r} contains a reserved character")
     return tok

@@ -27,22 +27,28 @@ It holds exactly when each fiber is a singleton at every stage, which the
 one test reads through ``core.arrows_at``: from the legs of a cone
 category, from the endpoint index otherwise. That single condition is
 stable under every change of stage, so certified limits transport along
-reindexings; ``transport_certificate`` performs the transport and
-re-certifies from scratch. Failures are returned as ``Refusal`` values
-naming the stage and element that obstruct.
+reindexings; ``transport_certificate`` performs the transport and decides
+the moved cone again. Along a discrete fibration, over the certified
+diagram restricted along it, the cones at each new stage are those at its
+image with their leg keys relabelled, so the new cone category is read
+off the certificate's; along any other reindexing, or over any other
+diagram, it is rebuilt by the solver. Failures are returned as
+``Refusal`` values naming the stage and element that obstruct.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional, Union
 
-from .labels import fam_dict
+from .labels import fam_dict, fam_in_order, sort_key
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, PreconditionError,
-    elements_category, enumerate_maps, family_at_identity, family_solver,
-    inverse, point_of, shift_family, stage_family, terminal,
+    elements_category, enumerate_maps, family_at_identity, family_keys,
+    family_solver, inverse, point_of, shift_family, stage_family, terminal,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
@@ -237,7 +243,10 @@ class ConesCategory:
                                     self.decode_point(res.point), self.diagram, self)
 
 
-def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:
+def _searched_carrier(dg: InternalFunctor, dual: bool) -> dict:
+    """The stage-c cones ``(v, gamma)`` over ``dg`` (cocones when ``dual``)
+    found by the solver, by vertex in carrier order, the leg families of
+    one vertex in ``sort_key`` order."""
     a, d = dg.target_cat, dg.source_cat
     base = a.base
     by_ends = arrows_by_ends(a)
@@ -273,6 +282,14 @@ def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:
             for gamma in solve(allowed, check):
                 elems.append((v, gamma))
         obj_carrier[c] = tuple(elems)
+    return obj_carrier
+
+
+def _assembled_cones(dg: InternalFunctor, dual: bool, obj_carrier: dict) -> ConesCategory:
+    """The cone (cocone) category over ``dg`` with the given objects."""
+    a, d = dg.target_cat, dg.source_cat
+    base = a.base
+    by_ends = arrows_by_ends(a)
 
     # Cones form a discrete fibration over ``a``: an arrow p : v1 -> v of
     # ``a`` lifts to exactly one arrow into the cone (v, gamma), from the
@@ -336,12 +353,14 @@ def _build_cones(dg: InternalFunctor, dual: bool) -> ConesCategory:
 
 def cones_category(dg) -> ConesCategory:
     """The category object of cones over a diagram."""
-    return _build_cones(diagram_functor(dg), dual=False)
+    dg = diagram_functor(dg)
+    return _assembled_cones(dg, False, _searched_carrier(dg, False))
 
 
 def cocones_category(dg) -> ConesCategory:
     """The category object of cocones under a diagram."""
-    return _build_cones(diagram_functor(dg), dual=True)
+    dg = diagram_functor(dg)
+    return _assembled_cones(dg, True, _searched_carrier(dg, True))
 
 
 # ---------------------------------------------------------------------------
@@ -701,34 +720,123 @@ def reindex_diagram(q: IndexFunctor, dg) -> InternalFunctor:
                             restrict_cat(q, dg.target_cat))
 
 
+def _relabelling(q: IndexFunctor, s, dom: Presheaf):
+    """The map taking a leg family of stage ``q(s)`` to the family at
+    stage ``s`` of ``q.source`` with the leg at key ``(q(w), x)`` moved to
+    key ``(w, x)``, the keys in the ``family_keys`` order of ``dom``."""
+    keys = family_keys(q.source, s, dom)
+    old = [(q.on_arr[w], x) for w, x in keys]
+
+    def relabel(gamma):
+        return fam_in_order(zip(keys, map(fam_dict(gamma).__getitem__, old)))
+
+    return relabel
+
+
 def transport_cone_point(cert: UniversalCertificate, q: IndexFunctor,
                          cns2: ConesCategory) -> PresheafMap:
-    """Reindex the certified cone's point along ``q`` into a rebuilt cone
+    """Reindex the certified cone's point along ``q`` into the cone
     category over the new base."""
     shape2 = cns2.diagram.source_cat
 
-    def moved(so):
-        v, gamma = cert.point.components[q.on_obj[so]]["*"]
-        t = fam_dict(gamma)
-        return (v, stage_family(q.source, so, shape2.obj,
-                                lambda w, x: t[(q.on_arr[w], x)]))
+    def moved(s):
+        v, gamma = cert.point.components[q.on_obj[s]]["*"]
+        return (v, _relabelling(q, s, shape2.obj)(gamma))
 
-    return point_of(cns2.cat.obj, {so: moved(so) for so in q.source.objects})
+    return point_of(cns2.cat.obj, {s: moved(s) for s in q.source.objects})
+
+
+def _lifts_arrows_uniquely(q: IndexFunctor) -> bool:
+    """Whether ``q`` is a discrete fibration: a functor that maps the
+    arrows into each object ``s`` one to one onto those into ``q(s)``. A
+    functor maps the former among the latter, so it is enough that their
+    images are distinct and as many."""
+    if q.validate():
+        return False
+    for s in q.source.objects:
+        into = q.source.arrows_into(s)
+        if not len({q.on_arr[w] for w in into}) == len(into) == \
+                len(q.target.arrows_into(q.on_obj[s])):
+            return False
+    return True
+
+
+def _restricts(q: IndexFunctor, dg: InternalFunctor, dg2: InternalFunctor) -> bool:
+    """Whether each table of ``dg2`` that a cone category over it reads is
+    that of ``dg`` at ``q(s)``, stage by stage: the functor's components;
+    the carriers, actions, endpoints and identities of its shape and
+    target; the target's composition. After ``restrict`` these are shared
+    objects, so the test is one identity check per stage and table."""
+    src = q.source
+    cats = ((dg2.source_cat, dg.source_cat), (dg2.target_cat, dg.target_cat))
+    if any(c2.base != src or c.base != q.target for c2, c in cats):
+        return False
+    arr_at = [q.on_arr[w] for w in src.arrows]
+    obj_at = [q.on_obj[o] for o in src.objects]
+
+    def agree(tables2, tables, index, at):
+        return list(map(tables2.get, index)) == list(map(tables.__getitem__, at))
+
+    staged = [(dg2.f0.components, dg.f0.components),
+              (dg2.f1.components, dg.f1.components),
+              (dg2.target_cat.compose.components, dg.target_cat.compose.components)]
+    for c2, c in cats:
+        if not agree(c2.obj.action, c.obj.action, src.arrows, arr_at) or \
+           not agree(c2.arr.action, c.arr.action, src.arrows, arr_at):
+            return False
+        staged += [(c2.obj.carrier, c.obj.carrier), (c2.arr.carrier, c.arr.carrier)]
+        staged += [(m2.components, m.components) for m2, m in (
+            (c2.source, c.source), (c2.target, c.target), (c2.identity, c.identity))]
+    return all(agree(t2, t, src.objects, obj_at) for t2, t in staged)
+
+
+def _reindexed_carrier(cns: ConesCategory, q: IndexFunctor,
+                       dg2: InternalFunctor) -> Optional[dict]:
+    """The objects of the cone category over ``dg2`` read off ``cns``
+    when ``q`` is a discrete fibration and ``dg2`` is ``cns.diagram``
+    restricted along it, else None.
+
+    Then the keys ``(w, x)`` of a leg family at ``s`` correspond one to one
+    to the keys ``(q(w), x)`` at ``q(s)``, under the same constraints on
+    the same tables, so the cones at ``s`` are those at ``q(s)``
+    relabelled, in the solver's order: by vertex, then by ``sort_key``.
+    """
+    if not (_lifts_arrows_uniquely(q) and _restricts(q, cns.diagram, dg2)):
+        return None
+    dom = dg2.source_cat.obj
+    carrier = {}
+    for s in q.source.objects:
+        relabel, elems = _relabelling(q, s, dom), []
+        for v, cones in groupby(cns.cat.obj.at(q.on_obj[s]), key=itemgetter(0)):
+            legs = [relabel(gamma) for _, gamma in cones]
+            if len(legs) > 1:
+                legs.sort(key=sort_key)
+            elems += ((v, gamma) for gamma in legs)
+        carrier[s] = tuple(elems)
+    return carrier
 
 
 def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
                           dg2: Optional[InternalFunctor] = None):
     """Reindex a certified universal cone along an index functor and
-    re-certify it from scratch over the new base.
+    certify it again over the new base.
 
-    Returns a fresh certificate, or a Refusal if the transported cone is
-    not universal over the new base (which would witness an instability).
+    When ``q`` is a discrete fibration and ``dg2`` is the certified
+    diagram restricted along it, the cone category over ``dg2`` is the
+    certificate's own relabelled; otherwise it is rebuilt by the solver.
+    Either way the transported cone is decided from scratch. Returns a
+    fresh certificate, or a Refusal if the transported cone is not
+    universal over the new base (which would witness an instability).
     """
     if cert.cones is None or cert.kind not in ("limit", "colimit"):
         raise PreconditionError("certificate does not carry a cone category")
-    if dg2 is None:
-        dg2 = reindex_diagram(q, cert.diagram)
-    cns2 = cocones_category(dg2) if cert.kind == "colimit" else cones_category(dg2)
+    dg2 = reindex_diagram(q, cert.diagram) if dg2 is None else diagram_functor(dg2)
+    dual = cert.kind == "colimit"
+    carrier = _reindexed_carrier(cert.cones, q, dg2)
+    if carrier is None:
+        cns2 = cocones_category(dg2) if dual else cones_category(dg2)
+    else:
+        cns2 = _assembled_cones(dg2, dual, carrier)
     return cns2.certify(transport_cone_point(cert, q, cns2))
 
 

@@ -136,6 +136,18 @@ def test_error_bad_pair_element():
     assert "'c'" in err.message
 
 
+@pytest.mark.parametrize("decl, col, brace", [
+    ("lattice L over f : a b {", 24, "{"),
+    ("lattice L over f : } a / }<a", 20, "}"),
+    ("category C over f : discrete a }", 32, "}"),
+], ids=["lattice-trailing-open", "lattice-close", "discrete-close"])
+def test_block_delimiters_are_not_labels(decl, col, brace):
+    # a kept "{" was dropped on emission, so the text re-parsed differently
+    err = located(f"format 1\nbase f finset\n{decl}\n")
+    assert (err.line, err.col, err.message) == \
+        (3, col, f"label {brace!r} is a block delimiter")
+
+
 def test_error_duplicate_name():
     err = located("format 1\nbase f finset\nbase f finset\n")
     assert err.line == 3

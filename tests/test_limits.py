@@ -1,18 +1,22 @@
 """Cone categories, universal cones, comma categories, and transport."""
 
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import intcat.limits as limits
 from intcat.ambient import (
-    IndexCategory, PreconditionError, Presheaf, PresheafMap,
-    elements_category, inverse, point_of, points, pullback, representable,
+    IndexCategory, IndexFunctor, PreconditionError, Presheaf, PresheafMap,
+    coproduct, elements_category, inverse, point_of, points, pullback,
+    representable,
 )
 from intcat.core import (
     InternalFunctor, arrows_by_ends, compose_functors, discrete, enumerate_functors,
     enumerate_nats, from_finite_category, identity_functor, identity_nat,
-    initial_cat, opposite, terminal_cat, validate_internal_category,
+    initial_cat, make_internal_category, opposite, terminal_cat,
+    validate_internal_category,
 )
 from intcat.functor_cat import diagonal_functor, exponential_cat
 from intcat.labels import fam_dict
@@ -534,6 +538,155 @@ def test_transport_refuses_a_certificate_without_a_diagram(test, vertex):
     with pytest.raises(PreconditionError,
                        match="certificate does not carry a cone category"):
         transport_certificate(cert, elements_category(a.obj)[1])
+
+
+def _transport_solver_calls(monkeypatch):
+    """The diagrams whose cone categories the solver searches from now on."""
+    searched = []
+    real = limits._searched_carrier
+
+    def recorded(dg, dual):
+        searched.append(dg)
+        return real(dg, dual)
+
+    monkeypatch.setattr(limits, "_searched_carrier", recorded)
+    return searched
+
+
+def test_transport_rebuilds_along_a_functor_that_is_no_discrete_fibration(monkeypatch):
+    cert = universal_cone(diagram_two(divisor_lattice(12), "4", "6"))
+    # both arrows into c1 go to the one arrow into pt
+    const = IndexFunctor(CHAIN2, FIN, {c: "pt" for c in CHAIN2.objects},
+                         {w: "id_pt" for w in CHAIN2.arrows})
+    dg2 = reindex_diagram(const, cert.diagram)
+    searched = _transport_solver_calls(monkeypatch)
+    moved = transport_certificate(cert, const, dg2)
+    assert searched == [dg2] and searched[0] is dg2
+    assert isinstance(moved, UniversalCertificate)
+    assert moved.candidate.legs.components == {
+        c: {"0": ("2", "4"), "1": ("2", "6")} for c in CHAIN2.objects}
+    assert [len(moved.cones.cat.obj.at(c)) for c in CHAIN2.objects] == [2, 2]
+
+
+def test_transport_rebuilds_over_a_diagram_that_is_no_restriction(monkeypatch):
+    cert = universal_cone(diagram_two(divisor_lattice(12), "4", "6"))
+    site, proj = elements_category(representable(FIN, "pt"))
+    # the same pair, in the divisors of 24 rather than of 12
+    dg2 = reindex_diagram(proj, diagram_two(divisor_lattice(24), "4", "6"))
+    searched = _transport_solver_calls(monkeypatch)
+    moved = transport_certificate(cert, proj, dg2)
+    assert searched == [dg2] and searched[0] is dg2
+    assert isinstance(moved, UniversalCertificate)
+    assert moved.candidate.legs.components == {
+        site.objects[0]: {"0": ("2", "4"), "1": ("2", "6")}}
+    assert moved.cones.cat.obj.at(site.objects[0])[0][0] == "1"
+    # along the same projection, the restricted diagram is not searched
+    assert isinstance(transport_certificate(cert, proj), UniversalCertificate)
+    assert len(searched) == 1
+
+
+def _small_target(draw, base, divisors_of=(6, 8, 12)):
+    """A chain of 1 to 4 elements or a lattice of divisors or subsets,
+    constant over ``base``."""
+    kind = draw(st.sampled_from(["chain", "divisors", "powerset"]))
+    if kind == "chain":
+        return chain_cat(draw(st.integers(1, 4)), base)
+    if kind == "divisors":
+        n = draw(st.sampled_from(divisors_of))
+        elems = [str(d) for d in range(1, n + 1) if n % d == 0]
+        return poset_cat(elems, [(x, y) for x in elems for y in elems
+                                 if int(y) % int(x) == 0], base)
+    return poset_cat(("0", "a", "b", "ab"),
+                     [("0", "a"), ("0", "b"), ("a", "ab"), ("b", "ab")], base)
+
+
+CHAIN_BASES = (FIN, CHAIN2, IndexCategory.chain(3))
+
+
+def _reindexed_equals_rebuilt(cert, q, dg2):
+    """Transport along ``q`` takes the relabelled cone category, and it
+    and the certificate equal those the solver's rebuild gives."""
+    assert limits._reindexed_carrier(cert.cones, q, dg2) is not None
+    moved = transport_certificate(cert, q, dg2)
+    cns2 = (cocones_category if cert.kind == "colimit" else cones_category)(dg2)
+    rebuilt = cns2.certify(limits.transport_cone_point(cert, q, cns2))
+    assert isinstance(moved, UniversalCertificate)
+    assert isinstance(rebuilt, UniversalCertificate)
+    for part in ("obj", "arr", "source", "target", "identity"):
+        assert getattr(moved.cones.cat, part) == getattr(rebuilt.cones.cat, part), part
+    assert moved.cones.to_base == rebuilt.cones.to_base
+    assert moved.point == rebuilt.point
+    assert moved.unique_table == rebuilt.unique_table
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_transport_along_elements_of_representables_reindexes(data):
+    # criterion 3's reindexings: representables and binary coproducts
+    base = data.draw(st.sampled_from(CHAIN_BASES))
+    target = _small_target(data.draw, base)
+    x, y = (data.draw(st.sampled_from(target.obj.at(base.objects[0])))
+            for _ in range(2))
+    dg = diagram_two(target, x, y)
+    cert = data.draw(st.sampled_from([universal_cone, universal_cocone]))(dg)
+    reps = [representable(base, c) for c in base.objects]
+    index = data.draw(st.sampled_from(
+        reps + [coproduct(r1, r2)[0] for r1 in reps for r2 in reps]))
+    q = elements_category(index)[1]
+    _reindexed_equals_rebuilt(cert, q, reindex_diagram(q, dg))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_limit_functor_transports_reindex(data):
+    base = data.draw(st.sampled_from(CHAIN_BASES))
+    target = _small_target(data.draw, base, divisors_of=(6, 8))
+    shape = data.draw(st.sampled_from([initial_cat, shape_two, shape_parallel_pair]))(base)
+    seen = []
+    real = limits.transport_certificate
+
+    def recording(cert, q, dg2=None):
+        seen.append((cert, q, dg2))
+        return real(cert, q, dg2)
+
+    with mock.patch.object(limits, "transport_certificate", recording):
+        assert limit_functor(target, shape).functor.validate() == []
+    assert len(seen) == 3       # to_src, to_tgt and to_diag
+    for cert, q, dg2 in seen:
+        _reindexed_equals_rebuilt(cert, q, dg2)
+
+
+def test_transport_orders_relabelled_cones_as_the_solver_does():
+    # Over chain 2, two parallel arrows f, g : 0 -> 1 that restriction
+    # swaps; over the chain y < x the arrow into x that sorts first is the
+    # identity, not the restriction, so relabelling the two cones at
+    # vertex 0 reverses their sort order and they are sorted again.
+    up, arrows = ("c0", "c1"), ("i0", "i1", "f", "g")
+    swap = {"i0": "i0", "i1": "i1", "f": "g", "g": "f"}
+    ends = {"i0": ("0", "0"), "i1": ("1", "1"), "f": ("0", "1"), "g": ("0", "1")}
+    obj = Presheaf(CHAIN2, {c: ("0", "1") for c in CHAIN2.objects},
+                   {u: {"0": "0", "1": "1"} for u in CHAIN2.arrows})
+    arr = Presheaf(CHAIN2, {c: arrows for c in CHAIN2.objects},
+                   {u: swap if u == up else {h: h for h in arrows} for u in CHAIN2.arrows})
+    a = make_internal_category(
+        obj, arr,
+        PresheafMap(arr, obj, {c: {h: e[0] for h, e in ends.items()} for c in CHAIN2.objects}),
+        PresheafMap(arr, obj, {c: {h: e[1] for h, e in ends.items()} for c in CHAIN2.objects}),
+        PresheafMap(obj, arr, {c: {"0": "i0", "1": "i1"} for c in CHAIN2.objects}),
+        lambda c, g, f: f if g in ("i0", "i1") else g)
+    assert a.validate() == []
+    one = from_finite_category(CHAIN2, IndexCategory.discrete(("0",)))
+    dg = InternalFunctor(
+        one, a, PresheafMap(one.obj, a.obj, {c: {"0": "1"} for c in CHAIN2.objects}),
+        PresheafMap(one.arr, a.arr, {c: {("id", "0"): "i1"} for c in CHAIN2.objects}))
+    cert = universal_cone(dg)
+    assert isinstance(cert, UniversalCertificate)
+    yx = IndexCategory.poset(("y", "x"), [("y", "x")])
+    q = IndexFunctor(yx, CHAIN2, {"y": "c0", "x": "c1"},
+                     {("y", "y"): ("c0", "c0"), ("y", "x"): up, ("x", "x"): ("c1", "c1")})
+    _reindexed_equals_rebuilt(cert, q, reindex_diagram(q, dg))
+    assert [fam_dict(g)[(("x", "x"), "0")] for _, g in
+            transport_certificate(cert, q).cones.cat.obj.at("x")] == ["f", "g", "i1"]
 
 
 def test_limit_functor_over_chain_base():

@@ -290,14 +290,15 @@ def _aft_divisors_12():
     lambda: is_continuous(identity_functor(chain_cat(3))),
 ], ids=["aft-divisors-12", "limit-functor-chain-3", "is-continuous-chain-3"])
 def test_cone_categories_build_no_arrows_object_they_do_not_read(run, monkeypatch):
+    # every cone category is assembled here, searched or reindexed
     built = []
-    real = limits._build_cones
+    real = limits._assembled_cones
 
-    def recorded(dg, dual):
-        built.append(real(dg, dual))
+    def recorded(*args):
+        built.append(real(*args))
         return built[-1]
 
-    monkeypatch.setattr(limits, "_build_cones", recorded)
+    monkeypatch.setattr(limits, "_assembled_cones", recorded)
     result = run()
     assert len(built) >= 2
     for cns in built:
