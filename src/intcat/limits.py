@@ -27,12 +27,12 @@ It holds exactly when each fiber is a singleton at every stage, which the
 one test reads through ``core.arrows_at``: from the legs of a cone
 category, from the endpoint index otherwise. That single condition is
 stable under every change of stage, so certified limits transport along
-reindexings; ``transport_certificate`` performs the transport and decides
-the moved cone again. Along a discrete fibration, over the certified
-diagram restricted along it, the cones at each new stage are those at its
-image with their leg keys relabelled, so the new cone category is read
-off the certificate's; along any other reindexing, or over any other
-diagram, it is rebuilt by the solver. Failures are returned as
+reindexings; ``transport_certificate`` rebuilds the cone category over the
+new base with the solver and decides the moved cone again from scratch.
+The limit functor needs no transport: the cones that give its arrow part
+and unit are objects of its one certified cone category, at the site
+stage of the functor they land in, so it reads them as mediators of that
+certificate. Failures are returned as
 ``Refusal`` values naming the stage and element that obstruct.
 """
 
@@ -40,15 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
 from typing import Optional, Union
 
-from .labels import fam_dict, fam_in_order, sort_key
+from .labels import fam_dict
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, PreconditionError,
-    elements_category, enumerate_maps, family_at_identity, family_keys,
-    family_solver, inverse, point_of, shift_family, stage_family, terminal,
+    elements_category, enumerate_maps, family_at_identity, family_solver,
+    inverse, point_of, shift_family, stage_family, terminal,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
@@ -501,8 +499,13 @@ class UniversalCertificate:
     def mediator_at(self, c, o):
         """The vertex arrow of the one arrow at stage ``c`` from the cone
         ``o`` to the certified point of a cone category (to ``o`` from the
-        point, for cocones)."""
-        return self.unique_table[c][o][2]
+        point, for cocones). A cone that is no object of the certified
+        category at ``c`` is refused."""
+        arrow = self.unique_table.get(c, {}).get(o)
+        if arrow is None:
+            raise CertificateError(
+                f"{o!r} is not an object of the certified category at stage {c!r}")
+        return arrow[2]
 
     def __repr__(self):
         fields = ("kind", "subject", "point", "unique_arrow", "candidate",
@@ -720,100 +723,20 @@ def reindex_diagram(q: IndexFunctor, dg) -> InternalFunctor:
                             restrict_cat(q, dg.target_cat))
 
 
-def _relabelling(q: IndexFunctor, s, dom: Presheaf):
-    """The map taking a leg family of stage ``q(s)`` to the family at
-    stage ``s`` of ``q.source`` with the leg at key ``(q(w), x)`` moved to
-    key ``(w, x)``, the keys in the ``family_keys`` order of ``dom``."""
-    keys = family_keys(q.source, s, dom)
-    old = [(q.on_arr[w], x) for w, x in keys]
-
-    def relabel(gamma):
-        return fam_in_order(zip(keys, map(fam_dict(gamma).__getitem__, old)))
-
-    return relabel
-
-
 def transport_cone_point(cert: UniversalCertificate, q: IndexFunctor,
                          cns2: ConesCategory) -> PresheafMap:
     """Reindex the certified cone's point along ``q`` into the cone
-    category over the new base."""
+    category over the new base: the leg at key ``(q(w), x)`` of stage
+    ``q(s)`` becomes the leg at key ``(w, x)`` of stage ``s``."""
     shape2 = cns2.diagram.source_cat
 
     def moved(s):
         v, gamma = cert.point.components[q.on_obj[s]]["*"]
-        return (v, _relabelling(q, s, shape2.obj)(gamma))
+        t = fam_dict(gamma)
+        return (v, stage_family(q.source, s, shape2.obj,
+                                lambda w, x: t[(q.on_arr[w], x)]))
 
     return point_of(cns2.cat.obj, {s: moved(s) for s in q.source.objects})
-
-
-def _lifts_arrows_uniquely(q: IndexFunctor) -> bool:
-    """Whether ``q`` is a discrete fibration: a functor that maps the
-    arrows into each object ``s`` one to one onto those into ``q(s)``. A
-    functor maps the former among the latter, so it is enough that their
-    images are distinct and as many."""
-    if q.validate():
-        return False
-    for s in q.source.objects:
-        into = q.source.arrows_into(s)
-        if not len({q.on_arr[w] for w in into}) == len(into) == \
-                len(q.target.arrows_into(q.on_obj[s])):
-            return False
-    return True
-
-
-def _restricts(q: IndexFunctor, dg: InternalFunctor, dg2: InternalFunctor) -> bool:
-    """Whether each table of ``dg2`` that a cone category over it reads is
-    that of ``dg`` at ``q(s)``, stage by stage: the functor's components;
-    the carriers, actions, endpoints and identities of its shape and
-    target; the target's composition. After ``restrict`` these are shared
-    objects, so the test is one identity check per stage and table."""
-    src = q.source
-    cats = ((dg2.source_cat, dg.source_cat), (dg2.target_cat, dg.target_cat))
-    if any(c2.base != src or c.base != q.target for c2, c in cats):
-        return False
-    arr_at = [q.on_arr[w] for w in src.arrows]
-    obj_at = [q.on_obj[o] for o in src.objects]
-
-    def agree(tables2, tables, index, at):
-        return list(map(tables2.get, index)) == list(map(tables.__getitem__, at))
-
-    staged = [(dg2.f0.components, dg.f0.components),
-              (dg2.f1.components, dg.f1.components),
-              (dg2.target_cat.compose.components, dg.target_cat.compose.components)]
-    for c2, c in cats:
-        if not agree(c2.obj.action, c.obj.action, src.arrows, arr_at) or \
-           not agree(c2.arr.action, c.arr.action, src.arrows, arr_at):
-            return False
-        staged += [(c2.obj.carrier, c.obj.carrier), (c2.arr.carrier, c.arr.carrier)]
-        staged += [(m2.components, m.components) for m2, m in (
-            (c2.source, c.source), (c2.target, c.target), (c2.identity, c.identity))]
-    return all(agree(t2, t, src.objects, obj_at) for t2, t in staged)
-
-
-def _reindexed_carrier(cns: ConesCategory, q: IndexFunctor,
-                       dg2: InternalFunctor) -> Optional[dict]:
-    """The objects of the cone category over ``dg2`` read off ``cns``
-    when ``q`` is a discrete fibration and ``dg2`` is ``cns.diagram``
-    restricted along it, else None.
-
-    Then the keys ``(w, x)`` of a leg family at ``s`` correspond one to one
-    to the keys ``(q(w), x)`` at ``q(s)``, under the same constraints on
-    the same tables, so the cones at ``s`` are those at ``q(s)``
-    relabelled, in the solver's order: by vertex, then by ``sort_key``.
-    """
-    if not (_lifts_arrows_uniquely(q) and _restricts(q, cns.diagram, dg2)):
-        return None
-    dom = dg2.source_cat.obj
-    carrier = {}
-    for s in q.source.objects:
-        relabel, elems = _relabelling(q, s, dom), []
-        for v, cones in groupby(cns.cat.obj.at(q.on_obj[s]), key=itemgetter(0)):
-            legs = [relabel(gamma) for _, gamma in cones]
-            if len(legs) > 1:
-                legs.sort(key=sort_key)
-            elems += ((v, gamma) for gamma in legs)
-        carrier[s] = tuple(elems)
-    return carrier
 
 
 def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
@@ -821,22 +744,22 @@ def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
     """Reindex a certified universal cone along an index functor and
     certify it again over the new base.
 
-    When ``q`` is a discrete fibration and ``dg2`` is the certified
-    diagram restricted along it, the cone category over ``dg2`` is the
-    certificate's own relabelled; otherwise it is rebuilt by the solver.
-    Either way the transported cone is decided from scratch. Returns a
-    fresh certificate, or a Refusal if the transported cone is not
-    universal over the new base (which would witness an instability).
+    The cone category over ``dg2``, by default the certified diagram
+    restricted along ``q``, is rebuilt by the solver, and the transported
+    cone is decided from scratch. Returns a fresh certificate, or a
+    Refusal if the transported cone is not universal over the new base
+    (which would witness an instability).
     """
     if cert.cones is None or cert.kind not in ("limit", "colimit"):
         raise PreconditionError("certificate does not carry a cone category")
-    dg2 = reindex_diagram(q, cert.diagram) if dg2 is None else diagram_functor(dg2)
-    dual = cert.kind == "colimit"
-    carrier = _reindexed_carrier(cert.cones, q, dg2)
-    if carrier is None:
-        cns2 = cocones_category(dg2) if dual else cones_category(dg2)
+    if dg2 is None:
+        dg2 = reindex_diagram(q, cert.diagram)
     else:
-        cns2 = _assembled_cones(dg2, dual, carrier)
+        dg2 = diagram_functor(dg2)
+        if dg2.source_cat.base != q.source or dg2.target_cat.base != q.source:
+            raise PreconditionError(
+                "the diagram given does not live over the source of the reindexing")
+    cns2 = cocones_category(dg2) if cert.kind == "colimit" else cones_category(dg2)
     return cns2.certify(transport_cone_point(cert, q, cns2))
 
 
@@ -872,91 +795,58 @@ def _functor_space_diagram(e: ExponentialCategory):
           for (c, el) in site.objects}
     eps = InternalFunctor(sh, am, PresheafMap(sh.obj, am.obj, f0),
                           PresheafMap(sh.arr, am.arr, f1))
-    return site, proj, eps
-
-
-def _transported(cert: UniversalCertificate, eps: InternalFunctor,
-                 q: IndexFunctor, shape: InternalCategory, a: InternalCategory,
-                 during: str) -> UniversalCertificate:
-    """The functor-space certificate moved along ``q`` onto ``eps``
-    restricted along it, with ``shape`` and ``a`` already restricted; a
-    cone that is no longer universal is refused as ``transport_failed``."""
-    moved = transport_certificate(cert, q, restrict_functor(q, eps, shape, a))
-    if isinstance(moved, Refusal):
-        raise RefusalError(Refusal("transport_failed", {
-            "during": during, **moved.details}))
-    return moved
+    return site, eps
 
 
 def limit_functor(a: InternalCategory, shape: InternalCategory) -> LimitFunctorResult:
     """Construct the right adjoint to the constant-diagram functor.
 
     The object part comes from one certified universal cone over the
-    elements of the whole functor space; the arrow part is mediated
-    against the transport of that certificate along the target-of-a-
-    transformation projection. Both triangle identities are verified
+    elements of the whole functor space. The arrow part and the unit are
+    mediators into that same certified cone, read at the site stage of
+    the functor they land in. Both triangle identities are verified
     exactly before returning.
     """
     e = exponential_cat(shape, a)
     base = a.base
-    site_f, _, eps = _functor_space_diagram(e)
+    site, eps = _functor_space_diagram(e)
     cert = certified_limit(eps, "limit functor: functor-space diagram")
+    dom, src = eps.source_cat.obj, site.src
 
     lim0 = {c: {el: cert.point.components[(c, el)]["*"][0]
                 for el in e.cat.obj.at(c)} for c in base.objects}
 
-    # Arrow part: transport the certificate along both projections from the
-    # elements of the transformation space, then mediate the composite cone.
-    site_n, proj_n = elements_category(e.cat.arr)
-    sh_n = restrict_cat(proj_n, shape)
-    am_n = restrict_cat(proj_n, a)
-    to_src = IndexFunctor(site_n, site_f,
-                          {so: (so[0], so[1][0]) for so in site_n.objects},
-                          {w: (w[0], w[1][0]) for w in site_n.arrows})
-    to_tgt = IndexFunctor(site_n, site_f,
-                          {so: (so[0], so[1][1]) for so in site_n.objects},
-                          {w: (w[0], w[1][1]) for w in site_n.arrows})
-    cert_s, cert_t = (_transported(cert, eps, q, sh_n, am_n,
-                                   "limit functor: arrow part")
-                      for q in (to_src, to_tgt))
+    # Arrow part: a transformation alpha : F -> G at stage c composes the
+    # limit cone of F into a cone over G, an object of the certified cone
+    # category at the site stage (c, G); its unique mediator into the
+    # certified cone there is the value of the limit functor.
+    def pushed(c, t):
+        fn, gn, alpha = t
+        v, gamma = cert.point.components[(c, fn)]["*"]
+        talpha, tgamma = fam_dict(alpha), fam_dict(gamma)
+        return (v, stage_family(
+            site, (c, gn), dom,
+            lambda w, d: a.comp_at(src[w][0], talpha[(w[0], d)], tgamma[((w[0], fn), d)])))
 
-    def pushed(so):
-        talpha = fam_dict(so[1][2])
-        v_s, gamma_s = cert_s.point.components[so]["*"]
-        ts = fam_dict(gamma_s)
-        return (v_s, stage_family(
-            site_n, so, sh_n.obj,
-            lambda w, d: a.comp_at(site_n.src[w][0], talpha[(w[0], d)], ts[(w, d)])))
-
-    lim1 = {c: {t_el: cert_t.mediator_at((c, t_el), pushed((c, t_el)))
-                for t_el in e.cat.arr.at(c)} for c in base.objects}
+    lim1 = {c: {t: cert.mediator_at((c, t[1]), pushed(c, t))
+                for t in e.cat.arr.at(c)} for c in base.objects}
     lim_fn = InternalFunctor(e.cat, a,
                              PresheafMap(e.cat.obj, a.obj, lim0),
                              PresheafMap(e.cat.arr, a.arr, lim1))
 
     delta = diagonal_functor(a, shape, expo=e)
 
-    # Unit: mediate the identity cone on each object through the
-    # certificate transported along the constant-diagram assignment.
-    site_a, proj_a = elements_category(a.obj)
-    sh_a = restrict_cat(proj_a, shape)
-    am_a = restrict_cat(proj_a, a)
-    to_diag = IndexFunctor(
-        site_a, site_f,
-        {so: (so[0], delta.f0.components[so[0]][so[1]]) for so in site_a.objects},
-        {w: (w[0], delta.f0.components[base.tgt[w[0]]][w[1]]) for w in site_a.arrows})
-    cert_d = _transported(cert, eps, to_diag, sh_a, am_a, "limit functor: unit")
-
-    def identity_cone(c, x):
-        return (x, stage_family(
-            site_a, (c, x), sh_a.obj,
-            lambda w, d: a.id_at(site_a.src[w][0], a.obj.action[w[0]][x])))
+    # Unit: mediate the identity cone on each object x, a cone over the
+    # constant functor on x at the site stage (c, delta x).
+    def unit_at(c, x):
+        stage = (c, delta.f0.components[c][x])
+        return cert.mediator_at(stage, (x, stage_family(
+            site, stage, dom, lambda w, d: a.id_at(src[w][0], a.obj.action[w[0]][x]))))
 
     unit = InternalNatTrans(
         identity_functor(a), compose_functors(lim_fn, delta),
         PresheafMap(a.obj, a.arr,
-                    {c: {x: cert_d.mediator_at((c, x), identity_cone(c, x))
-                         for x in a.obj.at(c)}
+                    {c: {x: unit_at(c, x) for x in a.obj.at(c)}
                      for c in base.objects}))
 
     # Counit: the universal cone itself, one transformation element per

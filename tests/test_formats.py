@@ -64,12 +64,14 @@ def test_fixture_report_digests_are_pinned():
 
 
 # Runs under ``python -O``, where every ``assert`` is stripped: the fixture
-# digests must not move, and a failed triangle identity must still stop the
+# digests must not move, a certificate must still refuse a mediator for a
+# cone it does not hold, and a failed triangle identity must still stop the
 # limit functor and surface in a report as an engine error.
 OPTIMIZED_RUN = """
 import json, sys
 from pathlib import Path
 import intcat.limits as limits
+from intcat.fixtures import divisor_lattice
 from intcat.formats import parse_document
 from intcat.runner import run_document
 
@@ -78,6 +80,12 @@ out = {"optimized": not __debug__, "digests": {}}
 for path in sorted(fixtures.glob("*.ct")):
     report = run_document(parse_document(path.read_text()))
     out["digests"][path.name] = report["digest"]
+d6 = divisor_lattice(6)
+cert = limits.limit_functor(d6, limits.shape_two(d6.base)).certificate
+try:
+    cert.mediator_at(next(iter(cert.unique_table)), ("6", "no legs"))
+except Exception as err:
+    out["mediator"] = [type(err).__name__, str(err)]
 limits.adjunction_check = lambda *args: ["first triangle identity fails"]
 report = run_document(parse_document(doc))
 out["task"] = report["tasks"][-1]
@@ -96,6 +104,9 @@ def test_certificates_are_enforced_under_optimization():
     out = json.loads(run.stdout)
     assert out["optimized"] is True
     assert out["digests"] == FIXTURE_DIGESTS
+    kind, message = out["mediator"]
+    assert kind == "CertificateError"
+    assert message.startswith("('6', 'no legs') is not an object of the certified category")
     task = out["task"]
     assert task["op"] == "limit-functor"
     assert task["outcome"] == "error"

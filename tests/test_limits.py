@@ -1,7 +1,6 @@
 """Cone categories, universal cones, comma categories, and transport."""
 
 import math
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +9,7 @@ import intcat.limits as limits
 from intcat.ambient import (
     IndexCategory, IndexFunctor, PreconditionError, Presheaf, PresheafMap,
     coproduct, elements_category, inverse, point_of, points, pullback,
-    representable,
+    representable, stage_family,
 )
 from intcat.core import (
     InternalFunctor, arrows_by_ends, compose_functors, discrete, enumerate_functors,
@@ -253,6 +252,18 @@ def test_mediator_uniqueness_from_certificate():
                   if cns.cat.s_at("pt", h) == o
                   and cns.cat.t_at("pt", h) == cert.point.components["pt"]["*"]]
         assert others == [med]
+
+
+@pytest.mark.parametrize("stage, vertex", [("pt", "12"), ("nowhere", "2")],
+                         ids=["not-a-cone", "not-a-stage"])
+def test_mediator_of_a_cone_outside_the_certificate_is_refused(stage, vertex):
+    cert = universal_cone(diagram_two(divisor_lattice(12), "4", "6"))
+    # the legs of the meet 2 leave no other vertex
+    cone = (vertex, cert.vertex_at("pt")[1])
+    with pytest.raises(limits.CertificateError) as exc:
+        cert.mediator_at(stage, cone)
+    assert str(exc.value) == (f"{cone!r} is not an object of the certified "
+                              f"category at stage {stage!r}")
 
 
 def test_indexed_cone_factorization_batches_mediators():
@@ -540,6 +551,13 @@ def test_transport_refuses_a_certificate_without_a_diagram(test, vertex):
         transport_certificate(cert, elements_category(a.obj)[1])
 
 
+def test_transport_refuses_a_diagram_over_another_base():
+    cert = universal_cone(diagram_two(divisor_lattice(12), "4", "6"))
+    proj = elements_category(representable(FIN, "pt"))[1]
+    with pytest.raises(PreconditionError, match="does not live over the source"):
+        transport_certificate(cert, proj, cert.diagram)
+
+
 def _transport_solver_calls(monkeypatch):
     """The diagrams whose cone categories the solver searches from now on."""
     searched = []
@@ -580,9 +598,6 @@ def test_transport_rebuilds_over_a_diagram_that_is_no_restriction(monkeypatch):
     assert moved.candidate.legs.components == {
         site.objects[0]: {"0": ("2", "4"), "1": ("2", "6")}}
     assert moved.cones.cat.obj.at(site.objects[0])[0][0] == "1"
-    # along the same projection, the restricted diagram is not searched
-    assert isinstance(transport_certificate(cert, proj), UniversalCertificate)
-    assert len(searched) == 1
 
 
 def _small_target(draw, base, divisors_of=(6, 8, 12)):
@@ -603,22 +618,6 @@ def _small_target(draw, base, divisors_of=(6, 8, 12)):
 CHAIN_BASES = (FIN, CHAIN2, IndexCategory.chain(3))
 
 
-def _reindexed_equals_rebuilt(cert, q, dg2):
-    """Transport along ``q`` takes the relabelled cone category, and it
-    and the certificate equal those the solver's rebuild gives."""
-    assert limits._reindexed_carrier(cert.cones, q, dg2) is not None
-    moved = transport_certificate(cert, q, dg2)
-    cns2 = (cocones_category if cert.kind == "colimit" else cones_category)(dg2)
-    rebuilt = cns2.certify(limits.transport_cone_point(cert, q, cns2))
-    assert isinstance(moved, UniversalCertificate)
-    assert isinstance(rebuilt, UniversalCertificate)
-    for part in ("obj", "arr", "source", "target", "identity"):
-        assert getattr(moved.cones.cat, part) == getattr(rebuilt.cones.cat, part), part
-    assert moved.cones.to_base == rebuilt.cones.to_base
-    assert moved.point == rebuilt.point
-    assert moved.unique_table == rebuilt.unique_table
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_transport_along_elements_of_representables_reindexes(data):
@@ -633,34 +632,76 @@ def test_transport_along_elements_of_representables_reindexes(data):
     index = data.draw(st.sampled_from(
         reps + [coproduct(r1, r2)[0] for r1 in reps for r2 in reps]))
     q = elements_category(index)[1]
-    _reindexed_equals_rebuilt(cert, q, reindex_diagram(q, dg))
+    moved = transport_certificate(cert, q, reindex_diagram(q, dg))
+    assert isinstance(moved, UniversalCertificate)
+    assert moved.candidate.validate() == []
+    for s in q.source.objects:
+        assert moved.vertex_at(s)[0] == cert.vertex_at(q.on_obj[s])[0]
+        assert moved.candidate.legs.components[s] == \
+            cert.candidate.legs.components[q.on_obj[s]]
+
+
+def _transported_arrow_part_and_unit(lf):
+    """The arrow part and the unit of a limit functor mediated against its
+    certificate transported along the elements-category maps into the
+    functor-space site: the source and the target of a transformation,
+    and the constant diagram on an object."""
+    a, e, cert, delta = lf.functor.target_cat, lf.expo, lf.certificate, lf.diagonal
+    base, site = a.base, cert.subject.base
+    site_n = elements_category(e.cat.arr)[0]
+    to_src, to_tgt = (IndexFunctor(site_n, site,
+                                   {so: (so[0], so[1][i]) for so in site_n.objects},
+                                   {w: (w[0], w[1][i]) for w in site_n.arrows})
+                      for i in (0, 1))
+    site_a = elements_category(a.obj)[0]
+    to_diag = IndexFunctor(
+        site_a, site,
+        {so: (so[0], delta.f0.components[so[0]][so[1]]) for so in site_a.objects},
+        {w: (w[0], delta.f0.components[base.tgt[w[0]]][w[1]]) for w in site_a.arrows})
+    cert_s, cert_t, cert_d = (transport_certificate(cert, q)
+                              for q in (to_src, to_tgt, to_diag))
+    for moved in (cert_s, cert_t, cert_d):
+        assert isinstance(moved, UniversalCertificate)
+
+    def pushed(so):
+        talpha = fam_dict(so[1][2])
+        v_s, gamma_s = cert_s.vertex_at(so)
+        ts = fam_dict(gamma_s)
+        return (v_s, stage_family(
+            site_n, so, cert_t.diagram.source_cat.obj,
+            lambda w, d: a.comp_at(site_n.src[w][0], talpha[(w[0], d)], ts[(w, d)])))
+
+    def identity_cone(c, x):
+        return (x, stage_family(
+            site_a, (c, x), cert_d.diagram.source_cat.obj,
+            lambda w, d: a.id_at(site_a.src[w][0], a.obj.action[w[0]][x])))
+
+    lim1 = {c: {t: cert_t.mediator_at((c, t), pushed((c, t))) for t in e.cat.arr.at(c)}
+            for c in base.objects}
+    unit = {c: {x: cert_d.mediator_at((c, x), identity_cone(c, x)) for x in a.obj.at(c)}
+            for c in base.objects}
+    return lim1, unit
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.data())
-def test_limit_functor_transports_reindex(data):
+def test_limit_functor_reads_what_its_transports_give(data):
     base = data.draw(st.sampled_from(CHAIN_BASES))
     target = _small_target(data.draw, base, divisors_of=(6, 8))
     shape = data.draw(st.sampled_from([initial_cat, shape_two, shape_parallel_pair]))(base)
-    seen = []
-    real = limits.transport_certificate
-
-    def recording(cert, q, dg2=None):
-        seen.append((cert, q, dg2))
-        return real(cert, q, dg2)
-
-    with mock.patch.object(limits, "transport_certificate", recording):
-        assert limit_functor(target, shape).functor.validate() == []
-    assert len(seen) == 3       # to_src, to_tgt and to_diag
-    for cert, q, dg2 in seen:
-        _reindexed_equals_rebuilt(cert, q, dg2)
+    lf = limit_functor(target, shape)
+    assert lf.functor.validate() == []
+    lim1, unit = _transported_arrow_part_and_unit(lf)
+    assert lf.functor.f1.components == lim1
+    assert lf.unit.component.components == unit
 
 
 def test_transport_orders_relabelled_cones_as_the_solver_does():
     # Over chain 2, two parallel arrows f, g : 0 -> 1 that restriction
     # swaps; over the chain y < x the arrow into x that sorts first is the
-    # identity, not the restriction, so relabelling the two cones at
-    # vertex 0 reverses their sort order and they are sorted again.
+    # identity, not the restriction, so renaming the leg keys of the two
+    # cones at vertex 0 reverses their sort order; the rebuilt cone
+    # category keeps the solver's order.
     up, arrows = ("c0", "c1"), ("i0", "i1", "f", "g")
     swap = {"i0": "i0", "i1": "i1", "f": "g", "g": "f"}
     ends = {"i0": ("0", "0"), "i1": ("1", "1"), "f": ("0", "1"), "g": ("0", "1")}
@@ -684,9 +725,10 @@ def test_transport_orders_relabelled_cones_as_the_solver_does():
     yx = IndexCategory.poset(("y", "x"), [("y", "x")])
     q = IndexFunctor(yx, CHAIN2, {"y": "c0", "x": "c1"},
                      {("y", "y"): ("c0", "c0"), ("y", "x"): up, ("x", "x"): ("c1", "c1")})
-    _reindexed_equals_rebuilt(cert, q, reindex_diagram(q, dg))
+    moved = transport_certificate(cert, q)
+    assert isinstance(moved, UniversalCertificate)
     assert [fam_dict(g)[(("x", "x"), "0")] for _, g in
-            transport_certificate(cert, q).cones.cat.obj.at("x")] == ["f", "g", "i1"]
+            moved.cones.cat.obj.at("x")] == ["f", "g", "i1"]
 
 
 def test_limit_functor_over_chain_base():
