@@ -53,12 +53,14 @@ class IndexCategory:
 
     def arrows_into(self, c) -> tuple:
         """The arrows with target ``c``, in arrow order; the whole by-target
-        index is built in one pass on first call and kept."""
+        index is built in one pass on first call and kept. An arrow without
+        a target is filed under ``None``, so ``validate`` can read the index
+        of a malformed table."""
         into = self._cache.get("into")
         if into is None:
             groups: dict = {}
             for u in self.arrows:
-                groups.setdefault(self.tgt[u], []).append(u)
+                groups.setdefault(self.tgt.get(u), []).append(u)
             into = self._cache["into"] = {o: tuple(us) for o, us in groups.items()}
         return into.get(c, ())
 
@@ -78,6 +80,8 @@ class IndexCategory:
                 continue
             if i not in self.arrows:
                 out.append(f"identity of {o!r} is not a listed arrow")
+            elif i not in self.src or i not in self.tgt:
+                out.append(f"identity of {o!r} lacks endpoints")
             elif not (self.src[i] == o and self.tgt[i] == o):
                 out.append(f"identity of {o!r} has endpoints {self.src[i]!r}->{self.tgt[i]!r}")
         for u in self.arrows:
@@ -97,10 +101,11 @@ class IndexCategory:
                     continue
                 if gf not in self.arrows:
                     out.append(f"composite of ({g!r},{f!r}) is not a listed arrow")
-                elif not (self.src[gf] == self.src[f] and self.tgt[gf] == self.tgt[g]):
+                elif not (self.src.get(gf) == self.src.get(f)
+                          and self.tgt.get(gf) == self.tgt.get(g)):
                     out.append(f"composite of ({g!r},{f!r}) has wrong endpoints")
         for u in self.arrows:
-            if u not in self.src:
+            if u not in self.src or u not in self.tgt:
                 continue
             i_s, i_t = self.identity.get(self.src[u]), self.identity.get(self.tgt[u])
             if i_s is not None and self.compose.get((u, i_s)) != u:
@@ -108,13 +113,10 @@ class IndexCategory:
             if i_t is not None and self.compose.get((i_t, u)) != u:
                 out.append(f"left unit law fails at {u!r}")
         for h in self.arrows:
-            for g in self.arrows:
-                if self.src.get(h) != self.tgt.get(g):
-                    continue
-                for f in self.arrows:
-                    if self.src.get(g) != self.tgt.get(f):
-                        continue
-                    left = self.compose.get((self.compose.get((h, g)), f))
+            for g in self.arrows_into(self.src.get(h)):
+                hg = self.compose.get((h, g))
+                for f in self.arrows_into(self.src.get(g)):
+                    left = self.compose.get((hg, f))
                     right = self.compose.get((h, self.compose.get((g, f))))
                     if left != right:
                         out.append(f"associativity fails at ({h!r},{g!r},{f!r})")

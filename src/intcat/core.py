@@ -190,7 +190,15 @@ def category_from_tables(obj: Presheaf, arr_carrier, shift_parts: Callable,
 
 
 def validate_internal_category(a: InternalCategory) -> list[str]:
-    """All seven category laws as elementwise arrow equalities."""
+    """All seven category laws as elementwise arrow equalities.
+
+    Associativity visits the composable triples only: for each composable
+    pair ``(h, g)`` it reads the arrows into ``source(g)`` from a by-target
+    index built in carrier order, so faults come out in the order of the
+    composable pairs, then of the arrows. An identity or an inner composite
+    with the wrong endpoints is reported as such, and the unit law or the
+    triple that would compose it further is skipped.
+    """
     out = []
     for part, name in ((a.obj, "objects"), (a.arr, "arrows"), (a.pairs.apex, "pairs")):
         out += [f"{name}: {v}" for v in part.validate()]
@@ -199,30 +207,40 @@ def validate_internal_category(a: InternalCategory) -> list[str]:
         out += [f"{name}: {v}" for v in m.validate()]
     if out:
         return out
-    base = a.base
-    for c in base.objects:
+    for c in a.base.objects:
+        s, t = a.source.components[c], a.target.components[c]
+        ident, comp = a.identity.components[c], a.compose.components[c]
+        pairs, arrows = a.composable_pairs(c), a.arr.at(c)
         for x in a.obj.at(c):
-            i = a.id_at(c, x)
-            if a.s_at(c, i) != x:
+            i = ident[x]
+            if s[i] != x:
                 out.append(f"source of identity at {c!r}:{x!r}")
-            if a.t_at(c, i) != x:
+            if t[i] != x:
                 out.append(f"target of identity at {c!r}:{x!r}")
-        for (g, f) in a.composable_pairs(c):
-            gf = a.comp_at(c, g, f)
-            if a.s_at(c, gf) != a.s_at(c, f):
+        for (g, f) in pairs:
+            gf = comp[(g, f)]
+            if s[gf] != s[f]:
                 out.append(f"source of composite at {c!r}:({g!r},{f!r})")
-            if a.t_at(c, gf) != a.t_at(c, g):
+            if t[gf] != t[g]:
                 out.append(f"target of composite at {c!r}:({g!r},{f!r})")
-        for f in a.arr.at(c):
-            if a.comp_at(c, f, a.id_at(c, a.s_at(c, f))) != f:
+        for f in arrows:
+            i_s, i_t = ident[s[f]], ident[t[f]]
+            if t[i_s] == s[f] and comp[(f, i_s)] != f:
                 out.append(f"right unit at {c!r}:{f!r}")
-            if a.comp_at(c, a.id_at(c, a.t_at(c, f)), f) != f:
+            if s[i_t] == t[f] and comp[(i_t, f)] != f:
                 out.append(f"left unit at {c!r}:{f!r}")
-        for (h, g) in a.composable_pairs(c):
-            for f in a.arr.at(c):
-                if a.s_at(c, g) != a.t_at(c, f):
+        into: dict = {}
+        for f in arrows:
+            into.setdefault(t[f], []).append(f)
+        for (h, g) in pairs:
+            hg, sg = comp[(h, g)], s[g]
+            if s[hg] != sg:
+                continue
+            for f in into.get(sg, ()):
+                gf = comp[(g, f)]
+                if t[gf] != t[g]:
                     continue
-                if a.comp_at(c, a.comp_at(c, h, g), f) != a.comp_at(c, h, a.comp_at(c, g, f)):
+                if comp[(hg, f)] != comp[(h, gf)]:
                     out.append(f"associativity at {c!r}:({h!r},{g!r},{f!r})")
     return out
 

@@ -619,9 +619,12 @@ class _Parser:
             for f in arr_carrier[c]:
                 entries.setdefault((f, id_t[c][src_t[c][f]]), f)
                 entries.setdefault((id_t[c][tgt_t[c][f]], f), f)
+            into = {}
+            for f in arr_carrier[c]:
+                into.setdefault(tgt_t[c][f], []).append(f)
             for g in arr_carrier[c]:
-                for f in arr_carrier[c]:
-                    if src_t[c][g] == tgt_t[c][f] and (g, f) not in entries:
+                for f in into.get(src_t[c][g], ()):
+                    if (g, f) not in entries:
                         _fail(rows["comp"][c][0] if c in rows["comp"] else line,
                               1, f"composite of {g!r} after {f!r} is not given")
             comp_t[c] = entries

@@ -87,11 +87,13 @@ def lattice_completeness_check(a: InternalCategory):
     rep = {x: min((y for y in objs if le(x, y) and le(y, x)), key=sort_key)
            for x in objs}
     sk = sorted({rep[x] for x in objs}, key=sort_key)
+    down = {x: {w for w in sk if le(w, x)} for x in sk}
     meet = {}
     for x in sk:
         for y in sk:
-            lows = [z for z in sk if le(z, x) and le(z, y)]
-            m = next((z for z in lows if all(le(w, z) for w in lows)), None)
+            common = down[x] & down[y]
+            lows = [z for z in sk if z in common]
+            m = next((z for z in lows if common <= down[z]), None)
             if m is None:
                 return Refusal("no_meet", {"subset": (x, y)})
             meet[(x, y)] = m

@@ -45,6 +45,34 @@ def test_index_category_constructors():
     assert three.src[w] == "c0" and three.tgt[w] == "c2"
 
 
+def one_object_category(arrows, compose):
+    return IndexCategory(objects=("o",), arrows=arrows,
+                         src={u: "o" for u in arrows}, tgt={u: "o" for u in arrows},
+                         identity={"o": arrows[0]}, compose=compose)
+
+
+def test_index_category_validate_names_its_faults_in_order():
+    table = {("a", "a"): "b", ("a", "b"): "a", ("b", "a"): "a", ("b", "b"): "a"}
+    table.update({(u, "i"): u for u in "iab"})
+    table.update({("i", u): u for u in "iab"})
+    assert one_object_category(("i", "a", "b"), table).validate() == [
+        "associativity fails at ('a','a','b')", "associativity fails at ('a','b','b')",
+        "associativity fails at ('b','a','a')", "associativity fails at ('b','b','a')"]
+    assert IndexCategory.chain(30).validate() == []
+
+
+def test_index_category_validate_names_missing_endpoints():
+    no_target = IndexCategory(objects=("a",), arrows=("i", "u"),
+                              src={"i": "a", "u": "a"}, tgt={"i": "a"},
+                              identity={"a": "i"}, compose={("i", "i"): "i"})
+    assert no_target.validate() == ["arrow 'u' lacks endpoints",
+                                    "missing composite for ('u','i')"]
+    bare_identity = IndexCategory(objects=("a",), arrows=("i",), src={}, tgt={},
+                                  identity={"a": "i"}, compose={("i", "i"): "i"})
+    assert bare_identity.validate() == ["identity of 'a' lacks endpoints",
+                                        "arrow 'i' lacks endpoints"]
+
+
 def test_poset_closure_is_reflexive_transitive():
     p = IndexCategory.poset(("a", "b", "c"), [("a", "b"), ("b", "c")])
     pairs = {(p.src[u], p.tgt[u]) for u in p.arrows}

@@ -1,5 +1,7 @@
 """Category objects, functors between them, and their dualities."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,6 +94,44 @@ def test_categories_differing_only_in_composition_are_unequal(monkeypatch):
     assert repr(idem).startswith("InternalCategory(obj=")
     assert [validate_internal_category(m) for m in (idem, invol)] == [[], []]
     assert (idem.comp_at("pt", "e", "e"), invol.comp_at("pt", "e", "e")) == ("e", "1")
+
+
+def test_identity_with_wrong_endpoints_is_reported_not_composed():
+    a = poset_cat(("a", "b"), [("a", "b")])
+    bent = make_internal_category(
+        a.obj, a.arr, a.source, a.target,
+        PresheafMap(a.obj, a.arr, {"pt": {"a": ("a", "a"), "b": ("a", "a")}}),
+        lambda c, g, f: a.comp_at(c, g, f))
+    assert validate_internal_category(bent) == [
+        "source of identity at 'pt':'b'", "target of identity at 'pt':'b'"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=5).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=8))), st.data())
+def test_repointed_composite_is_reported_never_raised(case, data):
+    n, rel = case
+    elems = tuple(f"e{i}" for i in range(n))
+    a = poset_cat(elems, [(elems[x], elems[y]) for x, y in rel if x < y])
+    assert a.validate() == []
+    key = data.draw(st.sampled_from(a.composable_pairs("pt")))
+    other = data.draw(st.sampled_from(
+        [u for u in a.arr.at("pt") if u != a.comp_at("pt", *key)]))
+    bent = make_internal_category(
+        a.obj, a.arr, a.source, a.target, a.identity,
+        lambda c, g, f: other if (g, f) == key else a.comp_at(c, g, f))
+    # hom-sets of a poset hold one arrow, so the new composite has the
+    # wrong endpoints
+    assert bent.validate() != []
+
+
+def test_chain_of_forty_validates_within_a_second():
+    a = chain_cat(40)
+    a.compose                   # built on first read; not part of the check
+    start = time.process_time()
+    assert validate_internal_category(a) == []
+    assert time.process_time() - start < 1.0
 
 
 def test_divisor_lattice_sizes():

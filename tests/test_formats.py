@@ -496,6 +496,72 @@ def test_cli_machine_output_parses_as_json(tmp_path, capsys):
     assert report["tasks"][0]["outcome"] == "ok"
 
 
+WRONG_COMPOSITE_DOC = """\
+format 1
+base fin finset
+category K over fin {
+  obj pt : x y z
+  arr pt : ix iy iz f g h
+  src pt : ix=x iy=y iz=z f=x g=y h=x
+  tgt pt : ix=x iy=y iz=z f=y g=z h=z
+  id pt : x=ix y=iy z=iz
+  comp pt : g.f=f
+}
+task validate K
+"""
+
+NONASSOCIATIVE_DOC = """\
+format 1
+base fin finset
+category M over fin {
+  obj pt : x
+  arr pt : i a b
+  src pt : i=x a=x b=x
+  tgt pt : i=x a=x b=x
+  id pt : x=i
+  comp pt : a.a=b a.b=a b.a=a b.b=a
+}
+task validate M
+"""
+
+
+def test_composite_with_wrong_endpoints_is_an_invalid_refusal(tmp_path, capsys):
+    doc = parse_document(WRONG_COMPOSITE_DOC)
+    problems = ["target of composite at 'pt':('g','f')"]
+    assert doc.env["cats"]["K"].validate() == problems
+    task = run_document(doc)["tasks"][0]
+    assert (task["outcome"], task["refusal"]["kind"]) == ("refused", "invalid")
+    assert task["refusal"]["details"]["problems"] == problems
+    path = tmp_path / "wrong.ct"
+    path.write_text(WRONG_COMPOSITE_DOC)
+    assert main(["run", str(path), "--format", "machine"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["tasks"][0]["refusal"]["details"]["problems"] == problems
+
+
+def test_associativity_faults_are_pinned():
+    report = run_document(parse_document(NONASSOCIATIVE_DOC))
+    assert report["digest"] == \
+        "sha256:ed4d0d8bb44590fa65e8adefffd7553c4e90ebabe096fdf6d6c3ad813851f81e"
+    assert report["tasks"][0]["refusal"]["details"]["problems"] == [
+        f"associativity at 'pt':{t}" for t in
+        ("('a','a','b')", "('a','b','b')", "('b','a','a')", "('b','b','a')")]
+
+
+@pytest.mark.parametrize("comp, line", [("", 3), ("  comp pt : ix.ix=ix\n", 9)],
+                         ids=["no-comp-row", "comp-row"])
+def test_missing_composite_is_located(comp, line):
+    # arrows are listed later-first, so the first missing composite found
+    # walking g, then f, in carrier order is k after g, not g after f
+    err = located("format 1\nbase f finset\ncategory K over f {\n"
+                  "  obj pt : w x y z\n  arr pt : k g h f iw ix iy iz\n"
+                  "  src pt : k=y g=x h=x f=w iw=w ix=x iy=y iz=z\n"
+                  "  tgt pt : k=z g=y h=y f=x iw=w ix=x iy=y iz=z\n"
+                  "  id pt : w=iw x=ix y=iy z=iz\n" + comp + "}\n")
+    assert (err.line, err.col, err.message) == \
+        (line, 1, "composite of 'k' after 'g' is not given")
+
+
 def test_cli_missing_file_is_usage_error(capsys):
     assert main(["run", "/nonexistent/nowhere.ct"]) == 2
     capsys.readouterr()
