@@ -27,8 +27,9 @@ from .core import (
     horizontal_compose, identity_functor, identity_nat, indiscrete,
     initial_cat, make_internal_category, nat_inverse, nat_is_iso, opposite,
     points_of_cat, product_cat, restrict_cat, restrict_functor,
-    terminal_cat, validate_internal_category, validate_internal_functor,
-    validate_internal_nat, vertical_compose, whisker_left, whisker_right,
+    terminal_cat, unique_to_terminal_cat, validate_internal_category,
+    validate_internal_functor, validate_internal_nat, vertical_compose,
+    whisker_left, whisker_right,
 )
 from .functor_cat import (
     ExponentialCategory, HomObject, curry_functor, diagonal_functor,
@@ -36,15 +37,14 @@ from .functor_cat import (
     reindex_exponential_iso, uncurry_functor,
 )
 from .limits import (
-    CertificateError, CommaCategory, Cone, Cocone, ConesCategory, Diagram,
+    CertificateError, CommaCategory, Cone, Cocone, ConesCategory,
     LimitFunctorResult, Refusal, RefusalError, SpecialAdjoint,
     UniversalCertificate, certified_limit, cocones_category, comma_category,
-    cones_category, connecting_iso, diagram_functor,
-    indexed_cone_factorization, is_internal_initial, is_internal_terminal,
-    limit_functor, parallel_arrows_category, reindex_diagram,
-    shape_parallel_pair, shape_two, special_right_adjoint,
-    transport_cone_point, transport_certificate, universal_cocone,
-    universal_cone,
+    cones_category, connecting_iso, indexed_cone_factorization,
+    is_internal_initial, is_internal_terminal, limit_functor,
+    parallel_arrows_category, reindex_diagram, shape_parallel_pair,
+    shape_two, special_right_adjoint, transport_cone_point,
+    transport_certificate, universal_cocone, universal_cone,
 )
 from .theorems import (
     AdjointConstruction, ColimitResult, CompletenessCertificate,

@@ -71,7 +71,13 @@ class IndexCategory:
         return self.identity.get(self.src[u]) == u
 
     def validate(self) -> list[str]:
-        """Exhaustively check the category laws; violations name the data."""
+        """Exhaustively check the category laws; violations name the data.
+
+        The composable pairs ``(g, f)`` are visited through ``arrows_into``,
+        by ``g`` then ``f`` in arrow order; a composite given for a pair of
+        listed arrows that do not compose is named after them, in the order
+        of the ``compose`` keys.
+        """
         out = []
         for o in self.objects:
             i = self.identity.get(o)
@@ -90,11 +96,7 @@ class IndexCategory:
             elif self.src[u] not in self.objects or self.tgt[u] not in self.objects:
                 out.append(f"arrow {u!r} has endpoints outside the object list")
         for g in self.arrows:
-            for f in self.arrows:
-                if self.src.get(g) != self.tgt.get(f):
-                    if (g, f) in self.compose:
-                        out.append(f"composite defined for non-composable pair ({g!r},{f!r})")
-                    continue
+            for f in self.arrows_into(self.src.get(g)):
                 gf = self.compose.get((g, f))
                 if gf is None:
                     out.append(f"missing composite for ({g!r},{f!r})")
@@ -104,6 +106,10 @@ class IndexCategory:
                 elif not (self.src.get(gf) == self.src.get(f)
                           and self.tgt.get(gf) == self.tgt.get(g)):
                     out.append(f"composite of ({g!r},{f!r}) has wrong endpoints")
+        listed = set(self.arrows)
+        for g, f in self.compose:
+            if g in listed and f in listed and self.src.get(g) != self.tgt.get(f):
+                out.append(f"composite defined for non-composable pair ({g!r},{f!r})")
         for u in self.arrows:
             if u not in self.src or u not in self.tgt:
                 continue

@@ -22,7 +22,7 @@ from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, LimitCone,
     PreconditionError, enumerate_maps, initial,
     point_label, point_of, points, product, pullback, restrict, restrict_map,
-    restrict_pullback, terminal,
+    restrict_pullback, terminal, unique_to_terminal,
 )
 
 
@@ -438,6 +438,12 @@ def terminal_cat(base: IndexCategory) -> InternalCategory:
 
 def initial_cat(base: IndexCategory) -> InternalCategory:
     return discrete(initial(base))
+
+
+def unique_to_terminal_cat(a: InternalCategory) -> InternalFunctor:
+    """The unique functor from ``a`` to the one-object category."""
+    return InternalFunctor(a, terminal_cat(a.base), unique_to_terminal(a.obj),
+                           unique_to_terminal(a.arr))
 
 
 def from_finite_category(base: IndexCategory, c: IndexCategory) -> InternalCategory:

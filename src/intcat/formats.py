@@ -36,7 +36,7 @@ from .core import (
     product_cat,
 )
 from .fixtures import chain_cat, discrete_cat, indiscrete_cat
-from .limits import Diagram, shape_parallel_pair, shape_two
+from .limits import shape_parallel_pair, shape_two
 
 OPS = ("validate", "exponential", "limit", "colimit", "complete-check",
        "limit-functor", "aft", "duality-check", "continuity-check")
@@ -715,7 +715,7 @@ class _Parser:
             _fail(line, toks[0][1], "expected: diagram <name> : <functor>")
         _check_name(toks[1][0], line, toks[1][1])
         fn = self._get("functors", header[3], line, toks[3][1], "functor")
-        self._declare(line, toks, Diagram.of(fn))
+        self._declare(line, toks, fn)
 
     # -- tasks ---------------------------------------------------------------
 

@@ -12,9 +12,12 @@ the tests. Leg families are stage families in the format ``ambient`` owns
 (``stage_family``, ``shift_family``, ``family_at_identity``) and are
 enumerated by the engine's one solver, set up once per stage by
 ``ambient.family_solver`` and searched once per vertex; cone points are
-built by ``ambient.point_of``. The cone, comma and parallel-arrows
-categories each choose only their carriers and the arithmetic of their
-arrow data; ``core.category_from_tables`` assembles the rest.
+built by ``ambient.point_of``. The cone and comma categories each choose
+only their carriers and the arithmetic of their arrow data;
+``core.category_from_tables`` assembles the rest. The category of parallel
+arrows is the comma of the pair diagonal against itself, and its doubled
+identities are the functor the comma's universal property induces. A
+diagram is an internal functor from its shape to its target.
 
 Cones form a discrete fibration over the diagram's target: each arrow into
 a cone's vertex lifts to exactly one arrow into the cone, so a cone
@@ -51,8 +54,9 @@ from .ambient import (
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
     arrows_at, arrows_by_ends, category_from_tables, compose_functors,
-    from_finite_category, identity_functor, initial_cat, nat_is_iso,
-    product_cat, restrict_cat, restrict_functor, terminal_cat,
+    from_finite_category, identity_functor, identity_nat, initial_cat,
+    nat_is_iso, product_cat, restrict_cat, restrict_functor,
+    unique_to_terminal_cat,
 )
 from .functor_cat import ExponentialCategory, diagonal_functor, exponential_cat
 
@@ -79,40 +83,6 @@ class CertificateError(Exception):
 
     Unlike ``assert``, the checks that raise it run under ``python -O``.
     """
-
-
-@dataclass(eq=True)
-class Diagram:
-    """A shape, a target, and the functor between them, named as a unit."""
-
-    shape: InternalCategory
-    target: InternalCategory
-    functor: InternalFunctor
-
-    @staticmethod
-    def of(functor: InternalFunctor) -> "Diagram":
-        return Diagram(functor.source_cat, functor.target_cat, functor)
-
-    def _endpoint_errors(self) -> list[str]:
-        errs = []
-        if self.functor.source_cat != self.shape:
-            errs.append("functor does not start at the shape")
-        if self.functor.target_cat != self.target:
-            errs.append("functor does not land in the target")
-        return errs
-
-    def validate(self) -> list[str]:
-        return self._endpoint_errors() + self.functor.validate()
-
-
-def diagram_functor(dg) -> InternalFunctor:
-    """Accept either a Diagram or a bare internal functor."""
-    if isinstance(dg, Diagram):
-        errs = dg._endpoint_errors()
-        if errs:
-            raise PreconditionError("; ".join(errs))
-        return dg.functor
-    return dg
 
 
 @dataclass(eq=True)
@@ -241,10 +211,10 @@ class ConesCategory:
                                     self.decode_point(res.point), self.diagram, self)
 
 
-def _searched_carrier(dg: InternalFunctor, dual: bool) -> dict:
-    """The stage-c cones ``(v, gamma)`` over ``dg`` (cocones when ``dual``)
-    found by the solver, by vertex in carrier order, the leg families of
-    one vertex in ``sort_key`` order."""
+def _cone_category(dg: InternalFunctor, dual: bool) -> ConesCategory:
+    """The cone (cocone, when ``dual``) category over ``dg``. Its stage-c
+    objects ``(v, gamma)`` are found by the solver, by vertex in carrier
+    order, the leg families of one vertex in ``sort_key`` order."""
     a, d = dg.target_cat, dg.source_cat
     base = a.base
     by_ends = arrows_by_ends(a)
@@ -280,14 +250,6 @@ def _searched_carrier(dg: InternalFunctor, dual: bool) -> dict:
             for gamma in solve(allowed, check):
                 elems.append((v, gamma))
         obj_carrier[c] = tuple(elems)
-    return obj_carrier
-
-
-def _assembled_cones(dg: InternalFunctor, dual: bool, obj_carrier: dict) -> ConesCategory:
-    """The cone (cocone) category over ``dg`` with the given objects."""
-    a, d = dg.target_cat, dg.source_cat
-    base = a.base
-    by_ends = arrows_by_ends(a)
 
     # Cones form a discrete fibration over ``a``: an arrow p : v1 -> v of
     # ``a`` lifts to exactly one arrow into the cone (v, gamma), from the
@@ -349,16 +311,14 @@ def _assembled_cones(dg: InternalFunctor, dual: bool, obj_carrier: dict) -> Cone
     return ConesCategory("cocones" if dual else "cones", dg, cat)
 
 
-def cones_category(dg) -> ConesCategory:
+def cones_category(dg: InternalFunctor) -> ConesCategory:
     """The category object of cones over a diagram."""
-    dg = diagram_functor(dg)
-    return _assembled_cones(dg, False, _searched_carrier(dg, False))
+    return _cone_category(dg, False)
 
 
-def cocones_category(dg) -> ConesCategory:
+def cocones_category(dg: InternalFunctor) -> ConesCategory:
     """The category object of cocones under a diagram."""
-    dg = diagram_functor(dg)
-    return _assembled_cones(dg, True, _searched_carrier(dg, True))
+    return _cone_category(dg, True)
 
 
 # ---------------------------------------------------------------------------
@@ -629,16 +589,16 @@ def _universal(dg: InternalFunctor, dual: bool,
     return res
 
 
-def universal_cone(dg, cns: Optional[ConesCategory] = None):
+def universal_cone(dg: InternalFunctor, cns: Optional[ConesCategory] = None):
     """Search the cone category for an internally terminal cone; ``cns``,
     when given, must be the cone category of ``dg``."""
-    return _universal(diagram_functor(dg), dual=False, cns=cns)
+    return _universal(dg, dual=False, cns=cns)
 
 
-def universal_cocone(dg, cns: Optional[ConesCategory] = None):
+def universal_cocone(dg: InternalFunctor, cns: Optional[ConesCategory] = None):
     """Search the cocone category for an internally initial cocone; ``cns``,
     when given, must be the cocone category of ``dg``."""
-    return _universal(diagram_functor(dg), dual=True, cns=cns)
+    return _universal(dg, dual=True, cns=cns)
 
 
 def connecting_iso(cert_a: UniversalCertificate,
@@ -716,9 +676,8 @@ def indexed_cone_factorization(family: PresheafMap,
 # certificate transport
 
 
-def reindex_diagram(q: IndexFunctor, dg) -> InternalFunctor:
+def reindex_diagram(q: IndexFunctor, dg: InternalFunctor) -> InternalFunctor:
     """Pull a diagram back along an index functor, shape and target alike."""
-    dg = diagram_functor(dg)
     return restrict_functor(q, dg, restrict_cat(q, dg.source_cat),
                             restrict_cat(q, dg.target_cat))
 
@@ -754,11 +713,9 @@ def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
         raise PreconditionError("certificate does not carry a cone category")
     if dg2 is None:
         dg2 = reindex_diagram(q, cert.diagram)
-    else:
-        dg2 = diagram_functor(dg2)
-        if dg2.source_cat.base != q.source or dg2.target_cat.base != q.source:
-            raise PreconditionError(
-                "the diagram given does not live over the source of the reindexing")
+    elif dg2.source_cat.base != q.source or dg2.target_cat.base != q.source:
+        raise PreconditionError(
+            "the diagram given does not live over the source of the reindexing")
     cns2 = cocones_category(dg2) if cert.kind == "colimit" else cones_category(dg2)
     return cns2.certify(transport_cone_point(cert, q, cns2))
 
@@ -890,48 +847,28 @@ def shape_parallel_pair(base: IndexCategory) -> InternalCategory:
     return from_finite_category(base, fin)
 
 
+def _pair_diagonal(a: InternalCategory) -> InternalFunctor:
+    """The diagonal ``a -> a × a``, sending x to (x, x) and h to (h, h)."""
+    base, aa = a.base, product_cat(a, a)
+    return InternalFunctor(
+        a, aa,
+        PresheafMap(a.obj, aa.obj, {c: {x: (x, x) for x in a.obj.at(c)}
+                                    for c in base.objects}),
+        PresheafMap(a.arr, aa.arr, {c: {h: (h, h) for h in a.arr.at(c)}
+                                    for c in base.objects}))
+
+
 def parallel_arrows_category(a: InternalCategory):
-    """The category object of parallel arrow pairs in ``a``.
+    """The category object of parallel arrow pairs in ``a``: the comma
+    category of the pair diagonal ``d : a -> a × a`` against itself.
 
-    Objects are pairs (f, g) sharing endpoints; arrows are endpoint pairs
-    (h0, h1) commuting with both. Returns the category and the functor
-    sending each object of ``a`` to its doubled identity pair.
+    Objects are triples (x, y, (f, g)) with f, g : x -> y; arrows are
+    endpoint pairs (h0, h1) commuting with both. Returns the category and
+    the functor sending each object of ``a`` to its doubled identity pair.
     """
-    base = a.base
-    by_ends = arrows_by_ends(a)
-    obj_carrier = {c: tuple((f, g) for f in a.arr.at(c)
-                            for g in by_ends[c][(a.s_at(c, f), a.t_at(c, f))])
-                   for c in base.objects}
-    arr_carrier = {}
-    for c in base.objects:
-        quads = []
-        for o1 in obj_carrier[c]:
-            for o2 in obj_carrier[c]:
-                for h0 in by_ends[c].get((a.s_at(c, o1[0]), a.s_at(c, o2[0])), ()):
-                    for h1 in by_ends[c].get((a.t_at(c, o1[0]), a.t_at(c, o2[0])), ()):
-                        if a.comp_at(c, h1, o1[0]) == a.comp_at(c, o2[0], h0) \
-                           and a.comp_at(c, h1, o1[1]) == a.comp_at(c, o2[1], h0):
-                            quads.append((o1, o2, h0, h1))
-        arr_carrier[c] = tuple(quads)
-
-    def shift_obj(w, o):
-        return (a.arr.action[w][o[0]], a.arr.action[w][o[1]])
-
-    obj_action = {w: {o: shift_obj(w, o) for o in obj_carrier[base.tgt[w]]}
-                  for w in base.arrows}
-    par = category_from_tables(
-        Presheaf(base, obj_carrier, obj_action), arr_carrier,
-        lambda w, t: (a.arr.action[w][t[2]], a.arr.action[w][t[3]]),
-        lambda c, o: (a.id_at(c, a.s_at(c, o[0])), a.id_at(c, a.t_at(c, o[0]))),
-        lambda c, g, f: (a.comp_at(c, g[2], f[2]), a.comp_at(c, g[3], f[3])))
-    dbl0 = {c: {x: (a.id_at(c, x), a.id_at(c, x)) for x in a.obj.at(c)}
-            for c in base.objects}
-    dbl1 = {c: {h: (dbl0[c][a.s_at(c, h)], dbl0[c][a.t_at(c, h)], h, h)
-                for h in a.arr.at(c)} for c in base.objects}
-    doubled = InternalFunctor(a, par,
-                              PresheafMap(a.obj, par.obj, dbl0),
-                              PresheafMap(a.arr, par.arr, dbl1))
-    return par, doubled
+    d = _pair_diagonal(a)
+    par = comma_category(d, d)
+    return par.cat, par.mediate(identity_functor(a), identity_functor(a), identity_nat(d))
 
 
 @dataclass
@@ -952,29 +889,12 @@ class SpecialAdjoint:
 def _special_setup(a: InternalCategory, kind: str):
     base = a.base
     if kind == "terminal":
-        shape = initial_cat(base)
-        direct = terminal_cat(base)
-        to_direct = InternalFunctor(
-            a, direct,
-            PresheafMap(a.obj, direct.obj,
-                        {c: {x: "*" for x in a.obj.at(c)} for c in base.objects}),
-            PresheafMap(a.arr, direct.arr,
-                        {c: {h: "*" for h in a.arr.at(c)} for c in base.objects}))
-    elif kind == "binary_product":
-        shape = shape_two(base)
-        direct = product_cat(a, a)
-        to_direct = InternalFunctor(
-            a, direct,
-            PresheafMap(a.obj, direct.obj,
-                        {c: {x: (x, x) for x in a.obj.at(c)} for c in base.objects}),
-            PresheafMap(a.arr, direct.arr,
-                        {c: {h: (h, h) for h in a.arr.at(c)} for c in base.objects}))
-    elif kind == "equalizer":
-        shape = shape_parallel_pair(base)
-        direct, to_direct = parallel_arrows_category(a)
-    else:
-        raise PreconditionError(f"unknown special limit kind {kind!r}")
-    return shape, direct, to_direct
+        return initial_cat(base), unique_to_terminal_cat(a)
+    if kind == "binary_product":
+        return shape_two(base), _pair_diagonal(a)
+    if kind == "equalizer":
+        return shape_parallel_pair(base), parallel_arrows_category(a)[1]
+    raise PreconditionError(f"unknown special limit kind {kind!r}")
 
 
 def _special_comparison(a: InternalCategory, kind: str,
@@ -994,10 +914,9 @@ def _special_comparison(a: InternalCategory, kind: str,
             x, y = o
             return {"0": x, "1": y}, {("id", "0"): a.id_at(c, x),
                                       ("id", "1"): a.id_at(c, y)}
-        f, g = o
-        sx, tx = a.s_at(c, f), a.t_at(c, f)
-        return {"0": sx, "1": tx}, {"id_0": a.id_at(c, sx), "id_1": a.id_at(c, tx),
-                                    "one": f, "two": g}
+        x, y, (f, g) = o
+        return {"0": x, "1": y}, {"id_0": a.id_at(c, x), "id_1": a.id_at(c, y),
+                                  "one": f, "two": g}
 
     def psi0(c, o):
         objs, arrs = picks(c, o)
@@ -1029,11 +948,11 @@ def _decode_special_stage(a: InternalCategory, kind: str,
     c, el = stage
     if kind == "terminal":
         return "*"
+    t0 = family_at_identity(a.base, c, el[0], shape.obj)
     if kind == "binary_product":
-        t0 = family_at_identity(a.base, c, el[0], shape.obj)
         return (t0["0"], t0["1"])
     t1 = family_at_identity(a.base, c, el[1], shape.arr)
-    return (t1["one"], t1["two"])
+    return (t0["0"], t0["1"], (t1["one"], t1["two"]))
 
 
 def special_right_adjoint(a: InternalCategory, kind: str):
@@ -1043,7 +962,8 @@ def special_right_adjoint(a: InternalCategory, kind: str):
     Returns a SpecialAdjoint, or a Refusal naming a witness object that
     lacks its universal arrow.
     """
-    shape, direct, to_direct = _special_setup(a, kind)
+    shape, to_direct = _special_setup(a, kind)
+    direct = to_direct.target_cat
     try:
         lf = limit_functor(a, shape)
     except RefusalError as err:

@@ -19,7 +19,7 @@ from .ambient import PreconditionError
 from .formats import SHAPE_BUILDERS, SpecDocument, emit_document
 from .functor_cat import exponential_cat
 from .limits import (
-    CertificateError, Diagram, Refusal, RefusalError, limit_functor,
+    CertificateError, Refusal, RefusalError, limit_functor,
     universal_cocone, universal_cone,
 )
 from .theorems import (
@@ -61,10 +61,9 @@ def _find_named(env, name):
     raise KeyError(name)
 
 
-def _diagram_named(env, name) -> Diagram:
-    if name in env["diagrams"]:
-        return env["diagrams"][name]
-    return Diagram.of(env["functors"][name])
+def _diagram_named(env, name):
+    """A diagram is a functor, named by a ``diagram`` declaration or not."""
+    return env["diagrams" if name in env["diagrams"] else "functors"][name]
 
 
 def _vertex_labels(cone) -> dict:

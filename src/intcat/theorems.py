@@ -22,12 +22,13 @@ from .ambient import (
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
     arrows_by_ends, compose_functors, enumerate_functors, identity_functor,
-    initial_cat, restrict_cat, restrict_functor, terminal_cat,
+    identity_nat, initial_cat, restrict_cat, restrict_functor, terminal_cat,
+    unique_to_terminal_cat,
 )
 from .limits import (
     CertificateError, Cocone, CommaCategory, ConesCategory, Refusal,
     RefusalError, UniversalCertificate, certified_limit, cocones_category,
-    comma_category, cones_category, connecting_iso, diagram_functor,
+    comma_category, cones_category, connecting_iso,
     indexed_cone_factorization, is_internal_initial, is_internal_terminal,
     shape_parallel_pair, shape_two, universal_cocone,
 )
@@ -145,7 +146,8 @@ def initial_via_identity_limit(a: InternalCategory,
                 raise CertificateError(
                     "identity-limit leg at the vertex is not the identity")
 
-    tc = terminal_cat(base)
+    bang = unique_to_terminal_cat(a)
+    tc = bang.target_cat
     ifn = InternalFunctor(
         tc, a,
         PresheafMap(tc.obj, a.obj,
@@ -153,12 +155,6 @@ def initial_via_identity_limit(a: InternalCategory,
         PresheafMap(tc.arr, a.arr,
                     {c: {"*": a.id_at(c, vpt.components[c]["*"])}
                      for c in base.objects}))
-    bang = InternalFunctor(
-        a, tc,
-        PresheafMap(a.obj, tc.obj,
-                    {c: {x: "*" for x in a.obj.at(c)} for c in base.objects}),
-        PresheafMap(a.arr, tc.arr,
-                    {c: {h: "*" for h in a.arr.at(c)} for c in base.objects}))
     unit = InternalNatTrans(
         identity_functor(tc), compose_functors(bang, ifn),
         PresheafMap(tc.obj, tc.arr,
@@ -193,7 +189,8 @@ class TransportedLimit:
     mediators: PresheafMap               # shape-objects -> mediating arrows
 
 
-def cocones_limit_transport(cocones: ConesCategory, dprime) -> TransportedLimit:
+def cocones_limit_transport(cocones: ConesCategory,
+                            dprime: InternalFunctor) -> TransportedLimit:
     """Give a cocone category the limit of a diagram ``dprime`` by
     computing the limit after the vertex projection and lifting the
     cocone structure through one indexed factorization.
@@ -203,21 +200,20 @@ def cocones_limit_transport(cocones: ConesCategory, dprime) -> TransportedLimit:
     transport argument being right.
     """
     dg = cocones.diagram
-    dprime_f = diagram_functor(dprime)
-    if dprime_f.target_cat != cocones.cat:
+    if dprime.target_cat != cocones.cat:
         raise PreconditionError("second diagram must land in the cocone category")
     a = dg.target_cat
     base = a.base
     s0 = dg.source_cat.obj
-    sprime = dprime_f.source_cat
-    td = compose_functors(cocones.to_base, dprime_f)
+    sprime = dprime.source_cat
+    td = compose_functors(cocones.to_base, dprime)
     cert_td = certified_limit(td, "cocone-category limit: composed diagram")
 
     # Each shape-object element induces a cone over the composed diagram
     # whose legs are the matching legs of every cocone in sight.
     def leg_of(u, w, d):
         c2 = base.src[u]
-        gw = dprime_f.on_obj(c2, w)[1]
+        gw = dprime.on_obj(c2, w)[1]
         return fam_dict(gw)[(base.identity[c2], s0.action[u][d])]
 
     family = PresheafMap(s0, cert_td.cones.cat.obj, {
@@ -234,7 +230,7 @@ def cocones_limit_transport(cocones: ConesCategory, dprime) -> TransportedLimit:
         raise CertificateError(f"lifted cocone: {errs}")
     l_point = cocones.encode(cocone_l)
 
-    cns2 = cones_category(dprime_f)
+    cns2 = cones_category(dprime)
 
     def lifted(c):
         l_el = l_point.components[c]["*"]
@@ -242,7 +238,7 @@ def cocones_limit_transport(cocones: ConesCategory, dprime) -> TransportedLimit:
         return (l_el, stage_family(
             base, c, sprime.obj,
             lambda u, w: (cocones.cat.obj.action[u][l_el],
-                          dprime_f.on_obj(base.src[u], w), t[(u, w)])))
+                          dprime.on_obj(base.src[u], w), t[(u, w)])))
 
     p_point = point_of(cns2.cat.obj, {c: lifted(c) for c in base.objects})
     cert = cns2.certify(p_point)
@@ -263,11 +259,10 @@ class ColimitResult:
     iso: PresheafMap
 
 
-def colimit_via_duality(dg) -> ColimitResult:
+def colimit_via_duality(dg: InternalFunctor) -> ColimitResult:
     """Build the cocone category, take the limit of its identity diagram,
     extract the initial cocone, and cross-check against the direct
     universal-cocone search."""
-    dg = diagram_functor(dg)
     cc = cocones_category(dg)
     tr = cocones_limit_transport(cc, identity_functor(cc.cat))
     iv = initial_via_identity_limit(cc.cat,
@@ -362,15 +357,8 @@ class AdjointConstruction:
     @cached_property
     def embed(self) -> InternalFunctor:
         """B -> comma, b |-> (R b, b, id)."""
-        r, b, a = self.right, self.right.source_cat, self.right.target_cat
-        emb0 = {c: {y: (r.on_obj(c, y), y, a.id_at(c, r.on_obj(c, y)))
-                    for y in b.obj.at(c)} for c in b.base.objects}
-        emb1 = {c: {q: (emb0[c][b.s_at(c, q)], emb0[c][b.t_at(c, q)],
-                        r.on_arr(c, q), q)
-                    for q in b.arr.at(c)} for c in b.base.objects}
-        cat = self.comma.cat
-        return InternalFunctor(b, cat, PresheafMap(b.obj, cat.obj, emb0),
-                               PresheafMap(b.arr, cat.arr, emb1))
+        r = self.right
+        return self.comma.mediate(r, identity_functor(r.source_cat), identity_nat(r))
 
 
 def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:

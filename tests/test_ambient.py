@@ -61,6 +61,21 @@ def test_index_category_validate_names_its_faults_in_order():
     assert IndexCategory.chain(30).validate() == []
 
 
+def test_index_category_validate_names_composable_faults_before_stray_composites():
+    # u : a -> b; the composite ib.u is missing, and ia.u is given though
+    # u does not land in a
+    arrow = IndexCategory(objects=("a", "b"), arrows=("ia", "ib", "u"),
+                          src={"ia": "a", "ib": "b", "u": "a"},
+                          tgt={"ia": "a", "ib": "b", "u": "b"},
+                          identity={"a": "ia", "b": "ib"},
+                          compose={("ia", "u"): "u", ("ia", "ia"): "ia",
+                                   ("ib", "ib"): "ib", ("u", "ia"): "u"})
+    assert arrow.validate() == [
+        "missing composite for ('ib','u')",
+        "composite defined for non-composable pair ('ia','u')",
+        "left unit law fails at 'u'"]
+
+
 def test_index_category_validate_names_missing_endpoints():
     no_target = IndexCategory(objects=("a",), arrows=("i", "u"),
                               src={"i": "a", "u": "a"}, tgt={"i": "a"},

@@ -15,8 +15,8 @@ from intcat.core import (
     enumerate_functors, enumerate_nats, from_finite_category,
     horizontal_compose, identity_functor, identity_nat, indiscrete,
     initial_cat, make_internal_category, nat_is_iso, opposite, points_of_cat,
-    product_cat, restrict_cat, terminal_cat, validate_internal_category,
-    vertical_compose,
+    product_cat, restrict_cat, terminal_cat, unique_to_terminal_cat,
+    validate_internal_category, vertical_compose,
 )
 from intcat.fixtures import (
     CHAIN2, chain_cat, corpus, discrete_cat, divisor_lattice, indiscrete_cat,
@@ -236,6 +236,10 @@ def test_terminal_and_initial_cats():
     z = initial_cat(FIN)
     assert z.obj.at("pt") == ()
     assert len(enumerate_functors(z, divisor_lattice(6))) == 1
+    for a in (staged_chain3(), divisor_lattice(6), z):
+        bang = unique_to_terminal_cat(a)
+        assert bang.target_cat == terminal_cat(a.base) and bang.validate() == []
+        assert enumerate_functors(a, bang.target_cat) == [bang]
 
 
 def test_points_of_exponential_like_behavior():

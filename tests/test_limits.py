@@ -471,8 +471,9 @@ def test_special_right_adjoints_terminal_product_equalizer():
             str(math.gcd(int(pair[0]), int(pair[1])))
     c3 = chain_cat(3)
     sc = special_right_adjoint(c3, "equalizer")
-    for pair in sc.direct_cat.obj.at("pt"):
-        assert sc.right.f0.components["pt"][pair] == c3.s_at("pt", pair[0])
+    for o in sc.direct_cat.obj.at("pt"):
+        x, y, (f, g) = o
+        assert sc.right.f0.components["pt"][o] == c3.s_at("pt", f)
 
 
 def test_special_right_adjoint_refusal_carries_witness():
@@ -483,12 +484,26 @@ def test_special_right_adjoint_refusal_carries_witness():
     assert isinstance(special_right_adjoint(p, "terminal"), Refusal)
 
 
+def test_special_right_adjoint_equalizer_refusal_names_the_parallel_pair():
+    # the walking parallel pair has no equalizer of its two arrows
+    rf = special_right_adjoint(walking_parallel_pair(), "equalizer")
+    assert isinstance(rf, Refusal) and rf.kind == "no_right_adjoint"
+    assert rf.details["witness"] == ("0", "1", ("one", "two"))
+
+
 def test_parallel_arrows_of_discrete_are_doubled_identities():
     x = Presheaf(FIN, {"pt": ("x", "y")}, {"id_pt": {"x": "x", "y": "y"}})
     par, dbl = parallel_arrows_category(discrete(x))
     assert validate_internal_category(par) == []
-    assert set(par.obj.at("pt")) == {("x", "x"), ("y", "y")}
+    assert set(par.obj.at("pt")) == {("x", "x", ("x", "x")), ("y", "y", ("y", "y"))}
     assert dbl.validate() == []
+    # in a poset each hom-set holds at most one arrow: one pair per arrow
+    c3 = chain_cat(3)
+    par, dbl = parallel_arrows_category(c3)
+    assert validate_internal_category(par) == [] and dbl.validate() == []
+    assert (len(par.obj.at("pt")), len(par.arr.at("pt"))) == (6, 20)
+    for x, y, (f, g) in par.obj.at("pt"):
+        assert f == g and (c3.s_at("pt", f), c3.t_at("pt", f)) == (x, y)
 
 
 # --- the chain base: stages genuinely interact ---
@@ -561,13 +576,13 @@ def test_transport_refuses_a_diagram_over_another_base():
 def _transport_solver_calls(monkeypatch):
     """The diagrams whose cone categories the solver searches from now on."""
     searched = []
-    real = limits._searched_carrier
+    real = limits._cone_category
 
     def recorded(dg, dual):
         searched.append(dg)
         return real(dg, dual)
 
-    monkeypatch.setattr(limits, "_searched_carrier", recorded)
+    monkeypatch.setattr(limits, "_cone_category", recorded)
     return searched
 
 

@@ -218,6 +218,9 @@ def test_aft_trace_embeds_the_source_into_the_comma():
     assert adj.comma.right == to6
     assert adj.embed.validate() == []
     assert compose_functors(adj.comma.proj_right, adj.embed) == identity_functor(d12)
+    assert adj.embed.f0.components["pt"] == {
+        y: (to6.on_obj("pt", y), y, d6.id_at("pt", to6.on_obj("pt", y)))
+        for y in d12.obj.at("pt")}
     # each comma object (x, y, h : x -> R y) has its transpose L x -> y
     hom = arrows_by_ends(d12)["pt"]
     assert adj.comma.cat.obj.at("pt")
@@ -292,13 +295,13 @@ def _aft_divisors_12():
 def test_cone_categories_build_no_arrows_object_they_do_not_read(run, count, monkeypatch):
     # every cone category is assembled here; the limit functor builds one
     built = []
-    real = limits._assembled_cones
+    real = limits._cone_category
 
     def recorded(*args):
         built.append(real(*args))
         return built[-1]
 
-    monkeypatch.setattr(limits, "_assembled_cones", recorded)
+    monkeypatch.setattr(limits, "_cone_category", recorded)
     result = run()
     assert len(built) == count
     for cns in built:
