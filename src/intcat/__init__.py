@@ -32,9 +32,8 @@ from .core import (
     whisker_left, whisker_right,
 )
 from .functor_cat import (
-    ExponentialCategory, HomObject, curry_functor, diagonal_functor,
-    evaluation_functor, exponential_cat, hom_object, name_of,
-    reindex_exponential_iso, uncurry_functor,
+    ExponentialCategory, curry_functor, diagonal_functor, evaluation_functor,
+    exponential_cat, reindex_exponential_iso, uncurry_functor,
 )
 from .limits import (
     CertificateError, CommaCategory, Cone, Cocone, ConesCategory,
@@ -42,7 +41,7 @@ from .limits import (
     UniversalCertificate, certified_limit, cocones_category, comma_category,
     cones_category, connecting_iso, indexed_cone_factorization,
     is_internal_initial, is_internal_terminal, limit_functor,
-    parallel_arrows_category, reindex_diagram, shape_parallel_pair,
+    parallel_arrows_category, shape_parallel_pair,
     shape_two, special_right_adjoint, transport_cone_point,
     transport_certificate, universal_cocone, universal_cone,
 )

@@ -643,16 +643,10 @@ def exponential(x: Presheaf, y: Presheaf) -> Presheaf:
     return Presheaf(base, carrier, action)
 
 
-def evaluation_map(x: Presheaf, y: Presheaf, expo: Optional[Presheaf] = None):
-    """The counit (Y^X) x X -> Y; returns (product cone, evaluation map)."""
-    expo = exponential(x, y) if expo is None else expo
-    cone = product(expo, x)
-    base = x.base
-    comps = {}
-    for c in base.objects:
-        at_id = {phi: family_at_identity(base, c, phi, x) for phi in expo.at(c)}
-        comps[c] = {(phi, e): at_id[phi][e] for (phi, e) in cone.apex.at(c)}
-    return cone, PresheafMap(cone.apex, y, comps)
+def evaluation_map(x: Presheaf, y: Presheaf, expo: Presheaf) -> PresheafMap:
+    """The counit (Y^X) x X -> Y of the exponential ``expo``: the uncurrying
+    of its identity."""
+    return uncurry(PresheafMap.identity(expo), x, y)
 
 
 def curry(f: PresheafMap, z: Presheaf, x: Presheaf) -> PresheafMap:
@@ -672,8 +666,9 @@ def curry(f: PresheafMap, z: Presheaf, x: Presheaf) -> PresheafMap:
     return PresheafMap(z, expo, comps)
 
 
-def uncurry(g: PresheafMap, z: Presheaf, x: Presheaf, y: Presheaf) -> PresheafMap:
+def uncurry(g: PresheafMap, x: Presheaf, y: Presheaf) -> PresheafMap:
     """Transpose g : Z -> Y^X back to Z x X -> Y."""
+    z = g.source
     base = z.base
     cone = product(z, x)
     comps = {}

@@ -1,6 +1,7 @@
-"""Mapping spaces and functor categories between category objects.
+"""Functor categories between category objects.
 
-The mapping space of two category objects is computed stage by stage: an
+The mapping space of two category objects is the functor category's
+objects-object, not a second class. It is computed stage by stage: an
 element at stage c is a pair ``(phi0, phi1)`` of stage families, the
 generalized-element format that ``ambient`` owns (keyed by an arrow
 ``u : c' -> c`` of the base and an element at c'), giving an object
@@ -16,7 +17,6 @@ arrow triples by ``core.category_from_tables``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .labels import fam_dict
 from .ambient import (
@@ -25,7 +25,7 @@ from .ambient import (
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, arrows_by_ends,
-    category_from_tables, product_cat, restrict_cat,
+    category_from_tables, identity_functor, product_cat, restrict_cat,
 )
 
 
@@ -60,18 +60,23 @@ def _arrow_parts(a: InternalCategory, b: InternalCategory, c, phi0_table: dict,
 
 
 @dataclass(eq=True)
-class HomObject:
-    """The mapping space of two category objects, one stage at a time.
+class ExponentialCategory:
+    """The functor category of two category objects, as a category object.
 
-    Elements at stage c are pairs ``(phi0, phi1)``: ``phi0`` maps each
-    (arrow into c, object element) to an object element of the target,
-    ``phi1`` does the same for arrow elements, and together they satisfy
-    the functor laws.
+    Its objects-object is the mapping space: an element at stage c is a pair
+    ``(phi0, phi1)``, where ``phi0`` maps each (arrow into c, object element)
+    to an object element of the target, ``phi1`` does the same for arrow
+    elements, and together they satisfy the functor laws. Arrows are triples
+    ``(F, G, alpha)`` with ``alpha`` a natural family between the two.
     """
 
     dom: InternalCategory
     cod: InternalCategory
-    space: Presheaf
+    cat: InternalCategory
+
+    def _check_endpoints(self, *fns: InternalFunctor) -> None:
+        if any(fn.source_cat != self.dom or fn.target_cat != self.cod for fn in fns):
+            raise PreconditionError("functor endpoints do not match the mapping space")
 
     def stage_element(self, c, fn: InternalFunctor):
         """The element of stage c induced by a whole functor."""
@@ -82,14 +87,13 @@ class HomObject:
                              lambda u, h: fn.f1.components[base.src[u]][h]))
 
     def encode_functor(self, fn: InternalFunctor) -> PresheafMap:
-        """The global point of the mapping space naming ``fn``."""
-        if fn.source_cat != self.dom or fn.target_cat != self.cod:
-            raise PreconditionError("functor endpoints do not match the mapping space")
-        return point_of(self.space, {c: self.stage_element(c, fn)
-                                     for c in self.dom.base.objects})
+        """The global point of the objects-object naming ``fn``."""
+        self._check_endpoints(fn)
+        return point_of(self.cat.obj, {c: self.stage_element(c, fn)
+                                       for c in self.dom.base.objects})
 
     def decode_point(self, p: PresheafMap) -> InternalFunctor:
-        """The functor named by a global point of the mapping space."""
+        """The functor named by a global point of the objects-object."""
         base = self.dom.base
         f0 = {c: family_at_identity(base, c, p.components[c]["*"][0], self.dom.obj)
               for c in base.objects}
@@ -99,54 +103,13 @@ class HomObject:
                                PresheafMap(self.dom.obj, self.cod.obj, f0),
                                PresheafMap(self.dom.arr, self.cod.arr, f1))
 
-
-def hom_object(a: InternalCategory, b: InternalCategory) -> HomObject:
-    """Enumerate the mapping space of two category objects."""
-    if a.base != b.base:
-        raise PreconditionError("mapping space factors live over different bases")
-    base = a.base
-    by_ends = arrows_by_ends(b)
-    ids = {c: a.identity_elements(c) for c in base.objects}
-    carrier = {}
-    for c in base.objects:
-        solve = family_solver(base, c, a.arr, b.arr)
-        elems = []
-        for phi0 in family_solver(base, c, a.obj, b.obj)():
-            for phi1 in _arrow_parts(a, b, c, fam_dict(phi0), by_ends, ids, solve):
-                elems.append((phi0, phi1))
-        carrier[c] = tuple(elems)
-    action = {w: {(phi0, phi1): (shift_family(base, w, a.obj, phi0),
-                                 shift_family(base, w, a.arr, phi1))
-                  for (phi0, phi1) in carrier[base.tgt[w]]}
-              for w in base.arrows}
-    return HomObject(a, b, Presheaf(base, carrier, action))
-
-
-@dataclass(eq=True)
-class ExponentialCategory:
-    """The functor category of two category objects, as a category object.
-
-    Objects are mapping-space elements ``(phi0, phi1)``; arrows are triples
-    ``(F, G, alpha)`` with ``alpha`` a natural family between the two.
-    """
-
-    dom: InternalCategory
-    cod: InternalCategory
-    hom: HomObject
-    cat: InternalCategory
-
-    def encode_functor(self, fn: InternalFunctor) -> PresheafMap:
-        return self.hom.encode_functor(fn)
-
-    def decode_point(self, p: PresheafMap) -> InternalFunctor:
-        return self.hom.decode_point(p)
-
     def encode_nat(self, nt: InternalNatTrans) -> PresheafMap:
         """The global point of the arrows-object naming a transformation."""
+        self._check_endpoints(nt.source, nt.target)
         base = self.dom.base
         return point_of(self.cat.arr, {
-            c: (self.hom.stage_element(c, nt.source),
-                self.hom.stage_element(c, nt.target),
+            c: (self.stage_element(c, nt.source),
+                self.stage_element(c, nt.target),
                 stage_family(base, c, self.dom.obj,
                              lambda u, x: nt.component.components[base.src[u]][x]))
             for c in base.objects})
@@ -156,17 +119,29 @@ class ExponentialCategory:
         base = self.dom.base
         comps = {c: family_at_identity(base, c, p.components[c]["*"][2], self.dom.obj)
                  for c in base.objects}
-        return InternalNatTrans(self.hom.decode_point(p.then(self.cat.source)),
-                                self.hom.decode_point(p.then(self.cat.target)),
+        return InternalNatTrans(self.decode_point(p.then(self.cat.source)),
+                                self.decode_point(p.then(self.cat.target)),
                                 PresheafMap(self.dom.obj, self.cod.arr, comps))
 
 
 def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCategory:
     """The functor category of ``a`` into ``b`` as a category object."""
-    hom = hom_object(a, b)
+    if a.base != b.base:
+        raise PreconditionError("mapping space factors live over different bases")
     base = a.base
-    space = hom.space
     by_ends = arrows_by_ends(b)
+    ids = {c: a.identity_elements(c) for c in base.objects}
+    obj_carrier = {}
+    for c in base.objects:
+        solve = family_solver(base, c, a.arr, b.arr)
+        obj_carrier[c] = tuple(
+            (phi0, phi1) for phi0 in family_solver(base, c, a.obj, b.obj)()
+            for phi1 in _arrow_parts(a, b, c, fam_dict(phi0), by_ends, ids, solve))
+    space = Presheaf(base, obj_carrier, {
+        w: {(phi0, phi1): (shift_family(base, w, a.obj, phi0),
+                           shift_family(base, w, a.arr, phi1))
+            for (phi0, phi1) in obj_carrier[base.tgt[w]]}
+        for w in base.arrows})
 
     arr_carrier = {}
     for c in base.objects:
@@ -211,37 +186,25 @@ def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCate
         space, arr_carrier,
         lambda w, t: (shift_family(base, w, a.obj, t[2]),),
         identity_parts, compose_parts)
-    return ExponentialCategory(a, b, hom, cat)
+    return ExponentialCategory(a, b, cat)
 
 
-def evaluation_functor(e: ExponentialCategory):
-    """Evaluation (functor category) x dom -> cod; returns (product, functor).
-
-    On arrows it takes the diagonal of the naturality square.
-    """
-    a, b = e.dom, e.cod
-    base = a.base
-    prod = product_cat(e.cat, a)
-    f0, f1 = {}, {}
-    for c in base.objects:
-        obj_at = {el: family_at_identity(base, c, el[0], a.obj) for el in e.cat.obj.at(c)}
-        arr_at = {el: family_at_identity(base, c, el[1], a.arr) for el in e.cat.obj.at(c)}
-        nat_at = {t: family_at_identity(base, c, t[2], a.obj) for t in e.cat.arr.at(c)}
-        f0[c] = {(el, x): obj_at[el][x] for (el, x) in prod.obj.at(c)}
-        f1[c] = {(t, h): b.comp_at(c, nat_at[t][a.t_at(c, h)], arr_at[t[0]][h])
-                 for (t, h) in prod.arr.at(c)}
-    return prod, InternalFunctor(prod, b,
-                                 PresheafMap(prod.obj, b.obj, f0),
-                                 PresheafMap(prod.arr, b.arr, f1))
+def evaluation_functor(e: ExponentialCategory) -> InternalFunctor:
+    """Evaluation (functor category) x dom -> cod: the uncurrying of the
+    identity functor. On arrows it takes the diagonal of the naturality
+    square."""
+    return uncurry_functor(identity_functor(e.cat), e)
 
 
 def curry_functor(fn: InternalFunctor, left: InternalCategory,
-                  right: InternalCategory,
-                  expo: Optional[ExponentialCategory] = None) -> InternalFunctor:
-    """Transpose ``fn : left x right -> b`` to ``left -> (b ^ right)``."""
+                  e: ExponentialCategory) -> InternalFunctor:
+    """Transpose ``fn : left x right -> b`` to ``left -> (b ^ right)``, where
+    ``e`` is the functor category of ``right`` into ``b``."""
+    right = e.dom
     if fn.source_cat != product_cat(left, right):
         raise PreconditionError("functor to transpose does not start at the product")
-    e = exponential_cat(right, fn.target_cat) if expo is None else expo
+    if fn.target_cat != e.cod:
+        raise PreconditionError("functor to transpose does not land in the exponent's target")
     base = left.base
 
     def stage0(c, x):
@@ -266,12 +229,11 @@ def curry_functor(fn: InternalFunctor, left: InternalCategory,
                            PresheafMap(left.arr, e.cat.arr, f1))
 
 
-def uncurry_functor(g: InternalFunctor, left: InternalCategory,
-                    e: ExponentialCategory) -> InternalFunctor:
+def uncurry_functor(g: InternalFunctor, e: ExponentialCategory) -> InternalFunctor:
     """Transpose ``g : left -> (b ^ right)`` back to ``left x right -> b``."""
     if g.target_cat != e.cat:
         raise PreconditionError("functor to transpose does not land in the functor category")
-    right, b = e.dom, e.cod
+    left, right, b = g.source_cat, e.dom, e.cod
     base = left.base
     prod = product_cat(left, right)
     f0, f1 = {}, {}
@@ -289,35 +251,27 @@ def uncurry_functor(g: InternalFunctor, left: InternalCategory,
                            PresheafMap(prod.arr, b.arr, f1))
 
 
-def diagonal_functor(a: InternalCategory, shape: InternalCategory,
-                     expo: Optional[ExponentialCategory] = None) -> InternalFunctor:
-    """The constant-diagram functor ``a -> (a ^ shape)``."""
+def diagonal_functor(e: ExponentialCategory) -> InternalFunctor:
+    """The constant-diagram functor ``a -> (a ^ shape)`` into the functor
+    category ``e`` of ``shape`` into ``a``."""
+    a, shape = e.cod, e.dom
     prod = product_cat(a, shape)
     proj = InternalFunctor(prod, a, PresheafMap.entry(prod.obj, a.obj, 0),
                            PresheafMap.entry(prod.arr, a.arr, 0))
-    e = exponential_cat(shape, a) if expo is None else expo
-    return curry_functor(proj, a, shape, expo=e)
+    return curry_functor(proj, a, e)
 
 
-def name_of(e: ExponentialCategory, fn: InternalFunctor) -> PresheafMap:
-    """The global point of the functor category's objects naming ``fn``."""
-    return e.encode_functor(fn)
-
-
-def reindex_exponential_iso(i: Presheaf, a: InternalCategory,
-                            b: InternalCategory,
-                            expo: Optional[ExponentialCategory] = None) -> InternalFunctor:
-    """Reindexing a functor category over the elements of ``i`` agrees with
-    the functor category of the reindexings.
+def reindex_exponential_iso(i: Presheaf, e: ExponentialCategory) -> InternalFunctor:
+    """Reindexing the functor category ``e`` over the elements of ``i``
+    agrees with the functor category of the reindexed factors.
 
     Returns the comparison functor from the reindexed functor category to
     the functor category of reindexed factors; both of its parts are
     stage-by-stage bijections.
     """
-    e = exponential_cat(a, b) if expo is None else expo
     site, proj = elements_category(i)
     lhs = restrict_cat(proj, e.cat)
-    rhs = exponential_cat(restrict_cat(proj, a), restrict_cat(proj, b))
+    rhs = exponential_cat(restrict_cat(proj, e.dom), restrict_cat(proj, e.cod))
 
     def rekey(so, dom, label):
         table = fam_dict(label)

@@ -676,12 +676,6 @@ def indexed_cone_factorization(family: PresheafMap,
 # certificate transport
 
 
-def reindex_diagram(q: IndexFunctor, dg: InternalFunctor) -> InternalFunctor:
-    """Pull a diagram back along an index functor, shape and target alike."""
-    return restrict_functor(q, dg, restrict_cat(q, dg.source_cat),
-                            restrict_cat(q, dg.target_cat))
-
-
 def transport_cone_point(cert: UniversalCertificate, q: IndexFunctor,
                          cns2: ConesCategory) -> PresheafMap:
     """Reindex the certified cone's point along ``q`` into the cone
@@ -712,7 +706,7 @@ def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
     if cert.cones is None or cert.kind not in ("limit", "colimit"):
         raise PreconditionError("certificate does not carry a cone category")
     if dg2 is None:
-        dg2 = reindex_diagram(q, cert.diagram)
+        dg2 = restrict_functor(q, cert.diagram)
     elif dg2.source_cat.base != q.source or dg2.target_cat.base != q.source:
         raise PreconditionError(
             "the diagram given does not live over the source of the reindexing")
@@ -791,7 +785,7 @@ def limit_functor(a: InternalCategory, shape: InternalCategory) -> LimitFunctorR
                              PresheafMap(e.cat.obj, a.obj, lim0),
                              PresheafMap(e.cat.arr, a.arr, lim1))
 
-    delta = diagonal_functor(a, shape, expo=e)
+    delta = diagonal_functor(e)
 
     # Unit: mediate the identity cone on each object x, a cone over the
     # constant functor on x at the site stage (c, delta x).

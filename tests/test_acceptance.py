@@ -21,13 +21,13 @@ from intcat.core import (
     InternalFunctor, adjunction_check, dis_u_ind_adjunctions,
     enumerate_functors, enumerate_nats, from_finite_category,
     identity_functor, initial_cat, opposite, points_of_cat, product_cat,
-    terminal_cat, validate_internal_category,
+    restrict_functor, terminal_cat, validate_internal_category,
 )
-from intcat.functor_cat import exponential_cat, name_of
+from intcat.functor_cat import exponential_cat
 from intcat.labels import fam_dict
 from intcat.limits import (
     Refusal, RefusalError, UniversalCertificate, cones_category,
-    limit_functor, reindex_diagram, shape_parallel_pair, shape_two,
+    limit_functor, shape_parallel_pair, shape_two,
     transport_certificate, universal_cocone, universal_cone,
 )
 from intcat.theorems import (
@@ -101,7 +101,7 @@ def test_criterion_2_cartesian_closure_hom_counts_and_points():
             fns = enumerate_functors(a, b)
             pts = points(e.cat.obj)
             assert len(pts) == len(fns)
-            names = {repr(name_of(e, fn).components) for fn in fns}
+            names = {repr(e.encode_functor(fn).components) for fn in fns}
             assert names == {repr(p.components) for p in pts}
     elapsed = time.perf_counter() - start
     assert triples == 64
@@ -127,7 +127,7 @@ def test_criterion_3_certified_cones_survive_reindexing():
     assert len(tests) <= 12
     for q in tests:
         site, proj = elements_category(q)
-        dg_r = reindex_diagram(proj, dg)
+        dg_r = restrict_functor(proj, dg)
         moved = transport_certificate(cert, proj, dg_r)
         assert isinstance(moved, UniversalCertificate)
         ext = points_of_cat(cones_category(dg_r).cat)

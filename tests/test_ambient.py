@@ -198,7 +198,7 @@ def test_exponential_counts_on_sets():
     x, y = finset("a", "b"), finset("0", "1", "2")
     e = exponential(x, y)
     assert len(e.at("pt")) == 9
-    cone, ev = evaluation_map(x, y, e)
+    ev = evaluation_map(x, y, e)
     assert ev.validate() == []
     # evaluating the point for a function at an argument applies it
     phi = e.at("pt")[0]
@@ -209,11 +209,17 @@ def test_curry_uncurry_round_trip_staged():
     x = staged(("p", "q"), ("x",), {"x": "p"})
     y = staged(("u",), ("s", "t"), {"s": "u", "t": "u"})
     z = staged(("m", "n"), ("w",), {"w": "m"})
+    ev = evaluation_map(x, y, exponential(x, y))
     for f in enumerate_maps(product(z, x).apex, y):
         g = curry(f, z, x)
         assert g.validate() == []
-        back = uncurry(g, z, x, y)
+        back = uncurry(g, x, y)
         assert back == f
+        # evaluation at the curried element gives back f, stage by stage
+        for c in CHAIN2.objects:
+            for (t, e) in f.source.at(c):
+                assert ev.components[c][(g.components[c][t], e)] == \
+                    f.components[c][(t, e)]
 
 
 def test_hom_set_exponential_bijection_staged():

@@ -12,15 +12,14 @@ from intcat.ambient import (
 )
 from intcat.core import (
     adjunction_check, compose_functors, dis_u_ind_adjunctions, discrete,
-    enumerate_functors, enumerate_nats, from_finite_category,
-    horizontal_compose, identity_functor, identity_nat, indiscrete,
-    initial_cat, make_internal_category, nat_is_iso, opposite, points_of_cat,
-    product_cat, restrict_cat, terminal_cat, unique_to_terminal_cat,
-    validate_internal_category, vertical_compose,
+    enumerate_functors, enumerate_nats, horizontal_compose, identity_functor,
+    identity_nat, indiscrete, initial_cat, make_internal_category, nat_is_iso,
+    opposite, points_of_cat, product_cat, restrict_cat, terminal_cat,
+    unique_to_terminal_cat, validate_internal_category, vertical_compose,
 )
 from intcat.fixtures import (
-    CHAIN2, chain_cat, corpus, discrete_cat, divisor_lattice, indiscrete_cat,
-    poset_cat, staged_chain3, staged_indiscrete, walking_idempotent,
+    CHAIN2, chain_cat, corpus, discrete_cat, divisor_lattice, poset_cat,
+    staged_chain3, staged_indiscrete, walking_idempotent,
 )
 
 FIN = IndexCategory.finset()

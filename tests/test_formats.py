@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import intcat
 from intcat.cli import main
 from intcat.formats import ParseError, emit_document, parse_document
-from intcat.runner import render_human, render_machine, run_document
+from intcat.runner import render_machine, run_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

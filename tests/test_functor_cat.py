@@ -2,17 +2,17 @@
 
 import pytest
 
-from intcat.ambient import IndexCategory, inverse, points
+from intcat.ambient import IndexCategory, PreconditionError, inverse, points
 from intcat.core import (
-    compose_functors, enumerate_functors, enumerate_nats, identity_functor,
-    product_cat, terminal_cat, validate_internal_category,
+    enumerate_functors, enumerate_nats, product_cat, terminal_cat,
+    validate_internal_category,
 )
 from intcat.functor_cat import (
     curry_functor, diagonal_functor, evaluation_functor, exponential_cat,
-    hom_object, name_of, reindex_exponential_iso, uncurry_functor,
+    reindex_exponential_iso, uncurry_functor,
 )
 from intcat.fixtures import (
-    chain_cat, discrete_cat, divisor_lattice, staged_discrete,
+    CHAIN2, chain_cat, discrete_cat, divisor_lattice, staged_discrete,
     staged_indiscrete, staged_set,
 )
 
@@ -47,8 +47,8 @@ def test_points_of_exponential_name_functors():
     fns = enumerate_functors(a, b)
     pts = points(e.cat.obj)
     assert len(pts) == len(fns)
-    # name_of embeds each functor as a point, hitting every point once
-    names = {repr(name_of(e, fn).components) for fn in fns}
+    # encode_functor embeds each functor as a point, hitting every point once
+    names = {repr(e.encode_functor(fn).components) for fn in fns}
     assert len(names) == len(fns)
     assert names == {repr(p.components) for p in pts}
 
@@ -56,10 +56,11 @@ def test_points_of_exponential_name_functors():
 def test_evaluation_functor_applies_names():
     a, b = chain_cat(2), chain_cat(2)
     e = exponential_cat(a, b)
-    prod, ev = evaluation_functor(e)
+    ev = evaluation_functor(e)
+    assert ev.source_cat == product_cat(e.cat, a)
     assert ev.validate() == []
     for fn in enumerate_functors(a, b):
-        nm = name_of(e, fn).components["pt"]["*"]
+        nm = e.encode_functor(fn).components["pt"]["*"]
         for x in a.obj.at("pt"):
             assert ev.on_obj("pt", (nm, x)) == fn.on_obj("pt", x)
 
@@ -69,9 +70,9 @@ def test_curry_uncurry_round_trip():
     e = exponential_cat(a, b)
     prod = product_cat(w, a)
     for fn in enumerate_functors(prod, b):
-        g = curry_functor(fn, w, a, expo=e)
+        g = curry_functor(fn, w, e)
         assert g.validate() == []
-        back = uncurry_functor(g, w, e)
+        back = uncurry_functor(g, e)
         assert back == fn
 
 
@@ -81,7 +82,7 @@ def test_hom_set_bijection_through_currying():
     lhs = enumerate_functors(product_cat(w, a), b)
     rhs = enumerate_functors(w, e.cat)
     assert len(lhs) == len(rhs)
-    curried = {repr(curry_functor(fn, w, a, expo=e).f0.components)
+    curried = {repr(curry_functor(fn, w, e).f0.components)
                for fn in lhs}
     assert len(curried) == len(lhs)
 
@@ -89,7 +90,7 @@ def test_hom_set_bijection_through_currying():
 def test_diagonal_functor_lands_in_constants():
     d12 = divisor_lattice(12)
     two = discrete_cat(("0", "1"))
-    dia = diagonal_functor(d12, two)
+    dia = diagonal_functor(exponential_cat(two, d12))
     assert dia.validate() == []
     e = dia.target_cat
     # a constant diagram evaluates to the same object at both shape points
@@ -99,13 +100,6 @@ def test_diagonal_functor_lands_in_constants():
         t = fam_dict(label[0])
         vals = {t[k] for k in t}
         assert vals == {x}
-
-
-def test_hom_object_matches_exponential_carrier():
-    a, b = chain_cat(2), chain_cat(3)
-    ho = hom_object(a, b)
-    e = exponential_cat(a, b)
-    assert set(ho.space.at("pt")) == set(e.cat.obj.at("pt"))
 
 
 def test_exponential_arrows_are_natural_transformations():
@@ -136,8 +130,53 @@ def test_points_of_the_arrows_object_name_transformations():
 def test_exponentials_are_stable_under_reindexing():
     # reindexing the functor category to the elements of the staged set
     # agrees with the functor category of the reindexed factors
-    iso = reindex_exponential_iso(staged_set(), staged_discrete(),
-                                  staged_indiscrete())
+    iso = reindex_exponential_iso(
+        staged_set(), exponential_cat(staged_discrete(), staged_indiscrete()))
     assert iso.validate() == []
     assert inverse(iso.f0) is not None
     assert inverse(iso.f1) is not None
+
+
+@pytest.mark.parametrize("a, b", [
+    (chain_cat(2), chain_cat(2)),
+    (staged_discrete(), staged_indiscrete()),
+], ids=["chain2-chain2", "staged-discrete-indiscrete"])
+def test_evaluation_is_the_diagonal_of_each_naturality_square(a, b):
+    # evaluating the point named by t : F => G at an arrow h : x -> y gives
+    # G(h) after t_x, at every stage
+    e = exponential_cat(a, b)
+    ev = evaluation_functor(e)
+    fns = enumerate_functors(a, b)
+    seen = 0
+    for f in fns:
+        for g in fns:
+            for nt in enumerate_nats(f, g):
+                named = e.encode_nat(nt).components
+                for c in a.base.objects:
+                    t = named[c]["*"]
+                    for h in a.arr.at(c):
+                        x = a.s_at(c, h)
+                        assert ev.f1.components[c][(t, h)] == b.comp_at(
+                            c, g.f1.components[c][h], nt.component.components[c][x])
+                seen += 1
+    assert seen > len(fns)
+
+
+def test_encode_nat_refuses_a_transformation_of_other_functors():
+    e = exponential_cat(chain_cat(2), chain_cat(3))
+    fn = enumerate_functors(chain_cat(2), chain_cat(2))[0]
+    with pytest.raises(PreconditionError, match="endpoints do not match"):
+        e.encode_nat(enumerate_nats(fn, fn)[0])
+
+
+def test_curry_refuses_a_functor_into_another_target():
+    a, w = chain_cat(2), discrete_cat(("m",))
+    e = exponential_cat(a, chain_cat(2))
+    fn = enumerate_functors(product_cat(w, a), chain_cat(3))[0]
+    with pytest.raises(PreconditionError, match="does not land in"):
+        curry_functor(fn, w, e)
+
+
+def test_exponential_refuses_factors_over_different_bases():
+    with pytest.raises(PreconditionError, match="over different bases"):
+        exponential_cat(chain_cat(2), chain_cat(2, CHAIN2))

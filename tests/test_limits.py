@@ -14,8 +14,8 @@ from intcat.ambient import (
 from intcat.core import (
     InternalFunctor, arrows_by_ends, compose_functors, discrete, enumerate_functors,
     enumerate_nats, from_finite_category, identity_functor, identity_nat,
-    initial_cat, make_internal_category, opposite, terminal_cat,
-    validate_internal_category,
+    initial_cat, make_internal_category, opposite, restrict_functor,
+    terminal_cat, validate_internal_category,
 )
 from intcat.functor_cat import diagonal_functor, exponential_cat
 from intcat.labels import fam_dict
@@ -24,12 +24,12 @@ from intcat.limits import (
     cocones_category, comma_category, cones_category, connecting_iso,
     indexed_cone_factorization, is_internal_initial, is_internal_terminal,
     limit_functor,
-    parallel_arrows_category, reindex_diagram, shape_parallel_pair, shape_two,
+    parallel_arrows_category, shape_parallel_pair, shape_two,
     special_right_adjoint, transport_certificate, universal_cocone,
     universal_cone,
 )
 from intcat.fixtures import (
-    chain_cat, corpus, discrete_cat, divisor_lattice, incomparable_pair,
+    chain_cat, corpus, divisor_lattice, incomparable_pair,
     poset_cat, staged_chain3, walking_parallel_pair,
 )
 from intcat.theorems import default_shape_family
@@ -382,7 +382,7 @@ def test_cone_category_agrees_with_comma_of_diagonal(target, x, y, sizes):
     # against the name of D, stage by stage
     dg = diagram_two(target, x, y)
     e = exponential_cat(dg.source_cat, target)
-    cm = comma_category(diagonal_functor(target, dg.source_cat, expo=e),
+    cm = comma_category(diagonal_functor(e),
                         name_functor(e, dg))
     cns = cones_category(dg)
     counts = {c: (len(cns.cat.obj.at(c)), len(cns.cat.arr.at(c)))
@@ -547,7 +547,7 @@ def test_transport_along_representable_stays_terminal():
     a, dg = chain_diagram()
     cert = universal_cone(dg)
     site, proj = elements_category(representable(CHAIN2, "c1"))
-    dg_r = reindex_diagram(proj, dg)
+    dg_r = restrict_functor(proj, dg)
     moved = transport_certificate(cert, proj, dg_r)
     assert isinstance(moved, UniversalCertificate)
     assert all(moved.vertex_at(so)[0] == "c0" for so in site.objects)
@@ -591,7 +591,7 @@ def test_transport_rebuilds_along_a_functor_that_is_no_discrete_fibration(monkey
     # both arrows into c1 go to the one arrow into pt
     const = IndexFunctor(CHAIN2, FIN, {c: "pt" for c in CHAIN2.objects},
                          {w: "id_pt" for w in CHAIN2.arrows})
-    dg2 = reindex_diagram(const, cert.diagram)
+    dg2 = restrict_functor(const, cert.diagram)
     searched = _transport_solver_calls(monkeypatch)
     moved = transport_certificate(cert, const, dg2)
     assert searched == [dg2] and searched[0] is dg2
@@ -605,7 +605,7 @@ def test_transport_rebuilds_over_a_diagram_that_is_no_restriction(monkeypatch):
     cert = universal_cone(diagram_two(divisor_lattice(12), "4", "6"))
     site, proj = elements_category(representable(FIN, "pt"))
     # the same pair, in the divisors of 24 rather than of 12
-    dg2 = reindex_diagram(proj, diagram_two(divisor_lattice(24), "4", "6"))
+    dg2 = restrict_functor(proj, diagram_two(divisor_lattice(24), "4", "6"))
     searched = _transport_solver_calls(monkeypatch)
     moved = transport_certificate(cert, proj, dg2)
     assert searched == [dg2] and searched[0] is dg2
@@ -647,7 +647,7 @@ def test_transport_along_elements_of_representables_reindexes(data):
     index = data.draw(st.sampled_from(
         reps + [coproduct(r1, r2)[0] for r1 in reps for r2 in reps]))
     q = elements_category(index)[1]
-    moved = transport_certificate(cert, q, reindex_diagram(q, dg))
+    moved = transport_certificate(cert, q, restrict_functor(q, dg))
     assert isinstance(moved, UniversalCertificate)
     assert moved.candidate.validate() == []
     for s in q.source.objects:

@@ -35,6 +35,24 @@ def test_every_export_is_referenced_by_a_module_or_a_test():
     assert sorted(exported_names() - used) == []
 
 
+def test_every_from_import_is_read_where_it_is_imported():
+    """A name a package module or a test module imports with ``from ...
+    import`` is read in that module, so a stale import cannot hide a helper
+    that lost its last user."""
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += list(TESTS.glob("test_*.py"))
+    unread = []
+    for path in sorted(files):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}: {alias.asname or alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                   for alias in node.names if (alias.asname or alias.name) not in read]
+    assert unread == []
+
+
 def test_no_module_imports_a_private_name_from_another():
     """A single-underscore name stays inside its module; dunder names such
     as ``__version__`` are public."""

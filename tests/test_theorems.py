@@ -10,8 +10,8 @@ import intcat.limits as limits
 from intcat.ambient import IndexCategory, Presheaf, PresheafMap
 from intcat.core import (
     InternalFunctor, adjunction_check, arrows_by_ends, category_from_tables,
-    compose_functors, enumerate_functors, from_finite_category,
-    identity_functor, indiscrete, initial_cat, opposite,
+    compose_functors, enumerate_functors, identity_functor, indiscrete,
+    initial_cat, opposite,
 )
 from intcat.labels import fam_dict
 from intcat.limits import (
