@@ -26,7 +26,7 @@ from .core import (
     enumerate_functors, enumerate_nats, from_finite_category,
     horizontal_compose, identity_functor, identity_nat, indiscrete,
     initial_cat, make_internal_category, nat_inverse, nat_is_iso, opposite,
-    points_of_cat, product_cat, restrict_cat, restrict_functor,
+    opposite_functor, points_of_cat, product_cat, restrict_cat, restrict_functor,
     terminal_cat, unique_to_terminal_cat, validate_internal_category,
     validate_internal_functor, validate_internal_nat, vertical_compose,
     whisker_left, whisker_right,

@@ -4,18 +4,22 @@ An internal category is a six-arrow diagram: objects-object, arrows-object,
 source, target, identity, and composition on the chosen pullback of
 composable pairs. A composable pair is labeled ``(g, f)`` with the later
 arrow first, i.e. ``source(g) = target(f)`` and ``compose((g, f)) = g after
-f``. The pullback of composable pairs and the composition are built on
-first read and kept, since deciding universality reads only the arrows
-into (or out of) one object. A category object may also build its arrows
-part on first read, when it can read those arrows without it; cone
-categories do, from their legs, and ``arrows_at`` serves either way.
-Functors and natural transformations between internal categories are
-presheaf maps subject to the usual equations, checked elementwise.
+f``. A category object composes one pair at a time through its
+``comp_fn``, and builds the pullback of composable pairs and the
+composition table from it only when they are read, since deciding
+universality reads only the arrows into one object. It may also build its
+arrows part on first read, when it can read those arrows without it; cone
+categories do, from their legs, and ``arrows_at`` serves either way. The
+opposite is such a view, so the arrows out of an object are the arrows
+into it in the opposite. Functors and natural transformations between
+internal categories are presheaf maps subject to the usual equations,
+checked elementwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 from .ambient import (
@@ -29,46 +33,44 @@ from .ambient import (
 class InternalCategory:
     """A category object: six arrows of the ambient category.
 
-    ``tables(cat)`` returns the pullback of composable pairs and the
-    composition on it; it runs once, when either is first read. The
-    endpoint index ``arrows_by_ends`` is also built on first read and kept.
-    ``fibres``, when given, is ``(dual, read)``: ``read(c, o)`` gives the
-    arrows into ``o`` at stage ``c`` (out of ``o`` when ``dual``) without
-    reading the arrows object; ``arrows_at`` serves it.
+    ``comp_fn(c, g, f)`` names g after f; ``comp_at`` composes through it.
+    ``tables(cat)``, by default built from ``comp_fn``, returns the pullback
+    of composable pairs and the composition on it; it runs once, when
+    either is first read. The endpoint index ``arrows_by_ends`` is also
+    built on first read and kept. ``fibres(c, o)``, when given, reads the
+    arrows into ``o`` at stage ``c`` without reading the arrows object;
+    ``arrows_at`` serves it.
     """
 
     _FIELDS = ("obj", "arr", "source", "target", "identity", "pairs", "compose")
+    _opposite_of = None         # the original, on a view made by ``opposite``
 
     def __init__(self, obj: Presheaf, arr: Presheaf, source: PresheafMap,
-                 target: PresheafMap, identity: PresheafMap,
-                 tables: Callable[["InternalCategory"], tuple],
-                 fibres: Optional[tuple] = None):
+                 target: PresheafMap, identity: PresheafMap, comp_fn: Callable,
+                 tables: Optional[Callable[["InternalCategory"], tuple]] = None,
+                 fibres: Optional[Callable] = None):
         self.obj = obj
         if arr is not None:         # else built on first read, see _ArrowsOnFirstRead
             self.arr, self.source, self.target, self.identity = arr, source, target, identity
-        self._tables = tables       # None once built
-        self._pairs = self._compose = None
+        self._comp = comp_fn
+        self._tables = tables or _composition
         self._fibres = fibres
         self._ends = None           # built by arrows_by_ends
-        self._at = {}               # built by arrows_at, by polarity
+        self._into = None           # built by arrows_at
 
-    def _build(self):
-        self._pairs, self._compose = self._tables(self)
-        self._tables = None
+    @cached_property
+    def _built(self) -> tuple:
+        return self._tables(self)
 
     @property
     def pairs(self) -> LimitCone:
         """The pullback of source against target."""
-        if self._tables is not None:
-            self._build()
-        return self._pairs
+        return self._built[0]
 
     @property
     def compose(self) -> PresheafMap:
         """The composition, pairs.apex -> arr."""
-        if self._tables is not None:
-            self._build()
-        return self._compose
+        return self._built[1]
 
     def __eq__(self, other):
         if self is other:
@@ -95,10 +97,14 @@ class InternalCategory:
         return self.identity.components[c][a]
 
     def comp_at(self, c, g, f):
-        """g after f at stage c; the pair label is ``(g, f)``."""
-        if self._tables is not None:
-            self._build()
-        return self._compose.components[c][(g, f)]
+        """g after f at stage c, labelled ``(g, f)``; refuses a pair that does not compose."""
+        try:
+            composable = self.source.components[c][g] == self.target.components[c][f]
+        except KeyError:
+            composable = False
+        if not composable:
+            raise PreconditionError(f"({g!r}, {f!r}) is not a composable pair at stage {c!r}")
+        return self._comp(c, g, f)
 
     def identity_elements(self, c) -> dict:
         """Reverse lookup: identity arrow element -> the object it sits on."""
@@ -118,9 +124,9 @@ class _ArrowsOnFirstRead(InternalCategory):
     ``__getattr__`` makes every attribute read slower, and category objects
     are read in the innermost loops."""
 
-    def __init__(self, obj: Presheaf, arrows: Callable, tables: Callable,
-                 fibres: Optional[tuple] = None):
-        super().__init__(obj, None, None, None, None, tables, fibres)
+    def __init__(self, obj: Presheaf, arrows: Callable, comp_fn: Callable,
+                 fibres: Optional[Callable] = None):
+        super().__init__(obj, None, None, None, None, comp_fn, fibres=fibres)
         self._arrows = arrows
 
     def __getattr__(self, name):
@@ -134,15 +140,12 @@ class _ArrowsOnFirstRead(InternalCategory):
         return getattr(self, name)
 
 
-def _composition(comp_fn: Callable) -> Callable:
-    """The composition part of a category object, for its thunk:
-    ``comp_fn(c, g, f)`` names g after f."""
-    def tables(cat):
-        pairs = pullback(cat.source, cat.target)
-        comps = {c: {(g, f): comp_fn(c, g, f) for (g, f) in pairs.apex.at(c)}
-                 for c in cat.base.objects}
-        return pairs, PresheafMap(pairs.apex, cat.arr, comps)
-    return tables
+def _composition(cat: InternalCategory) -> tuple:
+    """The pullback of composable pairs and the composition by ``comp_fn`` on it."""
+    pairs = pullback(cat.source, cat.target)
+    comps = {c: {(g, f): cat._comp(c, g, f) for (g, f) in pairs.apex.at(c)}
+             for c in cat.base.objects}
+    return pairs, PresheafMap(pairs.apex, cat.arr, comps)
 
 
 def make_internal_category(obj: Presheaf, arr: Presheaf, source: PresheafMap,
@@ -150,19 +153,18 @@ def make_internal_category(obj: Presheaf, arr: Presheaf, source: PresheafMap,
                            comp_fn: Callable) -> InternalCategory:
     """Assemble a category object; ``comp_fn(c, g, f)`` names g after f.
     The composable pairs and the composition are built on first read."""
-    return InternalCategory(obj, arr, source, target, identity,
-                            _composition(comp_fn))
+    return InternalCategory(obj, arr, source, target, identity, comp_fn)
 
 
 def category_from_tables(obj: Presheaf, arr_carrier, shift_parts: Callable,
                          identity_parts: Callable, compose_parts: Callable,
-                         fibres: Optional[tuple] = None) -> InternalCategory:
+                         fibres: Optional[Callable] = None) -> InternalCategory:
     """Assemble a category object whose stage-c arrows are ``(s, t, *parts)``.
 
     ``arr_carrier`` holds the arrows of each stage, or is a thunk returning
-    them, in which case the arrows part is assembled on first read. Source
-    and target are the first two entries and move along base arrows by the
-    action of ``obj``. The callbacks return only the parts:
+    them; the arrows part is assembled on first read. Source and target are
+    the first two entries and move along base arrows by the action of
+    ``obj``. The callbacks return only the parts:
     ``shift_parts(w, t)`` those of arrow ``t`` moved along ``w``,
     ``identity_parts(c, o)`` those of the identity on ``o``, and
     ``compose_parts(c, g, f)`` those of g after f. ``fibres`` is as for
@@ -183,10 +185,8 @@ def category_from_tables(obj: Presheaf, arr_carrier, shift_parts: Callable,
         return (arr, PresheafMap.entry(arr, obj, 0), PresheafMap.entry(arr, obj, 1),
                 ident)
 
-    tables = _composition(lambda c, g, f: (f[0], g[1]) + compose_parts(c, g, f))
-    if callable(arr_carrier):
-        return _ArrowsOnFirstRead(obj, arrows, tables, fibres)
-    return InternalCategory(obj, *arrows(), tables, fibres)
+    return _ArrowsOnFirstRead(
+        obj, arrows, lambda c, g, f: (f[0], g[1]) + compose_parts(c, g, f), fibres)
 
 
 def validate_internal_category(a: InternalCategory) -> list[str]:
@@ -409,13 +409,21 @@ def indiscrete(x: Presheaf) -> InternalCategory:
 
 
 def opposite(a: InternalCategory) -> InternalCategory:
-    """Swap source and target; composition reads the pair backwards.
+    """The opposite category object, as a view of ``a``: the same objects
+    and arrows with source and target swapped, composing a pair backwards
+    through ``a``. The view reads no arrows or tables of ``a`` until its
+    own are read, and the opposite of the view is ``a`` itself."""
+    if a._opposite_of is not None:
+        return a._opposite_of
+    op = _ArrowsOnFirstRead(a.obj, lambda: (a.arr, a.target, a.source, a.identity),
+                            lambda c, g, f: a._comp(c, f, g))
+    op._opposite_of = a
+    return op
 
-    Applying it twice rebuilds the original tables exactly.
-    """
-    return make_internal_category(
-        a.obj, a.arr, a.target, a.source, a.identity,
-        lambda c, g, f: a.comp_at(c, f, g))
+
+def opposite_functor(fn: InternalFunctor) -> InternalFunctor:
+    """The same functor between the opposites of its ends."""
+    return InternalFunctor(opposite(fn.source_cat), opposite(fn.target_cat), fn.f0, fn.f1)
 
 
 def product_cat(a: InternalCategory, b: InternalCategory) -> InternalCategory:
@@ -457,18 +465,21 @@ def from_finite_category(base: IndexCategory, c: IndexCategory) -> InternalCateg
     source = PresheafMap(arr, obj, {o: dict(c.src) for o in base.objects})
     target = PresheafMap(arr, obj, {o: dict(c.tgt) for o in base.objects})
     ident = PresheafMap(obj, arr, {o: dict(c.identity) for o in base.objects})
+    table = c.compose
     return make_internal_category(obj, arr, source, target, ident,
-                                  lambda o, g, f: c.comp(g, f))
+                                  lambda o, g, f: table[(g, f)])
 
 
 def restrict_cat(p: IndexFunctor, a: InternalCategory) -> InternalCategory:
     """Reindex a category object along an index functor. Labels are
     preserved, so every table at stage d, the composable pairs and the
     composition included, is the one of ``a`` at p(d); those two are
-    reindexed on first read."""
+    reindexed on first read, and a pair composes as in ``a`` at p(d)."""
+    comp, at = a._comp, p.on_obj
     return InternalCategory(
         restrict(p, a.obj), restrict(p, a.arr),
         restrict_map(p, a.source), restrict_map(p, a.target), restrict_map(p, a.identity),
+        lambda d, g, f: comp(at[d], g, f),
         lambda cat: (restrict_pullback(p, a.pairs), restrict_map(p, a.compose)))
 
 
@@ -530,30 +541,25 @@ def arrows_by_ends(b: InternalCategory) -> dict:
     return b._ends
 
 
-def arrows_at(b: InternalCategory, c, o, dual: bool = False) -> dict:
-    """The arrow elements of ``b`` at stage ``c`` into ``o`` (out of ``o``
-    when ``dual``), grouped by their other end: each group in carrier order,
-    the groups in the carrier order of their first arrows.
+def arrows_at(b: InternalCategory, c, o) -> dict:
+    """The arrow elements of ``b`` at stage ``c`` into ``o``, grouped by
+    their source: each group in carrier order, the groups in the carrier
+    order of their first arrows. The arrows out of ``o`` are those into it
+    in ``opposite(b)``.
 
-    Read from the category's own fibre reader when it has one for this
-    polarity, which needs no arrows part, and otherwise from an index built
-    once per polarity from ``arrows_by_ends``; shared, not to be mutated.
+    Read from the category's own fibre reader when it has one, which needs
+    no arrows part, and otherwise from an index built once from
+    ``arrows_by_ends``; shared, not to be mutated.
     """
-    fibres = b._fibres
-    if fibres is not None and fibres[0] == dual:
-        return fibres[1](c, o)
-    index = b._at.get(dual)
-    if index is None:
-        index = {}
+    if b._fibres is not None:
+        return b._fibres(c, o)
+    if b._into is None:
+        b._into = {}
         for stage, groups in arrows_by_ends(b).items():
-            by_end = index[stage] = {}
+            into = b._into[stage] = {}
             for (s, t), ks in groups.items():
-                if dual:
-                    by_end.setdefault(s, {})[t] = ks
-                else:
-                    by_end.setdefault(t, {})[s] = ks
-        b._at[dual] = index
-    return index[c].get(o, {})
+                into.setdefault(t, {})[s] = ks
+    return b._into[c].get(o, {})
 
 
 def enumerate_functors(a: InternalCategory, b: InternalCategory) -> list:

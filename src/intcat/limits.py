@@ -21,8 +21,14 @@ diagram is an internal functor from its shape to its target.
 
 Cones form a discrete fibration over the diagram's target: each arrow into
 a cone's vertex lifts to exactly one arrow into the cone, so a cone
-category reads the arrows into a cone (out of a cocone) from its legs, and
-builds its arrows object, and its projection ``to_base``, only when read.
+category reads the arrows into a cone from its legs, and builds its arrows
+object, and its projection ``to_base``, only when read.
+
+Colimits are limits in opposites, which cost nothing until read. A cocone
+under ``D`` is a cone over ``D^op -> A^op`` with the same legs, so the
+cocone category is the opposite of that cone category (its arrow from
+``o1`` to ``o2`` is ``(o2, o1, p)``), an initial object is terminal in the
+opposite, and a universal cocone is a universal cone over ``D^op``.
 
 Universality is decided internally: a candidate is terminal when the
 object of arrows into it projects isomorphically onto the objects-object.
@@ -55,8 +61,8 @@ from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
     arrows_at, arrows_by_ends, category_from_tables, compose_functors,
     from_finite_category, identity_functor, identity_nat, initial_cat,
-    nat_is_iso, product_cat, restrict_cat, restrict_functor,
-    unique_to_terminal_cat,
+    nat_is_iso, opposite, opposite_functor, product_cat, restrict_cat,
+    restrict_functor, unique_to_terminal_cat,
 )
 from .functor_cat import ExponentialCategory, diagonal_functor, exponential_cat
 
@@ -87,42 +93,35 @@ class CertificateError(Exception):
 
 @dataclass(eq=True)
 class _Legs:
-    """A vertex and one leg per shape-object element, uncurried. The legs
-    leave the vertex of a cone and arrive at the vertex of a cocone."""
+    """A vertex and one leg per shape-object element, uncurried."""
 
     diagram: InternalFunctor
     vertex: PresheafMap          # terminal -> target.obj
     legs: PresheafMap            # shape.obj -> target.arr
-    dual = False
 
-    def validate(self) -> list[str]:
+    def _cone_faults(self, dg: InternalFunctor, kind: str, ends: tuple) -> list[str]:
+        """The faults of these legs as a cone over ``dg``; messages name the
+        ``kind`` and the leg ``ends`` at the vertex and at the diagram."""
         errs = self.vertex.validate() + self.legs.validate()
         if errs:
             return errs
-        dg = self.diagram
         a, d = dg.target_cat, dg.source_cat
         for c in a.base.objects:
             v = self.vertex.components[c]["*"]
             legs = self.legs.components[c]
             misplaced = set()
             for x in d.obj.at(c):
-                ends = (dg.on_obj(c, x), v) if self.dual else (v, dg.on_obj(c, x))
-                if a.s_at(c, legs[x]) != ends[0]:
-                    errs.append(f"leg source at {c!r}:{x!r}")
+                if a.s_at(c, legs[x]) != v:
+                    errs.append(f"leg {ends[0]} at {c!r}:{x!r}")
                     misplaced.add(x)
-                if a.t_at(c, legs[x]) != ends[1]:
-                    errs.append(f"leg target at {c!r}:{x!r}")
+                if a.t_at(c, legs[x]) != dg.on_obj(c, x):
+                    errs.append(f"leg {ends[1]} at {c!r}:{x!r}")
                     misplaced.add(x)
             for f in d.arr.at(c):
                 sx, tx = d.s_at(c, f), d.t_at(c, f)
                 if sx in misplaced or tx in misplaced:
                     continue    # the cone condition would not compose
-                if self.dual:
-                    ok = a.comp_at(c, legs[tx], dg.on_arr(c, f)) == legs[sx]
-                else:
-                    ok = a.comp_at(c, dg.on_arr(c, f), legs[sx]) == legs[tx]
-                if not ok:
-                    kind = "cocone" if self.dual else "cone"
+                if a.comp_at(c, dg.on_arr(c, f), legs[sx]) != legs[tx]:
                     errs.append(f"{kind} condition at {c!r}:{f!r}")
         return errs
 
@@ -130,11 +129,17 @@ class _Legs:
 class Cone(_Legs):
     """A vertex with one leg per shape-object element, uncurried."""
 
+    def validate(self) -> list[str]:
+        return self._cone_faults(self.diagram, "cone", ("source", "target"))
+
 
 class Cocone(_Legs):
-    """A vertex receiving one leg per shape-object element."""
+    """A vertex receiving one leg per shape-object element: a cone over the
+    opposite diagram with the same legs."""
 
-    dual = True
+    def validate(self) -> list[str]:
+        return self._cone_faults(opposite_functor(self.diagram), "cocone",
+                                 ("target", "source"))
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +153,10 @@ class ConesCategory:
     Stage-c objects are pairs ``(v, gamma)``: a vertex element and a leg
     family keyed by (arrow into c, shape-object element). Stage-c arrows
     are triples ``(o1, o2, p)`` where ``p`` is a vertex arrow making every
-    leg triangle commute. ``to_base`` projects onto the diagram's target;
-    it and the arrows part of ``cat`` are built on first read.
+    leg triangle commute; a cocone arrow from ``o1`` to ``o2`` is
+    ``(o2, o1, p)``, the cone arrow it is in the opposite. ``to_base``
+    projects onto the diagram's target; it and the arrows part of ``cat``
+    are built on first read.
     """
 
     kind: str                   # "cones" or "cocones"
@@ -196,28 +203,30 @@ class ConesCategory:
     def certify(self, p: PresheafMap):
         """The limit (for cocones, colimit) certificate of the point ``p``,
         or the refusal of its terminality (initiality) test."""
-        res = _internal_universal(self.cat, p, self.kind == "cocones")
+        decide = is_internal_terminal if self.kind == "cones" else is_internal_initial
+        res = decide(self.cat, p)
         return res if isinstance(res, Refusal) else self._of_universal(res)
 
     def _of_universal(self, res: "UniversalCertificate") -> "UniversalCertificate":
         """The limit (colimit) certificate wrapping a terminality
         (initiality) certificate of a point of this category."""
-        dual = self.kind == "cocones"
-        if res.kind != ("initial" if dual else "terminal") or res.subject is not self.cat:
+        cones = self.kind == "cones"
+        if res.kind != ("terminal" if cones else "initial") or res.subject is not self.cat:
             raise CertificateError(
                 f"a {res.kind} certificate does not certify a point of these {self.kind}")
-        return UniversalCertificate("colimit" if dual else "limit", self.cat,
+        return UniversalCertificate("limit" if cones else "colimit", self.cat,
                                     res.point, res.unique_table,
                                     self.decode_point(res.point), self.diagram, self)
 
 
-def _cone_category(dg: InternalFunctor, dual: bool) -> ConesCategory:
-    """The cone (cocone, when ``dual``) category over ``dg``. Its stage-c
-    objects ``(v, gamma)`` are found by the solver, by vertex in carrier
-    order, the leg families of one vertex in ``sort_key`` order."""
+def _cone_category(dg: InternalFunctor) -> ConesCategory:
+    """The cone category over ``dg``. Its stage-c objects ``(v, gamma)``
+    are found by the solver, by vertex in carrier order, the leg families
+    of one vertex in ``sort_key`` order."""
     a, d = dg.target_cat, dg.source_cat
     base = a.base
     by_ends = arrows_by_ends(a)
+    comp = a.comp_at
 
     obj_carrier = {}
     for c in base.objects:
@@ -228,12 +237,7 @@ def _cone_category(dg: InternalFunctor, dual: bool) -> ConesCategory:
                 c2 = base.src[u]
                 for f in d.arr.at(c2):
                     sx, tx = d.s_at(c2, f), d.t_at(c2, f)
-                    df = dg.on_arr(c2, f)
-                    if dual:
-                        ok = table[(u, sx)] == a.comp_at(c2, table[(u, tx)], df)
-                    else:
-                        ok = table[(u, tx)] == a.comp_at(c2, df, table[(u, sx)])
-                    if not ok:
+                    if table[(u, tx)] != comp(c2, dg.on_arr(c2, f), table[(u, sx)]):
                         return False
             return True
 
@@ -242,10 +246,7 @@ def _cone_category(dg: InternalFunctor, dual: bool) -> ConesCategory:
 
             def allowed(u, x, v=v):
                 c2 = base.src[u]
-                vres = a.obj.action[u][v]
-                tx = dg.on_obj(c2, x)
-                ends = (tx, vres) if dual else (vres, tx)
-                return by_ends[c2].get(ends, ())
+                return by_ends[c2].get((a.obj.action[u][v], dg.on_obj(c2, x)), ())
 
             for gamma in solve(allowed, check):
                 elems.append((v, gamma))
@@ -253,13 +254,11 @@ def _cone_category(dg: InternalFunctor, dual: bool) -> ConesCategory:
 
     # Cones form a discrete fibration over ``a``: an arrow p : v1 -> v of
     # ``a`` lifts to exactly one arrow into the cone (v, gamma), from the
-    # cone (v1, gamma p); dually p : v -> v2 lifts to one arrow out of the
-    # cocone (v, gamma), to (v2, p gamma). So the arrows into a cone (out
-    # of a cocone) are read from its legs, one composite per leg and
-    # arrow, without building the others.
+    # cone (v1, gamma p). So the arrows into a cone are read from its legs,
+    # one composite per leg and arrow, without building the others.
     position = {c: {o: i for i, o in enumerate(obj_carrier[c])}
                 for c in base.objects}
-    comp, act, src = a.compose.components, a.arr.action, base.src
+    act, src = a.arr.action, base.src
     fibres = {}
 
     def fibre(c, o):
@@ -271,16 +270,12 @@ def _cone_category(dg: InternalFunctor, dual: bool) -> ConesCategory:
         here = position[c]
         groups = {}
         for x in a.obj.at(c):
-            for p in by_ends[c].get((v, x) if dual else (x, v), ()):
-                if dual:
-                    moved = tuple((k, comp[src[k[0]]][(act[k[0]][p], w)]) for k, w in legs)
-                else:
-                    moved = tuple((k, comp[src[k[0]]][(w, act[k[0]][p])]) for k, w in legs)
+            for p in by_ends[c].get((x, v), ()):
+                moved = tuple((k, comp(src[k[0]], w, act[k[0]][p])) for k, w in legs)
                 far = (x, ("fam", moved))
                 if far not in here:
-                    raise CertificateError(
-                        f"lift of {p!r} at {c!r} is not among the {'co' if dual else ''}cones")
-                groups.setdefault(far, []).append((o, far, p) if dual else (far, o, p))
+                    raise CertificateError(f"lift of {p!r} at {c!r} is not among the cones")
+                groups.setdefault(far, []).append((far, o, p))
         got = fibres[(c, o)] = {x: tuple(groups[x]) for x in sorted(groups, key=here.get)}
         return got
 
@@ -307,18 +302,19 @@ def _cone_category(dg: InternalFunctor, dual: bool) -> ConesCategory:
         lambda w, t: (a.arr.action[w][t[2]],),
         lambda c, o: (a.id_at(c, o[0]),),
         lambda c, g, f: (a.comp_at(c, g[2], f[2]),),
-        fibres=(dual, fibre))
-    return ConesCategory("cocones" if dual else "cones", dg, cat)
+        fibres=fibre)
+    return ConesCategory("cones", dg, cat)
 
 
 def cones_category(dg: InternalFunctor) -> ConesCategory:
     """The category object of cones over a diagram."""
-    return _cone_category(dg, False)
+    return _cone_category(dg)
 
 
 def cocones_category(dg: InternalFunctor) -> ConesCategory:
-    """The category object of cocones under a diagram."""
-    return _cone_category(dg, True)
+    """The category object of cocones under a diagram: the opposite of the
+    cones over the opposite diagram."""
+    return ConesCategory("cocones", dg, opposite(_cone_category(opposite_functor(dg)).cat))
 
 
 # ---------------------------------------------------------------------------
@@ -485,23 +481,6 @@ def _obstruction(objs, fibre: dict):
     return None
 
 
-def _internal_universal(a: InternalCategory, v: PresheafMap, dual: bool):
-    if v.source != terminal(a.base) or v.target != a.obj:
-        raise PreconditionError("candidate is not a point of the objects-object")
-    errs = v.validate()
-    if errs:
-        raise PreconditionError(f"candidate point is not natural: {errs}")
-    unique = {}
-    for c in a.base.objects:
-        fibre = arrows_at(a, c, v.components[c]["*"], dual)
-        bad = _obstruction(a.obj.at(c), fibre)
-        if bad is not None:
-            return Refusal("not_initial" if dual else "not_terminal",
-                           {"stage": c, "element": bad[0], "count": bad[1]})
-        unique[c] = {x: hs[0] for x, hs in fibre.items()}
-    return UniversalCertificate("initial" if dual else "terminal", a, v, unique)
-
-
 def is_internal_terminal(a: InternalCategory, v: PresheafMap):
     """Certify that the point ``v`` is terminal inside the category object.
 
@@ -513,59 +492,71 @@ def is_internal_terminal(a: InternalCategory, v: PresheafMap):
     unique-arrow map. Refusal names the first stage and element whose fiber
     of incoming arrows is not a singleton.
     """
-    return _internal_universal(a, v, dual=False)
+    if v.source != terminal(a.base) or v.target != a.obj:
+        raise PreconditionError("candidate is not a point of the objects-object")
+    errs = v.validate()
+    if errs:
+        raise PreconditionError(f"candidate point is not natural: {errs}")
+    unique = {}
+    for c in a.base.objects:
+        fibre = arrows_at(a, c, v.components[c]["*"])
+        bad = _obstruction(a.obj.at(c), fibre)
+        if bad is not None:
+            return Refusal("not_terminal", {"stage": c, "element": bad[0], "count": bad[1]})
+        unique[c] = {x: hs[0] for x, hs in fibre.items()}
+    return UniversalCertificate("terminal", a, v, unique)
 
 
 def is_internal_initial(a: InternalCategory, v: PresheafMap):
-    """Dual certificate: arrows out of ``v`` project isomorphically via the
-    target map; unique_arrow sends each object to the arrow from ``v``."""
-    return _internal_universal(a, v, dual=True)
+    """Certify that the point ``v`` is initial: terminal in the opposite,
+    relabelled; ``unique_arrow`` sends each object to the arrow from ``v``."""
+    res = is_internal_terminal(opposite(a), v)
+    if isinstance(res, Refusal):
+        return Refusal("not_initial", res.details)
+    return UniversalCertificate("initial", a, res.point, res.unique_table)
 
 
 def _stage_universal(cns: ConesCategory, c):
-    """The objects of a cone (cocone) category at stage ``c`` with exactly
-    one arrow from (to) every object, in carrier order, and, when there are
-    objects but none of these, the obstruction of every object.
+    """The objects of a cone category at stage ``c`` with exactly one arrow
+    from every object, in carrier order, and, when there are objects but
+    none of these, the obstruction of every object.
 
-    The arrows into a cone (out of a cocone) lift those into (out of) its
-    vertex one to one, so only a candidate whose vertex has as many as
-    there are objects is counted object by object, unless the stage is
-    blocked.
+    The arrows into a cone lift those into its vertex one to one, so only a
+    candidate whose vertex has as many as there are objects is counted
+    object by object, unless the stage is blocked.
     """
-    dual = cns.kind == "cocones"
     cat = cns.cat
     objs = cat.obj.at(c)
     degree = {}
-    for (s, t), hs in arrows_by_ends(cns.diagram.target_cat)[c].items():
-        v = s if dual else t
-        degree[v] = degree.get(v, 0) + len(hs)
-    bad = {o: _obstruction(objs, arrows_at(cat, c, o, dual))
+    for (_, t), hs in arrows_by_ends(cns.diagram.target_cat)[c].items():
+        degree[t] = degree.get(t, 0) + len(hs)
+    bad = {o: _obstruction(objs, arrows_at(cat, c, o))
            for o in objs if degree.get(o[0], 0) == len(objs)}
     good = tuple(o for o, why in bad.items() if why is None)
     if good or not objs:
         return good, []
     obstructions = []
     for o in objs:
-        x, n = bad.get(o) or _obstruction(objs, arrows_at(cat, c, o, dual))
+        x, n = bad.get(o) or _obstruction(objs, arrows_at(cat, c, o))
         obstructions.append({"candidate": o, "element": x, "count": n})
     return good, obstructions
 
 
-def _universal(dg: InternalFunctor, dual: bool,
-               cns: Optional[ConesCategory] = None):
-    kind = "cocones" if dual else "cones"
+def universal_cone(dg: InternalFunctor, cns: Optional[ConesCategory] = None):
+    """Search the cone category for an internally terminal cone; ``cns``,
+    when given, must be the cone category of ``dg``."""
     if cns is None:
-        cns = cocones_category(dg) if dual else cones_category(dg)
-    elif cns.kind != kind or (cns.diagram is not dg and cns.diagram != dg):
-        raise PreconditionError(f"the category given is not that of the {kind} "
+        cns = cones_category(dg)
+    elif cns.kind != "cones" or (cns.diagram is not dg and cns.diagram != dg):
+        raise PreconditionError("the category given is not that of the cones "
                                 "over this diagram")
     cat = cns.cat
     base = cat.base
 
-    # An internally universal point is stagewise universal, so prefilter
-    # each stage down to its stage-terminal (or stage-initial) elements
-    # before enumerating candidate points. Without this the candidate
-    # space is a product over stages.
+    # An internally terminal point is stagewise terminal, so prefilter each
+    # stage down to its stage-terminal elements before enumerating
+    # candidate points. Without this the candidate space is a product over
+    # stages.
     empty_stages, blocked_stages, stage_good = [], [], {}
     for c in base.objects:
         stage_good[c], obstructions = _stage_universal(cns, c)
@@ -574,12 +565,12 @@ def _universal(dg: InternalFunctor, dual: bool,
         elif obstructions:
             blocked_stages.append({"stage": c, "obstructions": obstructions})
 
-    # A point through stage-universal elements passes the internal test,
+    # A point through stage-terminal elements passes the internal test,
     # which reads the same fibres, so the first candidate is the answer.
     cands = [] if empty_stages or blocked_stages else enumerate_maps(
         terminal(base), cat.obj, allowed=lambda c, e: stage_good[c])
     if not cands:
-        return Refusal("no_universal_cocone" if dual else "no_universal_cone",
+        return Refusal("no_universal_cone",
                        {"candidates": 0, "failures": [],
                         "empty_stages": empty_stages,
                         "blocked_stages": blocked_stages})
@@ -589,16 +580,21 @@ def _universal(dg: InternalFunctor, dual: bool,
     return res
 
 
-def universal_cone(dg: InternalFunctor, cns: Optional[ConesCategory] = None):
-    """Search the cone category for an internally terminal cone; ``cns``,
-    when given, must be the cone category of ``dg``."""
-    return _universal(dg, dual=False, cns=cns)
-
-
 def universal_cocone(dg: InternalFunctor, cns: Optional[ConesCategory] = None):
-    """Search the cocone category for an internally initial cocone; ``cns``,
-    when given, must be the cocone category of ``dg``."""
-    return _universal(dg, dual=True, cns=cns)
+    """Search the cocone category for an internally initial cocone: a
+    universal cone over the opposite diagram, relabelled. ``cns``, when
+    given, must be the cocone category of ``dg``."""
+    if cns is None:
+        cns = cocones_category(dg)
+    elif cns.kind != "cocones" or (cns.diagram is not dg and cns.diagram != dg):
+        raise PreconditionError("the category given is not that of the cocones "
+                                "over this diagram")
+    dg_op = opposite_functor(dg)
+    res = universal_cone(dg_op, ConesCategory("cones", dg_op, opposite(cns.cat)))
+    if isinstance(res, Refusal):
+        return Refusal("no_universal_cocone", res.details)
+    return cns._of_universal(UniversalCertificate("initial", cns.cat, res.point,
+                                                  res.unique_table))
 
 
 def connecting_iso(cert_a: UniversalCertificate,
@@ -616,12 +612,10 @@ def connecting_iso(cert_a: UniversalCertificate,
     if (cert_a.kind in terminal_like) != (cert_b.kind in terminal_like):
         raise PreconditionError("certificates have opposite polarity")
     cat = cert_a.subject
-    if cert_a.kind in terminal_like:
-        fwd = cert_a.point.then(cert_b.unique_arrow)
-        bwd = cert_b.point.then(cert_a.unique_arrow)
-    else:
-        fwd = cert_b.point.then(cert_a.unique_arrow)
-        bwd = cert_a.point.then(cert_b.unique_arrow)
+    # the unique arrows of a terminal point end at it, of an initial one start at it
+    first, second = (cert_a, cert_b) if cert_a.kind in terminal_like else (cert_b, cert_a)
+    fwd = first.point.then(second.unique_arrow)
+    bwd = second.point.then(first.unique_arrow)
     for c in cat.base.objects:
         f = fwd.components[c]["*"]
         b = bwd.components[c]["*"]

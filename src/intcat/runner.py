@@ -87,10 +87,8 @@ def _run_exponential(env, caps, args):
             "arrows": {c: len(e.cat.arr.at(c)) for c in base.objects}}
 
 
-def _run_limit(env, caps, args, dual=False):
-    dg = _diagram_named(env, args[0])
-    search = universal_cocone if dual else universal_cone
-    res = search(dg)
+def _run_limit(search, env, args):
+    res = search(_diagram_named(env, args[0]))
     if isinstance(res, Refusal):
         raise RefusalError(res)
     return {"kind": res.kind, "vertex": _vertex_labels(res.candidate),
@@ -165,8 +163,8 @@ def _run_continuity_check(env, caps, args):
 _DISPATCH = {
     "validate": _run_validate,
     "exponential": _run_exponential,
-    "limit": lambda env, caps, args: _run_limit(env, caps, args, dual=False),
-    "colimit": lambda env, caps, args: _run_limit(env, caps, args, dual=True),
+    "limit": lambda env, caps, args: _run_limit(universal_cone, env, args),
+    "colimit": lambda env, caps, args: _run_limit(universal_cocone, env, args),
     "complete-check": _run_complete_check,
     "limit-functor": _run_limit_functor,
     "aft": _run_aft,

@@ -232,13 +232,14 @@ def cocones_limit_transport(cocones: ConesCategory,
 
     cns2 = cones_category(dprime)
 
+    # The leg from l to the cocone at w is the cocone arrow (w, l, t).
     def lifted(c):
         l_el = l_point.components[c]["*"]
         t = fam_dict(cert_td.point.components[c]["*"][1])
         return (l_el, stage_family(
             base, c, sprime.obj,
-            lambda u, w: (cocones.cat.obj.action[u][l_el],
-                          dprime.on_obj(base.src[u], w), t[(u, w)])))
+            lambda u, w: (dprime.on_obj(base.src[u], w),
+                          cocones.cat.obj.action[u][l_el], t[(u, w)])))
 
     p_point = point_of(cns2.cat.obj, {c: lifted(c) for c in base.objects})
     cert = cns2.certify(p_point)

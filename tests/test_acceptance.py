@@ -271,7 +271,9 @@ def test_criterion_7_duality_is_exact():
         x = Presheaf(FIN, {"pt": labels}, {"id_pt": {e: e for e in labels}})
         res = dis_u_ind_adjunctions(x, d12)
         assert res["left"]["bijection"] and res["right"]["bijection"]
-    # a limit computed in the opposite category is the colimit, vertexwise
+    # a limit computed in the opposite category is the colimit, vertexwise;
+    # universal_cocone is that same search, so the independent reference is
+    # test_limits.py::test_cocones_are_the_legs_into_a_vertex_of_the_target
     op12 = opposite(d12)
     pairs = [("4", "6"), ("2", "3"), ("1", "12"), ("6", "6"), ("4", "3")]
     for x, y in pairs:

@@ -1,5 +1,6 @@
 """Category objects, functors between them, and their dualities."""
 
+import re
 import time
 
 import pytest
@@ -11,7 +12,7 @@ from intcat.ambient import (
     restrict, restrict_map,
 )
 from intcat.core import (
-    adjunction_check, compose_functors, dis_u_ind_adjunctions, discrete,
+    adjunction_check, arrows_at, compose_functors, dis_u_ind_adjunctions, discrete,
     enumerate_functors, enumerate_nats, horizontal_compose, identity_functor,
     identity_nat, indiscrete, initial_cat, make_internal_category, nat_is_iso,
     opposite, points_of_cat, product_cat, restrict_cat, terminal_cat,
@@ -21,6 +22,7 @@ from intcat.fixtures import (
     CHAIN2, chain_cat, corpus, discrete_cat, divisor_lattice, poset_cat,
     staged_chain3, staged_indiscrete, walking_idempotent,
 )
+from intcat.limits import cones_category, shape_two
 
 FIN = IndexCategory.finset()
 
@@ -165,11 +167,91 @@ def test_opposite_swaps_endpoints_and_is_involutive():
     for name, cat in corpus():
         op = opposite(cat)
         assert validate_internal_category(op) == [], name
+        assert op.validate() == [], name
         assert opposite(op) == cat, name
+        # a view's opposite is its original, so one round trip is exact
+        assert opposite(op) is cat or opposite(cat) is op, name
         for c in cat.base.objects:
             for h in cat.arr.at(c):
                 assert op.s_at(c, h) == cat.t_at(c, h)
                 assert op.t_at(c, h) == cat.s_at(c, h)
+            pairs = cat.composable_pairs(c)
+            assert sorted(op.composable_pairs(c), key=repr) == \
+                sorted(((g, f) for f, g in pairs), key=repr), name
+            for f, g in pairs:
+                assert op.comp_at(c, g, f) == cat.comp_at(c, f, g), name
+
+
+def pair_in_divisors_12():
+    """The diagram picking out 4 and 6 in the divisors of 12."""
+    return next(fn for fn in enumerate_functors(shape_two(FIN), divisor_lattice(12))
+                if (fn.on_obj("pt", "0"), fn.on_obj("pt", "1")) == ("4", "6"))
+
+
+def test_opposite_of_an_unread_cone_category_reads_nothing(monkeypatch):
+    built = []
+    real = core.pullback
+
+    def counted(source, target):
+        built.append(source)
+        return real(source, target)
+
+    cns = cones_category(pair_in_divisors_12())
+    monkeypatch.setattr(core, "pullback", counted)
+    op = opposite(cns.cat)
+    assert opposite(op) is cns.cat and op.obj is cns.cat.obj
+    assert "arr" not in vars(cns.cat) and "arr" not in vars(op)
+    assert built == []
+    assert op.validate() == [] and len(built) == 1   # the view's own pairs
+    assert "arr" in vars(cns.cat) and len(built) == 1
+
+
+def grouped(b, c, o, end):
+    """The arrows of ``b`` at stage ``c`` whose ``end`` (0 source, 1 target)
+    is ``o``, grouped by the other end, in carrier order."""
+    ends = (b.source.components[c], b.target.components[c])
+    out = {}
+    for h in b.arr.at(c):
+        if ends[end][h] == o:
+            out.setdefault(ends[1 - end][h], []).append(h)
+    return [(x, tuple(hs)) for x, hs in out.items()]
+
+
+def test_arrows_at_reads_into_an_object_and_out_of_it_in_the_opposite():
+    cones = cones_category(pair_in_divisors_12()).cat
+    read = 0
+    for name, b in list(corpus()) + [("cones", cones)]:
+        for c in b.base.objects:
+            for o in b.obj.at(c):
+                assert list(arrows_at(b, c, o).items()) == grouped(b, c, o, 1), name
+                out = list(arrows_at(opposite(b), c, o).items())
+                assert out == grouped(b, c, o, 0), name
+                read += bool(out)
+    assert read > 50
+
+
+def not_composable(a, c):
+    return next((g, f) for g in a.arr.at(c) for f in a.arr.at(c)
+                if a.s_at(c, g) != a.t_at(c, f))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: divisor_lattice(12),
+    lambda: cones_category(pair_in_divisors_12()).cat,
+    lambda: opposite(divisor_lattice(12)),
+], ids=["divisors_12", "cone_category", "opposite"])
+def test_comp_at_refuses_a_pair_that_does_not_compose(make):
+    a = make()
+    c = a.base.objects[0]
+    g, f = not_composable(a, c)
+    named = re.escape(f"({g!r}, {f!r}) is not a composable pair at stage {c!r}")
+    with pytest.raises(PreconditionError, match=named):
+        a.comp_at(c, g, f)          # before the tables are built ...
+    assert a.compose.validate() == []
+    with pytest.raises(PreconditionError, match=named):
+        a.comp_at(c, g, f)          # ... and after
+    with pytest.raises(PreconditionError, match="is not a composable pair"):
+        a.comp_at(c, "no arrow", f)
 
 
 def test_product_cat_projections_exist():

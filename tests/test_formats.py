@@ -86,6 +86,10 @@ try:
     cert.mediator_at(next(iter(cert.unique_table)), ("6", "no legs"))
 except Exception as err:
     out["mediator"] = [type(err).__name__, str(err)]
+try:
+    d6.comp_at("pt", ("1", "2"), ("1", "3"))
+except Exception as err:
+    out["comp_at"] = [type(err).__name__, str(err)]
 limits.adjunction_check = lambda *args: ["first triangle identity fails"]
 report = run_document(parse_document(doc))
 out["task"] = report["tasks"][-1]
@@ -107,6 +111,9 @@ def test_certificates_are_enforced_under_optimization():
     kind, message = out["mediator"]
     assert kind == "CertificateError"
     assert message.startswith("('6', 'no legs') is not an object of the certified category")
+    assert out["comp_at"] == [
+        "PreconditionError",
+        "(('1', '2'), ('1', '3')) is not a composable pair at stage 'pt'"]
     task = out["task"]
     assert task["op"] == "limit-functor"
     assert task["outcome"] == "error"

@@ -1,5 +1,6 @@
 """Cone categories, universal cones, comma categories, and transport."""
 
+import itertools
 import math
 
 import pytest
@@ -8,19 +9,19 @@ from hypothesis import given, settings, strategies as st
 import intcat.limits as limits
 from intcat.ambient import (
     IndexCategory, IndexFunctor, PreconditionError, Presheaf, PresheafMap,
-    coproduct, elements_category, inverse, point_of, points, pullback,
-    representable, stage_family,
+    coproduct, elements_category, family_keys, inverse, point_of, points,
+    pullback, representable, stage_family,
 )
 from intcat.core import (
     InternalFunctor, arrows_by_ends, compose_functors, discrete, enumerate_functors,
     enumerate_nats, from_finite_category, identity_functor, identity_nat,
-    initial_cat, make_internal_category, opposite, restrict_functor,
+    initial_cat, make_internal_category, opposite, opposite_functor, restrict_functor,
     terminal_cat, validate_internal_category,
 )
 from intcat.functor_cat import diagonal_functor, exponential_cat
-from intcat.labels import fam_dict
+from intcat.labels import fam_dict, sort_key
 from intcat.limits import (
-    Cocone, Cone, Refusal, UniversalCertificate, _stage_universal,
+    Cocone, Cone, ConesCategory, Refusal, UniversalCertificate, _stage_universal,
     cocones_category, comma_category, cones_category, connecting_iso,
     indexed_cone_factorization, is_internal_initial, is_internal_terminal,
     limit_functor,
@@ -157,6 +158,45 @@ def corpus_cone_categories():
                     yield f"{name}/{shape_name}/{n}/{lazy.kind}", lazy, forced
 
 
+def cocones_in_the_target(dg, c):
+    """The cocones under ``dg`` at stage ``c``, read in its target ``A``
+    alone: a vertex ``v`` and natural legs ``dg(x) -> v`` with
+    ``leg_sx == leg_tx after dg(f)``, by vertex in carrier order, the leg
+    families of one vertex in ``sort_key`` order."""
+    a, d = dg.target_cat, dg.source_cat
+    base, ends = a.base, arrows_by_ends(a)
+    keys = family_keys(base, c, d.obj)
+    out = []
+    for v in a.obj.at(c):
+        options = [ends[base.src[u]].get((dg.on_obj(base.src[u], x), a.obj.action[u][v]), ())
+                   for u, x in keys]
+        families = []
+        for legs in itertools.product(*options):
+            t = dict(zip(keys, legs))
+            natural = all(t[(base.comp(u, w), d.obj.action[w][x])] == a.arr.action[w][t[(u, x)]]
+                          for u, x in keys for w in base.arrows_into(base.src[u]))
+            commutes = all(
+                t[(u, d.s_at(base.src[u], f))] == a.comp_at(
+                    base.src[u], t[(u, d.t_at(base.src[u], f))], dg.on_arr(base.src[u], f))
+                for u in base.arrows_into(c) for f in d.arr.at(base.src[u]))
+            if natural and commutes:
+                families.append(stage_family(base, c, d.obj, lambda u, x: t[(u, x)]))
+        out += [(v, gamma) for gamma in sorted(families, key=sort_key)]
+    return tuple(out)
+
+
+def test_cocones_are_the_legs_into_a_vertex_of_the_target():
+    # criterion 7 reads cocones as cones over the opposite diagram; this is
+    # the reference in the target's own terms, elements and order
+    seen = 0
+    for name, lazy, _ in corpus_cone_categories():
+        if lazy.kind == "cocones":
+            for c in lazy.cat.base.objects:
+                assert lazy.cat.obj.at(c) == cocones_in_the_target(lazy.diagram, c), name
+                seen += len(lazy.cat.obj.at(c))
+    assert seen > 500
+
+
 @pytest.mark.parametrize("dual", [False, True], ids=["terminal", "initial"])
 def test_cone_fibres_agree_with_the_paper_formulation(dual):
     # a cone category reads the arrows into a cone (out of a cocone) from
@@ -183,9 +223,13 @@ def test_cone_fibres_agree_with_the_paper_formulation(dual):
 
 
 def test_in_degree_prefilter_keeps_the_stage_universal_objects():
+    # the prefilter reads cones only; cocones are the cones over the
+    # opposite diagram
     blocked = 0
     for name, lazy, forced in corpus_cone_categories():
         dual = lazy.kind == "cocones"
+        cones = ConesCategory("cones", opposite_functor(lazy.diagram),
+                              opposite(lazy.cat)) if dual else lazy
         ends = arrows_by_ends(forced.cat)
         for c in forced.cat.base.objects:
             objs = forced.cat.obj.at(c)
@@ -196,9 +240,9 @@ def test_in_degree_prefilter_keeps_the_stage_universal_objects():
                 {"candidate": o, "element": objs[i], "count": n[i]}
                 for o, n in counts.items()
                 for i in [next(i for i, k in enumerate(n) if k != 1)]]
-            assert _stage_universal(lazy, c) == (good, obstructions), name
+            assert _stage_universal(cones, c) == (good, obstructions), name
             blocked += bool(obstructions)
-        assert "arr" not in vars(lazy.cat), name
+        assert "arr" not in vars(lazy.cat) and "arr" not in vars(cones.cat), name
     assert blocked
 
 
@@ -574,13 +618,14 @@ def test_transport_refuses_a_diagram_over_another_base():
 
 
 def _transport_solver_calls(monkeypatch):
-    """The diagrams whose cone categories the solver searches from now on."""
+    """The diagrams whose cone categories the solver searches from now on;
+    a cocone category records the opposite diagram."""
     searched = []
     real = limits._cone_category
 
-    def recorded(dg, dual):
+    def recorded(dg):
         searched.append(dg)
-        return real(dg, dual)
+        return real(dg)
 
     monkeypatch.setattr(limits, "_cone_category", recorded)
     return searched

@@ -146,19 +146,20 @@ def test_colimit_via_duality_agrees_with_direct_search():
 
 def test_colimit_via_duality_decides_its_initiality_once(monkeypatch):
     # the initial certificate of the identity limit is wrapped into the
-    # colimit certificate; only the direct search decides initiality again
+    # colimit certificate; only the direct search decides initiality again.
+    # Initiality in the cocones is terminality in their opposite.
     dg = pair_diagram(divisor_lattice(12), "4", "6")
     decided = []
-    real = limits._internal_universal
+    real = limits.is_internal_terminal
 
-    def counted(a, v, dual):
-        decided.append(dual)
-        return real(a, v, dual)
+    def counted(a, v):
+        decided.append(a)
+        return real(a, v)
 
-    monkeypatch.setattr(limits, "_internal_universal", counted)
+    monkeypatch.setattr(limits, "is_internal_terminal", counted)
     col = colimit_via_duality(dg)
-    assert decided.count(True) == 2
     cc = col.certificate.cones
+    assert sum(a is opposite(cc.cat) for a in decided) == 2
     assert col.certificate == cc.certify(col.certificate.point)
     with pytest.raises(CertificateError, match="a colimit certificate does not"):
         cc._of_universal(col.direct)
