@@ -16,7 +16,7 @@ from .ambient import (
     equalizer, evaluation_map, exponential, curry, uncurry,
     family_at_identity, family_keys, family_solver, family_space, initial,
     inverse, is_iso, point_label, point_of, points, product, pullback,
-    representable, restrict, restrict_map, restrict_pullback, shift_family,
+    representable, restrict, restrict_map, shift_family,
     stage_family, subpresheaf, terminal, unique_from_initial,
     unique_to_terminal,
 )

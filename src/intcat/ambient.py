@@ -3,8 +3,9 @@
 Everything is an explicit finite table. Objects are presheaves (a carrier
 tuple per index object, a contravariant action per index arrow), arrows are
 natural families of functions, and each finite-limit construction returns a
-chosen cone with an executable mediator. Setting the index category to the
-one-object, one-arrow base recovers finite sets.
+chosen cone whose apex elements are named by their leg values, so that one
+mediator serves them all. Setting the index category to the one-object,
+one-arrow base recovers finite sets.
 
 Conventions
 -----------
@@ -325,15 +326,17 @@ class PresheafMap:
 
 @dataclass(eq=True)
 class LimitCone:
-    """A chosen limit: apex, projection legs, and an executable mediator.
+    """A chosen limit: apex and projection legs.
 
-    ``mediate`` takes the legs of a competing cone (maps out of one common
-    presheaf) and returns the unique factorization through the apex.
+    An apex element is named by its leg values: their tuple, or the single
+    value of a one-leg limit. ``mediate`` takes the legs of a competing cone
+    (maps out of one common presheaf) and names each of its elements so;
+    the cone factors through the apex exactly when every name is an apex
+    element, and the factorization is then unique.
     """
 
     apex: Presheaf
     legs: tuple
-    _mediate: Callable = field(compare=False, repr=False, default=None)
 
     def mediate(self, legs) -> PresheafMap:
         legs = tuple(legs)
@@ -345,7 +348,19 @@ class LimitCone:
                 raise PreconditionError("cone legs start at different presheaves")
             if leg.target != mine.target:
                 raise PreconditionError("cone leg lands in the wrong presheaf")
-        return self._mediate(legs)
+        base = self.apex.base
+        comps = {}
+        for c in base.objects:
+            elements = self.apex.action[base.identity[c]]
+            at = [leg.components[c] for leg in legs]
+            cc = comps[c] = {}
+            for w in wedge.at(c):
+                e = at[0][w] if len(at) == 1 else tuple(m[w] for m in at)
+                if e not in elements:
+                    raise PreconditionError(
+                        f"cone does not factor through the apex at {c!r}:{w!r}")
+                cc[w] = e
+        return PresheafMap(wedge, self.apex, comps)
 
 
 def terminal(base: IndexCategory) -> Presheaf:
@@ -371,24 +386,11 @@ def unique_from_initial(x: Presheaf) -> PresheafMap:
 
 
 def product(x: Presheaf, y: Presheaf) -> LimitCone:
-    """Binary product, elements labeled ``(x, y)``."""
+    """Binary product, elements labeled ``(x, y)``: the pullback over the
+    terminal presheaf."""
     if x.base != y.base:
         raise PreconditionError("product factors live over different bases")
-    base = x.base
-    carrier = {c: tuple((a, b) for a in x.at(c) for b in y.at(c)) for c in base.objects}
-    action = {u: {(a, b): (x.action[u][a], y.action[u][b])
-                  for (a, b) in carrier[base.tgt[u]]}
-              for u in base.arrows}
-    apex = Presheaf(base, carrier, action)
-    p1, p2 = PresheafMap.entry(apex, x, 0), PresheafMap.entry(apex, y, 1)
-
-    def mediate(legs):
-        f, g = legs
-        comps = {c: {w: (f.components[c][w], g.components[c][w])
-                     for w in f.source.at(c)} for c in base.objects}
-        return PresheafMap(f.source, apex, comps)
-
-    return LimitCone(apex, (p1, p2), mediate)
+    return pullback(unique_to_terminal(x), unique_to_terminal(y))
 
 
 def pullback(f: PresheafMap, g: PresheafMap) -> LimitCone:
@@ -408,37 +410,7 @@ def pullback(f: PresheafMap, g: PresheafMap) -> LimitCone:
                   for (a, b) in carrier[base.tgt[u]]}
               for u in base.arrows}
     apex = Presheaf(base, carrier, action)
-    p1, p2 = PresheafMap.entry(apex, x, 0), PresheafMap.entry(apex, y, 1)
-    return LimitCone(apex, (p1, p2), _pair_mediator(apex))
-
-
-def _pair_mediator(apex: Presheaf) -> Callable:
-    """The mediator of a pullback, which needs only its apex: two legs
-    factor exactly when each pair of their values is an apex element."""
-    base = apex.base
-
-    def mediate(legs):
-        u, v = legs
-        comps = {}
-        for c in base.objects:
-            cc = {}
-            for w in u.source.at(c):
-                e = (u.components[c][w], v.components[c][w])
-                if e not in apex.action[base.identity[c]]:
-                    raise PreconditionError(f"legs do not commute over {c!r} at {w!r}")
-                cc[w] = e
-            comps[c] = cc
-        return PresheafMap(u.source, apex, comps)
-
-    return mediate
-
-
-def restrict_pullback(p: IndexFunctor, cone: LimitCone) -> LimitCone:
-    """Reindex a pullback along an index functor. Labels are preserved, so
-    the apex and legs at stage d are those of the given pullback at p(d)."""
-    apex = restrict(p, cone.apex)
-    return LimitCone(apex, tuple(restrict_map(p, leg) for leg in cone.legs),
-                     _pair_mediator(apex))
+    return LimitCone(apex, (PresheafMap.entry(apex, x, 0), PresheafMap.entry(apex, y, 1)))
 
 
 def subpresheaf(x: Presheaf, keep: Callable) -> tuple:
@@ -456,27 +428,13 @@ def subpresheaf(x: Presheaf, keep: Callable) -> tuple:
 
 
 def equalizer(f: PresheafMap, g: PresheafMap) -> LimitCone:
-    """Equalizer of a parallel pair f, g : X -> Y; elements keep their labels."""
+    """Equalizer of a parallel pair f, g : X -> Y; elements keep their labels,
+    and the inclusion is the one leg."""
     if f.source != g.source or f.target != g.target:
         raise PreconditionError("equalizer needs a parallel pair")
     apex, inc = subpresheaf(
         f.source, lambda c, e: f.components[c][e] == g.components[c][e])
-    base = apex.base
-
-    def mediate(legs):
-        (u,) = legs
-        comps = {}
-        for c in base.objects:
-            cc = {}
-            for w in u.source.at(c):
-                e = u.components[c][w]
-                if e not in apex.action[base.identity[c]]:
-                    raise PreconditionError(f"leg does not equalize over {c!r} at {w!r}")
-                cc[w] = e
-            comps[c] = cc
-        return PresheafMap(u.source, apex, comps)
-
-    return LimitCone(apex, (inc,), mediate)
+    return LimitCone(apex, (inc,))
 
 
 def coproduct(x: Presheaf, y: Presheaf):
@@ -584,10 +542,9 @@ def family_solver(base, c, dom: Presheaf, cod: Presheaf) -> Callable:
 
 
 def family_space(base, c, dom: Presheaf, cod: Presheaf,
-                 allowed: Optional[Callable] = None,
-                 check: Optional[Callable] = None) -> list:
+                 allowed: Optional[Callable] = None) -> list:
     """All natural families at stage ``c``: one search of ``family_solver``."""
-    return family_solver(base, c, dom, cod)(allowed, check)
+    return family_solver(base, c, dom, cod)(allowed)
 
 
 def family_keys(base: IndexCategory, c, dom: Presheaf) -> tuple:

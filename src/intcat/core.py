@@ -26,7 +26,7 @@ from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, LimitCone,
     PreconditionError, enumerate_maps, initial,
     point_label, point_of, points, product, pullback, restrict, restrict_map,
-    restrict_pullback, terminal, unique_to_terminal,
+    terminal, unique_to_terminal,
 )
 
 
@@ -34,10 +34,10 @@ class InternalCategory:
     """A category object: six arrows of the ambient category.
 
     ``comp_fn(c, g, f)`` names g after f; ``comp_at`` composes through it.
-    ``tables(cat)``, by default built from ``comp_fn``, returns the pullback
-    of composable pairs and the composition on it; it runs once, when
-    either is first read. The endpoint index ``arrows_by_ends`` is also
-    built on first read and kept. ``fibres(c, o)``, when given, reads the
+    The pullback of composable pairs and the composition on it are built
+    together from ``source``, ``target`` and ``comp_fn`` when either is
+    first read. The endpoint index ``arrows_by_ends`` is also built on
+    first read and kept. ``fibres(c, o)``, when given, reads the
     arrows into ``o`` at stage ``c`` without reading the arrows object;
     ``arrows_at`` serves it.
     """
@@ -47,30 +47,32 @@ class InternalCategory:
 
     def __init__(self, obj: Presheaf, arr: Presheaf, source: PresheafMap,
                  target: PresheafMap, identity: PresheafMap, comp_fn: Callable,
-                 tables: Optional[Callable[["InternalCategory"], tuple]] = None,
                  fibres: Optional[Callable] = None):
         self.obj = obj
         if arr is not None:         # else built on first read, see _ArrowsOnFirstRead
             self.arr, self.source, self.target, self.identity = arr, source, target, identity
         self._comp = comp_fn
-        self._tables = tables or _composition
         self._fibres = fibres
         self._ends = None           # built by arrows_by_ends
         self._into = None           # built by arrows_at
 
     @cached_property
-    def _built(self) -> tuple:
-        return self._tables(self)
+    def _composition(self) -> tuple:
+        """The pullback of composable pairs and the composition by ``comp_fn`` on it."""
+        pairs = pullback(self.source, self.target)
+        comps = {c: {(g, f): self._comp(c, g, f) for (g, f) in pairs.apex.at(c)}
+                 for c in self.base.objects}
+        return pairs, PresheafMap(pairs.apex, self.arr, comps)
 
     @property
     def pairs(self) -> LimitCone:
         """The pullback of source against target."""
-        return self._built[0]
+        return self._composition[0]
 
     @property
     def compose(self) -> PresheafMap:
         """The composition, pairs.apex -> arr."""
-        return self._built[1]
+        return self._composition[1]
 
     def __eq__(self, other):
         if self is other:
@@ -138,14 +140,6 @@ class _ArrowsOnFirstRead(InternalCategory):
         del self._arrows
         self.__class__ = InternalCategory
         return getattr(self, name)
-
-
-def _composition(cat: InternalCategory) -> tuple:
-    """The pullback of composable pairs and the composition by ``comp_fn`` on it."""
-    pairs = pullback(cat.source, cat.target)
-    comps = {c: {(g, f): cat._comp(c, g, f) for (g, f) in pairs.apex.at(c)}
-             for c in cat.base.objects}
-    return pairs, PresheafMap(pairs.apex, cat.arr, comps)
 
 
 def make_internal_category(obj: Presheaf, arr: Presheaf, source: PresheafMap,
@@ -281,15 +275,21 @@ def validate_internal_functor(fn: InternalFunctor) -> list[str]:
                 out.append(f"source not preserved at {c!r}:{h!r}")
             if b.t_at(c, fn.on_arr(c, h)) != fn.on_obj(c, a.t_at(c, h)):
                 out.append(f"target not preserved at {c!r}:{h!r}")
-        for x in a.obj.at(c):
-            if fn.on_arr(c, a.id_at(c, x)) != b.id_at(c, fn.on_obj(c, x)):
-                out.append(f"identity not preserved at {c!r}:{x!r}")
-        for (g, f) in a.composable_pairs(c):
-            lhs = fn.on_arr(c, a.comp_at(c, g, f))
-            rhs = b.comp_at(c, fn.on_arr(c, g), fn.on_arr(c, f))
-            if lhs != rhs:
-                out.append(f"composition not preserved at {c!r}:({g!r},{f!r})")
+        out.extend(_functor_faults(fn, c))
     return out
+
+
+def _functor_faults(fn: InternalFunctor, c):
+    """The identities, then the composites, that ``fn`` fails to preserve
+    at stage ``c``, one message each."""
+    a, b = fn.source_cat, fn.target_cat
+    for x in a.obj.at(c):
+        if fn.on_arr(c, a.id_at(c, x)) != b.id_at(c, fn.on_obj(c, x)):
+            yield f"identity not preserved at {c!r}:{x!r}"
+    for (g, f) in a.composable_pairs(c):
+        if fn.on_arr(c, a.comp_at(c, g, f)) != \
+           b.comp_at(c, fn.on_arr(c, g), fn.on_arr(c, f)):
+            yield f"composition not preserved at {c!r}:({g!r},{f!r})"
 
 
 def identity_functor(a: InternalCategory) -> InternalFunctor:
@@ -337,13 +337,19 @@ def validate_internal_nat(nt: InternalNatTrans) -> list[str]:
                 out.append(f"component source at {c!r}:{x!r}")
             if b.t_at(c, h) != g.on_obj(c, x):
                 out.append(f"component target at {c!r}:{x!r}")
-        for h in a.arr.at(c):
-            x, y = a.s_at(c, h), a.t_at(c, h)
-            lhs = b.comp_at(c, g.on_arr(c, h), nt.at(c, x))
-            rhs = b.comp_at(c, nt.at(c, y), f.on_arr(c, h))
-            if lhs != rhs:
-                out.append(f"naturality square at {c!r}:{h!r}")
+        out.extend(_square_faults(nt, c))
     return out
+
+
+def _square_faults(nt: InternalNatTrans, c):
+    """The arrows at stage ``c`` whose naturality square fails, one message each."""
+    f, g = nt.source, nt.target
+    a, b = f.source_cat, f.target_cat
+    for h in a.arr.at(c):
+        x, y = a.s_at(c, h), a.t_at(c, h)
+        if b.comp_at(c, g.on_arr(c, h), nt.at(c, x)) != \
+           b.comp_at(c, nt.at(c, y), f.on_arr(c, h)):
+            yield f"naturality square at {c!r}:{h!r}"
 
 
 def identity_nat(f: InternalFunctor) -> InternalNatTrans:
@@ -472,15 +478,15 @@ def from_finite_category(base: IndexCategory, c: IndexCategory) -> InternalCateg
 
 def restrict_cat(p: IndexFunctor, a: InternalCategory) -> InternalCategory:
     """Reindex a category object along an index functor. Labels are
-    preserved, so every table at stage d, the composable pairs and the
-    composition included, is the one of ``a`` at p(d); those two are
-    reindexed on first read, and a pair composes as in ``a`` at p(d)."""
+    preserved, so the arrows part at stage d is the one of ``a`` at p(d),
+    and a pair composes as in ``a`` at p(d); the composable pairs and the
+    composition are built from these on first read, reading no table of
+    ``a``."""
     comp, at = a._comp, p.on_obj
     return InternalCategory(
         restrict(p, a.obj), restrict(p, a.arr),
         restrict_map(p, a.source), restrict_map(p, a.target), restrict_map(p, a.identity),
-        lambda d, g, f: comp(at[d], g, f),
-        lambda cat: (restrict_pullback(p, a.pairs), restrict_map(p, a.compose)))
+        lambda d, g, f: comp(at[d], g, f))
 
 
 def restrict_functor(p: IndexFunctor, fn: InternalFunctor,
@@ -528,8 +534,11 @@ def points_of_cat(a: InternalCategory) -> IndexCategory:
 def arrows_by_ends(b: InternalCategory) -> dict:
     """Per stage, the arrow elements of ``b`` grouped by (source, target),
     each group in carrier order; built once per object, shared, not to be
-    mutated."""
-    if b._ends is None:
+    mutated. An opposite view reads its original's index, keys swapped."""
+    if b._ends is None and b._opposite_of is not None:
+        b._ends = {c: {(t, s): ks for (s, t), ks in groups.items()}
+                   for c, groups in arrows_by_ends(b._opposite_of).items()}
+    elif b._ends is None:
         out = {}
         for c in b.base.objects:
             s, t = b.source.components[c], b.target.components[c]
@@ -578,16 +587,8 @@ def enumerate_functors(a: InternalCategory, b: InternalCategory) -> list:
 
 
 def functor_laws_hold(fn: InternalFunctor) -> bool:
-    a, b = fn.source_cat, fn.target_cat
-    for c in a.base.objects:
-        for x in a.obj.at(c):
-            if fn.on_arr(c, a.id_at(c, x)) != b.id_at(c, fn.on_obj(c, x)):
-                return False
-        for (g, f) in a.composable_pairs(c):
-            if fn.on_arr(c, a.comp_at(c, g, f)) != \
-               b.comp_at(c, fn.on_arr(c, g), fn.on_arr(c, f)):
-                return False
-    return True
+    return not any(next(_functor_faults(fn, c), None)
+                   for c in fn.source_cat.base.objects)
 
 
 def enumerate_nats(f: InternalFunctor, g: InternalFunctor) -> list:
@@ -607,15 +608,8 @@ def enumerate_nats(f: InternalFunctor, g: InternalFunctor) -> list:
 
 
 def nat_squares_hold(nt: InternalNatTrans) -> bool:
-    f, g = nt.source, nt.target
-    a, b = f.source_cat, f.target_cat
-    for c in a.base.objects:
-        for h in a.arr.at(c):
-            x, y = a.s_at(c, h), a.t_at(c, h)
-            if b.comp_at(c, g.on_arr(c, h), nt.at(c, x)) != \
-               b.comp_at(c, nt.at(c, y), f.on_arr(c, h)):
-                return False
-    return True
+    return not any(next(_square_faults(nt, c), None)
+                   for c in nt.source.source_cat.base.objects)
 
 
 def nat_inverse(nt: InternalNatTrans) -> Optional[InternalNatTrans]:

@@ -128,9 +128,9 @@ def _check_label(tok, line, col):
     return tok
 
 
-def _check_name(tok, line, col, what="name"):
+def _check_name(tok, line, col):
     if not _NAME.match(tok):
-        _fail(line, col, f"{what} {tok!r} is not an identifier")
+        _fail(line, col, f"name {tok!r} is not an identifier")
     return tok
 
 

@@ -215,8 +215,7 @@ class ConesCategory:
             raise CertificateError(
                 f"a {res.kind} certificate does not certify a point of these {self.kind}")
         return UniversalCertificate("limit" if cones else "colimit", self.cat,
-                                    res.point, res.unique_table,
-                                    self.decode_point(res.point), self.diagram, self)
+                                    res.point, res.unique_table, self)
 
 
 def _cone_category(dg: InternalFunctor) -> ConesCategory:
@@ -429,20 +428,28 @@ def comma_category(f: InternalFunctor, g: InternalFunctor) -> CommaCategory:
 @dataclass(eq=True, repr=False)
 class UniversalCertificate:
     """A certified universal object: the point, the unique-arrow witness,
-    and (for limits of diagrams) the detected cone with its category.
+    and (for limits of diagrams) the cone category it lives in.
 
     ``unique_table`` gives, per stage, the one arrow from each object to
     the point (from the point, when initial); the map ``unique_arrow`` of
-    the arrows object is built from it on first read.
+    the arrows object is built from it on first read. Inside a cone
+    category, ``diagram`` is its diagram and ``candidate`` the point decoded
+    as a Cone or Cocone, on first read; both are None otherwise.
     """
 
     kind: str                    # "terminal" | "initial" | "limit" | "colimit"
     subject: InternalCategory
     point: PresheafMap           # terminal -> subject.obj
     unique_table: dict           # stage -> {object element: arrow element}
-    candidate: object = None     # Cone or Cocone when inside a cone category
-    diagram: Optional[InternalFunctor] = None
     cones: Optional[ConesCategory] = None
+
+    @property
+    def diagram(self) -> Optional[InternalFunctor]:
+        return None if self.cones is None else self.cones.diagram
+
+    @cached_property
+    def candidate(self) -> Union[Cone, Cocone, None]:
+        return None if self.cones is None else self.cones.decode_point(self.point)
 
     @cached_property
     def unique_arrow(self) -> PresheafMap:

@@ -1,15 +1,17 @@
 """Laws of the ambient layer: finite presheaves and their limits."""
 
+import re
 from itertools import product as cartesian
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from intcat.ambient import (
-    IndexCategory, Presheaf, PresheafMap, coproduct, curry, elements_category,
+    IndexCategory, Presheaf, PresheafMap, PreconditionError, coproduct, curry,
+    elements_category,
     enumerate_maps, equalizer, evaluation_map, exponential, family_keys,
     family_solver, family_space, initial, inverse, is_iso, points, product,
-    pullback, representable, stage_family, terminal, uncurry,
+    pullback, representable, stage_family, subpresheaf, terminal, uncurry,
     unique_from_initial, unique_to_terminal,
 )
 from intcat.labels import sort_key
@@ -168,6 +170,64 @@ def test_equalizer_picks_agreement_locus():
     g = PresheafMap(x, y, {"pt": {"1": "p", "2": "p", "3": "q"}})
     eq = equalizer(f, g)
     assert eq.apex.at("pt") == ("1",)
+
+
+def test_product_pairs_leg_values_at_every_stage():
+    x = staged(("a", "b"), ("A",), {"A": "a"})
+    y = staged(("u",), ("U", "V"), {"U": "u", "V": "u"})
+    cone = product(x, y)
+    assert cone.apex.carrier == {"c0": (("a", "u"), ("b", "u")),
+                                 "c1": (("A", "U"), ("A", "V"))}
+    assert cone.apex.validate() == []
+    one = PresheafMap.identity(cone.apex)
+    assert cone.mediate([one.then(leg) for leg in cone.legs]) == one
+    w = staged(("m",), ("M",), {"M": "m"})
+    f = PresheafMap(w, x, {"c0": {"m": "a"}, "c1": {"M": "A"}})
+    g = PresheafMap(w, y, {"c0": {"m": "u"}, "c1": {"M": "V"}})
+    med = cone.mediate([f, g])
+    assert med.components == {"c0": {"m": ("a", "u")}, "c1": {"M": ("A", "V")}}
+    assert med.validate() == []
+    assert [med.then(leg) for leg in cone.legs] == [f, g]
+
+
+def test_subpresheaf_keeps_what_the_action_preserves():
+    x = staged(("a", "b"), ("A", "B", "C"), {"A": "a", "B": "b", "C": "a"})
+    sub, inc = subpresheaf(x, lambda c, e: e in ("a", "A", "C"))
+    assert sub.carrier == {"c0": ("a",), "c1": ("A", "C")}
+    assert sub.validate() == [] and inc.validate() == []
+    assert inc.target == x and inc.components["c1"] == {"A": "A", "C": "C"}
+
+
+def test_equalizer_mediates_exactly_the_legs_that_equalize():
+    x, y = finset("1", "2", "3"), finset("p", "q")
+    f = PresheafMap(x, y, {"pt": {"1": "p", "2": "q", "3": "p"}})
+    g = PresheafMap(x, y, {"pt": {"1": "p", "2": "p", "3": "q"}})
+    eq = equalizer(f, g)
+    (inc,) = eq.legs
+    assert inc.target == x and inc.components == {"pt": {"1": "1"}}
+    w = finset("m", "n")
+    good = PresheafMap(w, x, {"pt": {"m": "1", "n": "1"}})
+    med = eq.mediate([good])
+    assert med.components == {"pt": {"m": "1", "n": "1"}}
+    assert med.then(inc) == good
+    bad = PresheafMap(w, x, {"pt": {"m": "1", "n": "2"}})
+    with pytest.raises(PreconditionError, match=re.escape("at 'pt':'n'")):
+        eq.mediate([bad])
+
+
+def test_pullback_refuses_legs_that_do_not_commute():
+    x, y, z = finset("a", "b"), finset("u", "v"), finset("0", "1")
+    f = PresheafMap(x, z, {"pt": {"a": "0", "b": "1"}})
+    g = PresheafMap(y, z, {"pt": {"u": "1", "v": "1"}})
+    pb = pullback(f, g)
+    w = finset("m")
+    to_y = PresheafMap(w, y, {"pt": {"m": "v"}})
+    med = pb.mediate([PresheafMap(w, x, {"pt": {"m": "b"}}), to_y])
+    assert med.components == {"pt": {"m": ("b", "v")}}
+    with pytest.raises(PreconditionError, match=re.escape("at 'pt':'m'")):
+        pb.mediate([PresheafMap(w, x, {"pt": {"m": "a"}}), to_y])
+    with pytest.raises(PreconditionError, match="wrong number of cone legs"):
+        pb.mediate([to_y])
 
 
 def test_pullback_fiber_product():

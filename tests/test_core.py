@@ -38,30 +38,51 @@ def test_staged_chain_lives_over_its_base():
     assert validate_internal_category(c3) == []
 
 
-@pytest.mark.parametrize("make", [staged_chain3, lambda: divisor_lattice(12),
-                                  staged_indiscrete],
-                         ids=["staged_chain_three", "divisors_12", "staged_indiscrete"])
-def test_restrict_cat_shares_the_tables_it_would_rebuild(make):
+RESTRICTED = pytest.mark.parametrize(
+    "make", [staged_chain3, lambda: divisor_lattice(12), staged_indiscrete],
+    ids=["staged_chain_three", "divisors_12", "staged_indiscrete"])
+
+
+@RESTRICTED
+def test_restrict_cat_tables_equal_the_rebuilt_ones(make):
     a = make()
     _, proj = elements_category(a.obj)
-    shared = restrict_cat(proj, a)
+    restricted = restrict_cat(proj, a)
     rebuilt = make_internal_category(
         restrict(proj, a.obj), restrict(proj, a.arr), restrict_map(proj, a.source),
         restrict_map(proj, a.target), restrict_map(proj, a.identity),
         lambda d, g, f: a.comp_at(proj.on_obj[d], g, f))
-    assert shared.pairs == rebuilt.pairs
-    assert shared.compose == rebuilt.compose
-    assert shared == rebuilt
-    assert validate_internal_category(shared) == []
-    # the shared pullback mediates h |-> (id at the target of h, h) ...
-    to_id = shared.target.then(shared.identity)
-    one = PresheafMap.identity(shared.arr)
-    pair = shared.pairs.mediate([to_id, one])
+    assert restricted.pairs == rebuilt.pairs
+    assert restricted.compose == rebuilt.compose
+    assert restricted == rebuilt
+    assert validate_internal_category(restricted) == []
+    # the restricted pullback mediates h |-> (id at the target of h, h) ...
+    to_id = restricted.target.then(restricted.identity)
+    one = PresheafMap.identity(restricted.arr)
+    pair = restricted.pairs.mediate([to_id, one])
     assert pair == rebuilt.pairs.mediate([to_id, one])
-    assert pair.then(shared.compose) == one
+    assert pair.then(restricted.compose) == one
     # ... and refuses the pair (h, h), which does not commute
     with pytest.raises(PreconditionError):
-        shared.pairs.mediate([one, one])
+        restricted.pairs.mediate([one, one])
+
+
+@RESTRICTED
+def test_restrict_cat_forces_no_table_of_its_original(make, monkeypatch):
+    a = make()
+    _, proj = elements_category(a.obj)
+    built = []
+    real = core.pullback
+
+    def counted(source, target):
+        built.append(source)
+        return real(source, target)
+
+    monkeypatch.setattr(core, "pullback", counted)
+    restricted = restrict_cat(proj, a)
+    assert restricted.compose.validate() == []
+    assert built == [restricted.source]     # its own pairs, none of ``a``
+    assert "_composition" not in vars(a)
 
 
 def one_object_monoid(square):
@@ -228,6 +249,21 @@ def test_arrows_at_reads_into_an_object_and_out_of_it_in_the_opposite():
                 assert out == grouped(b, c, o, 0), name
                 read += bool(out)
     assert read > 50
+
+
+def test_an_opposite_view_groups_its_arrows_by_its_own_ends():
+    cones = cones_category(pair_in_divisors_12()).cat
+    for name, a in list(corpus()) + [("cones", cones)]:
+        for b in (a, opposite(a)):
+            for c, groups in core.arrows_by_ends(b).items():
+                by_hand: dict = {}
+                for k in b.arr.at(c):
+                    by_hand.setdefault((b.s_at(c, k), b.t_at(c, k)), []).append(k)
+                assert list(groups.items()) == \
+                    [(ends, tuple(ks)) for ends, ks in by_hand.items()], name
+                if b._opposite_of is not None:  # a view reads its original's groups
+                    original = core.arrows_by_ends(b._opposite_of)[c]
+                    assert all(ks is original[(t, s)] for (s, t), ks in groups.items())
 
 
 def not_composable(a, c):
