@@ -38,10 +38,10 @@ from .functor_cat import (
 from .limits import (
     CertificateError, CommaCategory, Cone, Cocone, ConesCategory,
     LimitFunctorResult, Refusal, RefusalError, SpecialAdjoint,
-    UniversalCertificate, certified_limit, cocones_category, comma_category,
-    cones_category, connecting_iso, indexed_cone_factorization,
-    is_internal_initial, is_internal_terminal, limit_functor,
-    parallel_arrows_category, shape_parallel_pair,
+    UniversalCertificate, certified_adjunction, certified_limit,
+    cocones_category, comma_category, cones_category, connecting_iso,
+    indexed_cone_factorization, is_internal_initial, is_internal_terminal,
+    limit_functor, mediated_functor, parallel_arrows_category, shape_parallel_pair,
     shape_two, special_right_adjoint, transport_cone_point,
     transport_certificate, universal_cocone, universal_cone,
 )

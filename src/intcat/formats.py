@@ -14,7 +14,8 @@ functor and nat blocks, and of ``act`` rows in the blocks that take them.
 total checked ``key=value`` row, and ``_arrow_tables`` reads arrow rows,
 defaulting each entry to the only arrow with its endpoints. ``_header``
 reads the ``map``/``functor``/``nat`` header, and ``_declare`` binds a
-name and keeps its tokens in one step.
+name and keeps its tokens in one step. ``TASK_ARGS`` gives the argument
+kinds of each task op, and one loop checks a task line against it.
 
 Labels may be any whitespace-free tokens not containing ``= < > : / .``,
 other than the block delimiters ``{`` and ``}``, so set-like names such
@@ -38,8 +39,26 @@ from .core import (
 from .fixtures import chain_cat, discrete_cat, indiscrete_cat
 from .limits import shape_parallel_pair, shape_two
 
-OPS = ("validate", "exponential", "limit", "colimit", "complete-check",
-       "limit-functor", "aft", "duality-check", "continuity-check")
+# the kinds of the arguments each task op takes, in order
+TASK_ARGS = {
+    "validate": ("name",),
+    "exponential": ("category", "category"),
+    "limit": ("diagram",),
+    "colimit": ("diagram",),
+    "complete-check": ("category",),
+    "limit-functor": ("category", "shape"),
+    "aft": ("functor",),
+    "duality-check": ("diagram",),
+    "continuity-check": ("functor",),
+}
+
+# the env tables a name of each argument kind is looked up in
+_ARG_SPACES = {
+    "name": ("cats", "presheaves", "maps", "functors", "nats", "diagrams"),
+    "category": ("cats",),
+    "diagram": ("diagrams", "functors"),
+    "functor": ("functors",),
+}
 
 # the shapes a limit-functor task may name, each built over a base
 SHAPE_BUILDERS = {
@@ -219,9 +238,10 @@ class _Parser:
         self.max_size = max_size
         self.decls: list = []
         self.tasks: list = []
+        # "unchecked": the categories whose laws parsing does not establish
         self.env = {"bases": {}, "cats": {}, "presheaves": {}, "maps": {},
                     "functors": {}, "nats": {}, "diagrams": {},
-                    "functor_ends": {}}
+                    "functor_ends": {}, "unchecked": set()}
 
     # -- row plumbing -------------------------------------------------------
 
@@ -380,6 +400,7 @@ class _Parser:
             body = self._block_over_base(line, toks)
             self._declare(line, toks, self._category_block(name, base, body, line),
                           body)
+            self.env["unchecked"].add(name)
             return
         if len(toks) < 6 or toks[4][0] != ":":
             _fail(line, toks[-1][1], "expected ':' then a category form")
@@ -396,17 +417,18 @@ class _Parser:
                 _fail(line, toks[5][1], f"{form} needs at least one label")
             built = (discrete_cat if form == "discrete" else indiscrete_cat)(
                 labels, base)
-        elif form == "opposite":
-            if len(rest) != 1:
-                _fail(line, toks[5][1], "expected: opposite <category>")
-            other = self._get("cats", rest[0][0], line, rest[0][1], "category")
-            built = opposite(other)
-        elif form == "product":
-            if len(rest) != 2:
-                _fail(line, toks[5][1], "expected: product <category> <category>")
-            built = product_cat(
-                self._get("cats", rest[0][0], line, rest[0][1], "category"),
-                self._get("cats", rest[1][0], line, rest[1][1], "category"))
+        elif form in ("opposite", "product"):
+            arity = 1 if form == "opposite" else 2
+            if len(rest) != arity:
+                _fail(line, toks[5][1], f"expected: {form}" + " <category>" * arity)
+            operands = []
+            for tok, col in rest:
+                operands.append(self._get("cats", tok, line, col, "category"))
+                if operands[-1].base != base:
+                    _fail(line, col, f"category {tok!r} does not live over {toks[3][0]!r}")
+            built = (opposite if form == "opposite" else product_cat)(*operands)
+            if self.env["unchecked"].intersection(tok for tok, _ in rest):
+                self.env["unchecked"].add(name)
         else:
             _fail(line, toks[5][1], f"unknown category form {form!r}")
         sizes = [len(built.obj.at(c)) for c in base.objects]
@@ -716,6 +738,7 @@ class _Parser:
         _check_name(toks[1][0], line, toks[1][1])
         fn = self._get("functors", header[3], line, toks[3][1], "functor")
         self._declare(line, toks, fn)
+        self.env["functor_ends"][toks[1][0]] = self.env["functor_ends"][header[3]]
 
     # -- tasks ---------------------------------------------------------------
 
@@ -723,49 +746,18 @@ class _Parser:
         header = [t for t, _ in toks]
         if len(header) < 2:
             _fail(line, toks[0][1], "expected: task <op> <args...>")
-        op = header[1]
-        if op not in OPS:
+        op, args = header[1], tuple(header[2:])
+        if op not in TASK_ARGS:
             _fail(line, toks[1][1], f"unknown op {op!r}")
-        args = tuple(header[2:])
-        env = self.env
-
-        def need(space, idx, what):
-            if len(args) <= idx:
-                _fail(line, toks[-1][1], f"{op} needs a {what} argument")
-            tok, col = toks[2 + idx]
-            if tok not in env[space]:
-                _fail(line, col, f"unknown {what} {tok!r}")
-
-        def arity(n):
-            if len(args) != n:
-                _fail(line, toks[1][1],
-                      f"{op} takes {n} argument{'s' if n != 1 else ''}")
-
-        if op == "validate":
-            arity(1)
-            spaces = ("cats", "presheaves", "maps", "functors", "nats", "diagrams")
-            if not any(args[0] in env[s] for s in spaces):
-                _fail(line, toks[2][1], f"unknown name {args[0]!r}")
-        elif op == "exponential":
-            arity(2)
-            need("cats", 0, "category")
-            need("cats", 1, "category")
-        elif op in ("limit", "colimit", "duality-check"):
-            arity(1)
-            if args[0] not in env["diagrams"] and args[0] not in env["functors"]:
-                _fail(line, toks[2][1], f"unknown diagram {args[0]!r}")
-        elif op == "complete-check":
-            arity(1)
-            need("cats", 0, "category")
-        elif op == "limit-functor":
-            arity(2)
-            need("cats", 0, "category")
-            if args[1] not in SHAPE_BUILDERS:
-                _fail(line, toks[3][1],
-                      f"unknown shape {args[1]!r}; one of {', '.join(SHAPE_BUILDERS)}")
-        elif op in ("aft", "continuity-check"):
-            arity(1)
-            need("functors", 0, "functor")
+        n = len(TASK_ARGS[op])
+        if len(args) != n:
+            _fail(line, toks[1][1], f"{op} takes {n} argument{'s' if n != 1 else ''}")
+        for kind, (tok, col) in zip(TASK_ARGS[op], toks[2:]):
+            if kind == "shape":
+                if tok not in SHAPE_BUILDERS:
+                    _fail(line, col, f"unknown shape {tok!r}; one of {', '.join(SHAPE_BUILDERS)}")
+            elif not any(tok in self.env[space] for space in _ARG_SPACES[kind]):
+                _fail(line, col, f"unknown {kind} {tok!r}")
         self.tasks.append(TaskDecl(op, args, line))
 
 

@@ -38,11 +38,12 @@ category, from the endpoint index otherwise. That single condition is
 stable under every change of stage, so certified limits transport along
 reindexings; ``transport_certificate`` rebuilds the cone category over the
 new base with the solver and decides the moved cone again from scratch.
-The limit functor needs no transport: the cones that give its arrow part
-and unit are objects of its one certified cone category, at the site
-stage of the functor they land in, so it reads them as mediators of that
-certificate. Failures are returned as
-``Refusal`` values naming the stage and element that obstruct.
+``mediated_functor`` reads a functor off one limit certified over the
+elements of its source's objects (vertices, and mediators of the cones
+its arrows induce, so nothing is transported), and every adjunction goes
+through ``certified_adjunction``, which builds the unit and counit from
+their tables and certifies both triangle identities. Failures are
+returned as ``Refusal`` values naming the stage and element that obstruct.
 """
 
 from __future__ import annotations
@@ -716,6 +717,43 @@ def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
 
 
 # ---------------------------------------------------------------------------
+# adjunctions from certified universal arrows
+
+
+def certified_adjunction(left: InternalFunctor, right: InternalFunctor,
+                         unit: dict, counit: dict, what: str):
+    """The unit ``1 => right left`` and counit ``left right => 1`` with
+    these component tables, certified by both triangle identities; a
+    failure is a ``CertificateError`` prefixed by ``what``."""
+    a, b = left.source_cat, left.target_cat
+    eta = InternalNatTrans(identity_functor(a), compose_functors(right, left),
+                           PresheafMap(a.obj, a.arr, unit))
+    eps = InternalNatTrans(compose_functors(left, right), identity_functor(b),
+                           PresheafMap(b.obj, b.arr, counit))
+    errs = adjunction_check(left, right, eta, eps)
+    if errs:
+        raise CertificateError(f"{what}: {errs}")
+    return eta, eps
+
+
+def mediated_functor(cert: UniversalCertificate, idx: InternalCategory,
+                     tgt: InternalCategory, legs) -> InternalFunctor:
+    """The functor ``idx -> tgt`` read off a limit certified over the
+    elements of ``idx.obj``: an object ``x`` at stage ``c`` goes to the
+    vertex certified at ``(c, x)``, an arrow ``t`` to the mediator, at
+    ``(c, target t)``, of the cone from the vertex of ``source t`` with
+    the legs ``legs(c, t)``."""
+    base = idx.base
+    f0 = {c: {x: cert.vertex_at((c, x))[0] for x in idx.obj.at(c)}
+          for c in base.objects}
+    f1 = {c: {t: cert.mediator_at((c, idx.t_at(c, t)),
+                                  (f0[c][idx.s_at(c, t)], legs(c, t)))
+              for t in idx.arr.at(c)} for c in base.objects}
+    return InternalFunctor(idx, tgt, PresheafMap(idx.obj, tgt.obj, f0),
+                           PresheafMap(idx.arr, tgt.arr, f1))
+
+
+# ---------------------------------------------------------------------------
 # the limit functor
 
 
@@ -765,27 +803,16 @@ def limit_functor(a: InternalCategory, shape: InternalCategory) -> LimitFunctorR
     cert = certified_limit(eps, "limit functor: functor-space diagram")
     dom, src = eps.source_cat.obj, site.src
 
-    lim0 = {c: {el: cert.point.components[(c, el)]["*"][0]
-                for el in e.cat.obj.at(c)} for c in base.objects}
-
     # Arrow part: a transformation alpha : F -> G at stage c composes the
-    # limit cone of F into a cone over G, an object of the certified cone
-    # category at the site stage (c, G); its unique mediator into the
-    # certified cone there is the value of the limit functor.
+    # limit cone of F into a cone over G, at the site stage (c, G).
     def pushed(c, t):
         fn, gn, alpha = t
-        v, gamma = cert.point.components[(c, fn)]["*"]
-        talpha, tgamma = fam_dict(alpha), fam_dict(gamma)
-        return (v, stage_family(
+        talpha, tgamma = fam_dict(alpha), fam_dict(cert.vertex_at((c, fn))[1])
+        return stage_family(
             site, (c, gn), dom,
-            lambda w, d: a.comp_at(src[w][0], talpha[(w[0], d)], tgamma[((w[0], fn), d)])))
+            lambda w, d: a.comp_at(src[w][0], talpha[(w[0], d)], tgamma[((w[0], fn), d)]))
 
-    lim1 = {c: {t: cert.mediator_at((c, t[1]), pushed(c, t))
-                for t in e.cat.arr.at(c)} for c in base.objects}
-    lim_fn = InternalFunctor(e.cat, a,
-                             PresheafMap(e.cat.obj, a.obj, lim0),
-                             PresheafMap(e.cat.arr, a.arr, lim1))
-
+    lim_fn = mediated_functor(cert, e.cat, a, pushed)
     delta = diagonal_functor(e)
 
     # Unit: mediate the identity cone on each object x, a cone over the
@@ -795,29 +822,18 @@ def limit_functor(a: InternalCategory, shape: InternalCategory) -> LimitFunctorR
         return cert.mediator_at(stage, (x, stage_family(
             site, stage, dom, lambda w, d: a.id_at(src[w][0], a.obj.action[w[0]][x]))))
 
-    unit = InternalNatTrans(
-        identity_functor(a), compose_functors(lim_fn, delta),
-        PresheafMap(a.obj, a.arr,
-                    {c: {x: unit_at(c, x) for x in a.obj.at(c)}
-                     for c in base.objects}))
-
     # Counit: the universal cone itself, one transformation element per
     # functor element.
     def cone_at(c, el):
-        t = fam_dict(cert.point.components[(c, el)]["*"][1])
+        t = fam_dict(cert.vertex_at((c, el))[1])
         alpha = stage_family(base, c, shape.obj, lambda u, d: t[((u, el), d)])
-        return (delta.f0.components[c][lim0[c][el]], el, alpha)
+        return (delta.f0.components[c][lim_fn.on_obj(c, el)], el, alpha)
 
-    cou = {c: {el: cone_at(c, el) for el in e.cat.obj.at(c)} for c in base.objects}
-    counit = InternalNatTrans(
-        compose_functors(delta, lim_fn), identity_functor(e.cat),
-        PresheafMap(e.cat.obj, e.cat.arr, cou))
-
-    errs = adjunction_check(delta, lim_fn, unit, counit)
-    if errs:
-        raise CertificateError(f"limit functor: {errs}")
-    return LimitFunctorResult(lim_fn, delta, unit, counit, e,
-                              nat_is_iso(unit), cert)
+    unit, counit = certified_adjunction(
+        delta, lim_fn, {c: {x: unit_at(c, x) for x in a.obj.at(c)} for c in base.objects},
+        {c: {el: cone_at(c, el) for el in e.cat.obj.at(c)} for c in base.objects},
+        "limit functor")
+    return LimitFunctorResult(lim_fn, delta, unit, counit, e, nat_is_iso(unit), cert)
 
 
 # ---------------------------------------------------------------------------
@@ -893,12 +909,10 @@ def _special_setup(a: InternalCategory, kind: str):
 
 
 def _special_comparison(a: InternalCategory, kind: str,
-                        direct: InternalCategory,
-                        e: ExponentialCategory) -> InternalFunctor:
+                        direct: InternalCategory, shape: InternalCategory) -> tuple:
     """The canonical identification of the direct target with the functor
-    category over the corresponding shape."""
+    category over ``shape``, as its object and arrow tables."""
     base = a.base
-    shape = e.dom
 
     def picks(c, o):
         """The diagram an object of the direct target names at stage c, as
@@ -930,24 +944,8 @@ def _special_comparison(a: InternalCategory, kind: str,
         return (psi0(c, ends[0]), psi0(c, ends[1]),
                 stage_family(base, c, shape.obj, lambda u, d: a.arr.action[u][legs[d]]))
 
-    f0 = {c: {o: psi0(c, o) for o in direct.obj.at(c)} for c in base.objects}
-    f1 = {c: {t: psi1(c, t) for t in direct.arr.at(c)} for c in base.objects}
-    return InternalFunctor(direct, e.cat,
-                           PresheafMap(direct.obj, e.cat.obj, f0),
-                           PresheafMap(direct.arr, e.cat.arr, f1))
-
-
-def _decode_special_stage(a: InternalCategory, kind: str,
-                          shape: InternalCategory, stage):
-    """Name the witness object at a site stage of the functor space."""
-    c, el = stage
-    if kind == "terminal":
-        return "*"
-    t0 = family_at_identity(a.base, c, el[0], shape.obj)
-    if kind == "binary_product":
-        return (t0["0"], t0["1"])
-    t1 = family_at_identity(a.base, c, el[1], shape.arr)
-    return (t0["0"], t0["1"], (t1["one"], t1["two"]))
+    return ({c: {o: psi0(c, o) for o in direct.obj.at(c)} for c in base.objects},
+            {c: {t: psi1(c, t) for t in direct.arr.at(c)} for c in base.objects})
 
 
 def special_right_adjoint(a: InternalCategory, kind: str):
@@ -955,10 +953,12 @@ def special_right_adjoint(a: InternalCategory, kind: str):
     built through the limit functor over the matching shape.
 
     Returns a SpecialAdjoint, or a Refusal naming a witness object that
-    lacks its universal arrow.
+    lacks its universal arrow: the object the comparison sends to the first
+    functor the limit functor found no limit of.
     """
     shape, to_direct = _special_setup(a, kind)
     direct = to_direct.target_cat
+    f0, f1 = _special_comparison(a, kind, direct, shape)
     try:
         lf = limit_functor(a, shape)
     except RefusalError as err:
@@ -967,25 +967,22 @@ def special_right_adjoint(a: InternalCategory, kind: str):
         stages = details.get("empty_stages") or \
             [b["stage"] for b in details.get("blocked_stages", [])]
         if stages:
-            witness = _decode_special_stage(a, kind, shape, stages[0])
+            c, el = stages[0]
+            witness = {image: o for o, image in f0[c].items()}.get(el)
         return Refusal("no_right_adjoint",
                        {"kind": kind, "witness": witness,
                         "cause": err.refusal.kind, "cause_details": details})
-    psi = _special_comparison(a, kind, direct, lf.expo)
+    e = lf.expo.cat
+    psi = InternalFunctor(direct, e, PresheafMap(direct.obj, e.obj, f0),
+                          PresheafMap(direct.arr, e.arr, f1))
     if compose_functors(psi, to_direct) != lf.diagonal:
         raise CertificateError("comparison does not carry the direct diagonal")
     inv0, inv1 = inverse(psi.f0), inverse(psi.f1)
     if inv0 is None or inv1 is None:
         raise CertificateError("comparison must be invertible")
     right = compose_functors(lf.functor, psi)
-    unit = InternalNatTrans(identity_functor(a),
-                            compose_functors(right, to_direct),
-                            lf.unit.component)
-    counit = InternalNatTrans(compose_functors(to_direct, right),
-                              identity_functor(direct),
-                              psi.f0.then(lf.counit.component).then(inv1))
-    errs = adjunction_check(to_direct, right, unit, counit)
-    if errs:
-        raise CertificateError(f"special right adjoint: {errs}")
-    return SpecialAdjoint(kind, direct, to_direct, right, unit, counit,
-                          psi, lf)
+    unit, counit = certified_adjunction(
+        to_direct, right, lf.unit.component.components,
+        psi.f0.then(lf.counit.component).then(inv1).components,
+        "special right adjoint")
+    return SpecialAdjoint(kind, direct, to_direct, right, unit, counit, psi, lf)

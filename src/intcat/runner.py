@@ -2,7 +2,8 @@
 
 Each task runs in isolation: a refusal or a precondition problem becomes
 a ``refused`` entry with its evidence, an unexpected exception becomes an
-``error`` entry, and neither stops the tasks after it. The finished
+``error`` entry, and neither stops the tasks after it. A task that reaches
+a category breaking its laws is refused as ``invalid`` first. The finished
 report carries a digest over its own canonical JSON, so equal inputs
 yield byte-equal machine output. Timing, when requested, is attached
 after the digest is fixed and never feeds it.
@@ -78,6 +79,21 @@ def _run_validate(env, caps, args):
         raise RefusalError(Refusal("invalid", {
             "target": args[0], "kind": label, "problems": problems}))
     return {"target": args[0], "kind": label, "laws": "hold"}
+
+
+def _refuse_lawless(env, args, problems):
+    """Refuse a task that reaches a category whose laws the parser did not
+    establish (a ``category`` block, or an opposite or product of one) and
+    that breaks them, as ``validate`` would: reaching means naming it, or a
+    functor or diagram with it as an end. ``problems`` keeps each verdict,
+    so a category is validated at most once per run."""
+    for arg in args:
+        for name in (arg,) if arg in env["cats"] else env["functor_ends"].get(arg, ()):
+            if name in env["unchecked"] and name not in problems:
+                problems[name] = env["cats"][name].validate()
+            if problems.get(name):
+                raise RefusalError(Refusal("invalid", {
+                    "target": name, "kind": "category", "problems": problems[name]}))
 
 
 def _run_exponential(env, caps, args):
@@ -183,6 +199,7 @@ def run_document(doc: SpecDocument, only=None, seed: int = 0,
     """
     wanted = None if not only else set(only)
     caps: dict = {}
+    problems: dict = {}
     entries = []
     spans = []
     for t in doc.tasks:
@@ -192,6 +209,8 @@ def run_document(doc: SpecDocument, only=None, seed: int = 0,
         entry = {"op": t.op, "args": list(t.args)}
         started = time.perf_counter()
         try:
+            if t.op != "validate":
+                _refuse_lawless(doc.env, t.args, problems)
             entry["witness"] = jsonable(_DISPATCH[t.op](doc.env, caps, t.args))
             entry["outcome"] = "ok"
         except RefusalError as r:

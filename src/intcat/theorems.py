@@ -6,7 +6,9 @@ transcribed correctly: the lattice characterization of completeness, the
 initial object as the limit of the identity diagram, completeness of
 cocone categories by transport, colimits by duality, continuity of
 functors, and the adjoint functor theorem with a Galois-connection oracle
-to cross-check it in the one-object case.
+to cross-check it in the one-object case. Each adjunction is certified by
+``limits.certified_adjunction``; the AFT reads its left adjoint off the
+fibre limits with ``limits.mediated_functor``.
 """
 
 from __future__ import annotations
@@ -20,17 +22,17 @@ from .ambient import (
     family_at_identity, point_of, stage_family,
 )
 from .core import (
-    InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
-    arrows_by_ends, compose_functors, enumerate_functors, identity_functor,
-    identity_nat, initial_cat, restrict_cat, restrict_functor, terminal_cat,
+    InternalCategory, InternalFunctor, InternalNatTrans, arrows_by_ends,
+    compose_functors, enumerate_functors, identity_functor, identity_nat,
+    initial_cat, restrict_cat, restrict_functor, terminal_cat,
     unique_to_terminal_cat,
 )
 from .limits import (
     CertificateError, Cocone, CommaCategory, ConesCategory, Refusal,
-    RefusalError, UniversalCertificate, certified_limit, cocones_category,
-    comma_category, cones_category, connecting_iso,
+    RefusalError, UniversalCertificate, certified_adjunction, certified_limit,
+    cocones_category, comma_category, cones_category, connecting_iso,
     indexed_cone_factorization, is_internal_initial, is_internal_terminal,
-    shape_parallel_pair, shape_two, universal_cocone,
+    mediated_functor, shape_parallel_pair, shape_two, universal_cocone,
 )
 
 
@@ -155,18 +157,10 @@ def initial_via_identity_limit(a: InternalCategory,
         PresheafMap(tc.arr, a.arr,
                     {c: {"*": a.id_at(c, vpt.components[c]["*"])}
                      for c in base.objects}))
-    unit = InternalNatTrans(
-        identity_functor(tc), compose_functors(bang, ifn),
-        PresheafMap(tc.obj, tc.arr,
-                    {c: {"*": "*"} for c in base.objects}))
     legs = {c: family_at_identity(base, c, cert.point.components[c]["*"][1], a.obj)
             for c in base.objects}
-    counit = InternalNatTrans(compose_functors(ifn, bang),
-                              identity_functor(a),
-                              PresheafMap(a.obj, a.arr, legs))
-    errs = adjunction_check(ifn, bang, unit, counit)
-    if errs:
-        raise CertificateError(f"initial object via the identity limit: {errs}")
+    unit, counit = certified_adjunction(ifn, bang, {c: {"*": "*"} for c in base.objects},
+                                        legs, "initial object via the identity limit")
     icert = is_internal_initial(a, vpt)
     if not isinstance(icert, UniversalCertificate):
         raise CertificateError(f"identity-limit vertex is not initial: {icert}")
@@ -388,38 +382,25 @@ def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:
     fiber = comma_category(generic, r_s)
     cert = certified_limit(fiber.proj_right, "fiber limit of the comma projection")
 
-    l0 = {c: {x: cert.point.components[(c, x)]["*"][0] for x in a.obj.at(c)}
-          for c in base.objects}
-
     # Arrow part: for f : x -> y, precomposing the x-fiber limit cone with
-    # f yields a cone over the y-fiber, an element of the same cone
-    # category at the y stage; its unique mediator into the certified cone
-    # there is the value of the adjoint.
-    if cert.cones is None:
-        raise PreconditionError("fiber certificate does not carry its cone category")
-    l1 = {}
-    for c in base.objects:
-        stage = {}
-        for f in a.arr.at(c):
-            sf, tf = a.s_at(c, f), a.t_at(c, f)
-            at_w = {}
-            for w in site.arrows_into((c, tf)):
-                u = w[0]
-                c2 = base.src[u]
-                sfu = a.obj.action[u][sf]
-                t2 = fam_dict(cert.point.components[(c2, sfu)]["*"][1])
-                at_w[w] = (c2, a.arr.action[u][f], t2, (base.identity[c2], sfu))
+    # f yields a cone over the y-fiber, at the y stage.
+    def restricted(c, f):
+        sf, tf = a.s_at(c, f), a.t_at(c, f)
+        at_w = {}
+        for w in site.arrows_into((c, tf)):
+            u = w[0]
+            c2 = base.src[u]
+            sfu = a.obj.action[u][sf]
+            t2 = fam_dict(cert.vertex_at((c2, sfu))[1])
+            at_w[w] = (c2, a.arr.action[u][f], t2, (base.identity[c2], sfu))
 
-            def leg(w, sig):
-                c2, fu, t2, ikey = at_w[w]
-                return t2[(ikey, ("*", sig[1], a.comp_at(c2, sig[2], fu)))]
+        def leg(w, sig):
+            c2, fu, t2, ikey = at_w[w]
+            return t2[(ikey, ("*", sig[1], a.comp_at(c2, sig[2], fu)))]
 
-            cand = (l0[c][sf], stage_family(site, (c, tf), fiber.cat.obj, leg))
-            stage[f] = cert.mediator_at((c, tf), cand)
-        l1[c] = stage
-    left = InternalFunctor(a, b,
-                           PresheafMap(a.obj, b.obj, l0),
-                           PresheafMap(a.arr, b.arr, l1))
+        return stage_family(site, (c, tf), fiber.cat.obj, leg)
+
+    left = mediated_functor(cert, a, b, restricted)
 
     # Continuity where it is used: the image of the fiber limit under R
     # must again be a limit cone.
@@ -437,8 +418,6 @@ def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:
                    site, (c, x), fiber.cat.obj, lambda w, sig: sig[2])))
                for x in a.obj.at(c)}
            for c in base.objects}
-    unit = InternalNatTrans(identity_functor(a), compose_functors(r, left),
-                            PresheafMap(a.obj, a.arr, eta))
 
     # Counit: evaluate each fiber-limit cone at the identity object.
     epsv = {}
@@ -450,12 +429,8 @@ def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:
             _, gamma = cert.point.components[(c, ry)]["*"]
             stage[y] = fam_dict(gamma)[((i, ry), ("*", y, a.id_at(c, ry)))]
         epsv[c] = stage
-    counit = InternalNatTrans(compose_functors(left, r), identity_functor(b),
-                              PresheafMap(b.obj, b.arr, epsv))
+    unit, counit = certified_adjunction(left, r, eta, epsv, "adjoint construction")
 
-    errs = adjunction_check(left, r, unit, counit)
-    if errs:
-        raise CertificateError(f"adjoint construction: {errs}")
     # The canonical square factors through the unit exactly, at every
     # object (x0, y0, h : x0 -> r y0) of the comma category identity ↓ r.
     ends_a = arrows_by_ends(a)

@@ -148,6 +148,56 @@ def test_error_unknown_name_is_located():
     assert "missing" in err.message
 
 
+TASK_PRELUDE = """\
+format 1
+base f finset
+lattice L over f : a b / a<b
+presheaf X over f {
+  at pt : x
+}
+functor F : L -> L {
+  obj pt : a=a b=b
+}
+diagram D : F
+"""
+
+
+@pytest.mark.parametrize("task, col, message", [
+    ("task", 3, "expected: task <op> <args...>"),
+    ("task frobnicate L", 8, "unknown op 'frobnicate'"),
+    ("task validate", 8, "validate takes 1 argument"),
+    ("task validate L L", 8, "validate takes 1 argument"),
+    ("task exponential L", 8, "exponential takes 2 arguments"),
+    ("task exponential L L L", 8, "exponential takes 2 arguments"),
+    ("task limit", 8, "limit takes 1 argument"),
+    ("task colimit D D", 8, "colimit takes 1 argument"),
+    ("task complete-check", 8, "complete-check takes 1 argument"),
+    ("task limit-functor L", 8, "limit-functor takes 2 arguments"),
+    ("task aft", 8, "aft takes 1 argument"),
+    ("task duality-check D D", 8, "duality-check takes 1 argument"),
+    ("task continuity-check F F", 8, "continuity-check takes 1 argument"),
+    ("task validate nope", 17, "unknown name 'nope'"),
+    ("task validate f", 17, "unknown name 'f'"),
+    ("task exponential nope L", 20, "unknown category 'nope'"),
+    ("task exponential L nope", 22, "unknown category 'nope'"),
+    ("task exponential F L", 20, "unknown category 'F'"),
+    ("task limit nope", 14, "unknown diagram 'nope'"),
+    ("task colimit L", 16, "unknown diagram 'L'"),
+    ("task duality-check X", 22, "unknown diagram 'X'"),
+    ("task complete-check F", 23, "unknown category 'F'"),
+    ("task limit-functor nope empty", 22, "unknown category 'nope'"),
+    ("task limit-functor L square", 24,
+     "unknown shape 'square'; one of empty, discrete-two, parallel-pair"),
+    ("task limit-functor nope square", 22, "unknown category 'nope'"),
+    ("task aft D", 12, "unknown functor 'D'"),
+    ("task aft L", 12, "unknown functor 'L'"),
+    ("task continuity-check X", 25, "unknown functor 'X'"),
+])
+def test_bad_task_lines_are_located(task, col, message):
+    err = located(f"{TASK_PRELUDE}  {task}\n")
+    assert (err.line, err.col, err.message) == (11, col, message)
+
+
 def test_error_bad_pair_element():
     err = located("format 1\nbase f finset\nlattice L over f : a b / a<c\n")
     assert err.line == 3 and err.col == 26
@@ -544,6 +594,75 @@ def test_composite_with_wrong_endpoints_is_an_invalid_refusal(tmp_path, capsys):
     assert main(["run", str(path), "--format", "machine"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["tasks"][0]["refusal"]["details"]["problems"] == problems
+
+
+@pytest.mark.parametrize("form, col, message", [
+    ("category C over two : opposite L", 32, "category 'L' does not live over 'two'"),
+    ("category C over fin : product L M", 33, "category 'M' does not live over 'fin'"),
+], ids=["opposite", "product"])
+def test_derived_category_operands_live_over_the_declared_base(
+        tmp_path, capsys, form, col, message):
+    # both once ended in a traceback and exit 1: a KeyError from the size
+    # check, a PreconditionError from product_cat
+    path = tmp_path / "derived.ct"
+    path.write_text("format 1\nbase fin finset\nbase two chain 2\n"
+                    "lattice L over fin : a b / a<b\n"
+                    f"lattice M over two : a b / a<b\n{form}\n")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"{path}:line 6, col {col}: {message}\n"
+
+
+# K breaks the laws: f.g should be ib. Once, complete-check certified K, and
+# limit-functor and duality-check ended in a CertificateError.
+LAWLESS_DOC = """\
+format 1
+base fin finset
+category K over fin {
+  obj pt : a b
+  arr pt : ia ib f g
+  src pt : ia=a ib=b f=a g=b
+  tgt pt : ia=a ib=b f=b g=a
+  id pt : a=ia b=ib
+  comp pt : f.g=ia g.f=ia
+}
+category Kop over fin : opposite K
+lattice E over fin : x
+category EE over fin : product E E
+functor F : E -> K {
+  obj pt : x=a
+}
+diagram G : F
+task validate K
+task complete-check K
+task limit-functor K discrete-two
+task duality-check F
+task limit G
+task aft F
+task exponential E Kop
+task complete-check E
+task exponential E EE
+"""
+
+
+def test_tasks_reaching_a_lawless_category_are_invalid_refusals(tmp_path, capsys):
+    doc = parse_document(LAWLESS_DOC)
+    assert doc.env["unchecked"] == {"K", "Kop"}
+    k = doc.env["cats"]["K"]
+    calls = []
+    k.validate = lambda: calls.append("K") or type(k).validate(k)
+    tasks = run_document(doc)["tasks"]
+    assert calls == ["K", "K"]      # the validate task, then once for the rest
+    invalid = tasks[0]["refusal"]
+    assert invalid["kind"] == "invalid" and invalid["details"]["target"] == "K"
+    for task in tasks[1:6]:
+        assert (task["outcome"], task["refusal"]) == ("refused", invalid), task["op"]
+    kop = tasks[6]["refusal"]
+    assert kop["kind"] == "invalid" and kop["details"]["target"] == "Kop"
+    assert [t["outcome"] for t in tasks[7:]] == ["ok", "ok"]
+    path = tmp_path / "lawless.ct"
+    path.write_text(LAWLESS_DOC)
+    assert main(["run", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_associativity_faults_are_pinned():

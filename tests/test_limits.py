@@ -21,8 +21,9 @@ from intcat.core import (
 from intcat.functor_cat import diagonal_functor, exponential_cat
 from intcat.labels import fam_dict, sort_key
 from intcat.limits import (
-    Cocone, Cone, ConesCategory, Refusal, UniversalCertificate, _stage_universal,
-    cocones_category, comma_category, cones_category, connecting_iso,
+    CertificateError, Cocone, Cone, ConesCategory, Refusal, UniversalCertificate,
+    _stage_universal, certified_adjunction, cocones_category, comma_category,
+    cones_category, connecting_iso,
     indexed_cone_factorization, is_internal_initial, is_internal_terminal,
     limit_functor,
     parallel_arrows_category, shape_parallel_pair, shape_two,
@@ -31,7 +32,7 @@ from intcat.limits import (
 )
 from intcat.fixtures import (
     chain_cat, corpus, divisor_lattice, incomparable_pair,
-    poset_cat, staged_chain3, walking_parallel_pair,
+    poset_cat, staged_chain3, walking_idempotent, walking_parallel_pair,
 )
 from intcat.theorems import default_shape_family
 
@@ -525,7 +526,24 @@ def test_special_right_adjoint_refusal_carries_witness():
     rf = special_right_adjoint(p, "binary_product")
     assert isinstance(rf, Refusal) and rf.kind == "no_right_adjoint"
     assert sorted(rf.details["witness"]) == ["a", "b"]
-    assert isinstance(special_right_adjoint(p, "terminal"), Refusal)
+    # the empty shape has one functor, which the comparison names "*"
+    rt = special_right_adjoint(p, "terminal")
+    assert isinstance(rt, Refusal) and rt.details["witness"] == "*"
+
+
+def test_certified_adjunction_refuses_a_counit_that_breaks_a_triangle():
+    a = walking_idempotent()
+    i = identity_functor(a)
+    ids = {c: {x: a.id_at(c, x) for x in a.obj.at(c)} for c in a.base.objects}
+    unit, counit = certified_adjunction(i, i, ids, ids, "identity")
+    assert unit.target == counit.source == i
+    # e is idempotent, so the transformation with every component e is
+    # natural, but it is not an identity
+    e = {c: {x: "e" for x in a.obj.at(c)} for c in a.base.objects}
+    with pytest.raises(CertificateError) as exc:
+        certified_adjunction(i, i, ids, e, "probe")
+    assert str(exc.value) == \
+        "probe: ['first triangle identity fails', 'second triangle identity fails']"
 
 
 def test_special_right_adjoint_equalizer_refusal_names_the_parallel_pair():

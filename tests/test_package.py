@@ -67,3 +67,18 @@ def test_no_module_imports_a_private_name_from_another():
              and (node.level or (node.module or "").startswith("intcat"))
              for alias in node.names if private(alias.name)]
     assert found == []
+
+
+def test_only_certified_adjunction_checks_triangle_identities():
+    """Every adjunction the engine builds is certified by one step,
+    ``limits.certified_adjunction``; no engine checks its own triangles."""
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [(path.name, fn.name) for node in ast.walk(fn)
+                            if isinstance(node, ast.Call)
+                            and getattr(node.func, "id", getattr(node.func, "attr", None))
+                            == "adjunction_check"]
+    assert callers == [("limits.py", "certified_adjunction")]
