@@ -42,8 +42,8 @@ from .limits import (
     cocones_category, comma_category, cones_category, connecting_iso,
     indexed_cone_factorization, is_internal_initial, is_internal_terminal,
     limit_functor, mediated_functor, parallel_arrows_category, shape_parallel_pair,
-    shape_two, special_right_adjoint, transport_cone_point,
-    transport_certificate, universal_cocone, universal_cone,
+    shape_two, special_right_adjoint, transport_certificate,
+    universal_cocone, universal_cone,
 )
 from .theorems import (
     AdjointConstruction, ColimitResult, CompletenessCertificate,

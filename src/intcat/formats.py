@@ -357,14 +357,14 @@ class _Parser:
         rest = toks[5:]
         if len(rest) == 2 and rest[0][0] == "divisors":
             n = _natural(rest[1][0], line, rest[1][1], "divisors <n>")
+            if n < 1:   # every number divides 0
+                _fail(line, rest[1][1], "divisors needs n >= 1")
             powers = _prime_powers(n, line, rest[1][1])
-            if n:
-                # a divisor picks an exponent 0..e of each prime, a pair
-                # a | b two exponents i <= j
-                self._bound((math.prod(e + 1 for _, e in powers),
-                             math.prod((e + 1) * (e + 2) // 2 for _, e in powers)),
-                            line)
-            elems = tuple(str(d) for d in _divisors(powers)) if n else ()
+            # a divisor picks an exponent 0..e of each prime, a pair
+            # a | b two exponents i <= j
+            self._bound((math.prod(e + 1 for _, e in powers),
+                         math.prod((e + 1) * (e + 2) // 2 for _, e in powers)), line)
+            elems = tuple(str(d) for d in _divisors(powers))
             pairs = [(a, b) for a in elems for b in elems
                      if int(b) % int(a) == 0]   # already its own closure
         else:

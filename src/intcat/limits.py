@@ -1,22 +1,21 @@
 """Cones, comma categories, certified universal cones, and the limit functor.
 
-A cone over a diagram is stored two ways at once: as a vertex point plus an
-uncurried leg map (one arrow element per shape-object element), and as a
-global point of the cone category. The cone category itself is built
-directly: its stage-c objects are pairs ``(v, gamma)`` with ``gamma`` a leg
-family over every arrow into c at once, which is the same data as the
-comma category of the constant-diagram functor against the diagram's name
-but never materializes the full functor category. The generic comma
-category is also provided and the two constructions are cross-checked in
-the tests. Leg families are stage families in the format ``ambient`` owns
-(``stage_family``, ``shift_family``, ``family_at_identity``) and are
-enumerated by the engine's one solver, set up once per stage by
-``ambient.family_solver`` and searched once per vertex; cone points are
-built by ``ambient.point_of``. The cone and comma categories each choose
-only their carriers and the arithmetic of their arrow data;
-``core.category_from_tables`` assembles the rest. The category of parallel
-arrows is the comma of the pair diagonal against itself, and its doubled
-identities are the functor the comma's universal property induces. A
+A cone over a diagram is a vertex point plus an uncurried leg map (one arrow
+element per shape-object element). Its stage-c object in the cone category
+is a pair ``(v, gamma)`` with ``gamma`` a leg family over every arrow into c
+at once, and ``ConesCategory`` is the one owner of that format: ``cone_at``
+builds an object, ``vertex_of``, ``legs_of`` and ``legs_at_identity`` read
+one, ``encode`` and ``decode_point`` carry a whole ``Cone`` to a global
+point and back, and no other module takes the pair apart. The cone category
+is built directly, the same data as the comma category of the
+constant-diagram functor against the diagram's name without the full functor
+category; the two constructions are cross-checked in the tests. Leg families
+are enumerated by the engine's one solver, set up once per stage by
+``ambient.family_solver`` and searched once per vertex. The cone and comma
+categories each choose only their carriers and the arithmetic of their arrow
+data; ``core.category_from_tables`` assembles the rest. The category of
+parallel arrows is the comma of the pair diagonal against itself, and its
+doubled identities are the functor the comma's universal property induces. A
 diagram is an internal functor from its shape to its target.
 
 Cones form a discrete fibration over the diagram's target: each arrow into
@@ -56,7 +55,7 @@ from .labels import fam_dict
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, PreconditionError,
     elements_category, enumerate_maps, family_at_identity, family_solver,
-    inverse, point_of, shift_family, stage_family, terminal,
+    inverse, point_of, restrict_map, shift_family, stage_family, terminal,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
@@ -152,12 +151,12 @@ class ConesCategory:
     """The category object of cones (or cocones) over a diagram.
 
     Stage-c objects are pairs ``(v, gamma)``: a vertex element and a leg
-    family keyed by (arrow into c, shape-object element). Stage-c arrows
-    are triples ``(o1, o2, p)`` where ``p`` is a vertex arrow making every
-    leg triangle commute; a cocone arrow from ``o1`` to ``o2`` is
-    ``(o2, o1, p)``, the cone arrow it is in the opposite. ``to_base``
-    projects onto the diagram's target; it and the arrows part of ``cat``
-    are built on first read.
+    family keyed by (arrow into c, shape-object element), built and read
+    only by the methods below. Stage-c arrows are triples ``(o1, o2, p)``
+    where ``p`` is a vertex arrow making every leg triangle commute; a
+    cocone arrow from ``o1`` to ``o2`` is ``(o2, o1, p)``, the cone arrow it
+    is in the opposite. ``to_base`` projects onto the diagram's target; it
+    and the arrows part of ``cat`` are built on first read.
     """
 
     kind: str                   # "cones" or "cocones"
@@ -175,31 +174,44 @@ class ConesCategory:
                 f"diagram={self.diagram!r}, cat={self.cat!r}, "
                 f"to_base={self.to_base!r})")
 
+    def cone_at(self, c, vertex, leg):
+        """The stage-``c`` object with this vertex and ``leg(u, x)`` at each
+        arrow ``u`` into c and shape element ``x``."""
+        dg = self.diagram
+        return (vertex, stage_family(dg.target_cat.base, c, dg.source_cat.obj, leg))
+
+    def vertex_of(self, o):
+        """The vertex of the object ``o``."""
+        return o[0]
+
+    def legs_of(self, o) -> dict:
+        """The legs of the object ``o``, keyed ``(u, x)``."""
+        return fam_dict(o[1])
+
+    def legs_at_identity(self, c, o) -> dict:
+        """The legs of the stage-``c`` object ``o`` at the identity of c."""
+        dg = self.diagram
+        return family_at_identity(dg.target_cat.base, c, o[1], dg.source_cat.obj)
+
     def decode_point(self, p: PresheafMap) -> Union[Cone, Cocone]:
         """Read a global point of the objects-object back as a cone."""
-        dg = self.diagram
-        a, d = dg.target_cat, dg.source_cat
-        base = a.base
-        stage = {c: p.components[c]["*"] for c in base.objects}
+        dg, a = self.diagram, self.diagram.target_cat
+        stage = {c: p.components[c]["*"] for c in a.base.objects}
         cls = Cone if self.kind == "cones" else Cocone
-        return cls(dg, point_of(a.obj, {c: v for c, (v, _) in stage.items()}),
-                   PresheafMap(d.obj, a.arr,
-                               {c: family_at_identity(base, c, gamma, d.obj)
-                                for c, (_, gamma) in stage.items()}))
+        return cls(dg, point_of(a.obj, {c: self.vertex_of(o) for c, o in stage.items()}),
+                   PresheafMap(dg.source_cat.obj, a.arr,
+                               {c: self.legs_at_identity(c, o) for c, o in stage.items()}))
 
     def encode(self, cone: Union[Cone, Cocone]) -> PresheafMap:
         """The global point of the objects-object naming a cone."""
         expected = Cone if self.kind == "cones" else Cocone
         if not isinstance(cone, expected):
             raise PreconditionError(f"expected a {expected.__name__}")
-        dg = self.diagram
-        base = dg.target_cat.base
+        src = self.diagram.target_cat.base.src
         legs = cone.legs.components
         return point_of(self.cat.obj, {
-            c: (cone.vertex.components[c]["*"],
-                stage_family(base, c, dg.source_cat.obj,
-                             lambda u, x: legs[base.src[u]][x]))
-            for c in base.objects})
+            c: self.cone_at(c, v["*"], lambda u, x: legs[src[u]][x])
+            for c, v in cone.vertex.components.items()})
 
     def certify(self, p: PresheafMap):
         """The limit (for cocones, colimit) certificate of the point ``p``,
@@ -458,6 +470,8 @@ class UniversalCertificate:
         return PresheafMap(self.subject.obj, self.subject.arr, self.unique_table)
 
     def vertex_at(self, c):
+        """The certified object at stage ``c``: for a cone category, the
+        ``(vertex, legs)`` object its readers take apart."""
         return self.point.components[c]["*"]
 
     def mediator_at(self, c, o):
@@ -539,7 +553,7 @@ def _stage_universal(cns: ConesCategory, c):
     for (_, t), hs in arrows_by_ends(cns.diagram.target_cat)[c].items():
         degree[t] = degree.get(t, 0) + len(hs)
     bad = {o: _obstruction(objs, arrows_at(cat, c, o))
-           for o in objs if degree.get(o[0], 0) == len(objs)}
+           for o in objs if degree.get(cns.vertex_of(o), 0) == len(objs)}
     good = tuple(o for o, why in bad.items() if why is None)
     if good or not objs:
         return good, []
@@ -627,8 +641,7 @@ def connecting_iso(cert_a: UniversalCertificate,
     for c in cat.base.objects:
         f = fwd.components[c]["*"]
         b = bwd.components[c]["*"]
-        oa = cert_a.point.components[c]["*"]
-        ob = cert_b.point.components[c]["*"]
+        oa, ob = cert_a.vertex_at(c), cert_b.vertex_at(c)
         if cat.comp_at(c, b, f) != cat.id_at(c, oa) or \
            cat.comp_at(c, f, b) != cat.id_at(c, ob):
             raise CertificateError(f"connecting arrows are not inverse at {c!r}")
@@ -668,7 +681,7 @@ def indexed_cone_factorization(family: PresheafMap,
         c: {i: cert.mediator_at(c, o) for i, o in cc.items()} for c, cc in comps.items()})
     ends = mediator.then(a.source if cert.kind == "limit" else a.target)
     vertices = PresheafMap(family.source, a.obj, {
-        c: {i: o[0] for i, o in cc.items()} for c, cc in comps.items()})
+        c: {i: cert.cones.vertex_of(o) for i, o in cc.items()} for c, cc in comps.items()})
     if ends != vertices:
         raise CertificateError("mediator does not start at the family's vertices")
     return mediator
@@ -676,22 +689,6 @@ def indexed_cone_factorization(family: PresheafMap,
 
 # ---------------------------------------------------------------------------
 # certificate transport
-
-
-def transport_cone_point(cert: UniversalCertificate, q: IndexFunctor,
-                         cns2: ConesCategory) -> PresheafMap:
-    """Reindex the certified cone's point along ``q`` into the cone
-    category over the new base: the leg at key ``(q(w), x)`` of stage
-    ``q(s)`` becomes the leg at key ``(w, x)`` of stage ``s``."""
-    shape2 = cns2.diagram.source_cat
-
-    def moved(s):
-        v, gamma = cert.point.components[q.on_obj[s]]["*"]
-        t = fam_dict(gamma)
-        return (v, stage_family(q.source, s, shape2.obj,
-                                lambda w, x: t[(q.on_arr[w], x)]))
-
-    return point_of(cns2.cat.obj, {s: moved(s) for s in q.source.objects})
 
 
 def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
@@ -713,7 +710,10 @@ def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
         raise PreconditionError(
             "the diagram given does not live over the source of the reindexing")
     cns2 = cocones_category(dg2) if cert.kind == "colimit" else cones_category(dg2)
-    return cns2.certify(transport_cone_point(cert, q, cns2))
+    # By naturality the legs at stage s are the legs at q(s).
+    cone = cert.candidate
+    return cns2.certify(cns2.encode(
+        type(cone)(dg2, restrict_map(q, cone.vertex), restrict_map(q, cone.legs))))
 
 
 # ---------------------------------------------------------------------------
@@ -742,12 +742,12 @@ def mediated_functor(cert: UniversalCertificate, idx: InternalCategory,
     elements of ``idx.obj``: an object ``x`` at stage ``c`` goes to the
     vertex certified at ``(c, x)``, an arrow ``t`` to the mediator, at
     ``(c, target t)``, of the cone from the vertex of ``source t`` with
-    the legs ``legs(c, t)``."""
-    base = idx.base
-    f0 = {c: {x: cert.vertex_at((c, x))[0] for x in idx.obj.at(c)}
+    the leg function ``legs(c, t)``."""
+    base, cns = idx.base, cert.cones
+    f0 = {c: {x: cns.vertex_of(cert.vertex_at((c, x))) for x in idx.obj.at(c)}
           for c in base.objects}
-    f1 = {c: {t: cert.mediator_at((c, idx.t_at(c, t)),
-                                  (f0[c][idx.s_at(c, t)], legs(c, t)))
+    f1 = {c: {t: cert.mediator_at(at := (c, idx.t_at(c, t)),
+                                  cns.cone_at(at, f0[c][idx.s_at(c, t)], legs(c, t)))
               for t in idx.arr.at(c)} for c in base.objects}
     return InternalFunctor(idx, tgt, PresheafMap(idx.obj, tgt.obj, f0),
                            PresheafMap(idx.arr, tgt.arr, f1))
@@ -801,16 +801,14 @@ def limit_functor(a: InternalCategory, shape: InternalCategory) -> LimitFunctorR
     base = a.base
     site, eps = _functor_space_diagram(e)
     cert = certified_limit(eps, "limit functor: functor-space diagram")
-    dom, src = eps.source_cat.obj, site.src
+    cns, src = cert.cones, site.src
 
     # Arrow part: a transformation alpha : F -> G at stage c composes the
     # limit cone of F into a cone over G, at the site stage (c, G).
     def pushed(c, t):
-        fn, gn, alpha = t
-        talpha, tgamma = fam_dict(alpha), fam_dict(cert.vertex_at((c, fn))[1])
-        return stage_family(
-            site, (c, gn), dom,
-            lambda w, d: a.comp_at(src[w][0], talpha[(w[0], d)], tgamma[((w[0], fn), d)]))
+        fn, _, alpha = t
+        talpha, tgamma = fam_dict(alpha), cns.legs_of(cert.vertex_at((c, fn)))
+        return lambda w, d: a.comp_at(src[w][0], talpha[(w[0], d)], tgamma[((w[0], fn), d)])
 
     lim_fn = mediated_functor(cert, e.cat, a, pushed)
     delta = diagonal_functor(e)
@@ -819,19 +817,19 @@ def limit_functor(a: InternalCategory, shape: InternalCategory) -> LimitFunctorR
     # constant functor on x at the site stage (c, delta x).
     def unit_at(c, x):
         stage = (c, delta.f0.components[c][x])
-        return cert.mediator_at(stage, (x, stage_family(
-            site, stage, dom, lambda w, d: a.id_at(src[w][0], a.obj.action[w[0]][x]))))
+        return cert.mediator_at(stage, cns.cone_at(
+            stage, x, lambda w, d: a.id_at(src[w][0], a.obj.action[w[0]][x])))
 
     # Counit: the universal cone itself, one transformation element per
     # functor element.
-    def cone_at(c, el):
-        t = fam_dict(cert.vertex_at((c, el))[1])
+    def counit_at(c, el):
+        t = cns.legs_of(cert.vertex_at((c, el)))
         alpha = stage_family(base, c, shape.obj, lambda u, d: t[((u, el), d)])
         return (delta.f0.components[c][lim_fn.on_obj(c, el)], el, alpha)
 
     unit, counit = certified_adjunction(
         delta, lim_fn, {c: {x: unit_at(c, x) for x in a.obj.at(c)} for c in base.objects},
-        {c: {el: cone_at(c, el) for el in e.cat.obj.at(c)} for c in base.objects},
+        {c: {el: counit_at(c, el) for el in e.cat.obj.at(c)} for c in base.objects},
         "limit functor")
     return LimitFunctorResult(lim_fn, delta, unit, counit, e, nat_is_iso(unit), cert)
 

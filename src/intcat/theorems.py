@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .labels import fam_dict, sort_key
+from .labels import sort_key
 from .ambient import (
-    IndexCategory, PresheafMap, PreconditionError, elements_category,
-    family_at_identity, point_of, stage_family,
+    IndexCategory, PresheafMap, PreconditionError, elements_category, point_of,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, arrows_by_ends,
@@ -28,10 +27,10 @@ from .core import (
     unique_to_terminal_cat,
 )
 from .limits import (
-    CertificateError, Cocone, CommaCategory, ConesCategory, Refusal,
+    CertificateError, Cocone, CommaCategory, Cone, ConesCategory, Refusal,
     RefusalError, UniversalCertificate, certified_adjunction, certified_limit,
     cocones_category, comma_category, cones_category, connecting_iso,
-    indexed_cone_factorization, is_internal_initial, is_internal_terminal,
+    indexed_cone_factorization, is_internal_initial,
     mediated_functor, shape_parallel_pair, shape_two, universal_cocone,
 )
 
@@ -137,28 +136,20 @@ def initial_via_identity_limit(a: InternalCategory,
     cert = identity_certificate if identity_certificate is not None \
         else certified_limit(dg)
     base = a.base
-    vpt = point_of(a.obj, {c: cert.vertex_at(c)[0] for c in base.objects})
-    # The leg at the vertex itself must be the identity arrow.
+    cone = cert.candidate
+    vpt, legs = cone.vertex, cone.legs.components
+    # The leg at the vertex itself must be the identity arrow; by naturality
+    # the leg at (u, v u) of stage c is the identity leg of stage src u.
     for c in base.objects:
-        v, gamma = cert.point.components[c]["*"]
-        t = fam_dict(gamma)
-        for u in base.arrows_into(c):
-            vres = a.obj.action[u][v]
-            if t[(u, vres)] != a.id_at(base.src[u], vres):
-                raise CertificateError(
-                    "identity-limit leg at the vertex is not the identity")
+        v = vpt.components[c]["*"]
+        if legs[c][v] != a.id_at(c, v):
+            raise CertificateError("identity-limit leg at the vertex is not the identity")
 
     bang = unique_to_terminal_cat(a)
     tc = bang.target_cat
-    ifn = InternalFunctor(
-        tc, a,
-        PresheafMap(tc.obj, a.obj,
-                    {c: {"*": vpt.components[c]["*"]} for c in base.objects}),
-        PresheafMap(tc.arr, a.arr,
-                    {c: {"*": a.id_at(c, vpt.components[c]["*"])}
-                     for c in base.objects}))
-    legs = {c: family_at_identity(base, c, cert.point.components[c]["*"][1], a.obj)
-            for c in base.objects}
+    ifn = InternalFunctor(tc, a, PresheafMap(tc.obj, a.obj, vpt.components),
+                          PresheafMap(tc.arr, a.arr, {c: {"*": a.id_at(c, v["*"])}
+                                                      for c, v in vpt.components.items()}))
     unit, counit = certified_adjunction(ifn, bang, {c: {"*": "*"} for c in base.objects},
                                         legs, "initial object via the identity limit")
     icert = is_internal_initial(a, vpt)
@@ -196,8 +187,7 @@ def cocones_limit_transport(cocones: ConesCategory,
     dg = cocones.diagram
     if dprime.target_cat != cocones.cat:
         raise PreconditionError("second diagram must land in the cocone category")
-    a = dg.target_cat
-    base = a.base
+    base = dg.target_cat.base
     s0 = dg.source_cat.obj
     sprime = dprime.source_cat
     td = compose_functors(cocones.to_base, dprime)
@@ -207,18 +197,16 @@ def cocones_limit_transport(cocones: ConesCategory,
     # whose legs are the matching legs of every cocone in sight.
     def leg_of(u, w, d):
         c2 = base.src[u]
-        gw = dprime.on_obj(c2, w)[1]
-        return fam_dict(gw)[(base.identity[c2], s0.action[u][d])]
+        return cocones.legs_of(dprime.on_obj(c2, w))[(base.identity[c2], s0.action[u][d])]
 
-    family = PresheafMap(s0, cert_td.cones.cat.obj, {
-        c: {d: (dg.f0.components[c][d],
-                stage_family(base, c, sprime.obj, lambda u, w: leg_of(u, w, d)))
+    cns_td, cone_td = cert_td.cones, cert_td.candidate
+    family = PresheafMap(s0, cns_td.cat.obj, {
+        c: {d: cns_td.cone_at(c, dg.f0.components[c][d], lambda u, w: leg_of(u, w, d))
             for d in s0.at(c)}
         for c in base.objects})
     lambdas = indexed_cone_factorization(family, cert_td)
 
-    vertex = point_of(a.obj, {c: cert_td.vertex_at(c)[0] for c in base.objects})
-    cocone_l = Cocone(dg, vertex, lambdas)
+    cocone_l = Cocone(dg, cone_td.vertex, lambdas)
     errs = cocone_l.validate()
     if errs:
         raise CertificateError(f"lifted cocone: {errs}")
@@ -227,16 +215,11 @@ def cocones_limit_transport(cocones: ConesCategory,
     cns2 = cones_category(dprime)
 
     # The leg from l to the cocone at w is the cocone arrow (w, l, t).
-    def lifted(c):
-        l_el = l_point.components[c]["*"]
-        t = fam_dict(cert_td.point.components[c]["*"][1])
-        return (l_el, stage_family(
-            base, c, sprime.obj,
-            lambda u, w: (dprime.on_obj(base.src[u], w),
-                          cocones.cat.obj.action[u][l_el], t[(u, w)])))
-
-    p_point = point_of(cns2.cat.obj, {c: lifted(c) for c in base.objects})
-    cert = cns2.certify(p_point)
+    l_at, t_at = l_point.components, cone_td.legs.components
+    lifted = PresheafMap(sprime.obj, cocones.cat.arr, {
+        c: {w: (dprime.on_obj(c, w), l_at[c]["*"], t_at[c][w]) for w in sprime.obj.at(c)}
+        for c in base.objects})
+    cert = cns2.certify(cns2.encode(Cone(dprime, l_point, lifted)))
     if isinstance(cert, Refusal):
         raise CertificateError(f"lifted limit is not terminal: {cert}")
     return TransportedLimit(cert, cocone_l, cns2, cocones, lambdas)
@@ -276,21 +259,18 @@ def colimit_via_duality(dg: InternalFunctor) -> ColimitResult:
 
 def _image_limit(fn: InternalFunctor, cert: UniversalCertificate):
     """Carry a certified limit cone along ``fn`` and test whether the image
-    is terminal among cones over the image diagram: the terminality
-    certificate, or the refusal naming the obstruction."""
-    base = fn.source_cat.base
-    shape_obj = cert.diagram.source_cat.obj
-    cns = cones_category(compose_functors(fn, cert.diagram))
+    is terminal among cones over the image diagram: the limit certificate
+    of the image, or the refusal naming the obstruction."""
+    base, cns = fn.source_cat.base, cert.cones
+    img = cones_category(compose_functors(fn, cert.diagram))
 
     def image(c):
-        v, gamma = cert.point.components[c]["*"]
-        t = fam_dict(gamma)
-        return (fn.f0.components[c][v], stage_family(
-            base, c, shape_obj,
-            lambda u, d: fn.f1.components[base.src[u]][t[(u, d)]]))
+        o = cert.vertex_at(c)
+        t = cns.legs_of(o)
+        return img.cone_at(c, fn.f0.components[c][cns.vertex_of(o)],
+                           lambda u, d: fn.f1.components[base.src[u]][t[(u, d)]])
 
-    return is_internal_terminal(
-        cns.cat, point_of(cns.cat.obj, {c: image(c) for c in base.objects}))
+    return img.certify(point_of(img.cat.obj, {c: image(c) for c in base.objects}))
 
 
 @dataclass
@@ -391,14 +371,14 @@ def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:
             u = w[0]
             c2 = base.src[u]
             sfu = a.obj.action[u][sf]
-            t2 = fam_dict(cert.vertex_at((c2, sfu))[1])
+            t2 = cert.cones.legs_of(cert.vertex_at((c2, sfu)))
             at_w[w] = (c2, a.arr.action[u][f], t2, (base.identity[c2], sfu))
 
         def leg(w, sig):
             c2, fu, t2, ikey = at_w[w]
             return t2[(ikey, ("*", sig[1], a.comp_at(c2, sig[2], fu)))]
 
-        return stage_family(site, (c, tf), fiber.cat.obj, leg)
+        return leg
 
     left = mediated_functor(cert, a, b, restricted)
 
@@ -414,8 +394,8 @@ def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:
 
     # Unit: mediate the tautological cone whose legs are the comma arrows
     # themselves.
-    eta = {c: {x: rres.mediator_at((c, x), (x, stage_family(
-                   site, (c, x), fiber.cat.obj, lambda w, sig: sig[2])))
+    eta = {c: {x: rres.mediator_at((c, x), rres.cones.cone_at(
+                   (c, x), x, lambda w, sig: sig[2]))
                for x in a.obj.at(c)}
            for c in base.objects}
 
@@ -426,8 +406,8 @@ def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:
         stage = {}
         for y in b.obj.at(c):
             ry = r.on_obj(c, y)
-            _, gamma = cert.point.components[(c, ry)]["*"]
-            stage[y] = fam_dict(gamma)[((i, ry), ("*", y, a.id_at(c, ry)))]
+            t = cert.cones.legs_of(cert.vertex_at((c, ry)))
+            stage[y] = t[((i, ry), ("*", y, a.id_at(c, ry)))]
         epsv[c] = stage
     unit, counit = certified_adjunction(left, r, eta, epsv, "adjoint construction")
 
@@ -437,7 +417,7 @@ def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:
     for c in base.objects:
         i = base.identity[c]
         for x0 in a.obj.at(c):
-            t = fam_dict(cert.point.components[(c, x0)]["*"][1])
+            t = cert.cones.legs_of(cert.vertex_at((c, x0)))
             for y0 in b.obj.at(c):
                 for h in ends_a[c].get((x0, r.on_obj(c, y0)), ()):
                     leg = t[((i, x0), ("*", y0, h))]

@@ -286,6 +286,12 @@ def test_divisors_of_a_large_prime_parse_at_bounded_cost():
     assert len(cat.arr.at("pt")) == 3
 
 
+def test_divisors_of_zero_is_refused_at_its_number():
+    # every number divides 0, so no finite lattice is named
+    err = located("format 1\nbase f finset\nlattice L over f : divisors 0\n")
+    assert (err.line, err.col, err.message) == (3, 29, "divisors needs n >= 1")
+
+
 def test_divisors_refuses_a_cofactor_it_cannot_split():
     n = (10 ** 9 + 7) * (10 ** 9 + 9)
     start = time.process_time()

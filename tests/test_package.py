@@ -82,3 +82,21 @@ def test_only_certified_adjunction_checks_triangle_identities():
                             and getattr(node.func, "id", getattr(node.func, "attr", None))
                             == "adjunction_check"]
     assert callers == [("limits.py", "certified_adjunction")]
+
+
+def test_cone_objects_are_taken_apart_only_by_the_cone_category():
+    """``ConesCategory`` owns the cone-object format: the theorem engines
+    import none of the stage-family helpers that take a cone object apart,
+    and ``connecting_iso`` reads a certified object through ``vertex_at``."""
+    tree = ast.parse((PACKAGE / "theorems.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    helpers = {"fam_dict", "stage_family", "family_at_identity", "shift_family"}
+    assert sorted(imported & helpers) == []
+    tree = ast.parse((PACKAGE / "limits.py").read_text())
+    fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "connecting_iso")
+    reads = {(getattr(node.value, "attr", None), node.attr)
+             for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+    assert ("point", "components") not in reads
+    assert any(attr == "vertex_at" for _, attr in reads)

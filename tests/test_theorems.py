@@ -15,8 +15,8 @@ from intcat.core import (
 )
 from intcat.labels import fam_dict
 from intcat.limits import (
-    CertificateError, ConesCategory, Refusal, RefusalError, cocones_category,
-    limit_functor, shape_parallel_pair, shape_two,
+    CertificateError, ConesCategory, Refusal, RefusalError, UniversalCertificate,
+    cocones_category, cones_category, limit_functor, shape_parallel_pair, shape_two,
 )
 from intcat.theorems import (
     CompletenessCertificate, aft_left_adjoint, cocones_limit_transport,
@@ -26,7 +26,7 @@ from intcat.theorems import (
 from intcat.fixtures import (
     all_lattices, chain_cat, discrete_cat, divisor_lattice, incomparable_pair,
     meet_preserving_maps, monotone_maps, poset_cat, powerset_lattice,
-    vee_poset, walking_parallel_pair,
+    vee_poset, walking_idempotent, walking_parallel_pair,
 )
 
 FIN = IndexCategory.finset()
@@ -98,6 +98,21 @@ def test_initial_object_via_identity_limit():
         assert iv.point.components["pt"]["*"] == bottom
         # the embedded one-object functor is left adjoint to collapse
         assert iv.initial_certificate.kind == "initial"
+
+
+def test_identity_limit_whose_leg_at_the_vertex_is_not_the_identity_is_refused():
+    # The only cone over the identity of the walking idempotent has leg e
+    # (e after the leg must be the leg), so it is no limit; passed off as
+    # one, it fails the leg check before any adjunction is built.
+    a = walking_idempotent()
+    cns = cones_category(identity_functor(a))
+    [cone] = cns.cat.obj.at("pt")
+    forged = UniversalCertificate("limit", cns.cat, ambient.point_of(cns.cat.obj, {"pt": cone}),
+                                  {"pt": {}}, cns)
+    assert forged.candidate.legs.components == {"pt": {"*": "e"}}
+    with pytest.raises(CertificateError,
+                       match="identity-limit leg at the vertex is not the identity"):
+        initial_via_identity_limit(a, identity_certificate=forged)
 
 
 def pair_diagram(target, x, y):
