@@ -550,6 +550,13 @@ def arrows_by_ends(b: InternalCategory) -> dict:
     return b._ends
 
 
+def is_thin(b: InternalCategory) -> bool:
+    """Whether ``b`` has at most one arrow per pair of ends at every stage,
+    read from ``arrows_by_ends``."""
+    return all(max(map(len, groups.values()), default=0) <= 1
+               for groups in arrows_by_ends(b).values())
+
+
 def arrows_at(b: InternalCategory, c, o) -> dict:
     """The arrow elements of ``b`` at stage ``c`` into ``o``, grouped by
     their source: each group in carrier order, the groups in the carrier

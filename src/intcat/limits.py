@@ -9,11 +9,20 @@ one, ``encode`` and ``decode_point`` carry a whole ``Cone`` to a global
 point and back, and no other module takes the pair apart. The cone category
 is built directly, the same data as the comma category of the
 constant-diagram functor against the diagram's name without the full functor
-category; the two constructions are cross-checked in the tests. Leg families
-are enumerated by the engine's one solver, set up once per stage by
-``ambient.family_solver`` and searched once per vertex. The cone and comma
-categories each choose only their carriers and the arithmetic of their arrow
-data; ``core.category_from_tables`` assembles the rest. The category of
+category; the two constructions are cross-checked in the tests.
+
+A thin target has at most one arrow per pair of ends at every stage
+(``core.is_thin``), so any two of its arrows with the same ends are equal.
+Its laws give its restrictions and composites the right ends, so a vertex
+has a cone exactly when each leg key has an arrow with the right ends, and
+that one cone, read off the endpoint index, is natural and satisfies the
+cone condition; every square of a comma category over a thin target
+commutes. Otherwise leg families are enumerated by the engine's one solver,
+set up once per stage by ``ambient.family_solver``, searched once per
+vertex and checked against the cone condition, and comma squares are
+composed and compared. The cone and comma categories each choose only
+their carriers and the arithmetic of their arrow data;
+``core.category_from_tables`` assembles the rest. The category of
 parallel arrows is the comma of the pair diagonal against itself, and its
 doubled identities are the functor the comma's universal property induces. A
 diagram is an internal functor from its shape to its target.
@@ -51,17 +60,18 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
-from .labels import fam_dict
+from .labels import fam_dict, fam_in_order
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, PreconditionError,
-    elements_category, enumerate_maps, family_at_identity, family_solver,
-    inverse, point_of, restrict_map, shift_family, stage_family, terminal,
+    elements_category, enumerate_maps, family_at_identity, family_keys,
+    family_solver, inverse, point_of, restrict_map, shift_family, stage_family,
+    terminal,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
     arrows_at, arrows_by_ends, category_from_tables, compose_functors,
     from_finite_category, identity_functor, identity_nat, initial_cat,
-    nat_is_iso, opposite, opposite_functor, product_cat, restrict_cat,
+    is_thin, nat_is_iso, opposite, opposite_functor, product_cat, restrict_cat,
     restrict_functor, unique_to_terminal_cat,
 )
 from .functor_cat import ExponentialCategory, diagonal_functor, exponential_cat
@@ -231,17 +241,53 @@ class ConesCategory:
                                     res.point, res.unique_table, self)
 
 
+def _thin_cones(dg: InternalFunctor, c) -> tuple:
+    """The cones over ``dg`` at stage ``c``, by vertex in carrier order, when
+    its target is thin: a vertex ``v`` has one when every key ``(u, x)`` has
+    an arrow ``v·u -> dg(x)``, and those arrows are its legs."""
+    a, d = dg.target_cat, dg.source_cat
+    base, by_ends, act = a.base, arrows_by_ends(a), a.obj.action
+    keys = []
+    for u, x in family_keys(base, c, d.obj):
+        c2 = base.src[u]
+        keys.append(((u, x), by_ends[c2], act[u], dg.on_obj(c2, x)))
+    elems = []
+    for v in a.obj.at(c):
+        legs = []
+        for k, ends, moved, end in keys:
+            leg = ends.get((moved[v], end))
+            if leg is None:
+                break
+            legs.append((k, leg[0]))
+        else:
+            elems.append((v, fam_in_order(legs)))
+    return tuple(elems)
+
+
 def _cone_category(dg: InternalFunctor) -> ConesCategory:
     """The cone category over ``dg``. Its stage-c objects ``(v, gamma)``
-    are found by the solver, by vertex in carrier order, the leg families
-    of one vertex in ``sort_key`` order."""
+    are by vertex in carrier order, the leg families of one vertex in
+    ``sort_key`` order.
+
+    When the target ``a`` is thin (``core.is_thin``), ``_thin_cones`` reads
+    them off the endpoint index. Each key of a vertex then has at most one
+    candidate leg, so the vertex has at most one cone, and it is natural and
+    satisfies the cone condition: each restriction of a leg and each
+    composite of a leg with a shape arrow has the ends of the leg it must
+    equal, as the laws of ``a`` guarantee, and arrows of ``a`` with the same
+    ends are equal. Otherwise the solver searches the families of each
+    vertex and checks the cone condition on every complete one."""
     a, d = dg.target_cat, dg.source_cat
     base = a.base
     by_ends = arrows_by_ends(a)
     comp = a.comp_at
+    thin = is_thin(a)
 
     obj_carrier = {}
     for c in base.objects:
+        if thin:
+            obj_carrier[c] = _thin_cones(dg, c)
+            continue
         solve = family_solver(base, c, d.obj, a.arr)
 
         def check(table, c=c):
@@ -400,14 +446,21 @@ def comma_category(f: InternalFunctor, g: InternalFunctor) -> CommaCategory:
                             for h in ends_z[c].get((f.on_obj(c, xo),
                                                     g.on_obj(c, yo)), ()))
                    for c in base.objects}
+    # When z is thin, the two sides of every square share their ends, so
+    # every square commutes.
+    thin = is_thin(z)
     arr_carrier = {}
     for c in base.objects:
         quads = []
         for o1 in obj_carrier[c]:
             for o2 in obj_carrier[c]:
+                qs = ends_y[c].get((o1[1], o2[1]), ())
                 for p in ends_x[c].get((o1[0], o2[0]), ()):
+                    if thin:
+                        quads.extend((o1, o2, p, q) for q in qs)
+                        continue
                     lhs = z.comp_at(c, o2[2], f.on_arr(c, p))
-                    for q in ends_y[c].get((o1[1], o2[1]), ()):
+                    for q in qs:
                         if lhs == z.comp_at(c, g.on_arr(c, q), o1[2]):
                             quads.append((o1, o2, p, q))
         arr_carrier[c] = tuple(quads)
@@ -469,7 +522,7 @@ class UniversalCertificate:
         """The unique-arrow map, subject.obj -> subject.arr."""
         return PresheafMap(self.subject.obj, self.subject.arr, self.unique_table)
 
-    def vertex_at(self, c):
+    def object_at(self, c):
         """The certified object at stage ``c``: for a cone category, the
         ``(vertex, legs)`` object its readers take apart."""
         return self.point.components[c]["*"]
@@ -641,7 +694,7 @@ def connecting_iso(cert_a: UniversalCertificate,
     for c in cat.base.objects:
         f = fwd.components[c]["*"]
         b = bwd.components[c]["*"]
-        oa, ob = cert_a.vertex_at(c), cert_b.vertex_at(c)
+        oa, ob = cert_a.object_at(c), cert_b.object_at(c)
         if cat.comp_at(c, b, f) != cat.id_at(c, oa) or \
            cat.comp_at(c, f, b) != cat.id_at(c, ob):
             raise CertificateError(f"connecting arrows are not inverse at {c!r}")
@@ -744,7 +797,7 @@ def mediated_functor(cert: UniversalCertificate, idx: InternalCategory,
     ``(c, target t)``, of the cone from the vertex of ``source t`` with
     the leg function ``legs(c, t)``."""
     base, cns = idx.base, cert.cones
-    f0 = {c: {x: cns.vertex_of(cert.vertex_at((c, x))) for x in idx.obj.at(c)}
+    f0 = {c: {x: cns.vertex_of(cert.object_at((c, x))) for x in idx.obj.at(c)}
           for c in base.objects}
     f1 = {c: {t: cert.mediator_at(at := (c, idx.t_at(c, t)),
                                   cns.cone_at(at, f0[c][idx.s_at(c, t)], legs(c, t)))
@@ -807,7 +860,7 @@ def limit_functor(a: InternalCategory, shape: InternalCategory) -> LimitFunctorR
     # limit cone of F into a cone over G, at the site stage (c, G).
     def pushed(c, t):
         fn, _, alpha = t
-        talpha, tgamma = fam_dict(alpha), cns.legs_of(cert.vertex_at((c, fn)))
+        talpha, tgamma = fam_dict(alpha), cns.legs_of(cert.object_at((c, fn)))
         return lambda w, d: a.comp_at(src[w][0], talpha[(w[0], d)], tgamma[((w[0], fn), d)])
 
     lim_fn = mediated_functor(cert, e.cat, a, pushed)
@@ -823,7 +876,7 @@ def limit_functor(a: InternalCategory, shape: InternalCategory) -> LimitFunctorR
     # Counit: the universal cone itself, one transformation element per
     # functor element.
     def counit_at(c, el):
-        t = cns.legs_of(cert.vertex_at((c, el)))
+        t = cns.legs_of(cert.object_at((c, el)))
         alpha = stage_family(base, c, shape.obj, lambda u, d: t[((u, el), d)])
         return (delta.f0.components[c][lim_fn.on_obj(c, el)], el, alpha)
 

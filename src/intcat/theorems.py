@@ -265,7 +265,7 @@ def _image_limit(fn: InternalFunctor, cert: UniversalCertificate):
     img = cones_category(compose_functors(fn, cert.diagram))
 
     def image(c):
-        o = cert.vertex_at(c)
+        o = cert.object_at(c)
         t = cns.legs_of(o)
         return img.cone_at(c, fn.f0.components[c][cns.vertex_of(o)],
                            lambda u, d: fn.f1.components[base.src[u]][t[(u, d)]])
@@ -371,7 +371,7 @@ def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:
             u = w[0]
             c2 = base.src[u]
             sfu = a.obj.action[u][sf]
-            t2 = cert.cones.legs_of(cert.vertex_at((c2, sfu)))
+            t2 = cert.cones.legs_of(cert.object_at((c2, sfu)))
             at_w[w] = (c2, a.arr.action[u][f], t2, (base.identity[c2], sfu))
 
         def leg(w, sig):
@@ -406,7 +406,7 @@ def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:
         stage = {}
         for y in b.obj.at(c):
             ry = r.on_obj(c, y)
-            t = cert.cones.legs_of(cert.vertex_at((c, ry)))
+            t = cert.cones.legs_of(cert.object_at((c, ry)))
             stage[y] = t[((i, ry), ("*", y, a.id_at(c, ry)))]
         epsv[c] = stage
     unit, counit = certified_adjunction(left, r, eta, epsv, "adjoint construction")
@@ -417,7 +417,7 @@ def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:
     for c in base.objects:
         i = base.identity[c]
         for x0 in a.obj.at(c):
-            t = cert.cones.legs_of(cert.vertex_at((c, x0)))
+            t = cert.cones.legs_of(cert.object_at((c, x0)))
             for y0 in b.obj.at(c):
                 for h in ends_a[c].get((x0, r.on_obj(c, y0)), ()):
                     leg = t[((i, x0), ("*", y0, h))]

@@ -15,7 +15,7 @@ import pytest
 
 from intcat.ambient import (
     IndexCategory, Presheaf, PresheafMap, coproduct, elements_category,
-    point_label, points, representable,
+    point_label, point_of, points, representable,
 )
 from intcat.core import (
     InternalFunctor, adjunction_check, dis_u_ind_adjunctions,
@@ -24,7 +24,6 @@ from intcat.core import (
     restrict_functor, terminal_cat, validate_internal_category,
 )
 from intcat.functor_cat import exponential_cat
-from intcat.labels import fam_dict
 from intcat.limits import (
     Refusal, RefusalError, UniversalCertificate, cones_category,
     limit_functor, shape_parallel_pair, shape_two,
@@ -48,6 +47,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def verdict(n, detail):
     print("criterion {}: PASS ({})".format(n, detail))
+
+
+def certified_vertex(cert, c):
+    """The vertex of the cone (cocone) a certificate certifies at stage ``c``."""
+    return cert.cones.vertex_of(cert.object_at(c))
 
 
 def pair_diagram(target, x, y):
@@ -200,9 +204,13 @@ def test_criterion_5_limit_functor_adjunction_and_binary_values():
             assert errs == []
     # the binary limit functor is gcd on the divisor lattice
     lf = limit_functor(d12, shape_two(FIN))
+
+    def named(el):
+        return lf.expo.decode_point(point_of(lf.expo.cat.obj, {"pt": el}))
+
     for el, img in lf.functor.f0.components["pt"].items():
-        t = fam_dict(el[0])
-        x, y = int(t[("id_pt", "0")]), int(t[("id_pt", "1")])
+        fn = named(el)
+        x, y = int(fn.on_obj("pt", "0")), int(fn.on_obj("pt", "1"))
         assert img == str(math.gcd(x, y)), (x, y, img)
     # and set intersection on the powerset lattice
     lf = limit_functor(p2, shape_two(FIN))
@@ -211,8 +219,8 @@ def test_criterion_5_limit_functor_adjunction_and_binary_values():
         return frozenset(e for e in label[1:-1].split(",") if e)
 
     for el, img in lf.functor.f0.components["pt"].items():
-        t = fam_dict(el[0])
-        inter = decode(t[("id_pt", "0")]) & decode(t[("id_pt", "1")])
+        fn = named(el)
+        inter = decode(fn.on_obj("pt", "0")) & decode(fn.on_obj("pt", "1"))
         assert decode(img) == inter, (el, img)
     verdict(5, "triangle identities exact for 6 shape/lattice pairs, "
                "binary values are gcd and intersection")
@@ -281,15 +289,15 @@ def test_criterion_7_duality_is_exact():
         dg_op = InternalFunctor(shape_two(FIN), op12, dg.f0, dg.f1)
         cert_op = universal_cone(dg_op)
         coc = universal_cocone(dg)
-        assert cert_op.vertex_at("pt")[0] == coc.vertex_at("pt")[0]
-        assert int(cert_op.vertex_at("pt")[0]) == \
+        assert certified_vertex(cert_op, "pt") == certified_vertex(coc, "pt")
+        assert int(certified_vertex(cert_op, "pt")) == \
             (int(x) * int(y)) // math.gcd(int(x), int(y))
     a = from_finite_category(CHAIN2, IndexCategory.chain(3))
     dg = pair_diagram(a, "c0", "c2")
     dg_op = InternalFunctor(shape_two(CHAIN2), opposite(a), dg.f0, dg.f1)
     for c in CHAIN2.objects:
-        assert universal_cone(dg_op).vertex_at(c)[0] == \
-            universal_cocone(dg).vertex_at(c)[0] == "c2"
+        assert certified_vertex(universal_cone(dg_op), c) == \
+            certified_vertex(universal_cocone(dg), c) == "c2"
     verdict(7, "involution exact on all fixtures, both adjoint strings "
                "biject, opposite limits are colimits")
 

@@ -69,7 +69,7 @@ def verdict_meaning(out, err):
     return jsonable({"f0": out.functor.f0.components, "f1": out.functor.f1.components,
                      "unit": out.unit.component.components,
                      "unit_is_iso": out.unit_is_iso,
-                     "cones": {s: cert.vertex_at(s) for s in cert.point.components}})
+                     "cones": {s: cert.object_at(s) for s in cert.point.components}})
 
 
 def _meanings_digest(verdicts):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import intcat.limits as limits
+import intcat.theorems as theorems
 from intcat.ambient import (
     IndexCategory, IndexFunctor, PreconditionError, Presheaf, PresheafMap,
     coproduct, elements_category, family_keys, inverse, point_of, points,
@@ -15,8 +16,8 @@ from intcat.ambient import (
 from intcat.core import (
     InternalFunctor, arrows_by_ends, compose_functors, discrete, enumerate_functors,
     enumerate_nats, from_finite_category, identity_functor, identity_nat,
-    initial_cat, make_internal_category, opposite, opposite_functor, restrict_functor,
-    terminal_cat, validate_internal_category,
+    initial_cat, is_thin, make_internal_category, opposite, opposite_functor,
+    restrict_functor, terminal_cat, unique_to_terminal_cat, validate_internal_category,
 )
 from intcat.functor_cat import diagonal_functor, exponential_cat
 from intcat.labels import fam_dict, sort_key
@@ -34,7 +35,7 @@ from intcat.fixtures import (
     chain_cat, corpus, divisor_lattice, incomparable_pair,
     poset_cat, staged_chain3, walking_idempotent, walking_parallel_pair,
 )
-from intcat.theorems import default_shape_family
+from intcat.theorems import aft_left_adjoint, default_shape_family
 
 FIN = IndexCategory.finset()
 CHAIN2 = IndexCategory.chain(2)
@@ -51,6 +52,11 @@ def diagram_two(target, x, y):
         PresheafMap(two.arr, target.arr,
                     {c: {("id", "0"): target.id_at(c, x),
                          ("id", "1"): target.id_at(c, y)} for c in base.objects}))
+
+
+def certified_vertex(cert, c):
+    """The vertex of the cone (cocone) a certificate certifies at stage ``c``."""
+    return cert.cones.vertex_of(cert.object_at(c))
 
 
 def empty_diagram(target):
@@ -79,7 +85,7 @@ def test_universal_cone_is_the_meet():
     cns = cones_category(dg)
     cert = universal_cone(dg, cns)
     assert isinstance(cert, UniversalCertificate)
-    assert cert.vertex_at("pt")[0] == "2"
+    assert certified_vertex(cert, "pt") == "2"
     cone = cert.candidate
     assert isinstance(cone, Cone) and cone.validate() == []
     # encode/decode round trip between cones and points
@@ -89,15 +95,15 @@ def test_universal_cone_is_the_meet():
 def test_universal_cocone_is_the_join():
     d12 = divisor_lattice(12)
     coc = universal_cocone(diagram_two(d12, "4", "6"))
-    assert coc.vertex_at("pt")[0] == "12"
+    assert certified_vertex(coc, "pt") == "12"
     assert coc.candidate.validate() == []
 
 
 def test_empty_diagram_gives_top_and_bottom():
     d12 = divisor_lattice(12)
     edg = empty_diagram(d12)
-    assert universal_cone(edg).vertex_at("pt")[0] == "12"
-    assert universal_cocone(edg).vertex_at("pt")[0] == "1"
+    assert certified_vertex(universal_cone(edg), "pt") == "12"
+    assert certified_vertex(universal_cocone(edg), "pt") == "1"
 
 
 def test_refusal_for_incomparable_pair():
@@ -223,6 +229,115 @@ def test_cone_fibres_agree_with_the_paper_formulation(dual):
     assert counts == {0, 2} and len(staged) == 4 and read > 300
 
 
+def test_thinness_is_read_from_the_endpoint_index():
+    assert [name for name, a in corpus() if not is_thin(a)] == \
+        ["walking_idempotent", "walking_parallel_pair"]
+    assert not is_thin(shape_parallel_pair(CHAIN2))
+    assert is_thin(opposite(divisor_lattice(12)))
+
+
+def carriers(cat):
+    """The object carrier, the arrow carrier and the object action."""
+    stages = cat.base.objects
+    return ({c: cat.obj.at(c) for c in stages}, {c: cat.arr.at(c) for c in stages},
+            cat.obj.action)
+
+
+def thin_constructions(monkeypatch):
+    """The carriers of every cone, cocone and comma category built over
+    the thin corpus fixtures, by name: the cones and cocones of every
+    diagram from the default shapes, the category of parallel arrows, and
+    the commas of the adjoint functor theorem for the identity and for the
+    functor to the one-object category, with that theorem's outcome."""
+    commas = []
+
+    def recording(f, g):
+        cm = limits.comma_category(f, g)
+        commas.append(cm.cat)
+        return cm
+
+    monkeypatch.setattr(theorems, "comma_category", recording)
+    out = {}
+    for name, a in corpus():
+        if not is_thin(a):
+            continue
+        for shape_name, shape in default_shape_family(a.base):
+            for n, dg in enumerate(enumerate_functors(shape, a)):
+                for build in (cones_category, cocones_category):
+                    cns = build(dg)
+                    out[f"{name}/{shape_name}/{n}/{cns.kind}"] = carriers(cns.cat)
+        out[f"{name}/parallel_arrows"] = carriers(parallel_arrows_category(a)[0])
+        for r_name, r in (("identity", identity_functor(a)),
+                          ("to_one", unique_to_terminal_cat(a))):
+            del commas[:]
+            try:
+                adj = aft_left_adjoint(r)
+                adj.comma
+                outcome = (adj.left.f0.components, adj.left.f1.components)
+            except limits.RefusalError as err:
+                outcome = err.refusal
+            out[f"{name}/aft/{r_name}"] = \
+                (outcome, [carriers(cat) for cat in commas])
+    return out
+
+
+def test_thin_targets_read_the_carriers_the_solver_finds(monkeypatch):
+    # the thin path reads cones and comma squares off the endpoint index;
+    # with thinness denied, the solver and the square check build them
+    read = thin_constructions(monkeypatch)
+    monkeypatch.setattr(limits, "is_thin", lambda b: False)
+    searched = thin_constructions(monkeypatch)
+    assert read.keys() == searched.keys()
+    for name in read:
+        assert read[name] == searched[name], name
+    fixtures = {name.split("/")[0] for name in read}
+    assert {"one_object", "staged_indiscrete", "staged_chain_three",
+            "staged_empty"} <= fixtures
+    assert len(fixtures) == len(corpus()) - 2 and len(read) > 700
+
+
+@pytest.mark.parametrize("target, thin", [
+    (walking_parallel_pair, False),
+    (walking_idempotent, False),
+    (lambda: shape_parallel_pair(CHAIN2), False),
+    (lambda: divisor_lattice(12), True),
+    (staged_chain3, True),
+], ids=["walking-parallel-pair", "walking-idempotent", "staged-parallel-pair",
+        "divisors-12", "staged-chain-3"])
+def test_only_non_thin_targets_search_their_cones(target, thin, monkeypatch):
+    # one solver search per vertex and stage, its cone condition checked on
+    # every complete family; none at all on a thin target
+    real, calls = limits.family_solver, {"search": 0, "check": 0}
+
+    def counting(base, c, dom, cod):
+        solve = real(base, c, dom, cod)
+
+        def search(allowed=None, check=None):
+            calls["search"] += 1
+
+            def counted(table):
+                calls["check"] += 1
+                return check(table)
+            return solve(allowed, counted)
+        return search
+
+    monkeypatch.setattr(limits, "family_solver", counting)
+    a = target()
+    assert is_thin(a) == thin
+    built = 0
+    for _, shape in default_shape_family(a.base):
+        for dg in enumerate_functors(shape, a):
+            for build in (cones_category, cocones_category):
+                build(dg)
+                built += 1
+    vertices = sum(len(a.obj.at(c)) for c in a.base.objects)
+    assert built > 10
+    if thin:
+        assert calls == {"search": 0, "check": 0}
+    else:
+        assert calls["search"] == built * vertices and calls["check"] > 0
+
+
 def test_in_degree_prefilter_keeps_the_stage_universal_objects():
     # the prefilter reads cones only; cocones are the cones over the
     # opposite diagram
@@ -259,12 +374,37 @@ def test_universal_search_refuses_a_category_it_was_not_asked_about(search, buil
     with pytest.raises(PreconditionError, match="not that of the"):
         search(dg, build(diagram_two(d12, *other)))
     # the limit is the meet 2 and the colimit the join 12
-    assert search(dg).vertex_at("pt")[0] == ("2" if search is universal_cone else "12")
+    assert certified_vertex(search(dg), "pt") == ("2" if search is universal_cone else "12")
 
 
 def test_a_lift_missing_from_the_cones_is_a_certificate_error(monkeypatch):
     # the cones over {4, 6} have vertices 1 and 2; without the one at 1 the
-    # arrow 1 -> 2 lifts to no arrow into the cone at 2
+    # arrow 1 -> 2 lifts to no arrow into the cone at 2. The divisors are
+    # thin, so the cone is dropped where the thin carrier is read.
+    real = limits._thin_cones
+    monkeypatch.setattr(limits, "_thin_cones", lambda dg, c: real(dg, c)[1:])
+    dg = diagram_two(divisor_lattice(12), "4", "6")
+    cns = cones_category(dg)
+    assert [cns.vertex_of(o) for o in cns.cat.obj.at("pt")] == ["2"]
+    with pytest.raises(limits.CertificateError, match="lift of"):
+        universal_cone(dg, cns)
+
+
+def object_diagram(target, x):
+    """The diagram on one object picking out ``x``."""
+    one = from_finite_category(target.base, IndexCategory.discrete(("0",)))
+    objects = target.base.objects
+    return InternalFunctor(
+        one, target, PresheafMap(one.obj, target.obj, {c: {"0": x} for c in objects}),
+        PresheafMap(one.arr, target.arr,
+                    {c: {("id", "0"): target.id_at(c, x)} for c in objects}))
+
+
+def test_a_lift_missing_from_the_searched_cones_is_a_certificate_error(monkeypatch):
+    # over the walking parallel pair, the cones on 1 have vertices 0 (legs
+    # one and two) and 1; the pair is not thin, so the solver searches them,
+    # and without those at 0 the arrow one lifts to no arrow into the cone
+    # at 1
     real = limits.family_solver
 
     def dropping(base, c, dom, cod):
@@ -276,9 +416,9 @@ def test_a_lift_missing_from_the_cones_is_a_certificate_error(monkeypatch):
         return first_vertex_has_none
 
     monkeypatch.setattr(limits, "family_solver", dropping)
-    dg = diagram_two(divisor_lattice(12), "4", "6")
+    dg = object_diagram(walking_parallel_pair(), "1")
     cns = cones_category(dg)
-    assert [o[0] for o in cns.cat.obj.at("pt")] == ["2"]
+    assert [cns.vertex_of(o) for o in cns.cat.obj.at("pt")] == ["1"]
     with pytest.raises(limits.CertificateError, match="lift of"):
         universal_cone(dg, cns)
 
@@ -304,7 +444,8 @@ def test_mediator_uniqueness_from_certificate():
 def test_mediator_of_a_cone_outside_the_certificate_is_refused(stage, vertex):
     cert = universal_cone(diagram_two(divisor_lattice(12), "4", "6"))
     # the legs of the meet 2 leave no other vertex
-    cone = (vertex, cert.vertex_at("pt")[1])
+    legs = cert.cones.legs_of(cert.object_at("pt"))
+    cone = cert.cones.cone_at("pt", vertex, lambda u, x: legs[(u, x)])
     with pytest.raises(limits.CertificateError) as exc:
         cert.mediator_at(stage, cone)
     assert str(exc.value) == (f"{cone!r} is not an object of the certified "
@@ -490,8 +631,8 @@ def test_limit_functor_computes_gcd():
     d12 = divisor_lattice(12)
     lf = limit_functor(d12, shape_two(FIN))
     for el in lf.expo.cat.obj.at("pt"):
-        t = fam_dict(el[0])
-        x, y = int(t[("id_pt", "0")]), int(t[("id_pt", "1")])
+        fn = lf.expo.decode_point(point_of(lf.expo.cat.obj, {"pt": el}))
+        x, y = int(fn.on_obj("pt", "0")), int(fn.on_obj("pt", "1"))
         assert lf.functor.f0.components["pt"][el] == str(math.gcd(x, y))
     assert lf.functor.validate() == []
     assert lf.unit.validate() == []
@@ -589,9 +730,9 @@ def test_chain_base_universal_cones():
     a, dg = chain_diagram()
     assert dg.validate() == []
     cert = universal_cone(dg)
-    assert all(cert.vertex_at(c)[0] == "c0" for c in CHAIN2.objects)
+    assert all(certified_vertex(cert, c) == "c0" for c in CHAIN2.objects)
     coc = universal_cocone(dg)
-    assert all(coc.vertex_at(c)[0] == "c2" for c in CHAIN2.objects)
+    assert all(certified_vertex(coc, c) == "c2" for c in CHAIN2.objects)
 
 
 def test_opposite_swaps_limit_and_colimit_vertices():
@@ -602,7 +743,7 @@ def test_opposite_swaps_limit_and_colimit_vertices():
     cert_op = universal_cone(dg_op)
     coc = universal_cocone(dg)
     for c in CHAIN2.objects:
-        assert cert_op.vertex_at(c)[0] == coc.vertex_at(c)[0] == "c2"
+        assert certified_vertex(cert_op, c) == certified_vertex(coc, c) == "c2"
 
 
 def test_transport_along_representable_stays_terminal():
@@ -612,7 +753,7 @@ def test_transport_along_representable_stays_terminal():
     dg_r = restrict_functor(proj, dg)
     moved = transport_certificate(cert, proj, dg_r)
     assert isinstance(moved, UniversalCertificate)
-    assert all(moved.vertex_at(so)[0] == "c0" for so in site.objects)
+    assert all(certified_vertex(moved, so) == "c0" for so in site.objects)
     assert moved.candidate.validate() == []
 
 
@@ -714,7 +855,7 @@ def test_transport_along_elements_of_representables_reindexes(data):
     assert isinstance(moved, UniversalCertificate)
     assert moved.candidate.validate() == []
     for s in q.source.objects:
-        assert moved.vertex_at(s)[0] == cert.vertex_at(q.on_obj[s])[0]
+        assert certified_vertex(moved, s) == certified_vertex(cert, q.on_obj[s])
         assert moved.candidate.legs.components[s] == \
             cert.candidate.legs.components[q.on_obj[s]]
 
@@ -743,16 +884,15 @@ def _transported_arrow_part_and_unit(lf):
 
     def pushed(so):
         talpha = fam_dict(so[1][2])
-        v_s, gamma_s = cert_s.vertex_at(so)
-        ts = fam_dict(gamma_s)
-        return (v_s, stage_family(
-            site_n, so, cert_t.diagram.source_cat.obj,
-            lambda w, d: a.comp_at(site_n.src[w][0], talpha[(w[0], d)], ts[(w, d)])))
+        o = cert_s.object_at(so)
+        ts = cert_s.cones.legs_of(o)
+        return cert_t.cones.cone_at(
+            so, cert_s.cones.vertex_of(o),
+            lambda w, d: a.comp_at(site_n.src[w][0], talpha[(w[0], d)], ts[(w, d)]))
 
     def identity_cone(c, x):
-        return (x, stage_family(
-            site_a, (c, x), cert_d.diagram.source_cat.obj,
-            lambda w, d: a.id_at(site_a.src[w][0], a.obj.action[w[0]][x])))
+        return cert_d.cones.cone_at(
+            (c, x), x, lambda w, d: a.id_at(site_a.src[w][0], a.obj.action[w[0]][x]))
 
     lim1 = {c: {t: cert_t.mediator_at((c, t), pushed((c, t))) for t in e.cat.arr.at(c)}
             for c in base.objects}
@@ -805,8 +945,8 @@ def test_transport_orders_relabelled_cones_as_the_solver_does():
                      {("y", "y"): ("c0", "c0"), ("y", "x"): up, ("x", "x"): ("c1", "c1")})
     moved = transport_certificate(cert, q)
     assert isinstance(moved, UniversalCertificate)
-    assert [fam_dict(g)[(("x", "x"), "0")] for _, g in
-            moved.cones.cat.obj.at("x")] == ["f", "g", "i1"]
+    assert [moved.cones.legs_at_identity("x", o)["0"]
+            for o in moved.cones.cat.obj.at("x")] == ["f", "g", "i1"]
 
 
 def test_limit_functor_over_chain_base():

@@ -87,7 +87,7 @@ def test_only_certified_adjunction_checks_triangle_identities():
 def test_cone_objects_are_taken_apart_only_by_the_cone_category():
     """``ConesCategory`` owns the cone-object format: the theorem engines
     import none of the stage-family helpers that take a cone object apart,
-    and ``connecting_iso`` reads a certified object through ``vertex_at``."""
+    and ``connecting_iso`` reads a certified object through ``object_at``."""
     tree = ast.parse((PACKAGE / "theorems.py").read_text())
     imported = {alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -99,4 +99,4 @@ def test_cone_objects_are_taken_apart_only_by_the_cone_category():
     reads = {(getattr(node.value, "attr", None), node.attr)
              for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
     assert ("point", "components") not in reads
-    assert any(attr == "vertex_at" for _, attr in reads)
+    assert any(attr == "object_at" for _, attr in reads)

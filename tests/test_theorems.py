@@ -13,7 +13,6 @@ from intcat.core import (
     compose_functors, enumerate_functors, identity_functor, indiscrete,
     initial_cat, opposite,
 )
-from intcat.labels import fam_dict
 from intcat.limits import (
     CertificateError, ConesCategory, Refusal, RefusalError, UniversalCertificate,
     cocones_category, cones_category, limit_functor, shape_parallel_pair, shape_two,
@@ -279,8 +278,8 @@ def pair_loop_category(cns):
     base, ends = a.base, arrows_by_ends(a)
 
     def commutes(o1, o2, p):
-        t2 = fam_dict(o2[1])
-        for (u, x), w in fam_dict(o1[1]).items():
+        t2 = cns.legs_of(o2)
+        for (u, x), w in cns.legs_of(o1).items():
             c2, pr = base.src[u], a.arr.action[u][p]
             if t2[(u, x)] != a.comp_at(c2, pr, w) if dual else \
                w != a.comp_at(c2, t2[(u, x)], pr):
