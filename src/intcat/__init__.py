@@ -14,8 +14,8 @@ from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, LimitCone,
     PreconditionError, coproduct, elements_category, enumerate_maps,
     equalizer, evaluation_map, exponential, curry, uncurry,
-    family_at_identity, family_keys, family_solver, family_space, initial,
-    inverse, is_iso, point_label, point_of, points, product, pullback,
+    family_at_identity, family_keys, family_solver, family_space, forced_family,
+    initial, inverse, is_iso, point_label, point_of, points, product, pullback,
     representable, restrict, restrict_map, shift_family,
     stage_family, subpresheaf, terminal, unique_from_initial,
     unique_to_terminal,

@@ -578,14 +578,41 @@ def arrows_at(b: InternalCategory, c, o) -> dict:
     return b._into[c].get(o, {})
 
 
+def _forced_map(x: Presheaf, y: Presheaf, allowed: Callable) -> Optional[PresheafMap]:
+    """The map x -> y taking each element ``e`` at stage c to the one
+    candidate of ``allowed(c, e)``, or None when an element has none. Used
+    when ``y`` is the arrows of a thin category and the candidates are the
+    arrows with the ends of a natural map, so the map is natural too."""
+    comps = {}
+    for c in x.base.objects:
+        comp = comps[c] = {}
+        for e in x.at(c):
+            got = allowed(c, e)
+            if not got:
+                return None
+            comp[e] = got[0]
+    return PresheafMap(x, y, comps)
+
+
 def enumerate_functors(a: InternalCategory, b: InternalCategory) -> list:
-    """All internal functors a -> b, in a deterministic order."""
+    """All internal functors a -> b, in a deterministic order.
+
+    Over a thin ``b`` the object part forces the arrow part: each arrow goes
+    to the one arrow with its ends, and both sides of each functor law have
+    the same ends, so the laws hold. Otherwise the arrow parts are searched
+    and the laws checked on each."""
     by_ends = arrows_by_ends(b)
+    thin = is_thin(b)
     out = []
     for f0 in enumerate_maps(a.obj, b.obj):
         def allowed(c, h, f0=f0):
             ends = (f0.components[c][a.s_at(c, h)], f0.components[c][a.t_at(c, h)])
             return by_ends[c].get(ends, ())
+        if thin:
+            f1 = _forced_map(a.arr, b.arr, allowed)
+            if f1 is not None:
+                out.append(InternalFunctor(a, b, f0, f1))
+            continue
         for f1 in enumerate_maps(a.arr, b.arr, allowed=allowed):
             fn = InternalFunctor(a, b, f0, f1)
             if functor_laws_hold(fn):

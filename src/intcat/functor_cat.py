@@ -6,12 +6,21 @@ element at stage c is a pair ``(phi0, phi1)`` of stage families, the
 generalized-element format that ``ambient`` owns (keyed by an arrow
 ``u : c' -> c`` of the base and an element at c'), giving an object
 assignment and an arrow assignment subject to the functor laws.
-Natural-transformation elements are triples ``(F, G, alpha)``. Families are
-enumerated by the engine's one solver, set up once per stage and per pair
-of carriers by ``ambient.family_solver``; constraint propagation and the
-laws prune candidates early, so the raw function spaces of the underlying
-carriers are never materialized. The functor category is assembled from its
-arrow triples by ``core.category_from_tables``.
+Natural-transformation elements are triples ``(F, G, alpha)``. Object
+families are enumerated by the engine's one solver, set up once per stage
+and per pair of carriers by ``ambient.family_solver``; constraint
+propagation prunes candidates early, so the raw function spaces of the
+underlying carriers are never materialized. The functor category is
+assembled from its arrow triples by ``core.category_from_tables``.
+
+Over a thin target (``core.is_thin``) the rest is read, not searched. Arrows
+of a thin category with the same ends are equal, and both sides of each
+functor law, restriction law and naturality square have the same ends. So
+an object family has exactly one arrow family, the arrow with the right ends
+at each key, when every key has one, and a transformation ``F => G`` exists
+exactly when every end pair ``(F x, G x)`` has an arrow, and is then unique;
+``ambient.forced_family`` reads both. Otherwise the solver searches arrow
+families and transformations and checks composition and naturality.
 """
 
 from __future__ import annotations
@@ -21,12 +30,23 @@ from dataclasses import dataclass
 from .labels import fam_dict
 from .ambient import (
     Presheaf, PresheafMap, PreconditionError, elements_category,
-    family_at_identity, family_solver, point_of, shift_family, stage_family,
+    family_at_identity, family_solver, forced_family, point_of, shift_family,
+    stage_family,
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, arrows_by_ends,
-    category_from_tables, identity_functor, product_cat, restrict_cat,
+    category_from_tables, identity_functor, is_thin, product_cat, restrict_cat,
 )
+
+
+def _forced_solver(base, c, dom):
+    """What ``family_solver(base, c, dom, b)`` finds when ``b`` is thin:
+    under a filter ``allowed``, the one family ``forced_family`` reads, or
+    none. The ``check`` is not run, since it holds by thinness."""
+    def solve(allowed, check):
+        fam = forced_family(base, c, dom, allowed)
+        return [] if fam is None else [fam]
+    return solve
 
 
 def _arrow_parts(a: InternalCategory, b: InternalCategory, c, phi0_table: dict,
@@ -57,6 +77,22 @@ def _arrow_parts(a: InternalCategory, b: InternalCategory, c, phi0_table: dict,
         return True
 
     return solve(allowed, check)
+
+
+def _functor_families(a: InternalCategory, b: InternalCategory) -> dict:
+    """The objects of the functor category at each stage: every object
+    family ``phi0``, each with every arrow part completing it."""
+    base, by_ends = a.base, arrows_by_ends(b)
+    thin = is_thin(b)
+    ids = {c: a.identity_elements(c) for c in base.objects}
+    out = {}
+    for c in base.objects:
+        solve = (_forced_solver(base, c, a.arr) if thin
+                 else family_solver(base, c, a.arr, b.arr))
+        out[c] = tuple(
+            (phi0, phi1) for phi0 in family_solver(base, c, a.obj, b.obj)()
+            for phi1 in _arrow_parts(a, b, c, fam_dict(phi0), by_ends, ids, solve))
+    return out
 
 
 @dataclass(eq=True)
@@ -130,13 +166,8 @@ def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCate
         raise PreconditionError("mapping space factors live over different bases")
     base = a.base
     by_ends = arrows_by_ends(b)
-    ids = {c: a.identity_elements(c) for c in base.objects}
-    obj_carrier = {}
-    for c in base.objects:
-        solve = family_solver(base, c, a.arr, b.arr)
-        obj_carrier[c] = tuple(
-            (phi0, phi1) for phi0 in family_solver(base, c, a.obj, b.obj)()
-            for phi1 in _arrow_parts(a, b, c, fam_dict(phi0), by_ends, ids, solve))
+    thin = is_thin(b)
+    obj_carrier = _functor_families(a, b)
     space = Presheaf(base, obj_carrier, {
         w: {(phi0, phi1): (shift_family(base, w, a.obj, phi0),
                            shift_family(base, w, a.arr, phi1))
@@ -145,12 +176,12 @@ def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCate
 
     arr_carrier = {}
     for c in base.objects:
-        solve = family_solver(base, c, a.obj, b.arr)
+        solve = (_forced_solver(base, c, a.obj) if thin
+                 else family_solver(base, c, a.obj, b.arr))
+        tables = [(el, fam_dict(el[0]), fam_dict(el[1])) for el in space.at(c)]
         triples = []
-        for f_el in space.at(c):
-            t0f, t1f = fam_dict(f_el[0]), fam_dict(f_el[1])
-            for g_el in space.at(c):
-                t0g, t1g = fam_dict(g_el[0]), fam_dict(g_el[1])
+        for f_el, t0f, t1f in tables:
+            for g_el, t0g, t1g in tables:
 
                 def allowed(u, x, t0f=t0f, t0g=t0g):
                     return by_ends[base.src[u]].get((t0f[(u, x)], t0g[(u, x)]), ())
@@ -200,12 +231,19 @@ def curry_functor(fn: InternalFunctor, left: InternalCategory,
                   e: ExponentialCategory) -> InternalFunctor:
     """Transpose ``fn : left x right -> b`` to ``left -> (b ^ right)``, where
     ``e`` is the functor category of ``right`` into ``b``."""
-    right = e.dom
-    if fn.source_cat != product_cat(left, right):
+    if fn.source_cat != product_cat(left, e.dom):
         raise PreconditionError("functor to transpose does not start at the product")
     if fn.target_cat != e.cod:
         raise PreconditionError("functor to transpose does not land in the exponent's target")
-    base = left.base
+    return _curry(fn, left, e)
+
+
+def _curry(fn: InternalFunctor, left: InternalCategory,
+           e: ExponentialCategory) -> InternalFunctor:
+    """``curry_functor`` for an ``fn`` known to run from ``left x e.dom``
+    to ``e.cod``. Its ends are not compared: that would build a second
+    product and force the composition tables of both."""
+    right, base = e.dom, left.base
 
     def stage0(c, x):
         return (stage_family(base, c, right.obj,
@@ -258,7 +296,7 @@ def diagonal_functor(e: ExponentialCategory) -> InternalFunctor:
     prod = product_cat(a, shape)
     proj = InternalFunctor(prod, a, PresheafMap.entry(prod.obj, a.obj, 0),
                            PresheafMap.entry(prod.arr, a.arr, 0))
-    return curry_functor(proj, a, e)
+    return _curry(proj, a, e)
 
 
 def reindex_exponential_iso(i: Presheaf, e: ExponentialCategory) -> InternalFunctor:

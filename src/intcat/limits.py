@@ -244,7 +244,12 @@ class ConesCategory:
 def _thin_cones(dg: InternalFunctor, c) -> tuple:
     """The cones over ``dg`` at stage ``c``, by vertex in carrier order, when
     its target is thin: a vertex ``v`` has one when every key ``(u, x)`` has
-    an arrow ``v·u -> dg(x)``, and those arrows are its legs."""
+    an arrow ``v·u -> dg(x)``, and those arrows are its legs.
+
+    Each vertex's legs are the family ``ambient.forced_family`` would read,
+    but the per-key lookups are made once per stage, outside the loop over
+    vertices: most vertices fail at their first key, and a call per vertex
+    and per key costs more than the whole loop."""
     a, d = dg.target_cat, dg.source_cat
     base, by_ends, act = a.base, arrows_by_ends(a), a.obj.action
     keys = []

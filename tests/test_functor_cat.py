@@ -2,19 +2,26 @@
 
 import pytest
 
-from intcat.ambient import IndexCategory, PreconditionError, inverse, point_of, points
+import intcat.core as core
+import intcat.functor_cat as functor_cat
+from intcat.ambient import (
+    IndexCategory, PreconditionError, PresheafMap, inverse, point_of, points,
+)
 from intcat.core import (
-    enumerate_functors, enumerate_nats, product_cat, terminal_cat,
-    validate_internal_category,
+    InternalFunctor, enumerate_functors, enumerate_nats, is_thin, product_cat,
+    terminal_cat, validate_internal_category,
 )
 from intcat.functor_cat import (
     curry_functor, diagonal_functor, evaluation_functor, exponential_cat,
     reindex_exponential_iso, uncurry_functor,
 )
 from intcat.fixtures import (
-    CHAIN2, chain_cat, discrete_cat, divisor_lattice, staged_discrete,
-    staged_indiscrete, staged_set,
+    CHAIN2, chain_cat, corpus, discrete_cat, divisor_lattice, staged_chain3,
+    staged_discrete, staged_indiscrete, staged_set, walking_idempotent,
+    walking_parallel_pair,
 )
+from intcat.limits import shape_parallel_pair
+from intcat.theorems import default_shape_family
 
 FIN = IndexCategory.finset()
 
@@ -177,3 +184,111 @@ def test_curry_refuses_a_functor_into_another_target():
 def test_exponential_refuses_factors_over_different_bases():
     with pytest.raises(PreconditionError, match="over different bases"):
         exponential_cat(chain_cat(2), chain_cat(2, CHAIN2))
+
+
+def projection(prod, a):
+    """The first projection out of ``prod``, a product with ``a`` first."""
+    return InternalFunctor(prod, a, PresheafMap.entry(prod.obj, a.obj, 0),
+                           PresheafMap.entry(prod.arr, a.arr, 0))
+
+
+def test_curry_refuses_a_functor_from_the_swapped_product():
+    left, right = discrete_cat(("m",)), chain_cat(2)
+    e = exponential_cat(right, right)
+    swapped = product_cat(right, left)
+    assert swapped != product_cat(left, right)
+    with pytest.raises(PreconditionError,
+                       match="functor to transpose does not start at the product"):
+        curry_functor(projection(swapped, right), left, e)
+
+
+def test_diagonal_is_the_curried_projection():
+    # the diagonal skips the public checks, since its projection starts at
+    # the product by construction; it must still be the same transpose
+    for name, a in corpus():
+        for shape_name, shape in default_shape_family(a.base):
+            e = exponential_cat(shape, a)
+            proj = projection(product_cat(a, shape), a)
+            assert diagonal_functor(e) == curry_functor(proj, a, e), (name, shape_name)
+
+
+MAX_FUNCTORS = 30       # above it, the exponential's arrows are not compared
+
+
+def thin_functor_spaces():
+    """For every corpus pair with a common base and a thin target, by name:
+    the functors in order and the functor category's objects at each stage,
+    and, up to ``MAX_FUNCTORS`` functors, the whole exponential's carriers
+    and object action."""
+    out = {}
+    for na, a in corpus():
+        for nb, b in corpus():
+            if a.base != b.base or not is_thin(b):
+                continue
+            fns = out[f"{na}/{nb}/functors"] = enumerate_functors(a, b)
+            if len(fns) > MAX_FUNCTORS:
+                out[f"{na}/{nb}/objects"] = functor_cat._functor_families(a, b)
+                continue
+            cat, stages = exponential_cat(a, b).cat, a.base.objects
+            out[f"{na}/{nb}/exponential"] = (
+                {c: cat.obj.at(c) for c in stages}, {c: cat.arr.at(c) for c in stages},
+                cat.obj.action)
+    return out
+
+
+def test_thin_targets_read_the_functor_spaces_the_solver_finds(monkeypatch):
+    # over a thin target arrow parts and transformations are read off the
+    # endpoint index; with thinness denied, the solver and the functor-law
+    # and naturality checks find them
+    read = thin_functor_spaces()
+    monkeypatch.setattr(functor_cat, "is_thin", lambda b: False)
+    monkeypatch.setattr(core, "is_thin", lambda b: False)
+    searched = thin_functor_spaces()
+    assert read.keys() == searched.keys()
+    for name in read:
+        assert read[name] == searched[name], name
+    kinds = [name.rsplit("/", 1)[1] for name in read]
+    assert kinds.count("functors") == 376
+    assert kinds.count("exponential") + kinds.count("objects") == 376
+    assert kinds.count("exponential") > 300
+    assert "staged_chain_three/staged_chain_three/exponential" in read
+
+
+@pytest.mark.parametrize("target, thin", [
+    (walking_parallel_pair, False),
+    (walking_idempotent, False),
+    (lambda: shape_parallel_pair(CHAIN2), False),
+    (lambda: divisor_lattice(12), True),
+    (staged_chain3, True),
+], ids=["walking-parallel-pair", "walking-idempotent", "staged-parallel-pair",
+        "divisors-12", "staged-chain-3"])
+def test_only_non_thin_targets_search_arrow_parts_and_transformations(
+        target, thin, monkeypatch):
+    # one search for object families per stage, then one for the arrow
+    # parts of each object family and one for the transformations of each
+    # pair of functors; over a thin target only the first
+    real, found = functor_cat.family_solver, []
+
+    def counting(base, c, dom, cod):
+        solve = real(base, c, dom, cod)
+
+        def search(allowed=None, check=None):
+            got = solve(allowed, check)
+            found.append((cod, len(got)))
+            return got
+        return search
+
+    monkeypatch.setattr(functor_cat, "family_solver", counting)
+    b = target()
+    assert is_thin(b) == thin
+    stages = b.base.objects
+    for _, shape in default_shape_family(b.base):
+        del found[:]
+        cat = exponential_cat(shape, b).cat
+        objects = [n for cod, n in found if cod is b.obj]
+        arrows = len(found) - len(objects)
+        assert len(objects) == len(stages)
+        if thin:
+            assert arrows == 0
+        else:
+            assert arrows == sum(objects) + sum(len(cat.obj.at(c)) ** 2 for c in stages)
