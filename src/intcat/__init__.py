@@ -14,7 +14,7 @@ from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, LimitCone,
     PreconditionError, coproduct, elements_category, enumerate_maps,
     equalizer, evaluation_map, exponential, curry, uncurry,
-    family_at_identity, family_keys, family_solver, family_space, forced_family,
+    family_at_identity, family_keys, family_solver, family_space,
     initial, inverse, is_iso, point_label, point_of, points, product, pullback,
     representable, restrict, restrict_map, shift_family,
     stage_family, subpresheaf, terminal, unique_from_initial,

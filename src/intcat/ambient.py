@@ -15,9 +15,9 @@ Conventions
   ``compose[(g, f)] = g after f`` and needs ``src[g] == tgt[f]``.
 * A generalized element at stage ``c`` is a family label keyed ``(u, x)``
   for every arrow ``u`` into c and element ``x`` at ``src u``. This module
-  owns the format: ``stage_family`` builds one, ``forced_family`` reads
-  the one family a thin target allows, ``shift_family`` moves it
-  along a base arrow, ``family_at_identity`` reads it back, and
+  owns the format: ``family_keys`` orders its keys, ``stage_family``
+  builds one, ``family_solver`` searches for them, ``shift_family`` moves
+  one along a base arrow, ``family_at_identity`` reads it back, and
   ``point_of`` assembles global elements.
 """
 
@@ -572,23 +572,6 @@ def stage_family(base: IndexCategory, c, dom: Presheaf, value: Callable) -> tupl
     label does not depend on the order in which the keys are visited.
     """
     return fam_in_order((k, value(*k)) for k in family_keys(base, c, dom))
-
-
-def forced_family(base: IndexCategory, c, dom: Presheaf, choices: Callable) -> Optional[tuple]:
-    """The family at stage ``c`` whose value at each key ``(u, x)`` is the
-    one candidate of ``choices(u, x)``, or None as soon as a key has none.
-
-    It replaces the solver where each key has at most one candidate, as
-    each key of a family into a thin category does; ``choices`` is the
-    ``allowed`` the solver would be given.
-    """
-    entries = []
-    for k in family_keys(base, c, dom):
-        got = choices(*k)
-        if not got:
-            return None
-        entries.append((k, got[0]))
-    return fam_in_order(entries)
 
 
 def shift_family(base: IndexCategory, w, dom: Presheaf, label) -> tuple:

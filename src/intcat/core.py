@@ -8,12 +8,13 @@ f``. A category object composes one pair at a time through its
 ``comp_fn``, and builds the pullback of composable pairs and the
 composition table from it only when they are read, since deciding
 universality reads only the arrows into one object. It may also build its
-arrows part on first read, when it can read those arrows without it; cone
-categories do, from their legs, and ``arrows_at`` serves either way. The
-opposite is such a view, so the arrows out of an object are the arrows
-into it in the opposite. Functors and natural transformations between
-internal categories are presheaf maps subject to the usual equations,
-checked elementwise.
+arrows part on first read: cone categories do, reading the arrows into one
+object from their legs, and functor categories search their
+transformations then; ``arrows_at`` serves either way. The opposite is
+such a view, so the arrows out of an object are the arrows into it in the
+opposite. Functors and natural transformations between internal
+categories are presheaf maps subject to the usual equations, checked
+elementwise.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
+from .labels import fam_in_order
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, LimitCone,
-    PreconditionError, enumerate_maps, initial,
+    PreconditionError, enumerate_maps, family_keys, family_solver, initial,
     point_label, point_of, points, product, pullback, restrict, restrict_map,
     terminal, unique_to_terminal,
 )
@@ -156,9 +158,10 @@ def category_from_tables(obj: Presheaf, arr_carrier, shift_parts: Callable,
     """Assemble a category object whose stage-c arrows are ``(s, t, *parts)``.
 
     ``arr_carrier`` holds the arrows of each stage, or is a thunk returning
-    them; the arrows part is assembled on first read. Source and target are
-    the first two entries and move along base arrows by the action of
-    ``obj``. The callbacks return only the parts:
+    them, as cone and functor categories pass it, so that their arrows are
+    found only when read; the arrows part is assembled on first read.
+    Source and target are the first two entries and move along base arrows
+    by the action of ``obj``. The callbacks return only the parts:
     ``shift_parts(w, t)`` those of arrow ``t`` moved along ``w``,
     ``identity_parts(c, o)`` those of the identity on ``o``, and
     ``compose_parts(c, g, f)`` those of g after f. ``fibres`` is as for
@@ -555,6 +558,28 @@ def is_thin(b: InternalCategory) -> bool:
     read from ``arrows_by_ends``."""
     return all(max(map(len, groups.values()), default=0) <= 1
                for groups in arrows_by_ends(b).values())
+
+
+def arrow_families(b: InternalCategory, c, dom: Presheaf) -> Callable:
+    """``family_solver`` for the natural families from ``dom`` into the
+    arrows of ``b`` at stage ``c``: ``solve(allowed, check)``. Over a thin
+    ``b`` each key's candidates share their ends, so ``solve`` reads the one
+    family, the first candidate at each key, or none if a key has none, and
+    does not run ``check``: the laws it checks equate arrows with the same
+    ends."""
+    if not is_thin(b):
+        return family_solver(b.base, c, dom, b.arr)
+    keys = family_keys(b.base, c, dom)
+
+    def solve(allowed, check):
+        entries = []
+        for k in keys:
+            got = allowed(*k)
+            if not got:
+                return []
+            entries.append((k, got[0]))
+        return [fam_in_order(entries)]
+    return solve
 
 
 def arrows_at(b: InternalCategory, c, o) -> dict:

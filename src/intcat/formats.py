@@ -147,6 +147,16 @@ def _check_label(tok, line, col):
     return tok
 
 
+def _distinct_labels(toks, line, where):
+    """The labels of ``toks``, refused at the first one that repeats."""
+    seen = set()
+    for t, col in toks:
+        if t in seen:
+            _fail(line, col, f"duplicate label {t!r} in {where}")
+        seen.add(_check_label(t, line, col))
+    return tuple(t for t, _ in toks)
+
+
 def _check_name(tok, line, col):
     if not _NAME.match(tok):
         _fail(line, col, f"name {tok!r} is not an identifier")
@@ -406,15 +416,18 @@ class _Parser:
             _fail(line, toks[-1][1], "expected ':' then a category form")
         form = toks[5][0]
         rest = toks[6:]
+        # each form is bounded by its object and arrow counts before it is built
         if form == "chain":
             n = _natural(rest[0][0] if len(rest) == 1 else "", line,
                          toks[5][1], "chain <n>")
             self._bound((n, n * (n + 1) // 2), line)
             built = chain_cat(n, base)
         elif form in ("discrete", "indiscrete"):
-            labels = tuple(_check_label(t, line, c) for t, c in rest)
+            labels = _distinct_labels(rest, line, f"{form} form")
             if not labels:
                 _fail(line, toks[5][1], f"{form} needs at least one label")
+            n = len(labels)
+            self._bound((n, n * n if form == "indiscrete" else n), line)
             built = (discrete_cat if form == "discrete" else indiscrete_cat)(
                 labels, base)
         elif form in ("opposite", "product"):
@@ -426,14 +439,16 @@ class _Parser:
                 operands.append(self._get("cats", tok, line, col, "category"))
                 if operands[-1].base != base:
                     _fail(line, col, f"category {tok!r} does not live over {toks[3][0]!r}")
+            if form == "product":   # an opposite has its operand's sizes
+                x, y = operands
+                self._bound([len(x.obj.at(c)) * len(y.obj.at(c)) for c in base.objects]
+                            + [len(x.arr.at(c)) * len(y.arr.at(c)) for c in base.objects],
+                            line)
             built = (opposite if form == "opposite" else product_cat)(*operands)
             if self.env["unchecked"].intersection(tok for tok, _ in rest):
                 self.env["unchecked"].add(name)
         else:
             _fail(line, toks[5][1], f"unknown category form {form!r}")
-        sizes = [len(built.obj.at(c)) for c in base.objects]
-        sizes += [len(built.arr.at(c)) for c in base.objects]
-        self._bound(sizes, line)
         self._declare(line, toks, built)
 
     # -- the shared readers of block rows ------------------------------------
@@ -501,12 +516,7 @@ class _Parser:
         for c in base.objects:
             row_line, toks = self._row(rows, kw, c, line)
             self._bound((len(toks),), row_line)
-            seen = set()
-            for t, col in toks:
-                if t in seen:
-                    _fail(row_line, col, f"duplicate label {t!r} in {kw} line")
-                seen.add(_check_label(t, row_line, col))
-            out[c] = tuple(t for t, _ in toks)
+            out[c] = _distinct_labels(toks, row_line, f"{kw} line")
         return out
 
     def _entries(self, row_line, toks):

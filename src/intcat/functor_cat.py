@@ -13,14 +13,14 @@ propagation prunes candidates early, so the raw function spaces of the
 underlying carriers are never materialized. The functor category is
 assembled from its arrow triples by ``core.category_from_tables``.
 
-Over a thin target (``core.is_thin``) the rest is read, not searched. Arrows
-of a thin category with the same ends are equal, and both sides of each
-functor law, restriction law and naturality square have the same ends. So
-an object family has exactly one arrow family, the arrow with the right ends
-at each key, when every key has one, and a transformation ``F => G`` exists
-exactly when every end pair ``(F x, G x)`` has an arrow, and is then unique;
-``ambient.forced_family`` reads both. Otherwise the solver searches arrow
-families and transformations and checks composition and naturality.
+Arrow parts and transformations are families into the target's arrows,
+found by ``core.arrow_families``, the latter when the arrows are first
+read. Over a thin target it reads them off the endpoint index: arrows with
+the same ends are equal, and both sides of each functor law, restriction
+law and naturality square have the same ends, so each key takes the one
+arrow with the right ends, if it has one. Otherwise the solver searches
+them and composition and naturality are checked. The diagonal is read off
+its target, not curried from a projection out of a product.
 """
 
 from __future__ import annotations
@@ -30,23 +30,13 @@ from dataclasses import dataclass
 from .labels import fam_dict
 from .ambient import (
     Presheaf, PresheafMap, PreconditionError, elements_category,
-    family_at_identity, family_solver, forced_family, point_of, shift_family,
-    stage_family,
+    family_at_identity, family_solver, point_of, shift_family, stage_family,
 )
 from .core import (
-    InternalCategory, InternalFunctor, InternalNatTrans, arrows_by_ends,
-    category_from_tables, identity_functor, is_thin, product_cat, restrict_cat,
+    InternalCategory, InternalFunctor, InternalNatTrans, arrow_families,
+    arrows_by_ends, category_from_tables, identity_functor, product_cat,
+    restrict_cat,
 )
-
-
-def _forced_solver(base, c, dom):
-    """What ``family_solver(base, c, dom, b)`` finds when ``b`` is thin:
-    under a filter ``allowed``, the one family ``forced_family`` reads, or
-    none. The ``check`` is not run, since it holds by thinness."""
-    def solve(allowed, check):
-        fam = forced_family(base, c, dom, allowed)
-        return [] if fam is None else [fam]
-    return solve
 
 
 def _arrow_parts(a: InternalCategory, b: InternalCategory, c, phi0_table: dict,
@@ -77,22 +67,6 @@ def _arrow_parts(a: InternalCategory, b: InternalCategory, c, phi0_table: dict,
         return True
 
     return solve(allowed, check)
-
-
-def _functor_families(a: InternalCategory, b: InternalCategory) -> dict:
-    """The objects of the functor category at each stage: every object
-    family ``phi0``, each with every arrow part completing it."""
-    base, by_ends = a.base, arrows_by_ends(b)
-    thin = is_thin(b)
-    ids = {c: a.identity_elements(c) for c in base.objects}
-    out = {}
-    for c in base.objects:
-        solve = (_forced_solver(base, c, a.arr) if thin
-                 else family_solver(base, c, a.arr, b.arr))
-        out[c] = tuple(
-            (phi0, phi1) for phi0 in family_solver(base, c, a.obj, b.obj)()
-            for phi1 in _arrow_parts(a, b, c, fam_dict(phi0), by_ends, ids, solve))
-    return out
 
 
 @dataclass(eq=True)
@@ -161,46 +135,53 @@ class ExponentialCategory:
 
 
 def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCategory:
-    """The functor category of ``a`` into ``b`` as a category object."""
+    """The functor category of ``a`` into ``b`` as a category object; its
+    transformations are searched when its arrows are first read."""
     if a.base != b.base:
         raise PreconditionError("mapping space factors live over different bases")
     base = a.base
     by_ends = arrows_by_ends(b)
-    thin = is_thin(b)
-    obj_carrier = _functor_families(a, b)
+    ids = {c: a.identity_elements(c) for c in base.objects}
+    obj_carrier = {}
+    for c in base.objects:
+        solve = arrow_families(b, c, a.arr)
+        obj_carrier[c] = tuple(
+            (phi0, phi1) for phi0 in family_solver(base, c, a.obj, b.obj)()
+            for phi1 in _arrow_parts(a, b, c, fam_dict(phi0), by_ends, ids, solve))
     space = Presheaf(base, obj_carrier, {
         w: {(phi0, phi1): (shift_family(base, w, a.obj, phi0),
                            shift_family(base, w, a.arr, phi1))
             for (phi0, phi1) in obj_carrier[base.tgt[w]]}
         for w in base.arrows})
 
-    arr_carrier = {}
-    for c in base.objects:
-        solve = (_forced_solver(base, c, a.obj) if thin
-                 else family_solver(base, c, a.obj, b.arr))
-        tables = [(el, fam_dict(el[0]), fam_dict(el[1])) for el in space.at(c)]
-        triples = []
-        for f_el, t0f, t1f in tables:
-            for g_el, t0g, t1g in tables:
+    def arr_carrier():
+        out = {}
+        for c in base.objects:
+            solve = arrow_families(b, c, a.obj)
+            tables = [(el, fam_dict(el[0]), fam_dict(el[1])) for el in space.at(c)]
+            triples = []
+            for f_el, t0f, t1f in tables:
+                for g_el, t0g, t1g in tables:
 
-                def allowed(u, x, t0f=t0f, t0g=t0g):
-                    return by_ends[base.src[u]].get((t0f[(u, x)], t0g[(u, x)]), ())
+                    def allowed(u, x, t0f=t0f, t0g=t0g):
+                        return by_ends[base.src[u]].get((t0f[(u, x)], t0g[(u, x)]), ())
 
-                def check(table, t1f=t1f, t1g=t1g, c=c):
-                    for u in base.arrows_into(c):
-                        c2 = base.src[u]
-                        for h in a.arr.at(c2):
-                            lhs = b.comp_at(c2, t1g[(u, h)],
-                                            table[(u, a.s_at(c2, h))])
-                            rhs = b.comp_at(c2, table[(u, a.t_at(c2, h))],
-                                            t1f[(u, h)])
-                            if lhs != rhs:
-                                return False
-                    return True
+                    def check(table, t1f=t1f, t1g=t1g, c=c):
+                        for u in base.arrows_into(c):
+                            c2 = base.src[u]
+                            for h in a.arr.at(c2):
+                                lhs = b.comp_at(c2, t1g[(u, h)],
+                                                table[(u, a.s_at(c2, h))])
+                                rhs = b.comp_at(c2, table[(u, a.t_at(c2, h))],
+                                                t1f[(u, h)])
+                                if lhs != rhs:
+                                    return False
+                        return True
 
-                for alpha in solve(allowed, check):
-                    triples.append((f_el, g_el, alpha))
-        arr_carrier[c] = tuple(triples)
+                    for alpha in solve(allowed, check):
+                        triples.append((f_el, g_el, alpha))
+            out[c] = tuple(triples)
+        return out
 
     def identity_parts(c, el):
         t0 = fam_dict(el[0])
@@ -235,14 +216,6 @@ def curry_functor(fn: InternalFunctor, left: InternalCategory,
         raise PreconditionError("functor to transpose does not start at the product")
     if fn.target_cat != e.cod:
         raise PreconditionError("functor to transpose does not land in the exponent's target")
-    return _curry(fn, left, e)
-
-
-def _curry(fn: InternalFunctor, left: InternalCategory,
-           e: ExponentialCategory) -> InternalFunctor:
-    """``curry_functor`` for an ``fn`` known to run from ``left x e.dom``
-    to ``e.cod``. Its ends are not compared: that would build a second
-    product and force the composition tables of both."""
     right, base = e.dom, left.base
 
     def stage0(c, x):
@@ -291,12 +264,26 @@ def uncurry_functor(g: InternalFunctor, e: ExponentialCategory) -> InternalFunct
 
 def diagonal_functor(e: ExponentialCategory) -> InternalFunctor:
     """The constant-diagram functor ``a -> (a ^ shape)`` into the functor
-    category ``e`` of ``shape`` into ``a``."""
+    category ``e`` of ``shape`` into ``a``: at stage c, ``x`` goes to the
+    functor with ``x.u`` at each key ``(u, d)`` and ``id(x.u)`` at each key
+    ``(u, h)``, and an arrow ``k`` to the transformation with ``k.u`` at
+    each key ``(u, d)``. These are the labels the currying of the
+    projection ``a x shape -> a`` gives, read off ``a``."""
     a, shape = e.cod, e.dom
-    prod = product_cat(a, shape)
-    proj = InternalFunctor(prod, a, PresheafMap.entry(prod.obj, a.obj, 0),
-                           PresheafMap.entry(prod.arr, a.arr, 0))
-    return _curry(proj, a, e)
+    base, act = a.base, a.obj.action
+
+    def stage0(c, x):
+        return (stage_family(base, c, shape.obj, lambda u, d: act[u][x]),
+                stage_family(base, c, shape.arr,
+                             lambda u, h: a.id_at(base.src[u], act[u][x])))
+
+    f0 = {c: {x: stage0(c, x) for x in a.obj.at(c)} for c in base.objects}
+    f1 = {c: {k: (f0[c][a.s_at(c, k)], f0[c][a.t_at(c, k)],
+                  stage_family(base, c, shape.obj, lambda u, d: a.arr.action[u][k]))
+              for k in a.arr.at(c)}
+          for c in base.objects}
+    return InternalFunctor(a, e.cat, PresheafMap(a.obj, e.cat.obj, f0),
+                           PresheafMap(a.arr, e.cat.arr, f1))
 
 
 def reindex_exponential_iso(i: Presheaf, e: ExponentialCategory) -> InternalFunctor:

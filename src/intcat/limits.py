@@ -246,7 +246,7 @@ def _thin_cones(dg: InternalFunctor, c) -> tuple:
     its target is thin: a vertex ``v`` has one when every key ``(u, x)`` has
     an arrow ``v·u -> dg(x)``, and those arrows are its legs.
 
-    Each vertex's legs are the family ``ambient.forced_family`` would read,
+    Each vertex's legs are the family ``core.arrow_families`` would read,
     but the per-key lookups are made once per stage, outside the loop over
     vertices: most vertices fail at their first key, and a call per vertex
     and per key costs more than the whole loop."""

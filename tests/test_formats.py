@@ -263,17 +263,33 @@ def test_divisors_shorthand_lists_every_divisor_in_order():
             tuple(str(d) for d in range(1, n + 1) if n % d == 0)
 
 
+LABELS_800 = " ".join(f"x{i}" for i in range(800))
+INDISCRETE_22 = "category A over f : indiscrete " + " ".join(f"x{i}" for i in range(22))
+
+
 @pytest.mark.parametrize("decl, arrows", [
     ("lattice L over f : divisors 300000000", 6075),
     ("lattice L over f : divisors 1000000000000000000000", 64009),
     ("category C over f : chain 120", 7260),
+    pytest.param(f"category C over f : indiscrete {LABELS_800}", 800,
+                 id="indiscrete-800"),
+    pytest.param(f"{INDISCRETE_22}\ncategory P over f : product A A", 234256,
+                 id="product-of-indiscrete-22"),
 ])
 def test_size_bound_refuses_before_building(decl, arrows):
     start = time.process_time()
     err = located(f"format 1\nbase f finset\n{decl}\n")
     assert time.process_time() - start < 0.5
-    assert (err.line, err.col) == (3, 1)
+    assert (err.line, err.col) == (3 + decl.count("\n"), 1)
     assert err.message == f"size bound exceeded ({arrows} > 512)"
+
+
+@pytest.mark.parametrize("form, col", [("discrete a a", 34), ("indiscrete a b a", 38)])
+def test_a_repeated_label_in_a_category_form_is_refused_where_it_repeats(form, col):
+    # a category whose carriers repeat a label breaks the category laws
+    err = located(f"format 1\nbase one finset\ncategory D over one : {form}\n")
+    assert (err.line, err.col) == (3, col)
+    assert err.message == f"duplicate label 'a' in {form.split()[0]} form"
 
 
 def test_divisors_of_a_large_prime_parse_at_bounded_cost():

@@ -227,7 +227,7 @@ def thin_functor_spaces():
                 continue
             fns = out[f"{na}/{nb}/functors"] = enumerate_functors(a, b)
             if len(fns) > MAX_FUNCTORS:
-                out[f"{na}/{nb}/objects"] = functor_cat._functor_families(a, b)
+                out[f"{na}/{nb}/objects"] = exponential_cat(a, b).cat.obj.carrier
                 continue
             cat, stages = exponential_cat(a, b).cat, a.base.objects
             out[f"{na}/{nb}/exponential"] = (
@@ -241,7 +241,6 @@ def test_thin_targets_read_the_functor_spaces_the_solver_finds(monkeypatch):
     # endpoint index; with thinness denied, the solver and the functor-law
     # and naturality checks find them
     read = thin_functor_spaces()
-    monkeypatch.setattr(functor_cat, "is_thin", lambda b: False)
     monkeypatch.setattr(core, "is_thin", lambda b: False)
     searched = thin_functor_spaces()
     assert read.keys() == searched.keys()
@@ -265,20 +264,24 @@ def test_thin_targets_read_the_functor_spaces_the_solver_finds(monkeypatch):
 def test_only_non_thin_targets_search_arrow_parts_and_transformations(
         target, thin, monkeypatch):
     # one search for object families per stage, then one for the arrow
-    # parts of each object family and one for the transformations of each
-    # pair of functors; over a thin target only the first
-    real, found = functor_cat.family_solver, []
+    # parts of each object family, and, once the arrows are read, one for
+    # the transformations of each pair of functors; over a thin target
+    # only the first
+    found = []
 
-    def counting(base, c, dom, cod):
-        solve = real(base, c, dom, cod)
+    def counting(real):
+        def setup(base, c, dom, cod):
+            solve = real(base, c, dom, cod)
 
-        def search(allowed=None, check=None):
-            got = solve(allowed, check)
-            found.append((cod, len(got)))
-            return got
-        return search
+            def search(allowed=None, check=None):
+                got = solve(allowed, check)
+                found.append((cod, len(got)))
+                return got
+            return search
+        return setup
 
-    monkeypatch.setattr(functor_cat, "family_solver", counting)
+    for module in (functor_cat, core):
+        monkeypatch.setattr(module, "family_solver", counting(module.family_solver))
     b = target()
     assert is_thin(b) == thin
     stages = b.base.objects
@@ -286,9 +289,9 @@ def test_only_non_thin_targets_search_arrow_parts_and_transformations(
         del found[:]
         cat = exponential_cat(shape, b).cat
         objects = [n for cod, n in found if cod is b.obj]
-        arrows = len(found) - len(objects)
         assert len(objects) == len(stages)
-        if thin:
-            assert arrows == 0
-        else:
-            assert arrows == sum(objects) + sum(len(cat.obj.at(c)) ** 2 for c in stages)
+        assert len(found) - len(objects) == (0 if thin else sum(objects))
+        del found[:]
+        cat.arr
+        assert len(found) == (0 if thin else
+                              sum(len(cat.obj.at(c)) ** 2 for c in stages))

@@ -100,3 +100,16 @@ def test_cone_objects_are_taken_apart_only_by_the_cone_category():
              for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
     assert ("point", "components") not in reads
     assert any(attr == "object_at" for _, attr in reads)
+
+
+def test_only_core_and_limits_read_thinness():
+    """The functor category chooses between reading and searching through
+    ``core.arrow_families`` and keeps no thin fork of its own: ``is_thin``
+    is named only where it is defined and by the cone and comma builders."""
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if "is_thin" in referenced_names(path) | {
+                alias.name for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}:
+            readers.append(path.name)
+    assert readers == ["core.py", "limits.py"]
