@@ -156,16 +156,7 @@ class IndexCategory:
         result if the input is untrusted).
         """
         elements = tuple(elements)
-        pairs = tuple(pairs)
-        nodes = dict.fromkeys(elements)
-        nodes.update(dict.fromkeys(x for pair in pairs for x in pair))
-        succ = {a: {a} for a in nodes}
-        for a, b in pairs:
-            succ[a].add(b)
-        for k in nodes:                 # Warshall over successor sets
-            for a in nodes:
-                if k in succ[a]:
-                    succ[a] |= succ[k]
+        succ = order_closure(elements, pairs)
         arrows = tuple((a, b) for a in elements for b in elements if b in succ[a])
         into: dict = {}
         for f in arrows:
@@ -180,6 +171,28 @@ class IndexCategory:
     def chain(n: int) -> "IndexCategory":
         objs = tuple(f"c{i}" for i in range(n))
         return IndexCategory.poset(objs, [(objs[i], objs[i + 1]) for i in range(n - 1)])
+
+
+def order_closure(elements, pairs) -> dict:
+    """The reflexive-transitive closure of the relation ``pairs``: each of
+    ``elements`` and of the ends of ``pairs`` to the set of those it
+    relates to, found by a search from each. ``IndexCategory.poset`` takes
+    one arrow per related pair; a parser counts them here, before the
+    composition table is built."""
+    up: dict = {a: [] for a in elements}
+    for a, b in pairs:
+        up.setdefault(a, []).append(b)
+        up.setdefault(b, [])
+    succ = {}
+    for a in up:
+        seen, todo = {a}, [a]
+        while todo:
+            for b in up[todo.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        succ[a] = seen
+    return succ
 
 
 @dataclass(eq=True)

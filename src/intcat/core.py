@@ -12,9 +12,12 @@ arrows part on first read: cone categories do, reading the arrows into one
 object from their legs, and functor categories search their
 transformations then; ``arrows_at`` serves either way. The opposite is
 such a view, so the arrows out of an object are the arrows into it in the
-opposite. Functors and natural transformations between internal
-categories are presheaf maps subject to the usual equations, checked
-elementwise.
+opposite, and a restriction reads its original's indexes at the image
+stage. Functors and natural transformations between internal categories
+are presheaf maps subject to the usual equations, checked elementwise. A
+functor's arrow part may likewise come as a thunk, called on first read:
+composites and the projections of comma categories take theirs so, since
+over a thin target a cone category reads only its diagram's object part.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .labels import fam_in_order
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, LimitCone,
     PreconditionError, enumerate_maps, family_keys, family_solver, initial,
-    point_label, point_of, points, product, pullback, restrict, restrict_map,
+    point_label, point_of, points, product, pullback, restrict,
     terminal, unique_to_terminal,
 )
 
@@ -46,6 +49,7 @@ class InternalCategory:
 
     _FIELDS = ("obj", "arr", "source", "target", "identity", "pairs", "compose")
     _opposite_of = None         # the original, on a view made by ``opposite``
+    _restricted_from = None     # (p.on_obj, original), on a ``restrict_cat``
 
     def __init__(self, obj: Presheaf, arr: Presheaf, source: PresheafMap,
                  target: PresheafMap, identity: PresheafMap, comp_fn: Callable,
@@ -158,8 +162,9 @@ def category_from_tables(obj: Presheaf, arr_carrier, shift_parts: Callable,
     """Assemble a category object whose stage-c arrows are ``(s, t, *parts)``.
 
     ``arr_carrier`` holds the arrows of each stage, or is a thunk returning
-    them, as cone and functor categories pass it, so that their arrows are
-    found only when read; the arrows part is assembled on first read.
+    them, as cone, comma and functor categories pass it, so that their
+    arrows are found only when read; the arrows part is assembled on first
+    read.
     Source and target are the first two entries and move along base arrows
     by the action of ``obj``. The callbacks return only the parts:
     ``shift_parts(w, t)`` those of arrow ``t`` moved along ``w``,
@@ -242,14 +247,37 @@ def validate_internal_category(a: InternalCategory) -> list[str]:
     return out
 
 
-@dataclass(eq=True)
 class InternalFunctor:
-    """A functor between category objects: object part and arrow part."""
+    """A functor between category objects: object part and arrow part.
 
-    source_cat: InternalCategory
-    target_cat: InternalCategory
-    f0: PresheafMap
-    f1: PresheafMap
+    The arrow part ``f1`` is a map, or a thunk returning it, called on its
+    first read, as ``compose_functors`` and the projections of a comma
+    category pass it: over a thin target a cone category reads only the
+    object part of its diagram. A functor whose arrow part is unread equals
+    the same functor read, and has the same ``repr``.
+    """
+
+    _FIELDS = ("source_cat", "target_cat", "f0", "f1")
+    __hash__ = None
+
+    def __init__(self, source_cat: InternalCategory, target_cat: InternalCategory,
+                 f0: PresheafMap, f1):
+        self.source_cat, self.target_cat, self.f0 = source_cat, target_cat, f0
+        if callable(f1):            # built on first read, see _ArrowPartOnFirstRead
+            self._f1, self.__class__ = f1, _ArrowPartOnFirstRead
+        else:
+            self.f1 = f1
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, InternalFunctor):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self._FIELDS)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._FIELDS)
+        return f"InternalFunctor({fields})"
 
     def on_obj(self, c, a):
         return self.f0.components[c][a]
@@ -259,6 +287,22 @@ class InternalFunctor:
 
     def validate(self) -> list[str]:
         return validate_internal_functor(self)
+
+
+class _ArrowPartOnFirstRead(InternalFunctor):
+    """A functor whose arrow part ``f1`` is returned by a thunk on its first
+    read; the functor then becomes a plain ``InternalFunctor``, for the
+    reason ``_ArrowsOnFirstRead`` gives."""
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set.
+        build = self.__dict__.get("_f1")
+        if build is None or name != "f1":
+            raise AttributeError(name)
+        self.f1 = build()
+        del self._f1
+        self.__class__ = InternalFunctor
+        return self.f1
 
 
 def validate_internal_functor(fn: InternalFunctor) -> list[str]:
@@ -300,11 +344,11 @@ def identity_functor(a: InternalCategory) -> InternalFunctor:
 
 
 def compose_functors(g: InternalFunctor, f: InternalFunctor) -> InternalFunctor:
-    """g after f."""
+    """g after f; the arrow part is composed on its first read."""
     if f.target_cat != g.source_cat:
         raise PreconditionError("functor composition endpoint mismatch")
     return InternalFunctor(f.source_cat, g.target_cat,
-                           f.f0.then(g.f0), f.f1.then(g.f1))
+                           f.f0.then(g.f0), lambda: f.f1.then(g.f1))
 
 
 @dataclass(eq=True)
@@ -484,12 +528,23 @@ def restrict_cat(p: IndexFunctor, a: InternalCategory) -> InternalCategory:
     preserved, so the arrows part at stage d is the one of ``a`` at p(d),
     and a pair composes as in ``a`` at p(d); the composable pairs and the
     composition are built from these on first read, reading no table of
-    ``a``."""
+    ``a``. Objects and arrows are restricted once, and source, target and
+    identity built on them. The endpoint index and the arrows into each
+    object at stage d are those of ``a`` at p(d), the same objects, so
+    ``arrows_by_ends``, ``arrows_at`` and ``is_thin`` build nothing per
+    stage."""
     comp, at = a._comp, p.on_obj
-    return InternalCategory(
-        restrict(p, a.obj), restrict(p, a.arr),
-        restrict_map(p, a.source), restrict_map(p, a.target), restrict_map(p, a.identity),
+    obj, arr = restrict(p, a.obj), restrict(p, a.arr)
+
+    def comps(m: PresheafMap) -> dict:
+        return {d: m.components[at[d]] for d in p.source.objects}
+
+    b = InternalCategory(
+        obj, arr, PresheafMap(arr, obj, comps(a.source)),
+        PresheafMap(arr, obj, comps(a.target)), PresheafMap(obj, arr, comps(a.identity)),
         lambda d, g, f: comp(at[d], g, f))
+    b._restricted_from = (at, a)
+    return b
 
 
 def restrict_functor(p: IndexFunctor, fn: InternalFunctor,
@@ -537,11 +592,18 @@ def points_of_cat(a: InternalCategory) -> IndexCategory:
 def arrows_by_ends(b: InternalCategory) -> dict:
     """Per stage, the arrow elements of ``b`` grouped by (source, target),
     each group in carrier order; built once per object, shared, not to be
-    mutated. An opposite view reads its original's index, keys swapped."""
-    if b._ends is None and b._opposite_of is not None:
+    mutated. An opposite view reads its original's index, keys swapped, and
+    a restricted category its original's at p(d), the same dicts."""
+    if b._ends is not None:
+        return b._ends
+    if b._opposite_of is not None:
         b._ends = {c: {(t, s): ks for (s, t), ks in groups.items()}
                    for c, groups in arrows_by_ends(b._opposite_of).items()}
-    elif b._ends is None:
+    elif b._restricted_from is not None:
+        at, a = b._restricted_from
+        ends = arrows_by_ends(a)
+        b._ends = {d: ends[at[d]] for d in b.base.objects}
+    else:
         out = {}
         for c in b.base.objects:
             s, t = b.source.components[c], b.target.components[c]
@@ -555,9 +617,15 @@ def arrows_by_ends(b: InternalCategory) -> dict:
 
 def is_thin(b: InternalCategory) -> bool:
     """Whether ``b`` has at most one arrow per pair of ends at every stage,
-    read from ``arrows_by_ends``."""
-    return all(max(map(len, groups.values()), default=0) <= 1
-               for groups in arrows_by_ends(b).values())
+    read from ``arrows_by_ends``; a restricted category reads each stage of
+    its original that it restricts to once."""
+    if b._restricted_from is not None:
+        at, a = b._restricted_from
+        ends = arrows_by_ends(a)
+        stages = [ends[c] for c in dict.fromkeys(at.values())]
+    else:
+        stages = arrows_by_ends(b).values()
+    return all(max(map(len, groups.values()), default=0) <= 1 for groups in stages)
 
 
 def arrow_families(b: InternalCategory, c, dom: Presheaf) -> Callable:
@@ -590,17 +658,27 @@ def arrows_at(b: InternalCategory, c, o) -> dict:
 
     Read from the category's own fibre reader when it has one, which needs
     no arrows part, and otherwise from an index built once from
-    ``arrows_by_ends``; shared, not to be mutated.
+    ``arrows_by_ends``, or read off the original's at p(c) by a restricted
+    category; shared, not to be mutated.
     """
     if b._fibres is not None:
         return b._fibres(c, o)
-    if b._into is None:
+    return _arrows_into(b)[c].get(o, {})
+
+
+def _arrows_into(b: InternalCategory) -> dict:
+    """Per stage, ``arrows_at``'s index: target -> source -> arrows."""
+    if b._into is None and b._restricted_from is not None:
+        at, a = b._restricted_from
+        into = _arrows_into(a)
+        b._into = {d: into[at[d]] for d in b.base.objects}
+    elif b._into is None:
         b._into = {}
         for stage, groups in arrows_by_ends(b).items():
             into = b._into[stage] = {}
             for (s, t), ks in groups.items():
                 into.setdefault(t, {})[s] = ks
-    return b._into[c].get(o, {})
+    return b._into
 
 
 def _forced_map(x: Presheaf, y: Presheaf, allowed: Callable) -> Optional[PresheafMap]:

@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .ambient import IndexCategory, Presheaf, PresheafMap
+from .ambient import IndexCategory, Presheaf, PresheafMap, order_closure
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, arrows_by_ends,
     from_finite_category, initial_cat, make_internal_category, opposite,
@@ -400,8 +400,11 @@ class _Parser:
                 _fail(line, toks[4][1], "duplicate elements")
             elems = tuple(elems)
             self._bound((len(elems),), line)
+            # one arrow per pair of the order's closure, counted before the
+            # composition table is built
+            succ = order_closure(elems, pairs)
+            self._bound((sum(len(succ[a]) for a in elems),), line)
         ix = IndexCategory.poset(elems, pairs)
-        self._bound((len(ix.objects), len(ix.arrows)), line)
         self._declare(line, toks, from_finite_category(base, ix))
 
     def _parse_category(self, line, toks):

@@ -30,7 +30,9 @@ diagram is an internal functor from its shape to its target.
 Cones form a discrete fibration over the diagram's target: each arrow into
 a cone's vertex lifts to exactly one arrow into the cone, so a cone
 category reads the arrows into a cone from its legs, and builds its arrows
-object, and its projection ``to_base``, only when read.
+object, and its projection ``to_base``, only when read. A comma category
+likewise builds its arrows, and the arrow parts of its projections, only
+when read.
 
 Colimits are limits in opposites, which cost nothing until read. A cocone
 under ``D`` is a cone over ``D^op -> A^op`` with the same legs, so the
@@ -439,36 +441,46 @@ class CommaCategory:
 
 
 def comma_category(f: InternalFunctor, g: InternalFunctor) -> CommaCategory:
-    """The comma category of two functors sharing a target."""
+    """The comma category of two functors sharing a target.
+
+    Its objects are built at once. Its arrows, and the arrow parts of its
+    projections and of the composites its square joins, are built on first
+    read: over a thin target the cone categories of the AFT fiber read only
+    object parts. When read, a square is kept only if it commutes, which
+    over a thin target every square does."""
     if f.target_cat != g.target_cat:
         raise PreconditionError("comma factors do not share a target")
     x, y, z = f.source_cat, g.source_cat, f.target_cat
     base = z.base
 
-    ends_x, ends_y, ends_z = arrows_by_ends(x), arrows_by_ends(y), arrows_by_ends(z)
+    ends_z = arrows_by_ends(z)
     obj_carrier = {c: tuple((xo, yo, h)
                             for xo in x.obj.at(c) for yo in y.obj.at(c)
                             for h in ends_z[c].get((f.on_obj(c, xo),
                                                     g.on_obj(c, yo)), ()))
                    for c in base.objects}
-    # When z is thin, the two sides of every square share their ends, so
-    # every square commutes.
-    thin = is_thin(z)
-    arr_carrier = {}
-    for c in base.objects:
-        quads = []
-        for o1 in obj_carrier[c]:
-            for o2 in obj_carrier[c]:
-                qs = ends_y[c].get((o1[1], o2[1]), ())
-                for p in ends_x[c].get((o1[0], o2[0]), ()):
-                    if thin:
-                        quads.extend((o1, o2, p, q) for q in qs)
-                        continue
-                    lhs = z.comp_at(c, o2[2], f.on_arr(c, p))
-                    for q in qs:
-                        if lhs == z.comp_at(c, g.on_arr(c, q), o1[2]):
-                            quads.append((o1, o2, p, q))
-        arr_carrier[c] = tuple(quads)
+
+    def arr_carrier():
+        ends_x, ends_y = arrows_by_ends(x), arrows_by_ends(y)
+        # When z is thin, the two sides of every square share their ends,
+        # so every square commutes.
+        thin = is_thin(z)
+        out = {}
+        for c in base.objects:
+            quads = []
+            for o1 in obj_carrier[c]:
+                for o2 in obj_carrier[c]:
+                    qs = ends_y[c].get((o1[1], o2[1]), ())
+                    for p in ends_x[c].get((o1[0], o2[0]), ()):
+                        if thin:
+                            quads.extend((o1, o2, p, q) for q in qs)
+                            continue
+                        lhs = z.comp_at(c, o2[2], f.on_arr(c, p))
+                        for q in qs:
+                            if lhs == z.comp_at(c, g.on_arr(c, q), o1[2]):
+                                quads.append((o1, o2, p, q))
+            out[c] = tuple(quads)
+        return out
 
     def shift_obj(w, o):
         return (x.obj.action[w][o[0]], y.obj.action[w][o[1]],
@@ -483,9 +495,9 @@ def comma_category(f: InternalFunctor, g: InternalFunctor) -> CommaCategory:
         lambda c, g, f: (x.comp_at(c, g[2], f[2]), y.comp_at(c, g[3], f[3])))
 
     proj_left = InternalFunctor(cat, x, PresheafMap.entry(cat.obj, x.obj, 0),
-                                PresheafMap.entry(cat.arr, x.arr, 2))
+                                lambda: PresheafMap.entry(cat.arr, x.arr, 2))
     proj_right = InternalFunctor(cat, y, PresheafMap.entry(cat.obj, y.obj, 1),
-                                 PresheafMap.entry(cat.arr, y.arr, 3))
+                                 lambda: PresheafMap.entry(cat.arr, y.arr, 3))
     square = InternalNatTrans(
         compose_functors(f, proj_left), compose_functors(g, proj_right),
         PresheafMap.entry(cat.obj, z.arr, 2))

@@ -12,11 +12,12 @@ from intcat.ambient import (
     restrict, restrict_map,
 )
 from intcat.core import (
-    adjunction_check, arrows_at, compose_functors, dis_u_ind_adjunctions, discrete,
-    enumerate_functors, enumerate_nats, horizontal_compose, identity_functor,
-    identity_nat, indiscrete, initial_cat, make_internal_category, nat_is_iso,
-    opposite, points_of_cat, product_cat, restrict_cat, terminal_cat,
-    unique_to_terminal_cat, validate_internal_category, vertical_compose,
+    InternalFunctor, adjunction_check, arrows_at, arrows_by_ends, compose_functors,
+    dis_u_ind_adjunctions, discrete, enumerate_functors, enumerate_nats,
+    horizontal_compose, identity_functor, identity_nat, indiscrete, initial_cat,
+    is_thin, make_internal_category, nat_is_iso, opposite, points_of_cat,
+    product_cat, restrict_cat, terminal_cat, unique_to_terminal_cat,
+    validate_internal_category, vertical_compose,
 )
 from intcat.fixtures import (
     CHAIN2, chain_cat, corpus, discrete_cat, divisor_lattice, poset_cat,
@@ -83,6 +84,52 @@ def test_restrict_cat_forces_no_table_of_its_original(make, monkeypatch):
     assert restricted.compose.validate() == []
     assert built == [restricted.source]     # its own pairs, none of ``a``
     assert "_composition" not in vars(a)
+
+
+@pytest.mark.parametrize("make", [
+    staged_chain3, lambda: divisor_lattice(12), staged_indiscrete, walking_idempotent,
+], ids=["staged_chain_three", "divisors_12", "staged_indiscrete", "walking_idempotent"])
+def test_restrict_cat_reads_the_indexes_of_its_original(make):
+    # one stage per element, each reading the original's index at p(d)
+    # rather than building a copy
+    a = make()
+    _, proj = elements_category(a.obj)
+    restricted = restrict_cat(proj, a)
+    ends = arrows_by_ends(restricted)
+    for d in proj.source.objects:
+        c = proj.on_obj[d]
+        assert ends[d] is arrows_by_ends(a)[c]
+        for o in restricted.obj.at(d):
+            into = arrows_at(restricted, d, o)
+            assert into == arrows_at(a, c, o)
+            assert not into or into is arrows_at(a, c, o)
+    assert is_thin(restricted) == is_thin(a)
+    assert restricted.source.source is restricted.arr
+    assert restricted.identity.source is restricted.obj
+
+
+def test_a_functor_whose_arrow_part_is_unread_equals_it_read():
+    c2 = chain_cat(2)
+    fns = enumerate_functors(c2, c2)
+    i = identity_functor(c2)
+    read = compose_functors(i, fns[1])
+    read.f1
+    assert type(read) is InternalFunctor
+    assert type(compose_functors(i, fns[1])) is not InternalFunctor
+    assert compose_functors(i, fns[1]) == read
+    assert read == compose_functors(i, fns[1])
+    assert repr(compose_functors(i, fns[1])) == repr(read)
+    assert repr(read).startswith("InternalFunctor(source_cat=")
+    assert InternalFunctor(c2, c2, fns[1].f0, lambda: fns[1].f1) == fns[1]
+    # an unread arrow part that differs is still told apart
+    assert InternalFunctor(c2, c2, fns[1].f0, lambda: fns[2].f1) != fns[1]
+    with pytest.raises(TypeError):
+        hash(compose_functors(i, fns[1]))
+    # the arrow parts' endpoints are checked when composed, on first read
+    wrong = InternalFunctor(c2, c2, i.f0, lambda: PresheafMap.identity(c2.obj))
+    lazy = compose_functors(i, wrong)
+    with pytest.raises(PreconditionError):
+        lazy.f1
 
 
 def one_object_monoid(square):

@@ -65,13 +65,16 @@ def test_fixture_report_digests_are_pinned():
 
 # Runs under ``python -O``, where every ``assert`` is stripped: the fixture
 # digests must not move, a certificate must still refuse a mediator for a
-# cone it does not hold, and a failed triangle identity must still stop the
-# limit functor and surface in a report as an engine error.
+# cone it does not hold, a comma over a non-thin target must still drop a
+# square that does not commute when its arrows are first read, and a failed
+# triangle identity must still stop the limit functor and surface in a
+# report as an engine error.
 OPTIMIZED_RUN = """
 import json, sys
 from pathlib import Path
 import intcat.limits as limits
-from intcat.fixtures import divisor_lattice
+from intcat.core import InternalCategory, identity_functor
+from intcat.fixtures import divisor_lattice, walking_parallel_pair
 from intcat.formats import parse_document
 from intcat.runner import run_document
 
@@ -90,6 +93,12 @@ try:
     d6.comp_at("pt", ("1", "2"), ("1", "3"))
 except Exception as err:
     out["comp_at"] = [type(err).__name__, str(err)]
+ident = identity_functor(walking_parallel_pair())
+comma = limits.comma_category(ident, ident).cat
+lazy = type(comma) is not InternalCategory
+one, id_1 = ("0", "1", "one"), ("1", "1", "id_1")
+out["comma"] = [lazy] + [(one, id_1, p, "id_1") in comma.arr.at("pt")
+                         for p in ("one", "two")]
 limits.adjunction_check = lambda *args: ["first triangle identity fails"]
 report = run_document(parse_document(doc))
 out["task"] = report["tasks"][-1]
@@ -114,6 +123,8 @@ def test_certificates_are_enforced_under_optimization():
     assert out["comp_at"] == [
         "PreconditionError",
         "(('1', '2'), ('1', '3')) is not a composable pair at stage 'pt'"]
+    # id_1 . two != id_1 . one: the square through "two" is dropped
+    assert out["comma"] == [True, True, False]
     task = out["task"]
     assert task["op"] == "limit-functor"
     assert task["outcome"] == "error"
@@ -267,6 +278,12 @@ LABELS_800 = " ".join(f"x{i}" for i in range(800))
 INDISCRETE_22 = "category A over f : indiscrete " + " ".join(f"x{i}" for i in range(22))
 
 
+def explicit_chain(n):
+    """A lattice declaring the chain x0 < ... < x(n-1) by its covering pairs."""
+    return (f"lattice L over f : {' '.join(f'x{i}' for i in range(n))} / "
+            + " ".join(f"x{i}<x{i + 1}" for i in range(n - 1)))
+
+
 @pytest.mark.parametrize("decl, arrows", [
     ("lattice L over f : divisors 300000000", 6075),
     ("lattice L over f : divisors 1000000000000000000000", 64009),
@@ -275,6 +292,8 @@ INDISCRETE_22 = "category A over f : indiscrete " + " ".join(f"x{i}" for i in ra
                  id="indiscrete-800"),
     pytest.param(f"{INDISCRETE_22}\ncategory P over f : product A A", 234256,
                  id="product-of-indiscrete-22"),
+    pytest.param(explicit_chain(128), 8256, id="explicit-chain-128"),
+    pytest.param(explicit_chain(512), 131328, id="explicit-chain-512"),
 ])
 def test_size_bound_refuses_before_building(decl, arrows):
     start = time.process_time()

@@ -8,7 +8,7 @@ from intcat.ambient import (
     IndexCategory, PreconditionError, PresheafMap, inverse, point_of, points,
 )
 from intcat.core import (
-    InternalFunctor, enumerate_functors, enumerate_nats, is_thin, product_cat,
+    InternalCategory, InternalFunctor, enumerate_functors, enumerate_nats, is_thin, product_cat,
     terminal_cat, validate_internal_category,
 )
 from intcat.functor_cat import (
@@ -203,8 +203,8 @@ def test_curry_refuses_a_functor_from_the_swapped_product():
 
 
 def test_diagonal_is_the_curried_projection():
-    # the diagonal skips the public checks, since its projection starts at
-    # the product by construction; it must still be the same transpose
+    # the diagonal is written from its target without building the
+    # product; it must still be the transpose of the product's projection
     for name, a in corpus():
         for shape_name, shape in default_shape_family(a.base):
             e = exponential_cat(shape, a)
@@ -266,7 +266,8 @@ def test_only_non_thin_targets_search_arrow_parts_and_transformations(
     # one search for object families per stage, then one for the arrow
     # parts of each object family, and, once the arrows are read, one for
     # the transformations of each pair of functors; over a thin target
-    # only the first
+    # only the first, and on every target the arrows part is built only
+    # when read
     found = []
 
     def counting(real):
@@ -282,16 +283,25 @@ def test_only_non_thin_targets_search_arrow_parts_and_transformations(
 
     for module in (functor_cat, core):
         monkeypatch.setattr(module, "family_solver", counting(module.family_solver))
+    # the families are chosen for arrow parts at once and for
+    # transformations on first read, thin target or not
+    chosen = []
+    monkeypatch.setattr(functor_cat, "arrow_families",
+                        lambda *args: chosen.append(args) or core.arrow_families(*args))
     b = target()
     assert is_thin(b) == thin
     stages = b.base.objects
     for _, shape in default_shape_family(b.base):
-        del found[:]
+        del found[:], chosen[:]
         cat = exponential_cat(shape, b).cat
+        assert len(chosen) == len(stages)
         objects = [n for cod, n in found if cod is b.obj]
         assert len(objects) == len(stages)
         assert len(found) - len(objects) == (0 if thin else sum(objects))
         del found[:]
+        assert type(cat) is not InternalCategory
         cat.arr
+        assert type(cat) is InternalCategory
+        assert len(chosen) == 2 * len(stages)
         assert len(found) == (0 if thin else
                               sum(len(cat.obj.at(c)) ** 2 for c in stages))

@@ -14,8 +14,8 @@ from intcat.ambient import (
     pullback, representable, stage_family,
 )
 from intcat.core import (
-    InternalFunctor, arrows_by_ends, compose_functors, discrete, enumerate_functors,
-    enumerate_nats, from_finite_category, identity_functor, identity_nat,
+    InternalCategory, InternalFunctor, arrows_by_ends, compose_functors, discrete,
+    enumerate_functors, enumerate_nats, from_finite_category, identity_functor, identity_nat,
     initial_cat, is_thin, make_internal_category, opposite, opposite_functor,
     restrict_functor, terminal_cat, unique_to_terminal_cat, validate_internal_category,
 )
@@ -499,6 +499,80 @@ def test_comma_of_identities_is_arrow_category():
     med = cm.mediate(identity_functor(c2), identity_functor(c2),
                      identity_nat(identity_functor(c2)))
     assert med.validate() == []
+
+
+def carriers_found(monkeypatch) -> list:
+    """The objects-objects of the category objects ``limits`` assembles,
+    each listed when its arrow carrier is found."""
+    found, real = [], limits.category_from_tables
+
+    def recording(obj, arr_carrier, *parts, **fibres):
+        def carrier():
+            found.append(obj)
+            return arr_carrier() if callable(arr_carrier) else arr_carrier
+        if not callable(arr_carrier):
+            found.append(obj)
+        return real(obj, carrier, *parts, **fibres)
+
+    monkeypatch.setattr(limits, "category_from_tables", recording)
+    return found
+
+
+@pytest.mark.parametrize("target", [
+    walking_parallel_pair, walking_idempotent, lambda: shape_parallel_pair(CHAIN2),
+], ids=["walking-parallel-pair", "walking-idempotent", "staged-parallel-pair"])
+def test_comma_squares_are_checked_when_the_arrows_are_first_read(target, monkeypatch):
+    # over a non-thin target the arrows of id/id are the commuting squares
+    # (o1, o2, p, q), in the order of o1, o2, p and q; they are found only
+    # when read, and a square whose composites differ is dropped
+    found = carriers_found(monkeypatch)
+    a = target()
+    assert not is_thin(a)
+    ident = identity_functor(a)
+    cm = comma_category(ident, ident)
+    assert found == []
+    assert type(cm.proj_left) is not InternalFunctor
+    squares, dropped = {}, 0
+    for c in a.base.objects:
+        arrows, objs = a.arr.at(c), cm.cat.obj.at(c)
+        quads = [(o1, o2, p, q) for o1 in objs for o2 in objs
+                 for p in arrows for q in arrows
+                 if (a.s_at(c, p), a.t_at(c, p)) == (o1[0], o2[0])
+                 and (a.s_at(c, q), a.t_at(c, q)) == (o1[1], o2[1])]
+        squares[c] = tuple(t for t in quads if a.comp_at(c, t[1][2], t[2]) ==
+                           a.comp_at(c, t[3], t[0][2]))
+        dropped += len(quads) - len(squares[c])
+    assert dropped > 0
+    assert {c: cm.cat.arr.at(c) for c in a.base.objects} == squares
+    assert found == [cm.cat.obj]
+    assert validate_internal_category(cm.cat) == []
+    assert cm.proj_left.validate() == [] and cm.proj_right.validate() == []
+    assert cm.square.validate() == []
+
+
+def test_the_aft_fiber_builds_no_comma_arrows_over_a_thin_target(monkeypatch):
+    # over a thin target every cone is read off the endpoint index, so the
+    # fiber limit and its image under R read only object parts
+    images = []
+
+    def recording(dg):
+        images.append(dg)
+        return limits.cones_category(dg)
+
+    monkeypatch.setattr(theorems, "cones_category", recording)
+    found = carriers_found(monkeypatch)
+    d12 = divisor_lattice(12)
+    adj = aft_left_adjoint(identity_functor(d12))
+    fiber = adj.certificate.diagram
+    assert all(obj is not fiber.source_cat.obj for obj in found)
+    assert type(fiber.source_cat) is not InternalCategory
+    assert type(fiber) is not InternalFunctor
+    [image] = images
+    assert image.source_cat is fiber.source_cat
+    assert type(image) is not InternalFunctor
+    # read afterwards, the comma and both diagrams are still lawful
+    assert validate_internal_category(fiber.source_cat) == []
+    assert fiber.validate() == [] and image.validate() == []
 
 
 # Category objects built by ``category_from_tables``, each with the
