@@ -781,7 +781,17 @@ def nat_is_iso(nt: InternalNatTrans) -> bool:
 
 def adjunction_check(l: InternalFunctor, r: InternalFunctor,
                      unit: InternalNatTrans, counit: InternalNatTrans) -> list[str]:
-    """Both triangle identities, as equalities of natural transformations."""
+    """Both triangle identities, component by component: at every stage c,
+    ``counit(l x) . l(unit x) = id(l x)`` for each object ``x`` of the
+    source of ``l``, and ``r(counit y) . unit(r y) = id(r y)`` for each
+    object ``y`` of the source of ``r``.
+
+    These are the components of ``(counit l) . (l unit) = 1_l`` and
+    ``(r counit) . (unit r) = 1_r``. Once the functor endpoints are right,
+    the whiskered composites have the right ends by associativity, so they
+    are not built; components whose presheaves do not meet, and a pair that
+    does not compose, raise ``PreconditionError`` as whiskering and
+    ``vertical_compose`` do."""
     out = []
     a, b = l.source_cat, l.target_cat
     if r.source_cat != b or r.target_cat != a:
@@ -792,11 +802,24 @@ def adjunction_check(l: InternalFunctor, r: InternalFunctor,
         out.append("counit endpoints are wrong")
     if out:
         return out
-    t1 = vertical_compose(whisker_left(counit, l), whisker_right(l, unit))
-    if t1.component != identity_nat(l).component:
+    if counit.component.source != l.f0.target or unit.component.target != l.f1.source:
+        raise PreconditionError("composition endpoint mismatch")
+    first = unit.component.source == l.f0.source
+    for c in b.base.objects:
+        units = unit.component.components[c]
+        first &= len(units) == len(l.f0.components[c])
+        for x, h in units.items():
+            lx = l.on_obj(c, x)
+            first &= b.comp_at(c, counit.at(c, lx), l.on_arr(c, h)) == b.id_at(c, lx)
+    if not first:
         out.append("first triangle identity fails")
-    t2 = vertical_compose(whisker_right(r, counit), whisker_left(unit, r))
-    if t2.component != identity_nat(r).component:
+    if counit.component.target != r.f1.source or unit.component.source != r.f0.target:
+        raise PreconditionError("composition endpoint mismatch")
+    second = True
+    for c in a.base.objects:
+        for y, ry in r.f0.components[c].items():
+            second &= a.comp_at(c, r.on_arr(c, counit.at(c, y)), unit.at(c, ry)) == a.id_at(c, ry)
+    if not second:
         out.append("second triangle identity fails")
     return out
 

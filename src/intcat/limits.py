@@ -30,7 +30,9 @@ diagram is an internal functor from its shape to its target.
 Cones form a discrete fibration over the diagram's target: each arrow into
 a cone's vertex lifts to exactly one arrow into the cone, so a cone
 category reads the arrows into a cone from its legs, and builds its arrows
-object, and its projection ``to_base``, only when read. A comma category
+object, and its projection ``to_base``, only when read. Over a thin target
+the lift of an arrow from ``x`` is the one cone at ``x``, so it is read by
+vertex, with no composite. A comma category
 likewise builds its arrows, and the arrow parts of its projections, only
 when read.
 
@@ -283,7 +285,12 @@ def _cone_category(dg: InternalFunctor) -> ConesCategory:
     composite of a leg with a shape arrow has the ends of the leg it must
     equal, as the laws of ``a`` guarantee, and arrows of ``a`` with the same
     ends are equal. Otherwise the solver searches the families of each
-    vertex and checks the cone condition on every complete one."""
+    vertex and checks the cone condition on every complete one.
+
+    The arrows into a cone lift those into its vertex. Over a thin target
+    the lift of ``p : x -> v`` is the one cone at ``x``, whose legs have
+    the ends of the composites ``gamma p``; otherwise each lift is composed
+    leg by leg and looked up among the cones."""
     a, d = dg.target_cat, dg.source_cat
     base = a.base
     by_ends = arrows_by_ends(a)
@@ -320,17 +327,31 @@ def _cone_category(dg: InternalFunctor) -> ConesCategory:
     # Cones form a discrete fibration over ``a``: an arrow p : v1 -> v of
     # ``a`` lifts to exactly one arrow into the cone (v, gamma), from the
     # cone (v1, gamma p). So the arrows into a cone are read from its legs,
-    # one composite per leg and arrow, without building the others.
+    # without building the others: over a thin target (v1, gamma p) is the
+    # one cone at v1, otherwise it is composed leg by leg and looked up.
     position = {c: {o: i for i, o in enumerate(obj_carrier[c])}
                 for c in base.objects}
     act, src = a.arr.action, base.src
     fibres = {}
+    if thin:
+        cone_of = {c: {o[0]: o for o in obj_carrier[c]} for c in base.objects}
 
     def fibre(c, o):
         got = fibres.get((c, o))
         if got is not None:
             return got
         v, gamma = o
+        if thin:
+            cones, ends, got = cone_of[c], by_ends[c], {}
+            for x in a.obj.at(c):
+                p = ends.get((x, v))
+                if p is not None:
+                    far = cones.get(x)
+                    if far is None:
+                        raise CertificateError(f"lift of {p[0]!r} at {c!r} is not among the cones")
+                    got[far] = ((far, o, p[0]),)
+            fibres[(c, o)] = got
+            return got
         legs = gamma[1]
         here = position[c]
         groups = {}

@@ -1,5 +1,6 @@
 """Category objects, functors between them, and their dualities."""
 
+import itertools
 import re
 import time
 
@@ -17,13 +18,14 @@ from intcat.core import (
     horizontal_compose, identity_functor, identity_nat, indiscrete, initial_cat,
     is_thin, make_internal_category, nat_is_iso, opposite, points_of_cat,
     product_cat, restrict_cat, terminal_cat, unique_to_terminal_cat,
-    validate_internal_category, vertical_compose,
+    validate_internal_category, vertical_compose, whisker_left, whisker_right,
 )
 from intcat.fixtures import (
     CHAIN2, chain_cat, corpus, discrete_cat, divisor_lattice, poset_cat,
     staged_chain3, staged_indiscrete, walking_idempotent,
 )
-from intcat.limits import cones_category, shape_two
+from intcat.limits import cones_category, limit_functor, shape_two
+from intcat.theorems import aft_left_adjoint
 
 FIN = IndexCategory.finset()
 
@@ -445,6 +447,149 @@ def test_adjunction_check_rejects_wrong_unit():
            for nt in enumerate_nats(i, compose_functors(i, const0))
            for nt2 in enumerate_nats(compose_functors(const0, i), i)]
     assert not any(bad)
+
+
+def whiskered_triangles(l, r, unit, counit):
+    """The reference for ``adjunction_check``: the triangle identities as
+    equalities of natural transformations, the whiskered and vertically
+    composed 2-cells compared with the identities on ``l`` and ``r``."""
+    out = []
+    a, b = l.source_cat, l.target_cat
+    if r.source_cat != b or r.target_cat != a:
+        return ["functors are not opposed"]
+    if unit.source != identity_functor(a) or unit.target != compose_functors(r, l):
+        out.append("unit endpoints are wrong")
+    if counit.source != compose_functors(l, r) or counit.target != identity_functor(b):
+        out.append("counit endpoints are wrong")
+    if out:
+        return out
+    t1 = vertical_compose(whisker_left(counit, l), whisker_right(l, unit))
+    if t1.component != identity_nat(l).component:
+        out.append("first triangle identity fails")
+    t2 = vertical_compose(whisker_right(r, counit), whisker_left(unit, r))
+    if t2.component != identity_nat(r).component:
+        out.append("second triangle identity fails")
+    return out
+
+
+def outcome(check, *args):
+    """The list ``check`` returns, or the type and message it raises."""
+    try:
+        return check(*args)
+    except Exception as err:
+        return type(err).__name__, str(err)
+
+
+def point_functor(a, pick):
+    """The functor from the one-object category picking ``pick(c)`` at
+    each stage c; a functor only when the picks are natural, which the
+    triangle checks do not read."""
+    t = terminal_cat(a.base)
+    stages = a.base.objects
+    return InternalFunctor(
+        t, a, PresheafMap(t.obj, a.obj, {c: {"*": pick(c)} for c in stages}),
+        PresheafMap(t.arr, a.arr, {c: {"*": a.id_at(c, pick(c))} for c in stages}))
+
+
+def some_arrow(a, c, x, y):
+    """An arrow x -> y of ``a`` at stage c, or the identity on x."""
+    return arrows_by_ends(a)[c].get((x, y), (a.id_at(c, x),))[0]
+
+
+def adjunction_cases():
+    """(name, l, r, unit table, counit table): identity adjunctions on the
+    corpus, the adjunctions between a category and the one-object category
+    through a picked object, limit functors and AFT constructions."""
+    for name, a in corpus():
+        ids = {c: {x: a.id_at(c, x) for x in a.obj.at(c)} for c in a.base.objects}
+        yield f"{name}/identity", identity_functor(a), identity_functor(a), ids, ids
+    for name, a in (("walking_idempotent", walking_idempotent()),
+                    ("staged_chain_three", staged_chain3()),
+                    ("staged_indiscrete", staged_indiscrete()),
+                    ("chain_three", chain_cat(3))):
+        def pick(c, a=a):
+            return a.obj.at(c)[0]
+        point, bang = point_functor(a, pick), unique_to_terminal_cat(a)
+        stars = {c: {"*": "*"} for c in a.base.objects}
+        yield (f"{name}/point-left", point, bang, stars,
+               {c: {x: some_arrow(a, c, pick(c), x) for x in a.obj.at(c)}
+                for c in a.base.objects})
+        yield (f"{name}/point-right", bang, point,
+               {c: {x: some_arrow(a, c, x, pick(c)) for x in a.obj.at(c)}
+                for c in a.base.objects}, stars)
+    for name, a in (("divisors_six", divisor_lattice(6)), ("chain_two", chain_cat(2))):
+        res = limit_functor(a, shape_two(a.base))
+        yield (f"{name}/limit-functor", res.diagonal, res.functor,
+               res.unit.component.components, res.counit.component.components)
+    for name, r in (("divisors_six", identity_functor(divisor_lattice(6))),
+                    ("staged_chain_three", identity_functor(staged_chain3())),
+                    ("chain_three", unique_to_terminal_cat(chain_cat(3)))):
+        adj = aft_left_adjoint(r)
+        yield (f"{name}/aft", adj.left, adj.right,
+               adj.unit.component.components, adj.counit.component.components)
+
+
+def changes(table, cat, per_object=3):
+    """Single changes ``(c, x, h)`` of ``table``: another arrow ``h`` of
+    stage c for the component at ``x``, for every stage and object and a
+    spread of ``per_object`` arrows."""
+    for c, comps in table.items():
+        arrows = cat.arr.at(c)
+        for x, was in comps.items():
+            yield from ((c, x, h) for h in arrows[::max(1, len(arrows) // per_object)]
+                        if h != was)
+
+
+def changed(table, *edits):
+    """``table`` with the components at ``(c, x)`` replaced by ``h``, or
+    dropped where ``h`` is None."""
+    out = {c: dict(comps) for c, comps in table.items()}
+    for c, x, h in edits:
+        if h is None:
+            del out[c][x]
+        else:
+            out[c][x] = h
+    return out
+
+
+def test_componentwise_triangles_agree_with_the_whiskered_reference(monkeypatch):
+    # one change of a component, a change of each (a failure may come
+    # before a pair that does not compose), a dropped component, and
+    # components and functors with the wrong ends; the check itself builds
+    # no whiskered or vertical composite
+    def unused(*args):
+        raise AssertionError("adjunction_check built a 2-cell composite")
+    for name in ("whisker_left", "whisker_right", "vertical_compose"):
+        monkeypatch.setattr(core, name, unused)
+    seen = {}
+    for name, l, r, unit, counit in adjunction_cases():
+        a, b = l.source_cat, l.target_cat
+
+        def pair(u, k, u_target=a.arr):
+            return (core.InternalNatTrans(identity_functor(a), compose_functors(r, l),
+                                          PresheafMap(a.obj, u_target, u)),
+                    core.InternalNatTrans(compose_functors(l, r), identity_functor(b),
+                                          PresheafMap(b.obj, b.arr, k)))
+
+        on_unit, on_counit = list(changes(unit, a)), list(changes(counit, b))
+        cases = [pair(unit, counit), pair(unit, counit, a.obj), pair(counit, unit)[::-1]]
+        cases += [pair(changed(unit, e), counit) for e in on_unit]
+        cases += [pair(unit, changed(counit, e)) for e in on_counit]
+        cases += [pair(changed(unit, e1), changed(counit, e2))
+                  for e1, e2 in itertools.product(on_unit[:20], on_counit[:20])]
+        cases += [pair(changed(unit, (c, x, None)), counit) for c in unit for x in unit[c]]
+        for eta, eps in cases:
+            want = outcome(whiskered_triangles, l, r, eta, eps)
+            assert outcome(adjunction_check, l, r, eta, eps) == want, name
+            seen.setdefault(repr(want), name)
+        if a != b:
+            assert adjunction_check(l, l, *pair(unit, counit)) == ["functors are not opposed"]
+    assert {"[]", "['first triangle identity fails']", "['second triangle identity fails']",
+            "['first triangle identity fails', 'second triangle identity fails']",
+            "['unit endpoints are wrong', 'counit endpoints are wrong']",
+            "('PreconditionError', 'composition endpoint mismatch')"} <= seen.keys()
+    assert any(want.startswith("('PreconditionError', \"(") for want in seen)
+    assert any(want.startswith("('KeyError'") for want in seen)
 
 
 @settings(max_examples=20, deadline=None)

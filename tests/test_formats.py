@@ -73,8 +73,8 @@ OPTIMIZED_RUN = """
 import json, sys
 from pathlib import Path
 import intcat.limits as limits
-from intcat.core import InternalCategory, identity_functor
-from intcat.fixtures import divisor_lattice, walking_parallel_pair
+from intcat.core import InternalCategory, arrows_at, enumerate_functors, identity_functor
+from intcat.fixtures import divisor_lattice, walking_idempotent, walking_parallel_pair
 from intcat.formats import parse_document
 from intcat.runner import run_document
 
@@ -99,6 +99,25 @@ lazy = type(comma) is not InternalCategory
 one, id_1 = ("0", "1", "one"), ("1", "1", "id_1")
 out["comma"] = [lazy] + [(one, id_1, p, "id_1") in comma.arr.at("pt")
                          for p in ("one", "two")]
+w = walking_idempotent()
+ids = {c: {x: w.id_at(c, x) for x in w.obj.at(c)} for c in w.base.objects}
+idempotent = {c: {x: "e" for x in w.obj.at(c)} for c in w.base.objects}
+try:
+    limits.certified_adjunction(identity_functor(w), identity_functor(w), ids,
+                                idempotent, "probe")
+except Exception as err:
+    out["triangles"] = [type(err).__name__, str(err)]
+thin_cones = limits._thin_cones
+limits._thin_cones = lambda dg, c: thin_cones(dg, c)[1:]
+d12 = divisor_lattice(12)
+dg = next(dg for dg in enumerate_functors(limits.shape_two(d12.base), d12)
+          if dg.f0.components["pt"] == {"0": "4", "1": "6"})
+cones = limits.cones_category(dg).cat
+try:
+    arrows_at(cones, "pt", cones.obj.at("pt")[0])
+except Exception as err:
+    out["lift"] = [type(err).__name__, str(err)]
+limits._thin_cones = thin_cones
 limits.adjunction_check = lambda *args: ["first triangle identity fails"]
 report = run_document(parse_document(doc))
 out["task"] = report["tasks"][-1]
@@ -125,6 +144,14 @@ def test_certificates_are_enforced_under_optimization():
         "(('1', '2'), ('1', '3')) is not a composable pair at stage 'pt'"]
     # id_1 . two != id_1 . one: the square through "two" is dropped
     assert out["comma"] == [True, True, False]
+    # e is idempotent, so the counit with every component e is natural but
+    # breaks both triangles; the cones over {4, 6} without the one at 1
+    # leave the arrow 1 -> 2 without a lift
+    assert out["triangles"] == [
+        "CertificateError",
+        "probe: ['first triangle identity fails', 'second triangle identity fails']"]
+    assert out["lift"] == [
+        "CertificateError", "lift of ('1', '2') at 'pt' is not among the cones"]
     task = out["task"]
     assert task["op"] == "limit-functor"
     assert task["outcome"] == "error"

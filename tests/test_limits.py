@@ -14,7 +14,7 @@ from intcat.ambient import (
     pullback, representable, stage_family,
 )
 from intcat.core import (
-    InternalCategory, InternalFunctor, arrows_by_ends, compose_functors, discrete,
+    InternalCategory, InternalFunctor, arrows_at, arrows_by_ends, compose_functors, discrete,
     enumerate_functors, enumerate_nats, from_finite_category, identity_functor, identity_nat,
     initial_cat, is_thin, make_internal_category, opposite, opposite_functor,
     restrict_functor, terminal_cat, unique_to_terminal_cat, validate_internal_category,
@@ -296,6 +296,67 @@ def test_thin_targets_read_the_carriers_the_solver_finds(monkeypatch):
     assert len(fixtures) == len(corpus()) - 2 and len(read) > 700
 
 
+def verdict(res):
+    """A refusal, or a certificate's kind, point and unique arrows in order."""
+    if isinstance(res, Refusal):
+        return res
+    return (res.kind, res.point.components,
+            [(c, list(arrows.items())) for c, arrows in res.unique_table.items()])
+
+
+def thin_cone_fibres(monkeypatch):
+    """For every cone and cocone category of a diagram from the default
+    shapes into a thin corpus fixture, by name: the arrows into and out of
+    each object, grouped as ``arrows_at`` reads them, in order, and the
+    terminality (for cocones, initiality) verdict at every global point;
+    and the number of composites made while reading them."""
+    composed, reading = [0], [False]
+    real = InternalCategory.comp_at
+
+    def counted(self, c, g, f):
+        composed[0] += reading[0]
+        return real(self, c, g, f)
+
+    monkeypatch.setattr(InternalCategory, "comp_at", counted)
+    out = {}
+    for name, a in corpus():
+        if not is_thin(a):
+            continue
+        for shape_name, shape in default_shape_family(a.base):
+            for n, dg in enumerate(enumerate_functors(shape, a)):
+                for build, decide in ((cones_category, is_internal_terminal),
+                                      (cocones_category, is_internal_initial)):
+                    cat = build(dg).cat
+                    reading[0] = True
+                    fibres = [(c, o, list(arrows_at(cat, c, o).items()),
+                               list(arrows_at(opposite(cat), c, o).items()))
+                              for c in cat.base.objects for o in cat.obj.at(c)]
+                    verdicts = [verdict(decide(cat, v)) for v in points(cat.obj)]
+                    reading[0] = False
+                    out[f"{name}/{shape_name}/{n}/{build.__name__}"] = (fibres, verdicts)
+    monkeypatch.setattr(InternalCategory, "comp_at", real)
+    return out, composed[0]
+
+
+def test_thin_fibres_are_the_lifted_fibres(monkeypatch):
+    # over a thin target the lift of p : x -> v into a cone at v is read as
+    # the one cone at x, with no composite; the solver path composes each
+    # lift leg by leg and looks it up. Groups, their order and the verdicts
+    # they give agree.
+    read, composed = thin_cone_fibres(monkeypatch)
+    assert composed == 0
+    monkeypatch.setattr(limits, "is_thin", lambda b: False)
+    lifted, composed = thin_cone_fibres(monkeypatch)
+    assert composed > 1000
+    assert read.keys() == lifted.keys()
+    for name in read:
+        assert read[name] == lifted[name], name
+    groups = [len(g) for fibres, _ in read.values() for *_, into, out in fibres
+              for g in (into, out)]
+    assert len(read) > 600 and max(groups) > 2
+    assert {type(v) for _, verdicts in read.values() for v in verdicts} == {Refusal, tuple}
+
+
 @pytest.mark.parametrize("target, thin", [
     (walking_parallel_pair, False),
     (walking_idempotent, False),
@@ -380,14 +441,22 @@ def test_universal_search_refuses_a_category_it_was_not_asked_about(search, buil
 def test_a_lift_missing_from_the_cones_is_a_certificate_error(monkeypatch):
     # the cones over {4, 6} have vertices 1 and 2; without the one at 1 the
     # arrow 1 -> 2 lifts to no arrow into the cone at 2. The divisors are
-    # thin, so the cone is dropped where the thin carrier is read.
+    # thin, so the cone is dropped where the thin carrier is read, and the
+    # fibre, read by vertex, finds no cone at 1.
     real = limits._thin_cones
     monkeypatch.setattr(limits, "_thin_cones", lambda dg, c: real(dg, c)[1:])
-    dg = diagram_two(divisor_lattice(12), "4", "6")
+    d12 = divisor_lattice(12)
+    dg = diagram_two(d12, "4", "6")
     cns = cones_category(dg)
+    assert is_thin(d12)
     assert [cns.vertex_of(o) for o in cns.cat.obj.at("pt")] == ["2"]
-    with pytest.raises(limits.CertificateError, match="lift of"):
+    message = "lift of ('1', '2') at 'pt' is not among the cones"
+    with pytest.raises(limits.CertificateError) as exc:
+        arrows_at(cns.cat, "pt", cns.cat.obj.at("pt")[0])
+    assert str(exc.value) == message
+    with pytest.raises(limits.CertificateError) as exc:
         universal_cone(dg, cns)
+    assert str(exc.value) == message
 
 
 def object_diagram(target, x):
