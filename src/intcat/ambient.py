@@ -588,7 +588,11 @@ def stage_family(base: IndexCategory, c, dom: Presheaf, value: Callable) -> tupl
 
 
 def shift_family(base: IndexCategory, w, dom: Presheaf, label) -> tuple:
-    """Reindex a family at stage ``tgt w`` along ``w`` by precomposition."""
+    """Reindex a family at stage ``tgt w`` along ``w`` by precomposition.
+    Along an identity that is ``label`` itself: a presheaf acts by the
+    identity there, and labels list their keys in canonical order."""
+    if base.is_identity(w):
+        return label
     table = fam_dict(label)
     return stage_family(base, base.src[w], dom,
                         lambda u, x: table[(base.comp(w, u), x)])

@@ -52,7 +52,9 @@ reindexings; ``transport_certificate`` rebuilds the cone category over the
 new base with the solver and decides the moved cone again from scratch.
 ``mediated_functor`` reads a functor off one limit certified over the
 elements of its source's objects (vertices, and mediators of the cones
-its arrows induce, so nothing is transported), and every adjunction goes
+its arrows induce, so nothing is transported); over a thin target each
+such cone is the one cone at its vertex, so its mediator is read by
+vertex and no leg family is built. Every adjunction goes
 through ``certified_adjunction``, which builds the unit and counit from
 their tables and certifies both triangle identities. Failures are
 returned as ``Refusal`` values naming the stage and element that obstruct.
@@ -171,11 +173,16 @@ class ConesCategory:
     cocone arrow from ``o1`` to ``o2`` is ``(o2, o1, p)``, the cone arrow it
     is in the opposite. ``to_base`` projects onto the diagram's target; it
     and the arrows part of ``cat`` are built on first read.
+
+    ``cone_of`` is kept for cones over a thin target only: per stage, the
+    one cone at each vertex that has one (``None`` otherwise, and ignored
+    by ``==``).
     """
 
     kind: str                   # "cones" or "cocones"
     diagram: InternalFunctor
     cat: InternalCategory
+    cone_of: Optional[dict] = field(default=None, compare=False)
 
     @cached_property
     def to_base(self) -> InternalFunctor:
@@ -333,8 +340,8 @@ def _cone_category(dg: InternalFunctor) -> ConesCategory:
                 for c in base.objects}
     act, src = a.arr.action, base.src
     fibres = {}
-    if thin:
-        cone_of = {c: {o[0]: o for o in obj_carrier[c]} for c in base.objects}
+    cone_of = ({c: {o[0]: o for o in obj_carrier[c]} for c in base.objects}
+               if thin else None)
 
     def fibre(c, o):
         got = fibres.get((c, o))
@@ -375,13 +382,8 @@ def _cone_category(dg: InternalFunctor) -> ConesCategory:
             out[c] = tuple(sorted(arrows, key=lambda h: (here[h[0]], here[h[1]])))
         return out
 
-    def shift_obj(w, o):
-        if w == base.identity[base.tgt[w]]:
-            return o
-        v, gamma = o
-        return (a.obj.action[w][v], shift_family(base, w, d.obj, gamma))
-
-    obj_action = {w: {o: shift_obj(w, o) for o in obj_carrier[base.tgt[w]]}
+    obj_action = {w: {(v, gamma): (a.obj.action[w][v], shift_family(base, w, d.obj, gamma))
+                      for v, gamma in obj_carrier[base.tgt[w]]}
                   for w in base.arrows}
     cat = category_from_tables(
         Presheaf(base, obj_carrier, obj_action), arr_carrier,
@@ -389,7 +391,7 @@ def _cone_category(dg: InternalFunctor) -> ConesCategory:
         lambda c, o: (a.id_at(c, o[0]),),
         lambda c, g, f: (a.comp_at(c, g[2], f[2]),),
         fibres=fibre)
-    return ConesCategory("cones", dg, cat)
+    return ConesCategory("cones", dg, cat, cone_of)
 
 
 def cones_category(dg: InternalFunctor) -> ConesCategory:
@@ -539,6 +541,9 @@ class UniversalCertificate:
     the arrows object is built from it on first read. Inside a cone
     category, ``diagram`` is its diagram and ``candidate`` the point decoded
     as a Cone or Cocone, on first read; both are None otherwise.
+    ``mediator_at`` reads the mediator of a cone object, and
+    ``mediator_from`` that of the cone with a vertex and legs, by vertex
+    over a thin target.
     """
 
     kind: str                    # "terminal" | "initial" | "limit" | "colimit"
@@ -575,6 +580,16 @@ class UniversalCertificate:
             raise CertificateError(
                 f"{o!r} is not an object of the certified category at stage {c!r}")
         return arrow[2]
+
+    def mediator_from(self, c, vertex, legs):
+        """``mediator_at`` the cone at stage ``c`` with this vertex and the
+        leg function ``legs()``, whose legs must have the ends of a cone.
+        Over a thin target that cone is the one cone at ``vertex``, read
+        by vertex without calling ``legs``; otherwise (or when the stage
+        or the vertex has none) it is built with ``cone_at``."""
+        cones = self.cones
+        o = (cones.cone_of or {}).get(c, {}).get(vertex)
+        return self.mediator_at(c, cones.cone_at(c, vertex, legs()) if o is None else o)
 
     def __repr__(self):
         fields = ("kind", "subject", "point", "unique_arrow", "candidate",
@@ -833,12 +848,17 @@ def mediated_functor(cert: UniversalCertificate, idx: InternalCategory,
     elements of ``idx.obj``: an object ``x`` at stage ``c`` goes to the
     vertex certified at ``(c, x)``, an arrow ``t`` to the mediator, at
     ``(c, target t)``, of the cone from the vertex of ``source t`` with
-    the leg function ``legs(c, t)``."""
+    the leg function ``legs(c, t)``. The mediator is read by
+    ``UniversalCertificate.mediator_from``, so over a thin target it is
+    read by vertex and ``legs`` is never called. A certificate other than
+    a limit with its cone category is refused."""
+    if cert.cones is None or cert.kind != "limit":
+        raise PreconditionError("certificate is not a limit with a cone category")
     base, cns = idx.base, cert.cones
     f0 = {c: {x: cns.vertex_of(cert.object_at((c, x))) for x in idx.obj.at(c)}
           for c in base.objects}
-    f1 = {c: {t: cert.mediator_at(at := (c, idx.t_at(c, t)),
-                                  cns.cone_at(at, f0[c][idx.s_at(c, t)], legs(c, t)))
+    f1 = {c: {t: cert.mediator_from((c, idx.t_at(c, t)), f0[c][idx.s_at(c, t)],
+                                    lambda: legs(c, t))
               for t in idx.arr.at(c)} for c in base.objects}
     return InternalFunctor(idx, tgt, PresheafMap(idx.obj, tgt.obj, f0),
                            PresheafMap(idx.arr, tgt.arr, f1))
@@ -907,9 +927,8 @@ def limit_functor(a: InternalCategory, shape: InternalCategory) -> LimitFunctorR
     # Unit: mediate the identity cone on each object x, a cone over the
     # constant functor on x at the site stage (c, delta x).
     def unit_at(c, x):
-        stage = (c, delta.f0.components[c][x])
-        return cert.mediator_at(stage, cns.cone_at(
-            stage, x, lambda w, d: a.id_at(src[w][0], a.obj.action[w[0]][x])))
+        return cert.mediator_from((c, delta.f0.components[c][x]), x, lambda: (
+            lambda w, d: a.id_at(src[w][0], a.obj.action[w[0]][x])))
 
     # Counit: the universal cone itself, one transformation element per
     # functor element.

@@ -394,8 +394,7 @@ def aft_left_adjoint(r: InternalFunctor) -> AdjointConstruction:
 
     # Unit: mediate the tautological cone whose legs are the comma arrows
     # themselves.
-    eta = {c: {x: rres.mediator_at((c, x), rres.cones.cone_at(
-                   (c, x), x, lambda w, sig: sig[2]))
+    eta = {c: {x: rres.mediator_from((c, x), x, lambda: lambda w, sig: sig[2])
                for x in a.obj.at(c)}
            for c in base.objects}
 

@@ -118,6 +118,12 @@ try:
 except Exception as err:
     out["lift"] = [type(err).__name__, str(err)]
 limits._thin_cones = thin_cones
+meet = limits.certified_limit(dg)
+legs = meet.cones.legs_of(meet.object_at("pt"))
+try:
+    meet.mediator_from("pt", "12", lambda: lambda u, x: legs[(u, x)])
+except Exception as err:
+    out["vertex"] = [type(err).__name__, str(err)]
 limits.adjunction_check = lambda *args: ["first triangle identity fails"]
 report = run_document(parse_document(doc))
 out["task"] = report["tasks"][-1]
@@ -152,6 +158,12 @@ def test_certificates_are_enforced_under_optimization():
         "probe: ['first triangle identity fails', 'second triangle identity fails']"]
     assert out["lift"] == [
         "CertificateError", "lift of ('1', '2') at 'pt' is not among the cones"]
+    # 12 is no vertex of a cone over {4, 6}: the reader by vertex builds the
+    # cone from the legs of the meet and refuses it
+    assert out["vertex"] == [
+        "CertificateError",
+        "('12', ('fam', ((('id_pt', '0'), ('2', '4')), (('id_pt', '1'), ('2', '6')))))"
+        " is not an object of the certified category at stage 'pt'"]
     task = out["task"]
     assert task["op"] == "limit-functor"
     assert task["outcome"] == "error"

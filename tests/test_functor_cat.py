@@ -6,6 +6,7 @@ import intcat.core as core
 import intcat.functor_cat as functor_cat
 from intcat.ambient import (
     IndexCategory, PreconditionError, PresheafMap, inverse, point_of, points,
+    shift_family, stage_family,
 )
 from intcat.core import (
     InternalCategory, InternalFunctor, enumerate_functors, enumerate_nats, is_thin, product_cat,
@@ -20,7 +21,8 @@ from intcat.fixtures import (
     staged_discrete, staged_indiscrete, staged_set, walking_idempotent,
     walking_parallel_pair,
 )
-from intcat.limits import shape_parallel_pair
+from intcat.labels import fam_dict
+from intcat.limits import cocones_category, cones_category, shape_parallel_pair
 from intcat.theorems import default_shape_family
 
 FIN = IndexCategory.finset()
@@ -305,3 +307,40 @@ def test_only_non_thin_targets_search_arrow_parts_and_transformations(
         assert len(chosen) == 2 * len(stages)
         assert len(found) == (0 if thin else
                               sum(len(cat.obj.at(c)) ** 2 for c in stages))
+
+
+def precomposed(base, w, dom, label):
+    """The family ``label`` moved along ``w`` and encoded again, entry by
+    entry, by precomposition: ``shift_family`` along every arrow before
+    it returned a label moved along an identity unchanged."""
+    table = fam_dict(label)
+    return stage_family(base, base.src[w], dom, lambda u, x: table[(base.comp(w, u), x)])
+
+
+def test_reindexing_along_an_identity_returns_the_family():
+    # a presheaf acts by the identity along identities and labels list
+    # their keys in canonical order, so the re-encoding is the label itself
+    seen = {"exponential": 0, "cones": 0}
+    for _, a in corpus():
+        base = a.base
+        if len(base.objects) < 2:
+            continue
+        for _, shape in default_shape_family(base):
+            e = exponential_cat(shape, a)
+            labels = [(c, "exponential", dom, phi)
+                      for c in base.objects for el in e.cat.obj.at(c)
+                      for dom, phi in zip((shape.obj, shape.arr), el)]
+            for dg in enumerate_functors(shape, a):
+                for build in (cones_category, cocones_category):
+                    labels += [(c, "cones", shape.obj, gamma) for c in base.objects
+                               for _, gamma in build(dg).cat.obj.at(c)]
+            for c, kind, dom, label in labels:
+                i = base.identity[c]
+                assert shift_family(base, i, dom, label) is label
+                assert precomposed(base, i, dom, label) == label
+                seen[kind] += 1
+            for c in base.objects:
+                i = base.identity[c]
+                for part in (e.cat.obj, e.cat.arr):
+                    assert part.action[i] == {x: x for x in part.at(c)}
+    assert seen["exponential"] > 100 and seen["cones"] > 100

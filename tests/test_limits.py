@@ -357,6 +357,85 @@ def test_thin_fibres_are_the_lifted_fibres(monkeypatch):
     assert {type(v) for _, verdicts in read.values() for v in verdicts} == {Refusal, tuple}
 
 
+def adjoint_tables(build):
+    """The arrow part, unit and counit components of the adjoint ``build``
+    makes, or the refusal that stops it."""
+    try:
+        res = build()
+    except limits.RefusalError as err:
+        return err.refusal
+    fn = res.functor if isinstance(res, limits.LimitFunctorResult) else res.left
+    return (fn.f1.components, res.unit.component.components,
+            res.counit.component.components)
+
+
+def thin_mediated_adjoints(monkeypatch):
+    """For every thin corpus fixture, by name: ``adjoint_tables`` of its
+    limit functor over each default shape and of the AFT left adjoints of
+    its identity and of its functor to the one-object category; and the
+    ``cone_at`` calls and ``legs`` callbacks made for mediators, which
+    leaves out the image cone that ``_image_limit`` certifies."""
+    calls = {"cone_at": 0, "legs": 0}
+    imaging = [False]
+    real_cone_at, real_from = ConesCategory.cone_at, UniversalCertificate.mediator_from
+    real_image, real_mediated = theorems._image_limit, limits.mediated_functor
+
+    def counted(legs):
+        def called(*args):
+            calls["legs"] += 1
+            return legs(*args)
+        return called
+
+    def cone_at(self, c, vertex, leg):
+        calls["cone_at"] += not imaging[0]
+        return real_cone_at(self, c, vertex, leg)
+
+    def image_limit(fn, cert):
+        imaging[0] = True
+        try:
+            return real_image(fn, cert)
+        finally:
+            imaging[0] = False
+
+    monkeypatch.setattr(ConesCategory, "cone_at", cone_at)
+    monkeypatch.setattr(UniversalCertificate, "mediator_from",
+                        lambda self, c, vertex, legs: real_from(self, c, vertex, counted(legs)))
+    monkeypatch.setattr(theorems, "_image_limit", image_limit)
+    for module in (limits, theorems):
+        monkeypatch.setattr(module, "mediated_functor",
+                            lambda cert, idx, tgt, legs: real_mediated(cert, idx, tgt,
+                                                                       counted(legs)))
+    out = {}
+    for name, a in corpus():
+        if not is_thin(a):
+            continue
+        for shape_name, shape in default_shape_family(a.base):
+            out[f"{name}/limit/{shape_name}"] = adjoint_tables(
+                lambda: limit_functor(a, shape))
+        for r_name, r in (("identity", identity_functor(a)),
+                          ("to-one", unique_to_terminal_cat(a))):
+            out[f"{name}/aft/{r_name}"] = adjoint_tables(lambda: aft_left_adjoint(r))
+    return out, calls
+
+
+def test_mediators_by_vertex_are_the_built_ones(monkeypatch):
+    # over a thin target a vertex has at most one cone, so the mediator is
+    # read by vertex, with no cone built and no leg asked for; the solver
+    # path builds each cone from its legs and looks it up
+    read, calls = thin_mediated_adjoints(monkeypatch)
+    assert calls == {"cone_at": 0, "legs": 0}
+    monkeypatch.setattr(limits, "is_thin", lambda b: False)
+    built, calls = thin_mediated_adjoints(monkeypatch)
+    assert calls["cone_at"] > 100 and calls["legs"] > 100
+    assert read.keys() == built.keys()
+    for name in read:
+        assert read[name] == built[name], name
+    staged = [name for name, tables in read.items()
+              if name.startswith("staged") and type(tables) is tuple]
+    assert sum(type(tables) is tuple for tables in read.values()) > 80 and len(staged) > 10
+    assert any(type(tables) is Refusal for tables in read.values())
+
+
 @pytest.mark.parametrize("target, thin", [
     (walking_parallel_pair, False),
     (walking_idempotent, False),
@@ -519,6 +598,29 @@ def test_mediator_of_a_cone_outside_the_certificate_is_refused(stage, vertex):
         cert.mediator_at(stage, cone)
     assert str(exc.value) == (f"{cone!r} is not an object of the certified "
                               f"category at stage {stage!r}")
+    # the reader by vertex finds no cone there either, so it builds the
+    # cone from its legs and is refused with the same message
+    assert cert.cones.cone_of is not None
+    built = cert.cones.cone_at(stage, vertex, lambda u, x: legs[(u, x)])
+    with pytest.raises(limits.CertificateError) as exc:
+        cert.mediator_from(stage, vertex, lambda: lambda u, x: legs[(u, x)])
+    assert str(exc.value) == (f"{built!r} is not an object of the certified "
+                              f"category at stage {stage!r}")
+
+
+@pytest.mark.parametrize("certify", [
+    lambda d6: next(res for p in points(d6.obj)
+                    if not isinstance(res := is_internal_terminal(d6, p), Refusal)),
+    lambda d6: universal_cocone(diagram_two(d6, "2", "3")),
+], ids=["terminal", "colimit"])
+def test_mediated_functor_reads_limit_certificates_only(certify):
+    # a plain terminality certificate carries no cones, and a colimit's
+    # unique arrows leave the certified point
+    d6 = divisor_lattice(6)
+    cert = certify(d6)
+    with pytest.raises(PreconditionError) as exc:
+        limits.mediated_functor(cert, d6, d6, lambda c, t: None)
+    assert str(exc.value) == "certificate is not a limit with a cone category"
 
 
 def test_indexed_cone_factorization_batches_mediators():
