@@ -23,13 +23,11 @@ from .ambient import (
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
     arrows_at, arrows_by_ends, compose_functors, dis_u_ind_adjunctions, discrete,
-    enumerate_functors, enumerate_nats, from_finite_category,
-    horizontal_compose, identity_functor, identity_nat, indiscrete,
-    initial_cat, make_internal_category, nat_inverse, nat_is_iso, opposite,
-    opposite_functor, points_of_cat, product_cat, restrict_cat, restrict_functor,
-    terminal_cat, unique_to_terminal_cat, validate_internal_category,
-    validate_internal_functor, validate_internal_nat, vertical_compose,
-    whisker_left, whisker_right,
+    enumerate_functors, from_finite_category, identity_functor, identity_nat,
+    indiscrete, initial_cat, make_internal_category, nat_inverse, nat_is_iso,
+    opposite, opposite_functor, points_of_cat, product_cat, restrict_cat,
+    restrict_functor, terminal_cat, unique_to_terminal_cat,
+    validate_internal_category, validate_internal_functor, validate_internal_nat,
 )
 from .functor_cat import (
     ExponentialCategory, curry_functor, diagonal_functor, evaluation_functor,

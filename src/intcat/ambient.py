@@ -483,7 +483,8 @@ def _solve(keys: list, edges: dict, candidates: Callable,
     value ``w`` forces ``table[w]`` on the forced key. Keys are decided in
     list order from ``candidates(*k)``; a key already forced is skipped. Every
     complete, consistent assignment that passes ``check`` (when given) is
-    handed to ``emit``, which must copy what it keeps.
+    handed to ``emit``, which must copy what it keeps; the search stops
+    when ``emit`` returns a true value.
     """
     assignment = {}
     n = len(keys)
@@ -492,9 +493,7 @@ def _solve(keys: list, edges: dict, candidates: Callable,
         while i < n and keys[i] in assignment:
             i += 1
         if i == n:
-            if check is None or check(assignment):
-                emit(assignment)
-            return
+            return (check is None or check(assignment)) and emit(assignment)
         key = keys[i]
         for val in candidates(*key):
             trail = []
@@ -510,9 +509,11 @@ def _solve(keys: list, edges: dict, candidates: Callable,
                 for forced, table in edges[k]:
                     todo.append((forced, table[w]))
             else:
-                rec(i + 1)
+                if rec(i + 1):
+                    return True
             for k in trail:
                 del assignment[k]
+        return False
 
     rec(0)
 
@@ -666,6 +667,22 @@ def enumerate_maps(x: Presheaf, y: Presheaf,
     the image of ``e`` at ``c`` forces the image of every restriction of
     ``e`` further down the base.
     """
+    results = []
+    _search_maps(x, y, allowed, results.append)
+    return results
+
+
+def first_map(x: Presheaf, y: Presheaf,
+              allowed: Optional[Callable] = None) -> Optional[PresheafMap]:
+    """The map ``enumerate_maps`` lists first, or None; no other is listed."""
+    found = []
+    _search_maps(x, y, allowed, lambda m: found.append(m) or True)
+    return found[0] if found else None
+
+
+def _search_maps(x: Presheaf, y: Presheaf, allowed: Optional[Callable],
+                 emit: Callable) -> None:
+    """Hand ``emit`` the maps x -> y in turn until it returns a true value."""
     base = x.base
     keys, edges = [], {}
     for c in base.objects:
@@ -675,16 +692,14 @@ def enumerate_maps(x: Presheaf, y: Presheaf,
             edges[(c, e)] = [((base.src[u], x.action[u][e]), y.action[u])
                              for u in below] if below else ()
     candidates = allowed or (lambda c, e: y.at(c))
-    results = []
 
-    def emit(assignment):
+    def found(assignment):
         comps = {c: {} for c in base.objects}
         for (c, e), w in assignment.items():
             comps[c][e] = w
-        results.append(PresheafMap(x, y, comps))
+        return emit(PresheafMap(x, y, comps))
 
-    _solve(keys, edges, candidates, None, emit)
-    return results
+    _solve(keys, edges, candidates, None, found)
 
 
 def points(x: Presheaf) -> list:

@@ -60,6 +60,7 @@ class InternalCategory:
         self._comp = comp_fn
         self._fibres = fibres
         self._ends = None           # built by arrows_by_ends
+        self._thin = None           # built by _thin_stages
         self._into = None           # built by arrows_at
 
     @cached_property
@@ -192,15 +193,15 @@ def category_from_tables(obj: Presheaf, arr_carrier, shift_parts: Callable,
 
 
 def validate_internal_category(a: InternalCategory) -> list[str]:
-    """All seven category laws as elementwise arrow equalities.
-
-    Associativity visits the composable triples only: for each composable
-    pair ``(h, g)`` it reads the arrows into ``source(g)`` from a by-target
-    index built in carrier order, so faults come out in the order of the
-    composable pairs, then of the arrows. An identity or an inner composite
-    with the wrong endpoints is reported as such, and the unit law or the
-    triple that would compose it further is skipped.
-    """
+    """All seven category laws, stage by stage, ends first. At a stage whose
+    identities and composites have the right ends and where each pair of
+    ends holds one arrow, the unit and associativity laws hold uncomposed:
+    ``f . id`` and ``id . f`` have the ends of ``f``, and ``(h . g) . f`` and
+    ``h . (g . f)`` both run from ``s f`` to ``t h``. Elsewhere associativity
+    visits the composable triples only, reading for each pair ``(h, g)`` the
+    arrows into ``source(g)`` in carrier order, so faults follow the pairs,
+    then the arrows; a unit law or triple that would compose an identity or
+    composite with wrong ends is skipped."""
     out = []
     for part, name in ((a.obj, "objects"), (a.arr, "arrows"), (a.pairs.apex, "pairs")):
         out += [f"{name}: {v}" for v in part.validate()]
@@ -212,7 +213,7 @@ def validate_internal_category(a: InternalCategory) -> list[str]:
     for c in a.base.objects:
         s, t = a.source.components[c], a.target.components[c]
         ident, comp = a.identity.components[c], a.compose.components[c]
-        pairs, arrows = a.composable_pairs(c), a.arr.at(c)
+        pairs, arrows, n = a.composable_pairs(c), a.arr.at(c), len(out)
         for x in a.obj.at(c):
             i = ident[x]
             if s[i] != x:
@@ -225,6 +226,8 @@ def validate_internal_category(a: InternalCategory) -> list[str]:
                 out.append(f"source of composite at {c!r}:({g!r},{f!r})")
             if t[gf] != t[g]:
                 out.append(f"target of composite at {c!r}:({g!r},{f!r})")
+        if len(out) == n and _thin_stages(a)[c]:
+            continue
         for f in arrows:
             i_s, i_t = ident[s[f]], ident[t[f]]
             if t[i_s] == s[f] and comp[(f, i_s)] != f:
@@ -384,59 +387,16 @@ def validate_internal_nat(nt: InternalNatTrans) -> list[str]:
                 out.append(f"component source at {c!r}:{x!r}")
             if b.t_at(c, h) != g.on_obj(c, x):
                 out.append(f"component target at {c!r}:{x!r}")
-        out.extend(_square_faults(nt, c))
+        for h in a.arr.at(c):
+            x, y = a.s_at(c, h), a.t_at(c, h)
+            if b.comp_at(c, g.on_arr(c, h), nt.at(c, x)) != \
+               b.comp_at(c, nt.at(c, y), f.on_arr(c, h)):
+                out.append(f"naturality square at {c!r}:{h!r}")
     return out
-
-
-def _square_faults(nt: InternalNatTrans, c):
-    """The arrows at stage ``c`` whose naturality square fails, one message each."""
-    f, g = nt.source, nt.target
-    a, b = f.source_cat, f.target_cat
-    for h in a.arr.at(c):
-        x, y = a.s_at(c, h), a.t_at(c, h)
-        if b.comp_at(c, g.on_arr(c, h), nt.at(c, x)) != \
-           b.comp_at(c, nt.at(c, y), f.on_arr(c, h)):
-            yield f"naturality square at {c!r}:{h!r}"
 
 
 def identity_nat(f: InternalFunctor) -> InternalNatTrans:
     return InternalNatTrans(f, f, f.f0.then(f.target_cat.identity))
-
-
-def vertical_compose(beta: InternalNatTrans, alpha: InternalNatTrans) -> InternalNatTrans:
-    """beta after alpha (componentwise composition in the target)."""
-    if alpha.target != beta.source:
-        raise PreconditionError("vertical composition endpoint mismatch")
-    b = alpha.source.target_cat
-    comps = {c: {x: b.comp_at(c, beta.at(c, x), alpha.at(c, x))
-                 for x in alpha.component.components[c]}
-             for c in b.base.objects}
-    return InternalNatTrans(alpha.source, beta.target,
-                            PresheafMap(alpha.component.source, b.arr, comps))
-
-
-def whisker_left(alpha: InternalNatTrans, l: InternalFunctor) -> InternalNatTrans:
-    """Precompose both functors with l: components are alpha at l of each object."""
-    if l.target_cat != alpha.source.source_cat:
-        raise PreconditionError("whiskering endpoint mismatch")
-    return InternalNatTrans(
-        compose_functors(alpha.source, l), compose_functors(alpha.target, l),
-        l.f0.then(alpha.component))
-
-
-def whisker_right(r: InternalFunctor, alpha: InternalNatTrans) -> InternalNatTrans:
-    """r applied to alpha: components r(alpha a)."""
-    if alpha.source.target_cat != r.source_cat:
-        raise PreconditionError("whiskering endpoint mismatch")
-    return InternalNatTrans(
-        compose_functors(r, alpha.source), compose_functors(r, alpha.target),
-        alpha.component.then(r.f1))
-
-
-def horizontal_compose(beta: InternalNatTrans, alpha: InternalNatTrans) -> InternalNatTrans:
-    """Godement product: beta (between functors B -> C) alongside alpha (A -> B)."""
-    return vertical_compose(whisker_left(beta, alpha.target),
-                            whisker_right(beta.source, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -615,17 +575,26 @@ def arrows_by_ends(b: InternalCategory) -> dict:
     return b._ends
 
 
-def is_thin(b: InternalCategory) -> bool:
-    """Whether ``b`` has at most one arrow per pair of ends at every stage,
-    read from ``arrows_by_ends``; a restricted category reads each stage of
-    its original that it restricts to once."""
-    if b._restricted_from is not None:
-        at, a = b._restricted_from
-        ends = arrows_by_ends(a)
-        stages = [ends[c] for c in dict.fromkeys(at.values())]
+def _thin_stages(b: InternalCategory) -> dict:
+    """Per stage, whether each pair of ends holds at most one arrow of ``b``,
+    read off ``arrows_by_ends`` once per object; an opposite view reads its
+    original's verdicts, a restricted category its original's at p(d)."""
+    if b._thin is not None:
+        return b._thin
+    if b._opposite_of is not None:
+        b._thin = _thin_stages(b._opposite_of)
+    elif b._restricted_from is not None:
+        at, thin = b._restricted_from[0], _thin_stages(b._restricted_from[1])
+        b._thin = {d: thin[at[d]] for d in b.base.objects}
     else:
-        stages = arrows_by_ends(b).values()
-    return all(max(map(len, groups.values()), default=0) <= 1 for groups in stages)
+        b._thin = {c: all(len(ks) == 1 for ks in groups.values())
+                   for c, groups in arrows_by_ends(b).items()}
+    return b._thin
+
+
+def is_thin(b: InternalCategory) -> bool:
+    """Whether ``b`` has at most one arrow per pair of ends at every stage."""
+    return all(_thin_stages(b).values())
 
 
 def arrow_families(b: InternalCategory, c, dom: Presheaf) -> Callable:
@@ -718,35 +687,9 @@ def enumerate_functors(a: InternalCategory, b: InternalCategory) -> list:
             continue
         for f1 in enumerate_maps(a.arr, b.arr, allowed=allowed):
             fn = InternalFunctor(a, b, f0, f1)
-            if functor_laws_hold(fn):
+            if not any(next(_functor_faults(fn, c), None) for c in a.base.objects):
                 out.append(fn)
     return out
-
-
-def functor_laws_hold(fn: InternalFunctor) -> bool:
-    return not any(next(_functor_faults(fn, c), None)
-                   for c in fn.source_cat.base.objects)
-
-
-def enumerate_nats(f: InternalFunctor, g: InternalFunctor) -> list:
-    """All natural transformations f -> g between parallel functors."""
-    a, b = f.source_cat, f.target_cat
-    by_ends = arrows_by_ends(b)
-
-    def allowed(c, x):
-        return by_ends[c].get((f.on_obj(c, x), g.on_obj(c, x)), ())
-
-    out = []
-    for comp in enumerate_maps(a.obj, b.arr, allowed=allowed):
-        nt = InternalNatTrans(f, g, comp)
-        if nat_squares_hold(nt):
-            out.append(nt)
-    return out
-
-
-def nat_squares_hold(nt: InternalNatTrans) -> bool:
-    return not any(next(_square_faults(nt, c), None)
-                   for c in nt.source.source_cat.base.objects)
 
 
 def nat_inverse(nt: InternalNatTrans) -> Optional[InternalNatTrans]:
@@ -790,8 +733,7 @@ def adjunction_check(l: InternalFunctor, r: InternalFunctor,
     ``(r counit) . (unit r) = 1_r``. Once the functor endpoints are right,
     the whiskered composites have the right ends by associativity, so they
     are not built; components whose presheaves do not meet, and a pair that
-    does not compose, raise ``PreconditionError`` as whiskering and
-    ``vertical_compose`` do."""
+    does not compose, raise ``PreconditionError`` as building them would."""
     out = []
     a, b = l.source_cat, l.target_cat
     if r.source_cat != b or r.target_cat != a:

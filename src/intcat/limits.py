@@ -69,8 +69,8 @@ from typing import Optional, Union
 from .labels import fam_dict, fam_in_order
 from .ambient import (
     IndexCategory, IndexFunctor, Presheaf, PresheafMap, PreconditionError,
-    elements_category, enumerate_maps, family_at_identity, family_keys,
-    family_solver, inverse, point_of, restrict_map, shift_family, stage_family,
+    elements_category, family_at_identity, family_keys, family_solver,
+    first_map, inverse, point_of, restrict_map, shift_family, stage_family,
     terminal,
 )
 from .core import (
@@ -695,14 +695,14 @@ def universal_cone(dg: InternalFunctor, cns: Optional[ConesCategory] = None):
 
     # A point through stage-terminal elements passes the internal test,
     # which reads the same fibres, so the first candidate is the answer.
-    cands = [] if empty_stages or blocked_stages else enumerate_maps(
+    point = None if empty_stages or blocked_stages else first_map(
         terminal(base), cat.obj, allowed=lambda c, e: stage_good[c])
-    if not cands:
+    if point is None:
         return Refusal("no_universal_cone",
                        {"candidates": 0, "failures": [],
                         "empty_stages": empty_stages,
                         "blocked_stages": blocked_stages})
-    res = cns.certify(cands[0])
+    res = cns.certify(point)
     if isinstance(res, Refusal):
         raise CertificateError(f"stage-universal point is refused: {res}")
     return res

@@ -19,10 +19,11 @@ from intcat.ambient import (
 )
 from intcat.core import (
     InternalFunctor, adjunction_check, dis_u_ind_adjunctions,
-    enumerate_functors, enumerate_nats, from_finite_category,
+    enumerate_functors, from_finite_category,
     identity_functor, initial_cat, opposite, points_of_cat, product_cat,
     restrict_functor, terminal_cat, validate_internal_category,
 )
+from oracles import enumerate_nats
 from intcat.functor_cat import exponential_cat
 from intcat.limits import (
     Refusal, RefusalError, UniversalCertificate, cones_category,

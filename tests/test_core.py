@@ -3,6 +3,7 @@
 import itertools
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,18 +15,23 @@ from intcat.ambient import (
 )
 from intcat.core import (
     InternalFunctor, adjunction_check, arrows_at, arrows_by_ends, compose_functors,
-    dis_u_ind_adjunctions, discrete, enumerate_functors, enumerate_nats,
-    horizontal_compose, identity_functor, identity_nat, indiscrete, initial_cat,
-    is_thin, make_internal_category, nat_is_iso, opposite, points_of_cat,
-    product_cat, restrict_cat, terminal_cat, unique_to_terminal_cat,
-    validate_internal_category, vertical_compose, whisker_left, whisker_right,
+    dis_u_ind_adjunctions, discrete, enumerate_functors, from_finite_category,
+    identity_functor, identity_nat, indiscrete, initial_cat, is_thin,
+    make_internal_category, nat_is_iso, opposite, points_of_cat, product_cat,
+    restrict_cat, terminal_cat, unique_to_terminal_cat, validate_internal_category,
+    validate_internal_functor, validate_internal_nat,
 )
 from intcat.fixtures import (
-    CHAIN2, chain_cat, corpus, discrete_cat, divisor_lattice, poset_cat,
-    staged_chain3, staged_indiscrete, walking_idempotent,
+    CHAIN2, all_lattices, chain_cat, corpus, discrete_cat, divisor_lattice,
+    indiscrete_cat, poset_cat, staged_chain3, staged_discrete, staged_indiscrete,
+    walking_idempotent, walking_parallel_pair,
 )
+from intcat.formats import parse_document
 from intcat.limits import cones_category, limit_functor, shape_two
 from intcat.theorems import aft_left_adjoint
+from oracles import (
+    enumerate_nats, horizontal_compose, vertical_compose, whisker_left, whisker_right,
+)
 
 FIN = IndexCategory.finset()
 
@@ -106,6 +112,8 @@ def test_restrict_cat_reads_the_indexes_of_its_original(make):
             assert into == arrows_at(a, c, o)
             assert not into or into is arrows_at(a, c, o)
     assert is_thin(restricted) == is_thin(a)
+    assert core._thin_stages(restricted) == {
+        d: core._thin_stages(a)[proj.on_obj[d]] for d in proj.source.objects}
     assert restricted.source.source is restricted.arr
     assert restricted.identity.source is restricted.obj
 
@@ -175,6 +183,7 @@ def test_identity_with_wrong_endpoints_is_reported_not_composed():
         lambda c, g, f: a.comp_at(c, g, f))
     assert validate_internal_category(bent) == [
         "source of identity at 'pt':'b'", "target of identity at 'pt':'b'"]
+    assert elementwise(validate_internal_category, bent) == validate_internal_category(bent)
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,6 +204,7 @@ def test_repointed_composite_is_reported_never_raised(case, data):
     # hom-sets of a poset hold one arrow, so the new composite has the
     # wrong endpoints
     assert bent.validate() != []
+    assert elementwise(validate_internal_category, bent) == bent.validate()
 
 
 def test_chain_of_forty_validates_within_a_second():
@@ -203,6 +213,124 @@ def test_chain_of_forty_validates_within_a_second():
     start = time.process_time()
     assert validate_internal_category(a) == []
     assert time.process_time() - start < 1.0
+
+
+def elementwise(check, *args):
+    """``check(*args)`` with no stage read as thin, so that every law is
+    composed elementwise and none is decided by its ends."""
+    thin = core._thin_stages
+    core._thin_stages = lambda b: dict.fromkeys(b.base.objects, False)
+    try:
+        return check(*args)
+    finally:
+        core._thin_stages = thin
+
+
+def finite_cat(objects, arrows, composites):
+    """The category on ``objects`` with the arrows ``name: (source, target)``
+    and the composites ``(g, f): g after f`` given; identities are added."""
+    ids = {o: f"id_{o}" for o in objects}
+    ends = {**{i: (o, o) for o, i in ids.items()}, **arrows}
+    compose = dict(composites)
+    for h, (s, t) in ends.items():
+        compose[(h, ids[s])] = compose[(ids[t], h)] = h
+    return from_finite_category(FIN, IndexCategory(
+        tuple(objects), tuple(ends), {h: e[0] for h, e in ends.items()},
+        {h: e[1] for h, e in ends.items()}, ids, compose))
+
+
+def two_paths():
+    """a -> b -> d and a -> c -> d with different composites: not thin."""
+    return finite_cat("abcd", {"f": ("a", "b"), "g": ("b", "d"), "h": ("a", "c"),
+                               "k": ("c", "d"), "gf": ("a", "d"), "kh": ("a", "d")},
+                      {("g", "f"): "gf", ("k", "h"): "kh"})
+
+
+def lopsided_magma():
+    """One object, arrows x and y, with x . (x . x) = x but (x . x) . x = y."""
+    return finite_cat("*", {"x": ("*", "*"), "y": ("*", "*")},
+                      {("x", "x"): "y", ("x", "y"): "x", ("y", "x"): "y", ("y", "y"): "y"})
+
+
+def validator_inputs():
+    """(name, category): the corpus, the fixture documents' categories,
+    every lattice on at most 5 elements, indiscrete and staged forms, and
+    categories that are not thin, one with an associativity fault."""
+    yield from corpus()
+    for path in sorted((Path(__file__).parent.parent / "fixtures").glob("*.ct")):
+        env = parse_document(path.read_text()).env
+        yield from ((f"{path.name}/{k}", v) for k, v in env["cats"].items())
+    yield from ((f"lattice{i}", a) for i, a in enumerate(all_lattices(5)))
+    yield from ((f"indiscrete{n}", indiscrete_cat("abc"[:n])) for n in (1, 2, 3))
+    yield from (("staged_discrete", staged_discrete()), ("staged_indiscrete", staged_indiscrete()),
+                ("staged_chain3", staged_chain3()), ("walking_idempotent", walking_idempotent()),
+                ("walking_parallel_pair", walking_parallel_pair()), ("two_paths", two_paths()),
+                ("lopsided_magma", lopsided_magma()), ("involution", one_object_monoid("1")))
+
+
+def test_category_laws_read_by_ends_agree_with_the_elementwise_loops():
+    cats = list(validator_inputs())
+    faulty = set()
+    for name, a in cats:
+        want = elementwise(validate_internal_category, a)
+        assert validate_internal_category(a) == want, name
+        faulty.update(want)
+    # the magma is the one lawless input: its stage is not thin
+    assert faulty == set(validate_internal_category(lopsided_magma()))
+    assert "associativity at 'pt':('x','x','x')" in faulty
+    assert not all(is_thin(a) for _, a in cats) and any(is_thin(a) for _, a in cats)
+
+
+def test_faults_the_ends_do_not_decide_are_composed_and_reported():
+    # an associativity fault at a stage that is not thin
+    assert validate_internal_category(lopsided_magma())[0] == "associativity at 'pt':('x','x','x')"
+    # a functor that breaks composition into a target that is not thin
+    invol, idem = one_object_monoid("1"), walking_idempotent()
+    fn = InternalFunctor(invol, idem, PresheafMap(invol.obj, idem.obj, {"pt": {"*": "*"}}),
+                         PresheafMap(invol.arr, idem.arr, {"pt": {"1": "id", "e": "e"}}))
+    assert validate_internal_functor(fn) == ["composition not preserved at 'pt':('e','e')"]
+    # a transformation whose squares fail in a target that is not thin
+    c2, pair = chain_cat(2), walking_parallel_pair()
+    f, g = (InternalFunctor(c2, pair, PresheafMap(c2.obj, pair.obj, {"pt": {"0": "0", "1": "1"}}),
+                            PresheafMap(c2.arr, pair.arr, {"pt": {
+                                ("0", "0"): "id_0", ("1", "1"): "id_1", ("0", "1"): h}}))
+            for h in ("one", "two"))
+    nt = core.InternalNatTrans(f, g, PresheafMap(c2.obj, pair.arr,
+                                                 {"pt": {"0": "id_0", "1": "id_1"}}))
+    assert validate_internal_nat(nt) == ["naturality square at 'pt':('0', '1')"]
+
+
+def test_thin_stages_with_the_right_ends_compose_nothing():
+    a = chain_cat(6)
+    reads = []
+
+    class Counted(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return dict.__getitem__(self, key)
+    a.compose.components["pt"] = Counted(a.compose.components["pt"])
+    assert validate_internal_category(a) == []
+    assert len(reads) == len(a.composable_pairs("pt"))     # the end checks alone
+    reads.clear()
+    assert elementwise(validate_internal_category, a) == [] and len(reads) > 0
+
+
+def test_thinness_is_read_once_per_object_with_its_endpoint_index(monkeypatch):
+    cats = dict(validator_inputs())
+    for name, a in cats.items():
+        want = {c: all(len(ks) == 1 for ks in groups.values())
+                for c, groups in arrows_by_ends(a).items()}
+        assert core._thin_stages(a) == want and is_thin(a) == all(want.values()), name
+        op = opposite(a)
+        assert core._thin_stages(op) is core._thin_stages(a), name
+    assert [n for n, a in cats.items() if not is_thin(a)] == [
+        "walking_idempotent", "walking_parallel_pair", "two_paths", "lopsided_magma",
+        "involution"]
+
+    def unread(b):
+        raise AssertionError("the endpoint index was read again")
+    monkeypatch.setattr(core, "arrows_by_ends", unread)
+    assert [is_thin(a) for a in cats.values()] == [is_thin(a) for a in cats.values()]
 
 
 def test_divisor_lattice_sizes():
@@ -556,11 +684,14 @@ def test_componentwise_triangles_agree_with_the_whiskered_reference(monkeypatch)
     # one change of a component, a change of each (a failure may come
     # before a pair that does not compose), a dropped component, and
     # components and functors with the wrong ends; the check itself builds
-    # no whiskered or vertical composite
+    # no natural transformation, so no whiskered or vertical composite
     def unused(*args):
         raise AssertionError("adjunction_check built a 2-cell composite")
-    for name in ("whisker_left", "whisker_right", "vertical_compose"):
-        monkeypatch.setattr(core, name, unused)
+
+    def componentwise(*args):
+        with monkeypatch.context() as m:
+            m.setattr(core, "InternalNatTrans", unused)
+            return adjunction_check(*args)
     seen = {}
     for name, l, r, unit, counit in adjunction_cases():
         a, b = l.source_cat, l.target_cat
@@ -580,7 +711,7 @@ def test_componentwise_triangles_agree_with_the_whiskered_reference(monkeypatch)
         cases += [pair(changed(unit, (c, x, None)), counit) for c in unit for x in unit[c]]
         for eta, eps in cases:
             want = outcome(whiskered_triangles, l, r, eta, eps)
-            assert outcome(adjunction_check, l, r, eta, eps) == want, name
+            assert outcome(componentwise, l, r, eta, eps) == want, name
             seen.setdefault(repr(want), name)
         if a != b:
             assert adjunction_check(l, l, *pair(unit, counit)) == ["functors are not opposed"]

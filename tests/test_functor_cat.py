@@ -9,9 +9,10 @@ from intcat.ambient import (
     shift_family, stage_family,
 )
 from intcat.core import (
-    InternalCategory, InternalFunctor, enumerate_functors, enumerate_nats, is_thin, product_cat,
+    InternalCategory, InternalFunctor, enumerate_functors, is_thin, product_cat,
     terminal_cat, validate_internal_category,
 )
+from oracles import enumerate_nats
 from intcat.functor_cat import (
     curry_functor, diagonal_functor, evaluation_functor, exponential_cat,
     reindex_exponential_iso, uncurry_functor,

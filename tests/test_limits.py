@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,19 +11,20 @@ import intcat.limits as limits
 import intcat.theorems as theorems
 from intcat.ambient import (
     IndexCategory, IndexFunctor, PreconditionError, Presheaf, PresheafMap,
-    coproduct, elements_category, family_keys, inverse, point_of, points,
-    pullback, representable, stage_family,
+    coproduct, elements_category, enumerate_maps, family_keys, first_map, inverse,
+    point_of, points, pullback, representable, stage_family, terminal,
 )
 from intcat.core import (
     InternalCategory, InternalFunctor, arrows_at, arrows_by_ends, compose_functors, discrete,
-    enumerate_functors, enumerate_nats, from_finite_category, identity_functor, identity_nat,
+    enumerate_functors, from_finite_category, identity_functor, identity_nat,
     initial_cat, is_thin, make_internal_category, opposite, opposite_functor,
     restrict_functor, terminal_cat, unique_to_terminal_cat, validate_internal_category,
 )
 from intcat.functor_cat import diagonal_functor, exponential_cat
 from intcat.labels import fam_dict, sort_key
 from intcat.limits import (
-    CertificateError, Cocone, Cone, ConesCategory, Refusal, UniversalCertificate,
+    CertificateError, Cocone, Cone, ConesCategory, Refusal, SpecialAdjoint,
+    UniversalCertificate,
     _stage_universal, certified_adjunction, cocones_category, comma_category,
     cones_category, connecting_iso,
     indexed_cone_factorization, is_internal_initial, is_internal_terminal,
@@ -32,10 +34,13 @@ from intcat.limits import (
     universal_cone,
 )
 from intcat.fixtures import (
-    chain_cat, corpus, divisor_lattice, incomparable_pair,
+    chain_cat, corpus, divisor_lattice, incomparable_pair, indiscrete_cat,
     poset_cat, staged_chain3, walking_idempotent, walking_parallel_pair,
 )
+from intcat.formats import parse_document
+from intcat.runner import run_document
 from intcat.theorems import aft_left_adjoint, default_shape_family
+from oracles import enumerate_nats
 
 FIN = IndexCategory.finset()
 CHAIN2 = IndexCategory.chain(2)
@@ -515,6 +520,38 @@ def test_universal_search_refuses_a_category_it_was_not_asked_about(search, buil
         search(dg, build(diagram_two(d12, *other)))
     # the limit is the meet 2 and the colimit the join 12
     assert certified_vertex(search(dg), "pt") == ("2" if search is universal_cone else "12")
+
+
+def test_the_first_map_is_the_first_one_listed():
+    cats = [a for _, a in corpus()] + [walking_idempotent(), indiscrete_cat("abc")]
+    for a in cats:
+        one = terminal(a.base)
+        for x, y in ((one, a.obj), (one, a.arr), (a.obj, a.obj)):
+            if len(x.at(a.base.objects[0])) > 3:
+                continue
+            for allowed in (None, lambda c, e, y=y: y.at(c)[1:], lambda c, e: ()):
+                listed = enumerate_maps(x, y, allowed=allowed)
+                assert first_map(x, y, allowed=allowed) == (listed[0] if listed else None)
+
+
+def test_universal_search_stops_at_the_first_certified_point():
+    # four isomorphic objects: each of the 16 diagrams has 4 limits, and the
+    # search used to list all 4 ** 16 stage-universal points
+    doc = ("format 1\nbase fin finset\ncategory four over fin : indiscrete a b c d\n"
+           "task limit-functor four discrete-two\n")
+    start = time.process_time()
+    (task,) = run_document(parse_document(doc))["tasks"]
+    assert time.process_time() - start < 5.0
+    assert task["outcome"] == "ok" and task["witness"]["unit_is_iso"] is True
+    # a preorder with the isomorphism class {a, b, c} below d
+    pre = poset_cat("abcd", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+    start = time.process_time()
+    adj = aft_left_adjoint(identity_functor(pre))
+    specials = [special_right_adjoint(pre, kind)
+                for kind in ("terminal", "binary_product", "equalizer")]
+    assert time.process_time() - start < 5.0
+    assert adj.unit.validate() == [] and adj.counit.validate() == []
+    assert all(isinstance(s, SpecialAdjoint) for s in specials)
 
 
 def test_a_lift_missing_from_the_cones_is_a_certificate_error(monkeypatch):

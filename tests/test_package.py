@@ -113,3 +113,17 @@ def test_only_core_and_limits_read_thinness():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}:
             readers.append(path.name)
     assert readers == ["core.py", "limits.py"]
+
+
+def test_test_only_references_live_with_the_tests():
+    """The 2-cell operations and the elementwise transformation search are
+    references the tests check the engine against; no package module
+    defines or exports them, and ``tests/oracles.py`` holds them."""
+    import oracles
+    moved = {"vertical_compose", "whisker_left", "whisker_right",
+             "horizontal_compose", "enumerate_nats", "nat_squares_hold"}
+    defined = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.FunctionDef)}
+    assert sorted(moved & (defined | exported_names())) == []
+    assert sorted(n for n in moved if not callable(getattr(oracles, n, None))) == []
