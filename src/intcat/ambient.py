@@ -24,6 +24,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from .labels import fam_dict, fam_in_order, sort_key
@@ -51,20 +52,20 @@ class IndexCategory:
     tgt: dict
     identity: dict          # object -> identity arrow
     compose: dict           # (g, f) with src g = tgt f -> g after f
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def _into(self) -> dict:
+        groups: dict = {}
+        for u in self.arrows:
+            groups.setdefault(self.tgt.get(u), []).append(u)
+        return {o: tuple(us) for o, us in groups.items()}
 
     def arrows_into(self, c) -> tuple:
         """The arrows with target ``c``, in arrow order; the whole by-target
         index is built in one pass on first call and kept. An arrow without
         a target is filed under ``None``, so ``validate`` can read the index
         of a malformed table."""
-        into = self._cache.get("into")
-        if into is None:
-            groups: dict = {}
-            for u in self.arrows:
-                groups.setdefault(self.tgt.get(u), []).append(u)
-            into = self._cache["into"] = {o: tuple(us) for o, us in groups.items()}
-        return into.get(c, ())
+        return self._into.get(c, ())
 
     def comp(self, g, f):
         return self.compose[(g, f)]

@@ -1,8 +1,9 @@
 """Command line entry points.
 
 Exit status: 0 when every task finished or refused with evidence, 1 when
-any task ended in an engine error, 2 for unreadable or unparseable input.
-A refusal is a result, not a failure, so it does not change the status.
+any task ended in an engine error, 2 for a bad option or for unreadable or
+unparseable input. A refusal is a result, not a failure, so it does not
+change the status.
 """
 
 from __future__ import annotations
@@ -47,7 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.max_size < 1:
+        parser.error(f"argument --max-size: must be at least 1, got {args.max_size}")
     try:
         text = Path(args.input).read_text(encoding="utf-8")
     except OSError as e:

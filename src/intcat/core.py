@@ -35,11 +35,31 @@ from .ambient import (
 )
 
 
-class InternalCategory:
+class _Fields:
+    """Equality and ``repr`` read field by field over ``_FIELDS``, so a part
+    not yet built is built to be compared or printed."""
+
+    _FIELDS: tuple = ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self._FIELDS)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+
+class InternalCategory(_Fields):
     """A category object: six arrows of the ambient category.
 
-    ``comp_fn(c, g, f)`` names g after f; ``comp_at`` composes through it.
-    The pullback of composable pairs and the composition on it are built
+    The arrows part is given, or ``arr`` is a thunk returning
+    ``(arr, source, target, identity)``, called when any of them is first
+    read. ``comp_fn(c, g, f)`` names g after f; ``comp_at`` composes through
+    it. The pullback of composable pairs and the composition on it are built
     together from ``source``, ``target`` and ``comp_fn`` when either is
     first read. The endpoint index ``arrows_by_ends`` is also built on
     first read and kept. ``fibres(c, o)``, when given, reads the
@@ -51,17 +71,27 @@ class InternalCategory:
     _opposite_of = None         # the original, on a view made by ``opposite``
     _restricted_from = None     # (p.on_obj, original), on a ``restrict_cat``
 
-    def __init__(self, obj: Presheaf, arr: Presheaf, source: PresheafMap,
-                 target: PresheafMap, identity: PresheafMap, comp_fn: Callable,
-                 fibres: Optional[Callable] = None):
+    def __init__(self, obj: Presheaf, arr, source: Optional[PresheafMap],
+                 target: Optional[PresheafMap], identity: Optional[PresheafMap],
+                 comp_fn: Callable, fibres: Optional[Callable] = None):
         self.obj = obj
-        if arr is not None:         # else built on first read, see _ArrowsOnFirstRead
+        if callable(arr):
+            self._arrows = arr
+        else:
             self.arr, self.source, self.target, self.identity = arr, source, target, identity
         self._comp = comp_fn
         self._fibres = fibres
-        self._ends = None           # built by arrows_by_ends
-        self._thin = None           # built by _thin_stages
-        self._into = None           # built by arrows_at
+
+    def _arrows_part(self, i: int):
+        """Entry ``i`` of the arrows part; one call of the thunk sets all four."""
+        part = self._arrows()
+        vars(self).update(zip(("arr", "source", "target", "identity"), part))
+        return part[i]
+
+    arr = cached_property(lambda self: self._arrows_part(0))
+    source = cached_property(lambda self: self._arrows_part(1))
+    target = cached_property(lambda self: self._arrows_part(2))
+    identity = cached_property(lambda self: self._arrows_part(3))
 
     @cached_property
     def _composition(self) -> tuple:
@@ -81,16 +111,50 @@ class InternalCategory:
         """The composition, pairs.apex -> arr."""
         return self._composition[1]
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, InternalCategory):
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self._FIELDS)
+    @cached_property
+    def _ends(self) -> dict:
+        """``arrows_by_ends``: an opposite view swaps its original's keys, a
+        restriction reads its original's dicts at p(d)."""
+        if self._opposite_of is not None:
+            return {c: {(t, s): ks for (s, t), ks in groups.items()}
+                    for c, groups in self._opposite_of._ends.items()}
+        if self._restricted_from is not None:
+            at, a = self._restricted_from
+            return {d: a._ends[at[d]] for d in self.base.objects}
+        out = {}
+        for c in self.base.objects:
+            s, t = self.source.components[c], self.target.components[c]
+            groups: dict = {}
+            for k in self.arr.at(c):
+                groups.setdefault((s[k], t[k]), []).append(k)
+            out[c] = {ends: tuple(ks) for ends, ks in groups.items()}
+        return out
 
-    def __repr__(self):
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._FIELDS)
-        return f"InternalCategory({fields})"
+    @cached_property
+    def _thin(self) -> dict:
+        """``_thin_stages``: an opposite view shares its original's verdicts,
+        a restriction reads its original's at p(d)."""
+        if self._opposite_of is not None:
+            return self._opposite_of._thin
+        if self._restricted_from is not None:
+            at, a = self._restricted_from
+            return {d: a._thin[at[d]] for d in self.base.objects}
+        return {c: all(len(ks) == 1 for ks in groups.values())
+                for c, groups in self._ends.items()}
+
+    @cached_property
+    def _into(self) -> dict:
+        """Per stage, ``arrows_at``'s index: target -> source -> arrows; a
+        restriction reads its original's at p(d)."""
+        if self._restricted_from is not None:
+            at, a = self._restricted_from
+            return {d: a._into[at[d]] for d in self.base.objects}
+        out = {}
+        for stage, groups in self._ends.items():
+            into = out[stage] = {}
+            for (s, t), ks in groups.items():
+                into.setdefault(t, {})[s] = ks
+        return out
 
     @property
     def base(self) -> IndexCategory:
@@ -126,29 +190,6 @@ class InternalCategory:
         return validate_internal_category(self)
 
 
-class _ArrowsOnFirstRead(InternalCategory):
-    """A category object whose arrows part (``arr``, ``source``, ``target``,
-    ``identity``) is returned by ``arrows()`` on the first read of any of
-    them. The object then becomes a plain ``InternalCategory``: a class with
-    ``__getattr__`` makes every attribute read slower, and category objects
-    are read in the innermost loops."""
-
-    def __init__(self, obj: Presheaf, arrows: Callable, comp_fn: Callable,
-                 fibres: Optional[Callable] = None):
-        super().__init__(obj, None, None, None, None, comp_fn, fibres=fibres)
-        self._arrows = arrows
-
-    def __getattr__(self, name):
-        # Reached only for an attribute that is not set.
-        build = self.__dict__.get("_arrows")
-        if build is None or name not in ("arr", "source", "target", "identity"):
-            raise AttributeError(name)
-        self.arr, self.source, self.target, self.identity = build()
-        del self._arrows
-        self.__class__ = InternalCategory
-        return getattr(self, name)
-
-
 def make_internal_category(obj: Presheaf, arr: Presheaf, source: PresheafMap,
                            target: PresheafMap, identity: PresheafMap,
                            comp_fn: Callable) -> InternalCategory:
@@ -162,10 +203,9 @@ def category_from_tables(obj: Presheaf, arr_carrier, shift_parts: Callable,
                          fibres: Optional[Callable] = None) -> InternalCategory:
     """Assemble a category object whose stage-c arrows are ``(s, t, *parts)``.
 
-    ``arr_carrier`` holds the arrows of each stage, or is a thunk returning
-    them, as cone, comma and functor categories pass it, so that their
-    arrows are found only when read; the arrows part is assembled on first
-    read.
+    ``arr_carrier`` is a thunk returning the arrows of each stage, called
+    with the arrows part assembled on its first read, so that cone, comma
+    and functor categories find their arrows only when read.
     Source and target are the first two entries and move along base arrows
     by the action of ``obj``. The callbacks return only the parts:
     ``shift_parts(w, t)`` those of arrow ``t`` moved along ``w``,
@@ -176,7 +216,7 @@ def category_from_tables(obj: Presheaf, arr_carrier, shift_parts: Callable,
     base = obj.base
 
     def arrows():
-        carrier = arr_carrier() if callable(arr_carrier) else arr_carrier
+        carrier = arr_carrier()
         arr_action = {w: {t: (obj.action[w][t[0]], obj.action[w][t[1]])
                           + shift_parts(w, t)
                           for t in carrier[base.tgt[w]]}
@@ -188,8 +228,8 @@ def category_from_tables(obj: Presheaf, arr_carrier, shift_parts: Callable,
         return (arr, PresheafMap.entry(arr, obj, 0), PresheafMap.entry(arr, obj, 1),
                 ident)
 
-    return _ArrowsOnFirstRead(
-        obj, arrows, lambda c, g, f: (f[0], g[1]) + compose_parts(c, g, f), fibres)
+    return InternalCategory(obj, arrows, None, None, None,
+                            lambda c, g, f: (f[0], g[1]) + compose_parts(c, g, f), fibres)
 
 
 def validate_internal_category(a: InternalCategory) -> list[str]:
@@ -250,7 +290,7 @@ def validate_internal_category(a: InternalCategory) -> list[str]:
     return out
 
 
-class InternalFunctor:
+class InternalFunctor(_Fields):
     """A functor between category objects: object part and arrow part.
 
     The arrow part ``f1`` is a map, or a thunk returning it, called on its
@@ -261,26 +301,18 @@ class InternalFunctor:
     """
 
     _FIELDS = ("source_cat", "target_cat", "f0", "f1")
-    __hash__ = None
 
     def __init__(self, source_cat: InternalCategory, target_cat: InternalCategory,
                  f0: PresheafMap, f1):
         self.source_cat, self.target_cat, self.f0 = source_cat, target_cat, f0
-        if callable(f1):            # built on first read, see _ArrowPartOnFirstRead
-            self._f1, self.__class__ = f1, _ArrowPartOnFirstRead
+        if callable(f1):
+            self._f1 = f1
         else:
             self.f1 = f1
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, InternalFunctor):
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self._FIELDS)
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._FIELDS)
-        return f"InternalFunctor({fields})"
+    @cached_property
+    def f1(self) -> PresheafMap:
+        return self._f1()
 
     def on_obj(self, c, a):
         return self.f0.components[c][a]
@@ -290,22 +322,6 @@ class InternalFunctor:
 
     def validate(self) -> list[str]:
         return validate_internal_functor(self)
-
-
-class _ArrowPartOnFirstRead(InternalFunctor):
-    """A functor whose arrow part ``f1`` is returned by a thunk on its first
-    read; the functor then becomes a plain ``InternalFunctor``, for the
-    reason ``_ArrowsOnFirstRead`` gives."""
-
-    def __getattr__(self, name):
-        # Reached only for an attribute that is not set.
-        build = self.__dict__.get("_f1")
-        if build is None or name != "f1":
-            raise AttributeError(name)
-        self.f1 = build()
-        del self._f1
-        self.__class__ = InternalFunctor
-        return self.f1
 
 
 def validate_internal_functor(fn: InternalFunctor) -> list[str]:
@@ -428,8 +444,8 @@ def opposite(a: InternalCategory) -> InternalCategory:
     own are read, and the opposite of the view is ``a`` itself."""
     if a._opposite_of is not None:
         return a._opposite_of
-    op = _ArrowsOnFirstRead(a.obj, lambda: (a.arr, a.target, a.source, a.identity),
-                            lambda c, g, f: a._comp(c, f, g))
+    op = InternalCategory(a.obj, lambda: (a.arr, a.target, a.source, a.identity),
+                          None, None, None, lambda c, g, f: a._comp(c, f, g))
     op._opposite_of = a
     return op
 
@@ -554,24 +570,6 @@ def arrows_by_ends(b: InternalCategory) -> dict:
     each group in carrier order; built once per object, shared, not to be
     mutated. An opposite view reads its original's index, keys swapped, and
     a restricted category its original's at p(d), the same dicts."""
-    if b._ends is not None:
-        return b._ends
-    if b._opposite_of is not None:
-        b._ends = {c: {(t, s): ks for (s, t), ks in groups.items()}
-                   for c, groups in arrows_by_ends(b._opposite_of).items()}
-    elif b._restricted_from is not None:
-        at, a = b._restricted_from
-        ends = arrows_by_ends(a)
-        b._ends = {d: ends[at[d]] for d in b.base.objects}
-    else:
-        out = {}
-        for c in b.base.objects:
-            s, t = b.source.components[c], b.target.components[c]
-            groups: dict = {}
-            for k in b.arr.at(c):
-                groups.setdefault((s[k], t[k]), []).append(k)
-            out[c] = {ends: tuple(ks) for ends, ks in groups.items()}
-        b._ends = out
     return b._ends
 
 
@@ -579,16 +577,6 @@ def _thin_stages(b: InternalCategory) -> dict:
     """Per stage, whether each pair of ends holds at most one arrow of ``b``,
     read off ``arrows_by_ends`` once per object; an opposite view reads its
     original's verdicts, a restricted category its original's at p(d)."""
-    if b._thin is not None:
-        return b._thin
-    if b._opposite_of is not None:
-        b._thin = _thin_stages(b._opposite_of)
-    elif b._restricted_from is not None:
-        at, thin = b._restricted_from[0], _thin_stages(b._restricted_from[1])
-        b._thin = {d: thin[at[d]] for d in b.base.objects}
-    else:
-        b._thin = {c: all(len(ks) == 1 for ks in groups.values())
-                   for c, groups in arrows_by_ends(b).items()}
     return b._thin
 
 
@@ -632,22 +620,7 @@ def arrows_at(b: InternalCategory, c, o) -> dict:
     """
     if b._fibres is not None:
         return b._fibres(c, o)
-    return _arrows_into(b)[c].get(o, {})
-
-
-def _arrows_into(b: InternalCategory) -> dict:
-    """Per stage, ``arrows_at``'s index: target -> source -> arrows."""
-    if b._into is None and b._restricted_from is not None:
-        at, a = b._restricted_from
-        into = _arrows_into(a)
-        b._into = {d: into[at[d]] for d in b.base.objects}
-    elif b._into is None:
-        b._into = {}
-        for stage, groups in arrows_by_ends(b).items():
-            into = b._into[stage] = {}
-            for (s, t), ks in groups.items():
-                into.setdefault(t, {})[s] = ks
-    return b._into
+    return b._into[c].get(o, {})
 
 
 def _forced_map(x: Presheaf, y: Presheaf, allowed: Callable) -> Optional[PresheafMap]:

@@ -16,16 +16,16 @@ A thin target has at most one arrow per pair of ends at every stage
 Its laws give its restrictions and composites the right ends, so a vertex
 has a cone exactly when each leg key has an arrow with the right ends, and
 that one cone, read off the endpoint index, is natural and satisfies the
-cone condition; every square of a comma category over a thin target
-commutes. Otherwise leg families are enumerated by the engine's one solver,
-set up once per stage by ``ambient.family_solver``, searched once per
-vertex and checked against the cone condition, and comma squares are
-composed and compared. The cone and comma categories each choose only
-their carriers and the arithmetic of their arrow data;
-``core.category_from_tables`` assembles the rest. The category of
-parallel arrows is the comma of the pair diagonal against itself, and its
-doubled identities are the functor the comma's universal property induces. A
-diagram is an internal functor from its shape to its target.
+cone condition. Otherwise leg families are enumerated by the engine's one
+solver, set up once per stage by ``ambient.family_solver``, searched once
+per vertex and checked against the cone condition. Comma squares are
+composed and compared, over any target, when a comma's arrows are read.
+The cone and comma categories each choose only their carriers and the
+arithmetic of their arrow data; ``core.category_from_tables`` assembles
+the rest. The category of parallel arrows is the comma of the pair
+diagonal against itself, and its doubled identities are the functor the
+comma's universal property induces. A diagram is an internal functor from
+its shape to its target.
 
 Cones form a discrete fibration over the diagram's target: each arrow into
 a cone's vertex lifts to exactly one arrow into the cone, so a cone
@@ -469,8 +469,7 @@ def comma_category(f: InternalFunctor, g: InternalFunctor) -> CommaCategory:
     Its objects are built at once. Its arrows, and the arrow parts of its
     projections and of the composites its square joins, are built on first
     read: over a thin target the cone categories of the AFT fiber read only
-    object parts. When read, a square is kept only if it commutes, which
-    over a thin target every square does."""
+    object parts. When read, a square is kept only if it commutes."""
     if f.target_cat != g.target_cat:
         raise PreconditionError("comma factors do not share a target")
     x, y, z = f.source_cat, g.source_cat, f.target_cat
@@ -485,9 +484,6 @@ def comma_category(f: InternalFunctor, g: InternalFunctor) -> CommaCategory:
 
     def arr_carrier():
         ends_x, ends_y = arrows_by_ends(x), arrows_by_ends(y)
-        # When z is thin, the two sides of every square share their ends,
-        # so every square commutes.
-        thin = is_thin(z)
         out = {}
         for c in base.objects:
             quads = []
@@ -495,9 +491,6 @@ def comma_category(f: InternalFunctor, g: InternalFunctor) -> CommaCategory:
                 for o2 in obj_carrier[c]:
                     qs = ends_y[c].get((o1[1], o2[1]), ())
                     for p in ends_x[c].get((o1[0], o2[0]), ()):
-                        if thin:
-                            quads.extend((o1, o2, p, q) for q in qs)
-                            continue
                         lhs = z.comp_at(c, o2[2], f.on_arr(c, p))
                         for q in qs:
                             if lhs == z.comp_at(c, g.on_arr(c, q), o1[2]):
@@ -586,8 +579,11 @@ class UniversalCertificate:
         leg function ``legs()``, whose legs must have the ends of a cone.
         Over a thin target that cone is the one cone at ``vertex``, read
         by vertex without calling ``legs``; otherwise (or when the stage
-        or the vertex has none) it is built with ``cone_at``."""
+        or the vertex has none) it is built with ``cone_at``. A certificate
+        without a cone category is refused."""
         cones = self.cones
+        if cones is None:
+            raise PreconditionError("certificate does not carry a cone category")
         o = (cones.cone_of or {}).get(c, {}).get(vertex)
         return self.mediator_at(c, cones.cone_at(c, vertex, legs()) if o is None else o)
 

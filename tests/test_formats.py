@@ -73,7 +73,7 @@ OPTIMIZED_RUN = """
 import json, sys
 from pathlib import Path
 import intcat.limits as limits
-from intcat.core import InternalCategory, arrows_at, enumerate_functors, identity_functor
+from intcat.core import arrows_at, enumerate_functors, identity_functor
 from intcat.fixtures import divisor_lattice, walking_idempotent, walking_parallel_pair
 from intcat.formats import parse_document
 from intcat.runner import run_document
@@ -95,7 +95,7 @@ except Exception as err:
     out["comp_at"] = [type(err).__name__, str(err)]
 ident = identity_functor(walking_parallel_pair())
 comma = limits.comma_category(ident, ident).cat
-lazy = type(comma) is not InternalCategory
+lazy = "arr" not in vars(comma)
 one, id_1 = ("0", "1", "one"), ("1", "1", "id_1")
 out["comma"] = [lazy] + [(one, id_1, p, "id_1") in comma.arr.at("pt")
                          for p in ("one", "two")]
@@ -771,6 +771,22 @@ def test_missing_composite_is_located(comp, line):
 def test_cli_missing_file_is_usage_error(capsys):
     assert main(["run", "/nonexistent/nowhere.ct"]) == 2
     capsys.readouterr()
+
+
+def test_cli_size_bound_below_one_is_usage_error(tmp_path, capsys):
+    # a bound below 1 is the option's fault, not the document's
+    good = tmp_path / "good.ct"
+    good.write_text(LATTICE_DOC)
+    for command, bound in (("run", "0"), ("validate", "-3"), ("explain", "0")):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, str(good), "--max-size", bound])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --max-size: must be at least 1, got {bound}" in captured.err
+        assert "size bound exceeded" not in captured.err
+    assert main(["run", str(good), "--max-size", "1"]) == 2
+    assert "line 3, col 1: size bound exceeded (4 > 1)" in capsys.readouterr().err
 
 
 names = st.text(alphabet="abcdefgh", min_size=1, max_size=3)

@@ -127,3 +127,17 @@ def test_test_only_references_live_with_the_tests():
                if isinstance(node, ast.FunctionDef)}
     assert sorted(moved & (defined | exported_names())) == []
     assert sorted(n for n in moved if not callable(getattr(oracles, n, None))) == []
+
+
+def test_parts_are_built_on_first_read_by_cached_properties():
+    """Lazy parts are ``functools.cached_property``: no module in the
+    package defines ``__getattr__`` or assigns an object's ``__class__``."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name == "__getattr__":
+                found.append(f"{path.name}: defines __getattr__")
+            elif (isinstance(node, ast.Attribute) and node.attr == "__class__"
+                  and isinstance(node.ctx, ast.Store)):
+                found.append(f"{path.name}: assigns __class__")
+    assert found == []

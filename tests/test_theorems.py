@@ -292,7 +292,7 @@ def pair_loop_category(cns):
                         if commutes(o1, o2, p))
                for c in base.objects}
     return category_from_tables(
-        cns.cat.obj, carrier, lambda w, t: (a.arr.action[w][t[2]],),
+        cns.cat.obj, lambda: carrier, lambda w, t: (a.arr.action[w][t[2]],),
         lambda c, o: (a.id_at(c, o[0]),),
         lambda c, g, f: (a.comp_at(c, g[2], f[2]),))
 
