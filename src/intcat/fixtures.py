@@ -1,18 +1,21 @@
 """A shared corpus of small category objects for tests and examples.
 
 Everything here is deterministic: builders return freshly constructed but
-label-identical values on every call, and the lattice enumerator yields
-canonical representatives in a fixed order.
+label-identical values on every call, the lattice enumerator yields
+canonical representatives in a fixed order, and the map enumerators search
+the order-preserving (or meet-preserving) maps in the lexicographic order
+of their tables, building a functor only for a map they return.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .ambient import IndexCategory, Presheaf, PresheafMap
+from .ambient import IndexCategory, PreconditionError, Presheaf, PresheafMap
 from .core import (
-    InternalCategory, InternalFunctor, discrete, from_finite_category,
-    indiscrete, initial_cat, opposite, product_cat, terminal_cat,
+    InternalCategory, InternalFunctor, arrows_by_ends, discrete,
+    from_finite_category, indiscrete, initial_cat, opposite, product_cat,
+    terminal_cat,
 )
 
 FIN = IndexCategory.finset()
@@ -165,13 +168,29 @@ def _is_meet_semilattice(n: int, below) -> bool:
 
 
 def _canonical(n: int, below) -> tuple:
-    from itertools import permutations
+    """The least relabelled relation over the order-preserving relabellings
+    (the linear extensions) of the order ``below``, where ``below[i][j]``
+    says j is at most i. An isomorphism carries the linear extensions of
+    one order onto those of the other, so this is a complete invariant."""
+    rel = [(i, j) for i in range(n) for j in range(n) if below[i][j]]
+    lower = [[j for j in range(n) if j != i and below[i][j]] for i in range(n)]
+    p = [None] * n
     best = None
-    rel = {(i, j) for i in range(n) for j in range(n) if below[i][j]}
-    for p in permutations(range(n)):
-        key = tuple(sorted((p[i], p[j]) for (i, j) in rel))
-        if best is None or key < best:
-            best = key
+
+    def extend(k):
+        nonlocal best
+        if k == n:
+            key = tuple(sorted((p[i], p[j]) for (i, j) in rel))
+            if best is None or key < best:
+                best = key
+            return
+        for i in range(n):
+            if p[i] is None and all(p[j] is not None for j in lower[i]):
+                p[i] = k
+                extend(k + 1)
+                p[i] = None
+
+    extend(0)
     return best
 
 
@@ -216,58 +235,115 @@ def all_lattices(max_n: int):
     return out
 
 
-def monotone_maps(src: InternalCategory, tgt: InternalCategory) -> list:
-    """All order-preserving maps between one-object-base posetal category
-    objects, as internal functors."""
+def _order_stage(src: InternalCategory, tgt: InternalCategory):
+    """The stage of two thin category objects (at most one arrow per pair
+    of ends) over one shared one-object base, where order-preserving maps
+    are defined; ``PreconditionError`` on anything else."""
+    for cat in (src, tgt):
+        if len(cat.base.objects) != 1:
+            raise PreconditionError("order-preserving maps need a one-object base")
+    if src.base != tgt.base:
+        raise PreconditionError("order-preserving maps need a shared base")
     c = src.base.objects[0]
-    xs = list(src.obj.at(c))
-    ys = list(tgt.obj.at(c))
-    s_hom = {(src.s_at(c, h), src.t_at(c, h)) for h in src.arr.at(c)}
-    t_hom = {(tgt.s_at(c, h), tgt.t_at(c, h)): h for h in tgt.arr.at(c)}
-    out = []
+    for cat in (src, tgt):
+        if any(len(hs) > 1 for hs in arrows_by_ends(cat)[c].values()):
+            raise PreconditionError("order-preserving maps need thin categories")
+    return c
 
-    def extend(i, table):
-        if i == len(xs):
-            f1 = {h: t_hom[(table[src.s_at(c, h)], table[src.t_at(c, h)])]
-                  for h in src.arr.at(c)}
+
+def _order_maps(src: InternalCategory, tgt: InternalCategory,
+                src_cert=None, tgt_cert=None) -> list:
+    """The order-preserving maps ``src -> tgt`` as internal functors; given
+    lattice certificates, only those that also preserve the top and the
+    binary meets, compared through the target's skeleton representatives.
+
+    A backtracking search assigns the source carrier in order, trying the
+    target carrier in order, so the maps come in the lexicographic order of
+    their tables. An element's candidates are the targets comparable, as
+    the order requires, with the images of the earlier elements comparable
+    with it; the top's are further those representing the target's top,
+    and each meet is checked as soon as the last of its three elements is
+    assigned. Only a map that passes every check becomes a functor.
+    """
+    c = _order_stage(src, tgt)
+    xs, ys = src.obj.at(c), tgt.obj.at(c)
+    n, m = len(xs), len(ys)
+    at = {x: i for i, x in enumerate(xs)}
+    yat = {y: k for k, y in enumerate(ys)}
+    # the target order as bitmasks of the elements above / below each, and
+    # its arrows by the positions of their ends
+    up, down = [0] * m, [0] * m
+    t_arr = [[None] * m for _ in range(m)]
+    for (s, t), (h,) in arrows_by_ends(tgt)[c].items():
+        up[yat[s]] |= 1 << yat[t]
+        down[yat[t]] |= 1 << yat[s]
+        t_arr[yat[s]][yat[t]] = h
+    # each source element against the earlier elements below and above it
+    below, above = [[] for _ in xs], [[] for _ in xs]
+    ends = {}
+    for (s, t), hs in arrows_by_ends(src)[c].items():
+        i, j = at[s], at[t]
+        if i < j:
+            below[j].append(i)
+        elif j < i:
+            above[i].append(j)
+        for h in hs:
+            ends[h] = (i, j)
+    arrow_ends = [(h, *ends[h]) for h in src.arr.at(c)]
+    allowed = [(1 << m) - 1] * n
+    meets = [[] for _ in xs]        # (x, y, x∧y) by its last position
+    if src_cert is not None:
+        rep = [yat[tgt_cert.evidence["representative"][y]] for y in ys]
+        top, tmeet = yat[tgt_cert.evidence["top"]], tgt_cert.evidence["meet"]
+        allowed[at[src_cert.evidence["top"]]] = sum(
+            1 << k for k in range(m) if rep[k] == top)
+        meet = [[yat[tmeet[(ys[rep[a]], ys[rep[b]])]] for b in range(m)]
+                for a in range(m)]
+        for (x, y), z in src_cert.evidence["meet"].items():
+            i, j, k = at[x], at[y], at[z]
+            meets[max(i, j, k)].append((i, j, k))
+    out = []
+    v = [0] * n
+
+    def extend(i):
+        if i == n:
+            img = [ys[k] for k in v]
+            f1 = {h: t_arr[v[a]][v[b]] for h, a, b in arrow_ends}
             out.append(InternalFunctor(
                 src, tgt,
-                PresheafMap(src.obj, tgt.obj, {c: dict(table)}),
+                PresheafMap(src.obj, tgt.obj, {c: dict(zip(xs, img))}),
                 PresheafMap(src.arr, tgt.arr, {c: f1})))
             return
-        x = xs[i]
-        for y in ys:
-            ok = True
-            for j in range(i):
-                if (xs[j], x) in s_hom and (table[xs[j]], y) not in t_hom:
-                    ok = False
-                if (x, xs[j]) in s_hom and (y, table[xs[j]]) not in t_hom:
-                    ok = False
-                if not ok:
+        cand = allowed[i]
+        for j in below[i]:
+            cand &= up[v[j]]
+        for j in above[i]:
+            cand &= down[v[j]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v[i] = low.bit_length() - 1
+            for a, b, z in meets[i]:
+                if rep[v[z]] != meet[v[a]][v[b]]:
                     break
-            if ok:
-                table[x] = y
-                extend(i + 1, table)
-                del table[x]
+            else:
+                extend(i + 1)
 
-    extend(0, {})
+    extend(0)
     return out
+
+
+def monotone_maps(src: InternalCategory, tgt: InternalCategory) -> list:
+    """All order-preserving maps between thin category objects over a
+    one-object base, as internal functors, in the lexicographic order of
+    their tables: the source carrier in order, each image in target carrier
+    order. Raises ``PreconditionError`` on any other input."""
+    return _order_maps(src, tgt)
 
 
 def meet_preserving_maps(src: InternalCategory, tgt: InternalCategory,
                          src_cert, tgt_cert) -> list:
     """The monotone maps that also preserve the top and binary meets, per
-    the given completeness certificates."""
-    c = src.base.objects[0]
-    stop = src_cert.evidence["top"]
-    smeet = src_cert.evidence["meet"]
-    tmeet = tgt_cert.evidence["meet"]
-    kept = []
-    for fn in monotone_maps(src, tgt):
-        t = fn.f0.components[c]
-        if t[stop] != tgt_cert.evidence["top"]:
-            continue
-        if all(t[smeet[(x, y)]] == tmeet[(t[x], t[y])]
-               for (x, y) in smeet):
-            kept.append(fn)
-    return kept
+    the given completeness certificates, in ``monotone_maps`` order. They
+    are searched for directly: no other monotone map is built."""
+    return _order_maps(src, tgt, src_cert, tgt_cert)

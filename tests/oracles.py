@@ -1,10 +1,15 @@
 """Reference operations the tests check the engine against.
 
 Nothing in ``intcat`` calls these: the 2-cell operations are the reference
-for the componentwise triangle check of ``core.adjunction_check``, and
+for the componentwise triangle check of ``core.adjunction_check``,
 ``enumerate_nats`` searches every transformation and checks each square
-elementwise, the reference for the arrows of a functor category.
+elementwise, the reference for the arrows of a functor category, and the
+last three are the references for ``intcat.fixtures``: every monotone map,
+the meet-preserving ones filtered out of them, and the lattice invariant
+minimised over every relabelling.
 """
+
+from itertools import permutations
 
 from intcat.ambient import PreconditionError, PresheafMap, enumerate_maps
 from intcat.core import (
@@ -68,3 +73,71 @@ def enumerate_nats(f: InternalFunctor, g: InternalFunctor) -> list:
     return [nt for nt in (InternalNatTrans(f, g, comp)
                           for comp in enumerate_maps(a.obj, b.arr, allowed=allowed))
             if nat_squares_hold(nt)]
+
+
+def monotone_maps(src, tgt) -> list:
+    """All order-preserving maps between one-object-base posetal category
+    objects, as internal functors: each element in carrier order tried
+    against every target element in carrier order."""
+    c = src.base.objects[0]
+    xs = list(src.obj.at(c))
+    ys = list(tgt.obj.at(c))
+    s_hom = {(src.s_at(c, h), src.t_at(c, h)) for h in src.arr.at(c)}
+    t_hom = {(tgt.s_at(c, h), tgt.t_at(c, h)): h for h in tgt.arr.at(c)}
+    out = []
+
+    def extend(i, table):
+        if i == len(xs):
+            f1 = {h: t_hom[(table[src.s_at(c, h)], table[src.t_at(c, h)])]
+                  for h in src.arr.at(c)}
+            out.append(InternalFunctor(
+                src, tgt,
+                PresheafMap(src.obj, tgt.obj, {c: dict(table)}),
+                PresheafMap(src.arr, tgt.arr, {c: f1})))
+            return
+        x = xs[i]
+        for y in ys:
+            ok = True
+            for j in range(i):
+                if (xs[j], x) in s_hom and (table[xs[j]], y) not in t_hom:
+                    ok = False
+                if (x, xs[j]) in s_hom and (y, table[xs[j]]) not in t_hom:
+                    ok = False
+                if not ok:
+                    break
+            if ok:
+                table[x] = y
+                extend(i + 1, table)
+                del table[x]
+
+    extend(0, {})
+    return out
+
+
+def meet_preserving_maps(src, tgt, src_cert, tgt_cert) -> list:
+    """The monotone maps that preserve the top and binary meets, filtered
+    out of all of them, with images compared through the target
+    certificate's skeleton representatives as ``galois_oracle`` does."""
+    c = src.base.objects[0]
+    rep = tgt_cert.evidence["representative"]
+    tmeet = tgt_cert.evidence["meet"]
+    kept = []
+    for fn in monotone_maps(src, tgt):
+        t = fn.f0.components[c]
+        if rep[t[src_cert.evidence["top"]]] != tgt_cert.evidence["top"]:
+            continue
+        if all(rep[t[z]] == tmeet[(rep[t[x]], rep[t[y]])]
+               for (x, y), z in src_cert.evidence["meet"].items()):
+            kept.append(fn)
+    return kept
+
+
+def canonical_lattice_key(n: int, below) -> tuple:
+    """The least relabelled order relation over every permutation."""
+    best = None
+    rel = {(i, j) for i in range(n) for j in range(n) if below[i][j]}
+    for p in permutations(range(n)):
+        key = tuple(sorted((p[i], p[j]) for (i, j) in rel))
+        if best is None or key < best:
+            best = key
+    return best
