@@ -24,7 +24,7 @@ from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, adjunction_check,
     arrows_at, arrows_by_ends, compose_functors, dis_u_ind_adjunctions, discrete,
     enumerate_functors, from_finite_category, identity_functor, identity_nat,
-    indiscrete, initial_cat, make_internal_category, nat_inverse, nat_is_iso,
+    indiscrete, initial_cat, make_internal_category, nat_is_iso,
     opposite, opposite_functor, points_of_cat, product_cat, restrict_cat,
     restrict_functor, terminal_cat, unique_to_terminal_cat,
     validate_internal_category, validate_internal_functor, validate_internal_nat,

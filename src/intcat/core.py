@@ -665,30 +665,19 @@ def enumerate_functors(a: InternalCategory, b: InternalCategory) -> list:
     return out
 
 
-def nat_inverse(nt: InternalNatTrans) -> Optional[InternalNatTrans]:
-    """The inverse transformation, when every component is an invertible
-    arrow of the target category; None otherwise."""
+def nat_is_iso(nt: InternalNatTrans) -> bool:
+    """Whether every component of a transformation has a two-sided inverse
+    arrow in the target category."""
     a = nt.source.target_cat
     by_ends = arrows_by_ends(a)
-    comps = {}
     for c in a.base.objects:
-        stage = {}
-        for x, h in nt.component.components[c].items():
+        for h in nt.component.components[c].values():
             s, t = a.s_at(c, h), a.t_at(c, h)
-            inv = next((k for k in by_ends[c].get((t, s), ())
-                        if a.comp_at(c, k, h) == a.id_at(c, s)
-                        and a.comp_at(c, h, k) == a.id_at(c, t)), None)
-            if inv is None:
-                return None
-            stage[x] = inv
-        comps[c] = stage
-    return InternalNatTrans(nt.target, nt.source,
-                            PresheafMap(nt.component.source, a.arr, comps))
-
-
-def nat_is_iso(nt: InternalNatTrans) -> bool:
-    """Whether a transformation is a natural isomorphism componentwise."""
-    return nat_inverse(nt) is not None
+            if not any(a.comp_at(c, k, h) == a.id_at(c, s)
+                       and a.comp_at(c, h, k) == a.id_at(c, t)
+                       for k in by_ends[c].get((t, s), ())):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -696,44 +685,50 @@ def nat_is_iso(nt: InternalNatTrans) -> bool:
 
 
 def adjunction_check(l: InternalFunctor, r: InternalFunctor,
-                     unit: InternalNatTrans, counit: InternalNatTrans) -> list[str]:
-    """Both triangle identities, component by component: at every stage c,
-    ``counit(l x) . l(unit x) = id(l x)`` for each object ``x`` of the
-    source of ``l``, and ``r(counit y) . unit(r y) = id(r y)`` for each
-    object ``y`` of the source of ``r``.
+                     unit: dict, counit: dict) -> list[str]:
+    """The faults that keep the component tables ``unit`` and ``counit``
+    (stage -> object -> arrow) from making ``l`` left adjoint to ``r``;
+    ``l`` and ``r`` are taken to be functors.
 
-    These are the components of ``(counit l) . (l unit) = 1_l`` and
-    ``(r counit) . (unit r) = 1_r``. Once the functor endpoints are right,
-    the whiskered composites have the right ends by associativity, so they
-    are not built; components whose presheaves do not meet, and a pair that
-    does not compose, raise ``PreconditionError`` as building them would."""
-    out = []
+    First the ends: each unit component at ``x`` runs ``x -> r(l x)`` and
+    each counit component at ``y`` runs ``l(r y) -> y``; if one does not,
+    nothing is composed. Then both families are natural, the first failing
+    square of each named, and both triangle identities hold component by
+    component: ``counit(l x) . l(unit x) = id(l x)`` and ``r(counit y) .
+    unit(r y) = id(r y)`` at every stage. Both sides of a square then share
+    their ends, so a square is composed only at a stage where its category
+    is not thin. No functor or transformation is built."""
     a, b = l.source_cat, l.target_cat
     if r.source_cat != b or r.target_cat != a:
         return ["functors are not opposed"]
-    if unit.source != identity_functor(a) or unit.target != compose_functors(r, l):
-        out.append("unit endpoints are wrong")
-    if counit.source != compose_functors(l, r) or counit.target != identity_functor(b):
-        out.append("counit endpoints are wrong")
+    # each family runs from one functor to another, given as (on_obj, on_arr)
+    ident = (lambda c, x: x, lambda c, h: h)
+    rl = (lambda c, x: r.on_obj(c, l.on_obj(c, x)), lambda c, h: r.on_arr(c, l.on_arr(c, h)))
+    lr = (lambda c, y: l.on_obj(c, r.on_obj(c, y)), lambda c, k: l.on_arr(c, r.on_arr(c, k)))
+    families = (("unit", a, unit, ident, rl), ("counit", b, counit, lr, ident))
+    out = [f"{name} endpoints are wrong" for name, cat, table, (f0, _), (g0, _) in families
+           if not all(cat.s_at(c, table[c][x]) == f0(c, x)
+                      and cat.t_at(c, table[c][x]) == g0(c, x)
+                      for c in cat.base.objects for x in cat.obj.at(c))]
     if out:
         return out
-    if counit.component.source != l.f0.target or unit.component.target != l.f1.source:
-        raise PreconditionError("composition endpoint mismatch")
-    first = unit.component.source == l.f0.source
-    for c in b.base.objects:
-        units = unit.component.components[c]
-        first &= len(units) == len(l.f0.components[c])
-        for x, h in units.items():
+    for name, cat, table, (_, f1), (_, g1) in families:
+        thin = _thin_stages(cat)
+        bad = next(((c, h) for c in cat.base.objects if not thin[c] for h in cat.arr.at(c)
+                    if cat.comp_at(c, g1(c, h), table[c][cat.s_at(c, h)])
+                    != cat.comp_at(c, table[c][cat.t_at(c, h)], f1(c, h))), None)
+        if bad is not None:
+            out.append(f"{name} naturality square fails at {bad[0]!r}:{bad[1]!r}")
+    first = second = True
+    for c in a.base.objects:
+        for x in a.obj.at(c):
             lx = l.on_obj(c, x)
-            first &= b.comp_at(c, counit.at(c, lx), l.on_arr(c, h)) == b.id_at(c, lx)
+            first &= b.comp_at(c, counit[c][lx], l.on_arr(c, unit[c][x])) == b.id_at(c, lx)
+        for y in b.obj.at(c):
+            ry = r.on_obj(c, y)
+            second &= a.comp_at(c, r.on_arr(c, counit[c][y]), unit[c][ry]) == a.id_at(c, ry)
     if not first:
         out.append("first triangle identity fails")
-    if counit.component.target != r.f1.source or unit.component.source != r.f0.target:
-        raise PreconditionError("composition endpoint mismatch")
-    second = True
-    for c in a.base.objects:
-        for y, ry in r.f0.components[c].items():
-            second &= a.comp_at(c, r.on_arr(c, counit.at(c, y)), unit.at(c, ry)) == a.id_at(c, ry)
     if not second:
         out.append("second triangle identity fails")
     return out

@@ -48,15 +48,18 @@ It holds exactly when each fiber is a singleton at every stage, which the
 one test reads through ``core.arrows_at``: from the legs of a cone
 category, from the endpoint index otherwise. That single condition is
 stable under every change of stage, so certified limits transport along
-reindexings; ``transport_certificate`` rebuilds the cone category over the
-new base with the solver and decides the moved cone again from scratch.
+reindexings; ``transport_certificate`` builds the cone category over the
+new base, which reads each vertex's one cone off the endpoint index over a
+thin target and searches leg families with the solver otherwise, and
+decides the moved cone again from scratch.
 ``mediated_functor`` reads a functor off one limit certified over the
 elements of its source's objects (vertices, and mediators of the cones
 its arrows induce, so nothing is transported); over a thin target each
 such cone is the one cone at its vertex, so its mediator is read by
 vertex and no leg family is built. Every adjunction goes
-through ``certified_adjunction``, which builds the unit and counit from
-their tables and certifies both triangle identities. Failures are
+through ``certified_adjunction``, which certifies the component tables of
+the unit and counit (their ends, their naturality and both triangle
+identities) before it builds them as transformations. Failures are
 returned as ``Refusal`` values naming the stage and element that obstruct.
 """
 
@@ -799,10 +802,11 @@ def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
     certify it again over the new base.
 
     The cone category over ``dg2``, by default the certified diagram
-    restricted along ``q``, is rebuilt by the solver, and the transported
-    cone is decided from scratch. Returns a fresh certificate, or a
-    Refusal if the transported cone is not universal over the new base
-    (which would witness an instability).
+    restricted along ``q``, is built anew, each vertex's one cone read off
+    the endpoint index over a thin target and leg families searched by the
+    solver otherwise, and the transported cone is decided from scratch.
+    Returns a fresh certificate, or a Refusal if the transported cone is
+    not universal over the new base (which would witness an instability).
     """
     if cert.cones is None or cert.kind not in ("limit", "colimit"):
         raise PreconditionError("certificate does not carry a cone category")
@@ -825,17 +829,17 @@ def transport_certificate(cert: UniversalCertificate, q: IndexFunctor,
 def certified_adjunction(left: InternalFunctor, right: InternalFunctor,
                          unit: dict, counit: dict, what: str):
     """The unit ``1 => right left`` and counit ``left right => 1`` with
-    these component tables, certified by both triangle identities; a
-    failure is a ``CertificateError`` prefixed by ``what``."""
-    a, b = left.source_cat, left.target_cat
-    eta = InternalNatTrans(identity_functor(a), compose_functors(right, left),
-                           PresheafMap(a.obj, a.arr, unit))
-    eps = InternalNatTrans(compose_functors(left, right), identity_functor(b),
-                           PresheafMap(b.obj, b.arr, counit))
-    errs = adjunction_check(left, right, eta, eps)
+    these component tables, certified by ``adjunction_check`` (component
+    ends, naturality and both triangle identities); a failure is a
+    ``CertificateError`` prefixed by ``what``."""
+    errs = adjunction_check(left, right, unit, counit)
     if errs:
         raise CertificateError(f"{what}: {errs}")
-    return eta, eps
+    a, b = left.source_cat, left.target_cat
+    return (InternalNatTrans(identity_functor(a), compose_functors(right, left),
+                             PresheafMap(a.obj, a.arr, unit)),
+            InternalNatTrans(compose_functors(left, right), identity_functor(b),
+                             PresheafMap(b.obj, b.arr, counit)))
 
 
 def mediated_functor(cert: UniversalCertificate, idx: InternalCategory,

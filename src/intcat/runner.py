@@ -176,16 +176,26 @@ def _run_continuity_check(env, caps, args):
     return {"diagrams_checked": checked}
 
 
-_DISPATCH = {
-    "validate": _run_validate,
-    "exponential": _run_exponential,
-    "limit": lambda env, caps, args: _run_limit(universal_cone, env, args),
-    "colimit": lambda env, caps, args: _run_limit(universal_cocone, env, args),
-    "complete-check": _run_complete_check,
-    "limit-functor": _run_limit_functor,
-    "aft": _run_aft,
-    "duality-check": _run_duality_check,
-    "continuity-check": _run_continuity_check,
+# each task op: how it runs, and what ``explain_document`` says it does
+_TASKS = {
+    "validate": (_run_validate,
+                 "check every law of the named structure elementwise"),
+    "exponential": (_run_exponential,
+                    "build the functor category of the first argument into the second"),
+    "limit": (lambda env, caps, args: _run_limit(universal_cone, env, args),
+              "search the cone category for an internally terminal cone"),
+    "colimit": (lambda env, caps, args: _run_limit(universal_cocone, env, args),
+                "search the cocone category for an internally initial cocone"),
+    "complete-check": (_run_complete_check,
+                       "certify a top element and a full binary meet table"),
+    "limit-functor": (_run_limit_functor,
+                      "build the right adjoint to the constant-diagram functor"),
+    "aft": (_run_aft,
+            "construct a left adjoint from fiberwise limits over comma objects"),
+    "duality-check": (_run_duality_check,
+                      "compute the colimit twice, by duality and directly, and connect them"),
+    "continuity-check": (_run_continuity_check,
+                         "test limit preservation over the default shape family"),
 }
 
 
@@ -211,7 +221,7 @@ def run_document(doc: SpecDocument, only=None, seed: int = 0,
         try:
             if t.op != "validate":
                 _refuse_lawless(doc.env, t.args, problems)
-            entry["witness"] = jsonable(_DISPATCH[t.op](doc.env, caps, t.args))
+            entry["witness"] = jsonable(_TASKS[t.op][0](doc.env, caps, t.args))
             entry["outcome"] = "ok"
         except RefusalError as r:
             entry["outcome"] = "refused"
@@ -273,19 +283,6 @@ def render_human(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-_TASK_BLURBS = {
-    "validate": "check every law of the named structure elementwise",
-    "exponential": "build the functor category of the first argument into the second",
-    "limit": "search the cone category for an internally terminal cone",
-    "colimit": "search the cocone category for an internally initial cocone",
-    "complete-check": "certify a top element and a full binary meet table",
-    "limit-functor": "build the right adjoint to the constant-diagram functor",
-    "aft": "construct a left adjoint from fiberwise limits over comma objects",
-    "duality-check": "compute the colimit twice, by duality and directly, and connect them",
-    "continuity-check": "test limit preservation over the default shape family",
-}
-
-
 def explain_document(doc: SpecDocument) -> str:
     """A human summary of what a document declares and asks for."""
     lines = [f"format {doc.version}: {len(doc.declarations)} declarations, "
@@ -303,6 +300,5 @@ def explain_document(doc: SpecDocument) -> str:
                                      for c in x.base.objects)
         lines.append(f"  {d.kind} {d.name}{sizes}")
     for t in doc.tasks:
-        blurb = _TASK_BLURBS[t.op]
-        lines.append(f"  task {t.op} {' '.join(t.args)}: {blurb}")
+        lines.append(f"  task {t.op} {' '.join(t.args)}: {_TASKS[t.op][1]}")
     return "\n".join(lines) + "\n"

@@ -53,13 +53,19 @@ def horizontal_compose(beta: InternalNatTrans, alpha: InternalNatTrans) -> Inter
                             whisker_right(beta.source, alpha))
 
 
-def nat_squares_hold(nt: InternalNatTrans) -> bool:
-    """Whether every naturality square commutes, composed elementwise."""
+def nat_square_faults(nt: InternalNatTrans):
+    """``(c, h)`` for every naturality square that does not commute,
+    composed elementwise, stage by stage."""
     f, g = nt.source, nt.target
     a, b = f.source_cat, f.target_cat
-    return all(b.comp_at(c, g.on_arr(c, h), nt.at(c, a.s_at(c, h))) ==
-               b.comp_at(c, nt.at(c, a.t_at(c, h)), f.on_arr(c, h))
-               for c in a.base.objects for h in a.arr.at(c))
+    return ((c, h) for c in a.base.objects for h in a.arr.at(c)
+            if b.comp_at(c, g.on_arr(c, h), nt.at(c, a.s_at(c, h))) !=
+            b.comp_at(c, nt.at(c, a.t_at(c, h)), f.on_arr(c, h)))
+
+
+def nat_squares_hold(nt: InternalNatTrans) -> bool:
+    """Whether every naturality square commutes, composed elementwise."""
+    return next(nat_square_faults(nt), None) is None
 
 
 def enumerate_nats(f: InternalFunctor, g: InternalFunctor) -> list:

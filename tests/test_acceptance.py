@@ -200,8 +200,8 @@ def test_criterion_5_limit_functor_adjunction_and_binary_values():
                       shape_parallel_pair(FIN)):
             lf = limit_functor(cat, shape)
             assert lf.functor.validate() == []
-            errs = adjunction_check(lf.diagonal, lf.functor,
-                                    lf.unit, lf.counit)
+            errs = adjunction_check(lf.diagonal, lf.functor, lf.unit.component.components,
+                                    lf.counit.component.components)
             assert errs == []
     # the binary limit functor is gcd on the divisor lattice
     lf = limit_functor(d12, shape_two(FIN))
@@ -244,7 +244,8 @@ def test_criterion_6_adjoint_construction_exhaustive_with_oracle():
                 assert adj.left.f0.components["pt"] == oracle.table
                 if built % 400 == 0:
                     assert adjunction_check(adj.left, adj.right,
-                                            adj.unit, adj.counit) == []
+                                            adj.unit.component.components,
+                                            adj.counit.component.components) == []
                 built += 1
     assert built == 41904
     # non-continuous maps are refused with a concrete witness

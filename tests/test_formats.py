@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import intcat
 from intcat.cli import main
-from intcat.formats import ParseError, emit_document, parse_document
+import intcat.runner as runner
+from intcat.formats import TASK_ARGS, ParseError, emit_document, parse_document
 from intcat.runner import render_machine, run_document
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -606,6 +607,11 @@ def test_runner_outcomes_on_divisors():
     aft = by_op[("aft", ("gcd6",))]["witness"]
     assert aft["left_on_objects"]["pt"] == {"1": "1", "2": "2", "3": "3", "6": "6"}
     assert aft["oracle_agrees"] is True
+
+
+def test_every_parsed_task_op_runs_and_is_explained():
+    # the parser's argument table and the runner's task table name the same ops
+    assert list(runner._TASKS) == list(TASK_ARGS)
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -967,6 +967,30 @@ def test_certified_adjunction_refuses_a_counit_that_breaks_a_triangle():
         "probe: ['first triangle identity fails', 'second triangle identity fails']"
 
 
+def test_certified_adjunction_refuses_an_unnatural_unit():
+    # S3 as a one-object category: a transposition t as both unit and
+    # counit of the identity passes both triangle identities (t . t = 1),
+    # but it commutes with no 3-cycle, so neither family is natural
+    perms = ["".join(p) for p in itertools.permutations("012")]
+    s3 = from_finite_category(FIN, IndexCategory(
+        objects=("*",), arrows=tuple(perms), src=dict.fromkeys(perms, "*"),
+        tgt=dict.fromkeys(perms, "*"), identity={"*": "012"},
+        compose={(g, f): "".join(g[int(i)] for i in f) for g in perms for f in perms}))
+    assert validate_internal_category(s3) == []
+    i = identity_functor(s3)
+    t = {c: {"*": "102"} for c in s3.base.objects}
+    with pytest.raises(CertificateError) as exc:
+        certified_adjunction(i, i, t, t, "probe")
+    assert str(exc.value) == ("probe: [\"unit naturality square fails at 'pt':'021'\", "
+                              "\"counit naturality square fails at 'pt':'021'\"]")
+    # the identity adjunction on a category that is not thin still certifies
+    a = walking_idempotent()
+    assert not is_thin(a)
+    ids = {c: {x: a.id_at(c, x) for x in a.obj.at(c)} for c in a.base.objects}
+    unit, counit = certified_adjunction(identity_functor(a), identity_functor(a), ids, ids, "id")
+    assert unit.component.components == counit.component.components == ids
+
+
 def test_special_right_adjoint_equalizer_refusal_names_the_parallel_pair():
     # the walking parallel pair has no equalizer of its two arrows
     rf = special_right_adjoint(walking_parallel_pair(), "equalizer")

@@ -221,7 +221,8 @@ def test_aft_inclusion_of_subchain():
     adj = aft_left_adjoint(incl)
     table = {x: adj.left.on_obj("pt", x) for x in ("0", "1", "2")}
     assert table == {"0": "0", "1": "2", "2": "2"}
-    assert adjunction_check(adj.left, adj.right, adj.unit, adj.counit) == []
+    assert adjunction_check(adj.left, adj.right, adj.unit.component.components,
+                            adj.counit.component.components) == []
     oracle = galois_oracle(incl)
     assert oracle.table == table
 
