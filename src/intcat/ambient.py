@@ -67,6 +67,15 @@ class IndexCategory:
         of a malformed table."""
         return self._into.get(c, ())
 
+    @cached_property
+    def _sorted_into(self) -> dict:
+        return {o: _in_label_order(us) for o, us in self._into.items()}
+
+    def arrows_into_sorted(self, c) -> tuple:
+        """The arrows with target ``c`` in ``sort_key`` order; the whole
+        index is sorted on first call and kept. ``family_keys`` reads it."""
+        return self._sorted_into.get(c, ())
+
     def comp(self, g, f):
         return self.compose[(g, f)]
 
@@ -567,15 +576,32 @@ def family_keys(base: IndexCategory, c, dom: Presheaf) -> tuple:
     """The keys ``(u, x)`` of a family at stage ``c``, ``u`` an arrow into c
     and ``x`` an element of ``dom`` at the source of u, in canonical
     ``sort_key`` order. Built on first read and kept on ``dom`` when ``dom``
-    lives over ``base`` itself; shared, not to be mutated."""
+    lives over ``base`` itself; shared, not to be mutated.
+
+    The keys are ordered by ``u``, read from ``base.arrows_into_sorted``,
+    then by ``x``, the elements at each source sorted once; this is the
+    ``sort_key`` order of the whole keys, since no label's ``repr`` is a
+    proper prefix of another's (``labels.sort_key``)."""
     own = dom.base is base
     keys = dom._keys.get(c) if own else None
     if keys is None:
-        keys = tuple(sorted(((u, x) for u in base.arrows_into(c)
-                             for x in dom.at(base.src[u])), key=sort_key))
+        by_source: dict = {}
+        keys = []
+        for u in base.arrows_into_sorted(c):
+            a = base.src[u]
+            xs = by_source.get(a)
+            if xs is None:
+                xs = by_source[a] = _in_label_order(dom.at(a))
+            keys += [(u, x) for x in xs]
+        keys = tuple(keys)
         if own:
             dom._keys[c] = keys
     return keys
+
+
+def _in_label_order(labels: tuple) -> tuple:
+    """``labels`` in ``sort_key`` order; one label is not sorted."""
+    return tuple(sorted(labels, key=sort_key)) if len(labels) > 1 else tuple(labels)
 
 
 def stage_family(base: IndexCategory, c, dom: Presheaf, value: Callable) -> tuple:

@@ -607,6 +607,72 @@ def arrow_families(b: InternalCategory, c, dom: Presheaf) -> Callable:
     return solve
 
 
+def arrow_family_pairs(b: InternalCategory, c, dom: Presheaf, ends: list,
+                       check: Callable) -> list:
+    """The natural families from ``dom`` into the arrows of ``b`` at stage
+    ``c`` between ordered pairs of the key tables ``ends``: ``(i, j,
+    alpha)`` for each family ``alpha`` whose entry at every key ``k`` runs
+    from ``ends[i][k]`` to ``ends[j][k]`` and whose table passes
+    ``check(i, j, table)``; by ``i``, then ``j``, then in the order
+    ``arrow_families`` lists a pair's families.
+
+    Over a thin ``b`` a pair has the one family ``arrow_families`` reads,
+    or none, and ``check`` is not run. The pairs are then found without
+    visiting each one: at each key the tables are grouped by their value
+    into bitmasks of ``j``, the masks of the targets of arrows out of a
+    value are joined from ``b``'s arrows-into index, and the ``j`` reached
+    from ``i`` are the intersection of those masks over the keys.
+    Otherwise the solver searches each pair."""
+    base = b.base
+    if not is_thin(b):
+        solve, by_ends = family_solver(base, c, dom, b.arr), arrows_by_ends(b)
+        out = []
+        for i, src in enumerate(ends):
+            for j, tgt in enumerate(ends):
+
+                def allowed(u, x, src=src, tgt=tgt):
+                    return by_ends[base.src[u]].get((src[(u, x)], tgt[(u, x)]), ())
+
+                out += [(i, j, alpha) for alpha in
+                        solve(allowed, lambda table, i=i, j=j: check(i, j, table))]
+        return out
+    keys = family_keys(base, c, dom)
+    into = [b._into[base.src[u]] for u, _ in keys]
+    reach = [(1 << len(ends)) - 1] * len(ends)
+    for k, into_k in zip(keys, into):
+        at_value: dict = {}
+        for j, tgt in enumerate(ends):
+            t = tgt[k]
+            at_value[t] = at_value.get(t, 0) | 1 << j
+        out_of: dict = {}
+        for t, js in at_value.items():
+            for s in into_k.get(t, ()):
+                out_of[s] = out_of.get(s, 0) | js
+        for i, src in enumerate(ends):
+            reach[i] &= out_of.get(src[k], 0)
+    out = []
+    for i, src in enumerate(ends):
+        js = reach[i]
+        while js:
+            j = (js & -js).bit_length() - 1
+            js &= js - 1
+            tgt = ends[j]
+            out.append((i, j, fam_in_order(
+                (k, into_k[tgt[k]][src[k]][0]) for k, into_k in zip(keys, into))))
+    return out
+
+
+def thin_with(cat: InternalCategory, b: InternalCategory) -> InternalCategory:
+    """Record ``cat`` as thin at every stage when ``b`` is thin, so that
+    ``_thin_stages`` builds no endpoint index of ``cat``; returns ``cat``.
+    Only for a category whose arrows between two objects are families of
+    ``b``'s arrows with ends those objects fix, as a functor category into
+    ``b`` is: over a thin ``b`` one family has those ends."""
+    if is_thin(b):
+        vars(cat)["_thin"] = dict.fromkeys(cat.base.objects, True)
+    return cat
+
+
 def arrows_at(b: InternalCategory, c, o) -> dict:
     """The arrow elements of ``b`` at stage ``c`` into ``o``, grouped by
     their source: each group in carrier order, the groups in the carrier
@@ -692,8 +758,10 @@ def adjunction_check(l: InternalFunctor, r: InternalFunctor,
 
     First the ends: each unit component at ``x`` runs ``x -> r(l x)`` and
     each counit component at ``y`` runs ``l(r y) -> y``; if one does not,
-    nothing is composed. Then both families are natural, the first failing
-    square of each named, and both triangle identities hold component by
+    nothing is composed. Then both families are natural: each commutes
+    with restriction along every non-identity base arrow, the first
+    failing one named, and with each arrow of its category, the first
+    failing square named. Last, both triangle identities hold component by
     component: ``counit(l x) . l(unit x) = id(l x)`` and ``r(counit y) .
     unit(r y) = id(r y)`` at every stage. Both sides of a square then share
     their ends, so a square is composed only at a stage where its category
@@ -713,6 +781,13 @@ def adjunction_check(l: InternalFunctor, r: InternalFunctor,
     if out:
         return out
     for name, cat, table, (_, f1), (_, g1) in families:
+        base = cat.base
+        moved = [u for u in base.arrows if not base.is_identity(u)]
+        bad = next(((u, x) for u in moved for x in cat.obj.at(base.tgt[u])
+                    if cat.arr.action[u][table[base.tgt[u]][x]]
+                    != table[base.src[u]][cat.obj.action[u][x]]), None)
+        if bad is not None:
+            out.append(f"{name} is not natural along base arrow {bad[0]!r} at {bad[1]!r}")
         thin = _thin_stages(cat)
         bad = next(((c, h) for c in cat.base.objects if not thin[c] for h in cat.arr.at(c)
                     if cat.comp_at(c, g1(c, h), table[c][cat.s_at(c, h)])

@@ -13,19 +13,26 @@ propagation prunes candidates early, so the raw function spaces of the
 underlying carriers are never materialized. The functor category is
 assembled from its arrow triples by ``core.category_from_tables``.
 
-Arrow parts and transformations are families into the target's arrows,
-found by ``core.arrow_families``, the latter when the arrows are first
-read. Over a thin target it reads them off the endpoint index: arrows with
-the same ends are equal, and both sides of each functor law, restriction
-law and naturality square have the same ends, so each key takes the one
-arrow with the right ends, if it has one. Otherwise the solver searches
-them and composition and naturality are checked. The diagonal is read off
-its target, not curried from a projection out of a product.
+Arrow parts and transformations are families into the target's arrows:
+the arrow parts of each object family are found by ``core.arrow_families``,
+and the transformations between every pair of functors of a stage by
+``core.arrow_family_pairs``, when the arrows are first read. Over a thin
+target both read them off the target's indexes: arrows with the same ends
+are equal, and both sides of each functor law, restriction law and
+naturality square have the same ends, so each key takes the one arrow
+with the right ends, if it has one. The pair reader then finds the pairs
+with a transformation from bitmasks of the functors' values, key by key,
+without visiting each pair; and since a transformation is fixed by its
+ends, the functor category is recorded as thin when it is built
+(``core.thin_with``). Otherwise the solver searches each family and
+composition and naturality are checked. The diagonal is read off its
+target, not curried from a projection out of a product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .labels import fam_dict
 from .ambient import (
@@ -34,8 +41,8 @@ from .ambient import (
 )
 from .core import (
     InternalCategory, InternalFunctor, InternalNatTrans, arrow_families,
-    arrows_by_ends, category_from_tables, identity_functor, product_cat,
-    restrict_cat,
+    arrow_family_pairs, arrows_by_ends, category_from_tables, identity_functor,
+    product_cat, restrict_cat, thin_with,
 )
 
 
@@ -136,7 +143,8 @@ class ExponentialCategory:
 
 def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCategory:
     """The functor category of ``a`` into ``b`` as a category object; its
-    transformations are searched when its arrows are first read."""
+    transformations are found when its arrows are first read, and it is
+    known to be thin, unread, when ``b`` is."""
     if a.base != b.base:
         raise PreconditionError("mapping space factors live over different bases")
     base = a.base
@@ -157,30 +165,22 @@ def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCate
     def arr_carrier():
         out = {}
         for c in base.objects:
-            solve = arrow_families(b, c, a.obj)
-            tables = [(el, fam_dict(el[0]), fam_dict(el[1])) for el in space.at(c)]
-            triples = []
-            for f_el, t0f, t1f in tables:
-                for g_el, t0g, t1g in tables:
+            els = space.at(c)
+            arrow_part = cache(lambda i, els=els: fam_dict(els[i][1]))
 
-                    def allowed(u, x, t0f=t0f, t0g=t0g):
-                        return by_ends[base.src[u]].get((t0f[(u, x)], t0g[(u, x)]), ())
+            def natural(i, j, table, c=c):
+                t1f, t1g = arrow_part(i), arrow_part(j)
+                for u in base.arrows_into(c):
+                    c2 = base.src[u]
+                    for h in a.arr.at(c2):
+                        lhs = b.comp_at(c2, t1g[(u, h)], table[(u, a.s_at(c2, h))])
+                        rhs = b.comp_at(c2, table[(u, a.t_at(c2, h))], t1f[(u, h)])
+                        if lhs != rhs:
+                            return False
+                return True
 
-                    def check(table, t1f=t1f, t1g=t1g, c=c):
-                        for u in base.arrows_into(c):
-                            c2 = base.src[u]
-                            for h in a.arr.at(c2):
-                                lhs = b.comp_at(c2, t1g[(u, h)],
-                                                table[(u, a.s_at(c2, h))])
-                                rhs = b.comp_at(c2, table[(u, a.t_at(c2, h))],
-                                                t1f[(u, h)])
-                                if lhs != rhs:
-                                    return False
-                        return True
-
-                    for alpha in solve(allowed, check):
-                        triples.append((f_el, g_el, alpha))
-            out[c] = tuple(triples)
+            out[c] = tuple((els[i], els[j], alpha) for i, j, alpha in arrow_family_pairs(
+                b, c, a.obj, [fam_dict(el[0]) for el in els], natural))
         return out
 
     def identity_parts(c, el):
@@ -198,7 +198,7 @@ def exponential_cat(a: InternalCategory, b: InternalCategory) -> ExponentialCate
         space, arr_carrier,
         lambda w, t: (shift_family(base, w, a.obj, t[2]),),
         identity_parts, compose_parts)
-    return ExponentialCategory(a, b, cat)
+    return ExponentialCategory(a, b, thin_with(cat, b))
 
 
 def evaluation_functor(e: ExponentialCategory) -> InternalFunctor:

@@ -15,7 +15,14 @@ Label = "str | tuple"
 
 
 def sort_key(label) -> str:
-    """Total deterministic order on labels (atoms and tuples alike)."""
+    """Total deterministic order on labels (atoms and tuples alike).
+
+    The ``repr`` of a label, a string or a tuple of labels, is never a
+    proper prefix of another label's ``repr``: a string's ends at its
+    closing quote and a tuple's at its closing parenthesis. So two tuples
+    of labels compare as their first differing entries do, which lets
+    ``ambient.family_keys`` sort keys ``(u, x)`` by ``u`` and then by
+    ``x`` without the ``repr`` of whole keys."""
     return repr(label)
 
 

@@ -18,8 +18,8 @@ from intcat.functor_cat import (
     reindex_exponential_iso, uncurry_functor,
 )
 from intcat.fixtures import (
-    CHAIN2, chain_cat, corpus, discrete_cat, divisor_lattice, staged_chain3,
-    staged_discrete, staged_indiscrete, staged_set, walking_idempotent,
+    CHAIN2, chain_cat, corpus, discrete_cat, divisor_lattice, powerset_lattice,
+    staged_chain3, staged_discrete, staged_indiscrete, staged_set, walking_idempotent,
     walking_parallel_pair,
 )
 from intcat.labels import fam_dict
@@ -256,6 +256,55 @@ def test_thin_targets_read_the_functor_spaces_the_solver_finds(monkeypatch):
     assert "staged_chain_three/staged_chain_three/exponential" in read
 
 
+CHAIN3 = IndexCategory.chain(3)
+
+
+@pytest.mark.parametrize("target", [
+    lambda: divisor_lattice(12), lambda: divisor_lattice(30),
+    lambda: powerset_lattice("ab"), lambda: chain_cat(4),
+    lambda: chain_cat(3, CHAIN2), lambda: chain_cat(4, CHAIN2),
+    lambda: chain_cat(3, CHAIN3), lambda: chain_cat(4, CHAIN3),
+], ids=["divisors-12", "divisors-30", "powerset-ab", "chain-4", "chain-3/chain2",
+        "chain-4/chain2", "chain-3/chain3", "chain-4/chain3"])
+def test_thin_exponentials_list_the_transformations_the_solver_finds(target, monkeypatch):
+    # over a thin target the pair reader finds the transformations from
+    # bitmasks of the functors' values; with thinness denied, the solver
+    # searches each pair of functors and checks naturality. The arrows,
+    # in carrier order, and their action must agree, and the recorded
+    # thinness must be the one the endpoint index gives
+    b = target()
+    assert is_thin(b)
+    stages = b.base.objects
+
+    def exponentials():
+        for _, shape in default_shape_family(b.base):
+            cat = exponential_cat(shape, b).cat
+            yield cat, ({c: cat.obj.at(c) for c in stages}, {c: cat.arr.at(c) for c in stages},
+                        cat.arr.action)
+
+    read = []
+    for cat, parts in exponentials():
+        assert core._thin_stages(cat) == dict.fromkeys(stages, True)
+        assert "_ends" not in vars(cat)
+        assert all(len(ks) == 1 for groups in core.arrows_by_ends(cat).values()
+                   for ks in groups.values())
+        read.append(parts)
+    monkeypatch.setattr(core, "is_thin", lambda b: False)
+    searched = [parts for _, parts in exponentials()]
+    assert read == searched
+    assert sum(len(arrows) for _, carrier, _ in read for arrows in carrier.values()) > 30
+
+
+class CountingTable(dict):
+    """A key table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, k):
+        CountingTable.reads += 1
+        return dict.__getitem__(self, k)
+
+
 @pytest.mark.parametrize("target, thin", [
     (walking_parallel_pair, False),
     (walking_idempotent, False),
@@ -267,10 +316,13 @@ def test_thin_targets_read_the_functor_spaces_the_solver_finds(monkeypatch):
 def test_only_non_thin_targets_search_arrow_parts_and_transformations(
         target, thin, monkeypatch):
     # one search for object families per stage, then one for the arrow
-    # parts of each object family, and, once the arrows are read, one for
-    # the transformations of each pair of functors; over a thin target
-    # only the first, and on every target the arrows part is built only
-    # when read
+    # parts of each object family, and, once the arrows are read, one
+    # pair reader call per stage for the transformations. Over a thin
+    # target only the first search runs, and the pair reader visits no
+    # pair of functors: it reads each functor's key table a bounded
+    # number of times per key, plus the two ends of each family it finds.
+    # Over any other target the solver searches every pair and checks
+    # naturality. On every target the arrows part is built only when read
     found = []
 
     def counting(real):
@@ -288,26 +340,46 @@ def test_only_non_thin_targets_search_arrow_parts_and_transformations(
         monkeypatch.setattr(module, "family_solver", counting(module.family_solver))
     # the families are chosen for arrow parts at once and for
     # transformations on first read, thin target or not
-    chosen = []
+    chosen, pairs, checks = [], [], []
+
+    def pair_reader(b, c, dom, ends, check):
+        CountingTable.reads = 0
+        tables = [CountingTable(t) for t in ends]
+        got = core.arrow_family_pairs(
+            b, c, dom, tables, lambda *args: checks.append(args) or check(*args))
+        n, keys = len(ends), len(core.family_keys(b.base, c, dom))
+        pairs.append((n, keys, len(got), CountingTable.reads))
+        return got
+
     monkeypatch.setattr(functor_cat, "arrow_families",
                         lambda *args: chosen.append(args) or core.arrow_families(*args))
+    monkeypatch.setattr(functor_cat, "arrow_family_pairs", pair_reader)
     b = target()
     assert is_thin(b) == thin
     stages = b.base.objects
     for _, shape in default_shape_family(b.base):
-        del found[:], chosen[:]
+        del found[:], chosen[:], pairs[:], checks[:]
         cat = exponential_cat(shape, b).cat
         assert len(chosen) == len(stages)
         objects = [n for cod, n in found if cod is b.obj]
         assert len(objects) == len(stages)
         assert len(found) - len(objects) == (0 if thin else sum(objects))
+        # a functor category into a thin target knows it is thin unread
+        assert ("_thin" in vars(cat)) == thin and "_ends" not in vars(cat)
         del found[:]
-        assert "arr" not in vars(cat)
+        assert "arr" not in vars(cat) and pairs == []
         cat.arr
         assert "arr" in vars(cat)
-        assert len(chosen) == 2 * len(stages)
-        assert len(found) == (0 if thin else
-                              sum(len(cat.obj.at(c)) ** 2 for c in stages))
+        assert len(chosen) == len(stages) and len(pairs) == len(stages)
+        assert [n for n, *_ in pairs] == [len(cat.obj.at(c)) for c in stages]
+        if thin:
+            assert found == [] and checks == []
+            for n, keys, families, reads in pairs:
+                assert reads <= 2 * n * keys + 2 * keys * families
+        else:
+            assert len(found) == sum(n * n for n, *_ in pairs)
+            assert sum(n for _, n in found) == sum(families for *_, families, _ in pairs)
+            assert len(checks) >= sum(families for *_, families, _ in pairs)
 
 
 def precomposed(base, w, dom, label):

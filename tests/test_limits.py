@@ -7,6 +7,8 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import intcat.ambient as ambient
+import intcat.core as core
 import intcat.limits as limits
 import intcat.theorems as theorems
 from intcat.ambient import (
@@ -15,10 +17,11 @@ from intcat.ambient import (
     point_of, points, pullback, representable, stage_family, terminal,
 )
 from intcat.core import (
-    InternalCategory, InternalFunctor, arrows_at, arrows_by_ends, compose_functors, discrete,
-    enumerate_functors, from_finite_category, identity_functor, identity_nat,
-    initial_cat, is_thin, make_internal_category, opposite, opposite_functor,
-    restrict_functor, terminal_cat, unique_to_terminal_cat, validate_internal_category,
+    InternalCategory, InternalFunctor, InternalNatTrans, arrows_at, arrows_by_ends,
+    compose_functors, discrete, enumerate_functors, from_finite_category,
+    identity_functor, identity_nat, initial_cat, is_thin, make_internal_category,
+    opposite, opposite_functor, restrict_functor, terminal_cat, unique_to_terminal_cat,
+    validate_internal_category, validate_internal_nat,
 )
 from intcat.functor_cat import diagonal_functor, exponential_cat
 from intcat.labels import fam_dict, sort_key
@@ -421,6 +424,44 @@ def thin_mediated_adjoints(monkeypatch):
                           ("to-one", unique_to_terminal_cat(a))):
             out[f"{name}/aft/{r_name}"] = adjoint_tables(lambda: aft_left_adjoint(r))
     return out, calls
+
+
+def test_family_keys_come_in_sort_key_order(monkeypatch):
+    # family_keys sorts the arrows into a stage once per base and then the
+    # elements at each source, never the repr of a whole key; that must be
+    # the sort_key order of the whole keys for every presheaf and stage of
+    # the corpus, and for every one read while limit functors and the AFT
+    # run, over the element sites they build
+    real, seen = ambient.family_keys, []
+
+    def recording(base, c, dom):
+        keys = real(base, c, dom)
+        seen.append((base, c, dom, keys))
+        return keys
+
+    for module in (ambient, core, limits):
+        monkeypatch.setattr(module, "family_keys", recording)
+    # a base that lists its objects, and so its arrows, against label order
+    against = IndexCategory.poset(("y", "x"), [("x", "y")])
+    assert against.arrows_into("y") == (("y", "y"), ("x", "y"))
+    corpus_bases = []
+    for name, a in corpus() + (("chain_three_over_yx", chain_cat(3, against)),):
+        corpus_bases.append(a.base)
+        for part in (a.obj, a.arr):
+            for c in a.base.objects:
+                recording(a.base, c, part)
+        if not is_thin(a):
+            continue
+        for _, shape in default_shape_family(a.base):
+            adjoint_tables(lambda: limit_functor(a, shape))
+        for r in (identity_functor(a), unique_to_terminal_cat(a)):
+            adjoint_tables(lambda: aft_left_adjoint(r))
+    for base, c, dom, keys in seen:
+        want = sorted(((u, x) for u in base.arrows_into(c) for x in dom.at(base.src[u])),
+                      key=sort_key)
+        assert keys == tuple(want), (c, keys)
+    sites = {id(base) for base, *_ in seen if all(base is not b for b in corpus_bases)}
+    assert len(seen) > 1000 and len(sites) > 50
 
 
 def test_mediators_by_vertex_are_the_built_ones(monkeypatch):
@@ -989,6 +1030,33 @@ def test_certified_adjunction_refuses_an_unnatural_unit():
     ids = {c: {x: a.id_at(c, x) for x in a.obj.at(c)} for c in a.base.objects}
     unit, counit = certified_adjunction(identity_functor(a), identity_functor(a), ids, ids, "id")
     assert unit.component.components == counit.component.components == ids
+
+
+def test_certified_adjunction_refuses_a_unit_that_is_not_a_presheaf_map():
+    # Z2 as a constant category over the 2-stage chain: the swap at c0 and
+    # the identity at c1, as both unit and counit of the identity, is
+    # natural at each stage and passes both triangle identities stage by
+    # stage, but restricting the identity at c1 to c0 does not give the
+    # swap, so neither family is a map of presheaves
+    z2 = IndexCategory(
+        objects=("*",), arrows=("1", "s"), src=dict.fromkeys("1s", "*"),
+        tgt=dict.fromkeys("1s", "*"), identity={"*": "1"},
+        compose={("1", "1"): "1", ("1", "s"): "s", ("s", "1"): "s", ("s", "s"): "1"})
+    a = from_finite_category(CHAIN2, z2)
+    assert validate_internal_category(a) == []
+    i = identity_functor(a)
+    t = {"c0": {"*": "s"}, "c1": {"*": "1"}}
+    nt = InternalNatTrans(i, i, PresheafMap(a.obj, a.arr, t))
+    assert validate_internal_nat(nt) == ["component: naturality fails along ('c0', 'c1') at '*'"]
+    with pytest.raises(CertificateError) as exc:
+        certified_adjunction(i, i, t, t, "probe")
+    assert str(exc.value) == (
+        "probe: [\"unit is not natural along base arrow ('c0', 'c1') at '*'\", "
+        "\"counit is not natural along base arrow ('c0', 'c1') at '*'\"]")
+    # the identity tables certify
+    ids = {c: {"*": "1"} for c in CHAIN2.objects}
+    unit, _ = certified_adjunction(i, i, ids, ids, "id")
+    assert unit.component.components == ids
 
 
 def test_special_right_adjoint_equalizer_refusal_names_the_parallel_pair():
